@@ -9,8 +9,8 @@ everything at desk scale.
 from .lattice import (ColoredLattice, LatticeError, PathRecord,
                       check_full_length_sublattice, full_length_witness,
                       is_diamond_colored, is_distributive, is_modular,
-                      is_topographically_balanced, join, meet, mountainize,
-                      path_stats, product, rank_function, valleyize)
+                      is_topographically_balanced, mountainize, path_stats,
+                      product, rank_function, valleyize)
 from .poset import (PosetError, VertexColoredPoset, canonical_iso_to_ideals,
                     canonical_iso_to_filters, disjoint_sum, dual,
                     enumerate_order_ideals, j_lattice, join_irreducibles,

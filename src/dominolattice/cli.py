@@ -15,8 +15,8 @@ from .domino import (build_d_a, circle_to_partition_D, gamma_pt, gamma_tp,
 from .isomorphism import phi, phi_inverse
 from .poset import j_lattice, m_lattice
 from .solver import solve_domino
-from .typea import (BoxSpec, CircleState, build_l_a, circle_to_partition_L,
-                    diagonal_to_partition, ideal_to_partition,
+from .typea import (BoxSpec, CircleState, build_l_partitions,
+                    circle_to_partition_L, diagonal_to_partition,
                     partition_to_circle_L, partition_to_diagonal,
                     partition_to_tableau_L, tableau_to_partition_L,
                     validate_partition)
@@ -32,27 +32,21 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_ERROR)
 
 
+def parse_ints(text, brackets, what):
+    """Comma-separated integers, optionally wrapped in the given bracket pair."""
+    text = text.strip().strip(brackets)
+    try:
+        return tuple(int(p) for p in text.split(",") if p.strip() != "")
+    except ValueError:
+        raise ValueError(f"cannot parse {what} {text!r}") from None
+
+
 def parse_partition(spec, text):
     """Comma-separated parts, first row first; trailing zeros may be omitted."""
-    text = text.strip().strip("()")
-    parts = [p.strip() for p in text.split(",")] if text else []
-    try:
-        values = [int(p) for p in parts if p != ""]
-    except ValueError:
-        raise ValueError(f"cannot parse partition {text!r}") from None
+    values = parse_ints(text, "()", "partition")
     if len(values) > spec.k:
         raise ValueError(f"too many parts for k={spec.k}")
-    values += [0] * (spec.k - len(values))
-    return validate_partition(spec, tuple(values))
-
-
-def parse_tableau(spec, text):
-    text = text.strip().strip("{}")
-    try:
-        entries = tuple(int(p) for p in text.split(",") if p.strip() != "")
-    except ValueError:
-        raise ValueError(f"cannot parse tableau {text!r}") from None
-    return entries
+    return validate_partition(spec, values + (0,) * (spec.k - len(values)))
 
 
 def parse_circle(spec, text, side):
@@ -60,15 +54,6 @@ def parse_circle(spec, text, side):
     if not set(bits) <= {"0", "1"}:
         raise ValueError(f"cannot parse circle bitstring {text!r}")
     return CircleState(tuple(int(b) for b in bits), side)
-
-
-def parse_diagonal(spec, text):
-    text = text.strip().strip("()")
-    try:
-        diag = tuple(int(p) for p in text.split(",") if p.strip() != "")
-    except ValueError:
-        raise ValueError(f"cannot parse diagonal sequence {text!r}") from None
-    return diag
 
 
 def fmt_partition(parts):
@@ -91,7 +76,7 @@ def _to_partition(spec, system, side, text):
     if system == "part":
         return parse_partition(spec, text)
     if system == "tab":
-        entries = parse_tableau(spec, text)
+        entries = parse_ints(text, "{}", "tableau")
         if side == "L":
             return tableau_to_partition_L(spec, tuple(sorted(entries)))
         return gamma_tp(spec, entries)
@@ -101,7 +86,7 @@ def _to_partition(spec, system, side, text):
             return circle_to_partition_L(spec, state)
         return circle_to_partition_D(spec, state)
     if system == "diag":
-        return diagonal_to_partition(spec, parse_diagonal(spec, text))
+        return diagonal_to_partition(spec, parse_ints(text, "()", "diagonal sequence"))
     raise ValueError(f"unknown coordinate system {system!r}")
 
 
@@ -152,8 +137,13 @@ def _vertex_doc(spec, family, parts):
 
 def cmd_lattice(args):
     if args.poset is not None:
-        with open(args.poset, encoding="utf-8") as handle:
-            P = serial.poset_from_json(handle.read())
+        try:
+            with open(args.poset, encoding="utf-8") as handle:
+                text = handle.read()
+        except OSError as exc:
+            print(f"error: cannot read {args.poset}: {exc.strerror}", file=sys.stderr)
+            return USAGE_ERROR
+        P = serial.poset_from_json(text)
         L = j_lattice(P) if args.construction == "J" else m_lattice(P)
         if args.format == "dot":
             sys.stdout.write(serial.lattice_to_dot(L, name="ideals"))
@@ -162,7 +152,7 @@ def cmd_lattice(args):
         return 0
     spec = _spec_from(args)
     if args.family == "A":
-        L = build_l_a(spec).relabel(lambda i: ideal_to_partition(spec, i))
+        L = build_l_partitions(spec)
     else:
         L = build_d_a(spec)
     if args.format == "dot":

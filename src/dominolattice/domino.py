@@ -181,13 +181,8 @@ def build_d_a(spec):
     suites.
     """
     vertices = all_partitions(spec)
-    edges = []
-    for sigma in vertices:
-        for l in spec.colors:
-            hit = beta_part(spec, sigma, l)
-            if hit is not None:
-                edges.append((sigma, hit[0], l))
-    L = ColoredLattice(vertices, edges)
+    L = ColoredLattice(vertices, [(sigma, tau, l) for sigma in vertices
+                                  for tau, l in d_up_edges(spec, sigma)])
     if L.minimum is None or L.maximum is None:
         raise AssertionError("domino digraph lacks unique extremes")
     if not is_diamond_colored(L):

@@ -10,7 +10,7 @@ round-trip byte for byte.
 import json
 
 from .lattice import ColoredLattice, sort_key
-from .poset import VertexColoredPoset
+from .poset import PosetError, VertexColoredPoset
 
 _DOT_PALETTE = ("red", "blue", "forestgreen", "purple", "orange", "cyan4",
                 "magenta", "gold3", "gray40", "brown", "darkolivegreen",
@@ -35,10 +35,16 @@ def poset_to_json(P):
 
 
 def poset_from_json(text):
+    """Parse the poset schema; a document of another shape raises PosetError."""
     doc = json.loads(text)
-    vertices = [item["id"] for item in doc["vertices"]]
-    colors = {item["id"]: item["color"] for item in doc["vertices"]}
-    return VertexColoredPoset(vertices, [tuple(c) for c in doc["covers"]], colors)
+    try:
+        vertices = [item["id"] for item in doc["vertices"]]
+        colors = {item["id"]: item["color"] for item in doc["vertices"]}
+        covers = [tuple(c) for c in doc["covers"]]
+    except (KeyError, TypeError) as exc:
+        raise PosetError(
+            f"poset JSON does not match the schema ({type(exc).__name__}: {exc})") from None
+    return VertexColoredPoset(vertices, covers, colors)
 
 
 def lattice_to_json(L):

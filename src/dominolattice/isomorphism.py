@@ -91,28 +91,44 @@ def phi_inverse(spec, sigma):
 # -- exact linear algebra ---------------------------------------------------------
 
 
+def _bareiss_forward(a):
+    """Fraction-free forward elimination with row pivoting, in place.
+
+    Eliminates below the diagonal of the leading n x n block of the n rows
+    of a; columns past n (a right-hand side) are carried along.  Returns
+    the sign of the row permutation, or 0 when the block is singular.
+    """
+    n = len(a)
+    prev = 1
+    sign = 1
+    for col in range(n):
+        pivot_row = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if pivot_row is None:
+            return 0
+        if pivot_row != col:
+            a[col], a[pivot_row] = a[pivot_row], a[col]
+            sign = -sign
+        width = len(a[col])
+        for r in range(col + 1, n):
+            for c in range(col + 1, width):
+                a[r][c] = (a[col][col] * a[r][c] - a[r][col] * a[col][c]) // prev
+            a[r][col] = 0
+        prev = a[col][col]
+    return sign
+
+
 def bareiss_solve(matrix, rhs):
     """Solve an integer square system exactly.
 
-    Fraction-free forward elimination with row pivoting, then rational
-    back-substitution.  Raises ValueError on a singular matrix.
+    Fraction-free forward elimination, then rational back-substitution.
+    Raises ValueError on a singular matrix.
     """
     n = len(matrix)
     a = [list(row) + [b] for row, b in zip(matrix, rhs)]
     if any(len(row) != n + 1 for row in a):
         raise ValueError("matrix must be square and match the right-hand side")
-    prev = 1
-    for col in range(n):
-        pivot_row = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot_row is None:
-            raise ValueError("matrix is singular")
-        if pivot_row != col:
-            a[col], a[pivot_row] = a[pivot_row], a[col]
-        for r in range(col + 1, n):
-            for c in range(col + 1, n + 1):
-                a[r][c] = (a[col][col] * a[r][c] - a[r][col] * a[col][c]) // prev
-            a[r][col] = 0
-        prev = a[col][col]
+    if not _bareiss_forward(a):
+        raise ValueError("matrix is singular")
     x = [Fraction(0)] * n
     for r in range(n - 1, -1, -1):
         acc = Fraction(a[r][n])
@@ -124,23 +140,8 @@ def bareiss_solve(matrix, rhs):
 
 def integer_determinant(matrix):
     """Exact determinant via Bareiss elimination."""
-    n = len(matrix)
     a = [list(row) for row in matrix]
-    prev = 1
-    sign = 1
-    for col in range(n):
-        pivot_row = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot_row is None:
-            return 0
-        if pivot_row != col:
-            a[col], a[pivot_row] = a[pivot_row], a[col]
-            sign = -sign
-        for r in range(col + 1, n):
-            for c in range(col + 1, n):
-                a[r][c] = (a[col][col] * a[r][c] - a[r][col] * a[col][c]) // prev
-            a[r][col] = 0
-        prev = a[col][col]
-    return sign * a[n - 1][n - 1]
+    return _bareiss_forward(a) * a[-1][-1]
 
 
 def exact_inverse(matrix):

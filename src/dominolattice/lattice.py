@@ -15,16 +15,24 @@ class LatticeError(ValueError):
     pass
 
 
+def is_int(value):
+    """True for an int that is not a bool (bool subclasses int)."""
+    return type(value) is int or (isinstance(value, int) and not isinstance(value, bool))
+
+
 def sort_key(v):
     """Deterministic total order on vertex labels.
 
     Handles the label kinds used in this package (strings, ints, tuples,
-    frozensets, recursively) without relying on hash order.
+    frozensets, recursively) without relying on hash order.  Ints compare
+    by value; other scalars by type name, then repr.
     """
     if isinstance(v, frozenset):
         return (2, tuple(sorted(sort_key(x) for x in v)))
     if isinstance(v, tuple):
         return (1, tuple(sort_key(x) for x in v))
+    if type(v) is int:
+        return (0, "int", v)
     return (0, type(v).__name__, repr(v))
 
 
@@ -49,7 +57,7 @@ class ColoredLattice:
                 raise LatticeError(f"edge endpoint not a vertex: ({a!r}, {b!r})")
             if a == b:
                 raise LatticeError(f"loop edge at {a!r}")
-            if not isinstance(c, int):
+            if not is_int(c):
                 raise LatticeError(f"edge color must be an integer, got {c!r}")
             if (a, b) in seen and seen[(a, b)] != c:
                 raise LatticeError(f"conflicting colors on edge ({a!r}, {b!r})")
@@ -65,24 +73,11 @@ class ColoredLattice:
             down[b].append((a, c))
         self._up = {v: tuple(ws) for v, ws in up.items()}
         self._down = {v: tuple(ws) for v, ws in down.items()}
-        self._check_acyclic()
+        if len(self._topo_reversed) != len(self.vertices):
+            raise LatticeError("cover digraph contains a directed cycle")
         self._check_covers()
 
     # -- construction checks ------------------------------------------------
-
-    def _check_acyclic(self):
-        indeg = {v: len(self._down[v]) for v in self.vertices}
-        queue = deque(v for v in self.vertices if indeg[v] == 0)
-        seen = 0
-        while queue:
-            v = queue.popleft()
-            seen += 1
-            for w, _ in self._up[v]:
-                indeg[w] -= 1
-                if indeg[w] == 0:
-                    queue.append(w)
-        if seen != len(self.vertices):
-            raise LatticeError("cover digraph contains a directed cycle")
 
     def _check_covers(self):
         ups = self._upsets
@@ -122,7 +117,11 @@ class ColoredLattice:
 
     @cached_property
     def _topo_reversed(self):
-        """Vertices in reverse topological order (tops first)."""
+        """Vertices in reverse topological order (tops first).
+
+        Vertices on or below a directed cycle are left out, which is how
+        the constructor detects cycles.
+        """
         indeg = {v: len(self._up[v]) for v in self.vertices}
         queue = deque(v for v in self.vertices if indeg[v] == 0)
         order = []
@@ -332,8 +331,7 @@ def rank_function(L):
 
     Raises LatticeError when the graph is disconnected or admits no
     consistent rank.  On topographically balanced lattices the rank
-    identity 2*rho(s v t) - rho(s) - rho(t) = rho(s) + rho(t) - 2*rho(s ^ t)
-    is verified for every pair as a safety net.
+    identity is verified for every pair as a safety net.
     """
     if not L.is_connected:
         raise LatticeError("disconnected cover graph")
@@ -341,22 +339,29 @@ def rank_function(L):
     if ranks is None:
         raise LatticeError("no consistent rank function exists")
     if L.is_lattice and is_topographically_balanced(L):
-        for s in L.vertices:
-            for t in L.vertices:
-                up = 2 * ranks[L.join(s, t)] - ranks[s] - ranks[t]
-                dn = ranks[s] + ranks[t] - 2 * ranks[L.meet(s, t)]
-                if up != dn:
-                    raise LatticeError(
-                        f"rank identity fails at ({s!r}, {t!r})")
+        pair = rank_identity_failure(L)
+        if pair is not None:
+            raise LatticeError(f"rank identity fails at ({pair[0]!r}, {pair[1]!r})")
     return dict(ranks)
 
 
-def meet(L, x, y):
-    return L.meet(x, y)
+def rank_identity_failure(L):
+    """The first pair (s, t) breaking the rank identity, or None.
 
-
-def join(L, x, y):
-    return L.join(x, y)
+    The identity is 2*rho(s v t) - rho(s) - rho(t) = rho(s) + rho(t) - 2*rho(s ^ t).
+    It is symmetric and holds for s == t, so each unordered pair is tried
+    once, in vertex order.  L must be a ranked lattice.
+    """
+    ranks = L.ranks
+    if ranks is None:
+        raise LatticeError("not ranked")
+    vertices = L.vertices
+    for i, s in enumerate(vertices):
+        for t in vertices[i + 1:]:
+            if (2 * ranks[L.join(s, t)] - ranks[s] - ranks[t]
+                    != ranks[s] + ranks[t] - 2 * ranks[L.meet(s, t)]):
+                return s, t
+    return None
 
 
 def _op_tables(L):
@@ -593,6 +598,14 @@ def full_length_witness(L, K, x):
     return minimal[0]
 
 
+def induced_covers(L, members):
+    """Pairs (x, y) of members where y covers x in the order induced from L."""
+    return [(x, y) for x in members for y in members
+            if x != y and L.le(x, y)
+            and not any(z != x and z != y and L.le(x, z) and L.le(z, y)
+                        for z in members)]
+
+
 def induced_sublattice(L, K):
     """Sublattice on K with the order induced from L.
 
@@ -601,15 +614,9 @@ def induced_sublattice(L, K):
     """
     members = sorted(set(K), key=sort_key)
     edges = []
-    for x in members:
-        for y in members:
-            if x == y or not L.le(x, y):
-                continue
-            if any(z != x and z != y and L.le(x, z) and L.le(z, y)
-                   for z in members):
-                continue
-            if not L.has_edge(x, y):
-                raise LatticeError(
-                    f"induced cover ({x!r}, {y!r}) is not an edge of the host")
-            edges.append((x, y, L.edge_color(x, y)))
+    for x, y in induced_covers(L, members):
+        if not L.has_edge(x, y):
+            raise LatticeError(
+                f"induced cover ({x!r}, {y!r}) is not an edge of the host")
+        edges.append((x, y, L.edge_color(x, y)))
     return ColoredLattice(members, edges)

@@ -7,8 +7,9 @@ reuses the closed-form machinery it is meant to check.
 
 from collections import deque
 
-from .lattice import (DOWN, UP, LatticeError, PathRecord, is_distributive,
-                      is_modular, is_topographically_balanced, sort_key)
+from .lattice import (LatticeError, is_distributive, is_modular,
+                      is_topographically_balanced, path_from_vertices,
+                      rank_identity_failure, sort_key)
 from .poset import VertexColoredPoset
 
 
@@ -64,13 +65,7 @@ def enumerate_shortest_paths(L, s, t, cap=100_000):
     while stack:
         v, trail = stack.pop()
         if v == t:
-            steps = []
-            for a, b in zip(trail, trail[1:]):
-                if L.has_edge(a, b):
-                    steps.append((L.edge_color(a, b), UP))
-                else:
-                    steps.append((L.edge_color(b, a), DOWN))
-            paths.append(PathRecord(tuple(trail), tuple(steps)))
+            paths.append(path_from_vertices(L, trail))
             if len(paths) > cap:
                 raise PathCapExceeded(f"more than {cap} shortest paths")
             continue
@@ -106,21 +101,7 @@ def check_lattice_laws(L):
         return report
     report["modular"] = is_modular(L)
     report["distributive"] = is_distributive(L)
-    ranks = L.ranks
-    if ranks is None:
-        report["rank_identity"] = False
-        return report
-    holds = True
-    for s in L.vertices:
-        for t in L.vertices:
-            up = 2 * ranks[L.join(s, t)] - ranks[s] - ranks[t]
-            down = ranks[s] + ranks[t] - 2 * ranks[L.meet(s, t)]
-            if up != down:
-                holds = False
-                break
-        if not holds:
-            break
-    report["rank_identity"] = holds
+    report["rank_identity"] = L.ranks is not None and rank_identity_failure(L) is None
     return report
 
 
@@ -160,10 +141,4 @@ def random_simple_path(L, rng, max_len=None):
         nxt = rng.choice(sorted(options, key=sort_key))
         trail.append(nxt)
         seen.add(nxt)
-    steps = []
-    for a, b in zip(trail, trail[1:]):
-        if L.has_edge(a, b):
-            steps.append((L.edge_color(a, b), UP))
-        else:
-            steps.append((L.edge_color(b, a), DOWN))
-    return PathRecord(tuple(trail), tuple(steps))
+    return path_from_vertices(L, trail)

@@ -8,7 +8,7 @@ isomorphisms of the fundamental theorem are ordinary dictionaries.
 from collections import deque
 from functools import cached_property
 
-from .lattice import ColoredLattice, LatticeError, sort_key
+from .lattice import ColoredLattice, LatticeError, induced_covers, is_int, sort_key
 
 
 class PosetError(ValueError):
@@ -33,7 +33,7 @@ class VertexColoredPoset:
             if v not in colors:
                 raise PosetError(f"vertex {v!r} has no color")
             c = colors[v]
-            if not isinstance(c, int) or c < 1:
+            if not is_int(c) or c < 1:
                 raise PosetError(f"color of {v!r} must be a positive integer")
         self.colors = {v: colors[v] for v in self.vertices}
         self._index = {v: i for i, v in enumerate(self.vertices)}
@@ -47,17 +47,7 @@ class VertexColoredPoset:
         self._check_dag_and_covers()
 
     def _check_dag_and_covers(self):
-        indeg = {v: len(self._down[v]) for v in self.vertices}
-        queue = deque(v for v in self.vertices if indeg[v] == 0)
-        seen = 0
-        while queue:
-            v = queue.popleft()
-            seen += 1
-            for w in self._up[v]:
-                indeg[w] -= 1
-                if indeg[w] == 0:
-                    queue.append(w)
-        if seen != len(self.vertices):
+        if len(self._topo_from_top) != len(self.vertices):
             raise PosetError("cover relation contains a cycle")
         for a, b in self.covers:
             for z in self._up[a]:
@@ -90,6 +80,7 @@ class VertexColoredPoset:
 
     @cached_property
     def _topo_from_top(self):
+        """Kahn order from the maximal elements; short when covers form a cycle."""
         indeg = {v: len(self._up[v]) for v in self.vertices}
         queue = deque(v for v in self.vertices if indeg[v] == 0)
         order = []
@@ -205,8 +196,8 @@ def join_irreducibles(L):
     if not L.is_lattice:
         raise PosetError("input is not a lattice")
     members = [v for v in L.vertices if len(L.down_neighbors(v)) == 1]
-    return _induced_colored_poset(L, members,
-                                  {v: L.down_neighbors(v)[0][1] for v in members})
+    return VertexColoredPoset(members, induced_covers(L, members),
+                              {v: L.down_neighbors(v)[0][1] for v in members})
 
 
 def meet_irreducibles(L):
@@ -214,20 +205,8 @@ def meet_irreducibles(L):
     if not L.is_lattice:
         raise PosetError("input is not a lattice")
     members = [v for v in L.vertices if len(L.up_neighbors(v)) == 1]
-    return _induced_colored_poset(L, members,
-                                  {v: L.up_neighbors(v)[0][1] for v in members})
-
-
-def _induced_colored_poset(L, members, colors):
-    covers = []
-    for x in members:
-        for y in members:
-            if x == y or not L.le(x, y):
-                continue
-            if any(z != x and z != y and L.le(x, z) and L.le(z, y) for z in members):
-                continue
-            covers.append((x, y))
-    return VertexColoredPoset(members, covers, colors)
+    return VertexColoredPoset(members, induced_covers(L, members),
+                              {v: L.up_neighbors(v)[0][1] for v in members})
 
 
 def dual(P):

@@ -23,22 +23,6 @@ def color_census(P, members):
     return Counter(P.color(v) for v in members)
 
 
-def multiset_union(a, b):
-    return a | b
-
-
-def multiset_difference(a, b):
-    return a - b
-
-
-def multiset_intersection(a, b):
-    return a & b
-
-
-def multiset_size(a):
-    return sum(a.values())
-
-
 @dataclass(frozen=True)
 class GameSolution:
     """Distance, per-color move counts, an explicit path, and its waypoint."""
@@ -107,9 +91,11 @@ def _greedy_diag_leg(spec, start, colors, direction):
     """Apply the multiset of move vectors greedily, smallest color first.
 
     Each step must land on a valid diagonal sequence; the procedure is
-    guaranteed to consume the whole multiset, which is asserted.
+    guaranteed to consume the whole multiset, which is asserted.  Returns
+    the visited diagonals and the color of each step.
     """
     seq = [start]
+    applied = []
     remaining = Counter(colors)
     current = start
     while remaining:
@@ -122,11 +108,12 @@ def _greedy_diag_leg(spec, start, colors, direction):
                     del remaining[l]
                 current = cand
                 seq.append(current)
+                applied.append(l)
                 break
         else:
             raise AssertionError(
                 f"no legal move among {sorted(remaining)} at {current}")
-    return seq
+    return seq, applied
 
 
 def solve_domino(spec, sigma, tau, via="join"):
@@ -139,31 +126,26 @@ def solve_domino(spec, sigma, tau, via="join"):
     T = Counter(dict(enumerate(decompose(spec, dt), start=1)))
     S, T = +S, +T
     union, inter = S | T, S & T
-    distance = multiset_size(union - S) + multiset_size(union - T)
     per_color = (union - S) + (union - T)
+    distance = per_color.total()
     if via == "join":
-        up_leg = _greedy_diag_leg(spec, ds, union - S, +1)
-        down_leg = _greedy_diag_leg(spec, dt, union - T, +1)
+        up_leg, up_colors = _greedy_diag_leg(spec, ds, union - S, +1)
+        down_leg, down_colors = _greedy_diag_leg(spec, dt, union - T, +1)
         diags = up_leg + down_leg[-2::-1]
-        dirs = [UP] * (len(up_leg) - 1) + [DOWN] * (len(down_leg) - 1)
+        steps = [(c, UP) for c in up_colors] + [(c, DOWN) for c in reversed(down_colors)]
         waypoint = diagonal_to_partition(spec, up_leg[-1])
         if up_leg[-1] != down_leg[-1]:
             raise AssertionError("legs did not meet at the join")
     elif via == "meet":
-        down_leg = _greedy_diag_leg(spec, ds, S - T, -1)
-        up_leg = _greedy_diag_leg(spec, down_leg[-1], T - inter, +1)
+        down_leg, down_colors = _greedy_diag_leg(spec, ds, S - T, -1)
+        up_leg, up_colors = _greedy_diag_leg(spec, down_leg[-1], T - inter, +1)
         diags = down_leg + up_leg[1:]
-        dirs = [DOWN] * (len(down_leg) - 1) + [UP] * (len(up_leg) - 1)
+        steps = [(c, DOWN) for c in down_colors] + [(c, UP) for c in up_colors]
         waypoint = diagonal_to_partition(spec, down_leg[-1])
         if up_leg[-1] != dt:
             raise AssertionError("legs did not meet at the target")
     else:
         raise ValueError(f"via must be 'join' or 'meet', got {via!r}")
-    steps = []
-    for (a, b), d in zip(zip(diags, diags[1:]), dirs):
-        diff = tuple(y - x if d == UP else x - y for x, y in zip(a, b))
-        color = next(l for l in spec.colors if beta_diag(spec, l) == diff)
-        steps.append((color, d))
     verts = tuple(diagonal_to_partition(spec, d) for d in diags)
     path = PathRecord(verts, tuple(steps))
     return GameSolution(distance, per_color, path, waypoint)

@@ -11,7 +11,7 @@ plain tuples.
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .lattice import ColoredLattice, product
+from .lattice import ColoredLattice, is_int, product
 from .poset import VertexColoredPoset, j_lattice
 
 
@@ -23,7 +23,7 @@ class BoxSpec:
     N: int
 
     def __post_init__(self):
-        if not (isinstance(self.k, int) and isinstance(self.N, int)):
+        if not (is_int(self.k) and is_int(self.N)):
             raise ValueError("k and N must be integers")
         if not 1 <= self.k <= self.N - 1:
             raise ValueError(f"need 1 <= k <= N-1, got k={self.k}, N={self.N}")
@@ -93,6 +93,11 @@ def build_l_a(spec):
     return j_lattice(build_p_a(spec))
 
 
+def build_l_partitions(spec):
+    """The fundamental lattice with each ideal relabeled as its partition."""
+    return build_l_a(spec).relabel(lambda i: ideal_to_partition(spec, i))
+
+
 # -- partitions -----------------------------------------------------------------
 
 
@@ -102,7 +107,7 @@ def validate_partition(spec, parts):
         raise ValueError(f"expected {spec.k} parts, got {len(parts)}")
     prev = spec.cols
     for i, p in enumerate(parts):
-        if not isinstance(p, int):
+        if not is_int(p):
             raise ValueError(f"part {i + 1} is not an integer")
         if p < 0 or p > spec.cols:
             raise ValueError(f"part {i + 1} out of range [0, {spec.cols}]: {p}")
@@ -178,7 +183,7 @@ def tableau_to_partition_L(spec, entries):
         raise ValueError(f"expected {spec.k} tableau entries")
     prev = 0
     for i, t in enumerate(entries):
-        if not isinstance(t, int) or not 1 <= t <= spec.N:
+        if not is_int(t) or not 1 <= t <= spec.N:
             raise ValueError(f"entry {i + 1} out of range [1, {spec.N}]")
         if t <= prev:
             raise ValueError(f"entries must strictly increase at position {i + 1}")
@@ -243,7 +248,7 @@ def validate_diagonal(spec, diag):
     if len(diag) != n - 1:
         raise ValueError(f"expected {n - 1} diagonal entries")
     for i, d in enumerate(diag, start=1):
-        if not isinstance(d, int) or d < 0:
+        if not is_int(d) or d < 0:
             raise ValueError(f"diagonal entry {i} must be a nonnegative integer")
         if i <= n - k and d > min(i, k):
             raise ValueError(f"diagonal entry {i} exceeds {min(i, k)}")
@@ -355,12 +360,6 @@ def build_l_tilde(spec):
         edges = [(v + 1, v, v) for v in labels[:-1]]
         chains.append(ColoredLattice(labels, edges))
     return product(*chains)
-
-
-def tab_vertices(spec):
-    """The strictly increasing tuples inside the product of chains."""
-    return [v for v in build_l_tilde(spec).vertices
-            if all(a < b for a, b in zip(v, v[1:]))]
 
 
 @lru_cache(maxsize=None)

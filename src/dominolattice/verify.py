@@ -8,22 +8,20 @@ the same ground; these suites make it scriptable.
 import random
 from math import comb
 
-from .lattice import (ColoredLattice, is_diamond_colored, is_distributive,
-                      is_modular, is_topographically_balanced, path_stats,
-                      product)
+from .lattice import ColoredLattice, is_diamond_colored, path_stats, product
 from .poset import (canonical_iso_to_filters, canonical_iso_to_ideals,
                     check_poset_iso, disjoint_sum, dual, j_lattice,
                     join_irreducibles, m_lattice, meet_irreducibles,
                     principal_filter, principal_ideal, recolor)
-from .typea import (BoxSpec, build_l_a, build_l_tab, build_l_tilde,
-                    ideal_to_partition, partition_to_circle_L,
+from .typea import (BoxSpec, build_l_a, build_l_partitions, build_l_tab,
+                    build_l_tilde, ideal_to_partition, partition_to_circle_L,
                     partition_to_diagonal, partition_to_tableau_L,
                     build_l_graph, all_partitions, circle_to_partition_L,
                     diagonal_to_partition, tableau_to_partition_L)
 from .domino import (build_d_a, circle_to_partition_D, d_up_edges, gamma_pt,
                      gamma_tp, is_legal_domino_move, partition_to_circle_D)
 from .isomorphism import apply_p, move_matrix, phi, phi_inverse
-from .oracle import (bfs_all_pairs, check_constructed_iso,
+from .oracle import (bfs_all_pairs, check_constructed_iso, check_lattice_laws,
                      enumerate_shortest_paths, random_colored_poset)
 from .solver import solve_distributive, solve_domino
 
@@ -33,10 +31,6 @@ SUITES = ("fundamental", "coordinates", "iso", "solver", "structure", "transport
 def _result(checks):
     return {"passed": all(ok for _, ok in checks),
             "checks": [{"name": name, "passed": ok} for name, ok in checks]}
-
-
-def _partition_lattice(spec):
-    return build_l_a(spec).relabel(lambda i: ideal_to_partition(spec, i))
 
 
 def suite_fundamental(seed=0, rounds=50):
@@ -117,7 +111,7 @@ def suite_coordinates(k, N):
 def suite_iso(k, N):
     """Phi as a colored digraph isomorphism, plus the matrix transport."""
     spec = BoxSpec(k, N)
-    L = _partition_lattice(spec)
+    L = build_l_partitions(spec)
     D = build_d_a(spec)
     checks = [
         ("phi is a color-preserving isomorphism",
@@ -138,7 +132,7 @@ def suite_solver(k, N, seed=0):
     spec = BoxSpec(k, N)
     from .typea import build_p_a, partition_to_ideal
     P = build_p_a(spec)
-    L = _partition_lattice(spec)
+    L = build_l_partitions(spec)
     D = build_d_a(spec)
     distL = bfs_all_pairs(L)
     distD = bfs_all_pairs(D)
@@ -175,25 +169,16 @@ def suite_structure(k, N, include_chain_product=None):
     spec = BoxSpec(k, N)
     if include_chain_product is None:
         include_chain_product = (spec.cols + 1) ** spec.k <= 130
-    built = [("L_A", _partition_lattice(spec)), ("D_A", build_d_a(spec))]
+    built = [("L_A", build_l_partitions(spec)), ("D_A", build_d_a(spec))]
     if include_chain_product:
         built.append(("L_tilde", build_l_tilde(spec)))
         built.append(("L_tab", build_l_tab(spec)))
     checks = []
     for name, L in built:
-        ranks = L.ranks
-        good = (L.is_lattice and is_diamond_colored(L)
-                and is_topographically_balanced(L)
-                and is_modular(L) and is_distributive(L) and ranks is not None)
-        if good:
-            for s in L.vertices:
-                for t in L.vertices:
-                    if (2 * ranks[L.join(s, t)] - ranks[s] - ranks[t]
-                            != ranks[s] + ranks[t] - 2 * ranks[L.meet(s, t)]):
-                        good = False
-                        break
-                if not good:
-                    break
+        laws = check_lattice_laws(L)
+        good = is_diamond_colored(L) and all(
+            laws[law] for law in ("is_lattice", "topographically_balanced",
+                                  "modular", "distributive", "rank_identity"))
         checks.append((f"{name} structure and rank identity", good))
     return _result(checks)
 

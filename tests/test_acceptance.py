@@ -13,23 +13,21 @@ from dominolattice.domino import (build_d_a, d_max, d_min,
                                   gamma_tp, d_up_edges, circle_to_partition_D,
                                   partition_to_circle_D)
 from dominolattice.isomorphism import decompose, move_matrix, phi, phi_inverse, pi
-from dominolattice.lattice import (is_diamond_colored, is_distributive,
-                                   is_modular, is_topographically_balanced,
-                                   mountainize, path_stats, valleyize)
+from dominolattice.lattice import (is_diamond_colored, mountainize,
+                                   path_stats, valleyize)
 from dominolattice.oracle import (bfs_all_pairs, check_constructed_iso,
-                                  enumerate_shortest_paths,
-                                  random_colored_poset)
+                                  check_lattice_laws, enumerate_shortest_paths)
 from dominolattice.poset import (canonical_iso_to_filters,
-                                 canonical_iso_to_ideals, check_poset_iso,
-                                 disjoint_sum, dual, j_lattice,
+                                 canonical_iso_to_ideals, j_lattice,
                                  join_irreducibles, m_lattice,
-                                 meet_irreducibles, principal_filter,
-                                 principal_ideal, recolor)
+                                 meet_irreducibles)
 from dominolattice.solver import solve_distributive, solve_domino
 from dominolattice.typea import (BoxSpec, all_partitions, build_l_a,
-                                 build_l_tab, build_l_tilde, build_p_a,
-                                 ideal_to_partition, partition_to_diagonal,
-                                 partition_to_ideal, partition_to_tableau_L)
+                                 build_l_partitions, build_l_tab,
+                                 build_l_tilde, build_p_a,
+                                 partition_to_diagonal, partition_to_ideal,
+                                 partition_to_tableau_L)
+from dominolattice.verify import suite_fundamental
 
 BOX24 = BoxSpec(2, 6)
 BOX23 = BoxSpec(2, 5)
@@ -39,10 +37,6 @@ DESK_SPECS = tuple(BoxSpec(k, N) for k in range(1, 13)
 
 # chain products are exercised where the cubic law checks stay quick
 PRODUCT_SPECS = tuple(s for s in DESK_SPECS if (s.cols + 1) ** s.k <= 130)
-
-
-def l_partitions(spec):
-    return build_l_a(spec).relabel(lambda i: ideal_to_partition(spec, i))
 
 
 def report(n, text):
@@ -83,7 +77,7 @@ def test_criterion_04_phi():
     assert phi_inverse(BOX24, (4, 3)) == (1, 1)
     for k, N in ((2, 5), (2, 6), (3, 6), (3, 7)):
         spec = BoxSpec(k, N)
-        L = l_partitions(spec)
+        L = build_l_partitions(spec)
         assert check_constructed_iso(L, build_d_a(spec),
                                      {p: phi(spec, p) for p in L.vertices})
     report(4, "phi values and colored-digraph isomorphisms")
@@ -109,7 +103,7 @@ def test_criterion_06_solver_worked_examples():
     sol = solve_domino(BOX24, (4, 4), (1, 1))
     assert sol.distance == 3
     assert list(sol.path.steps) == [(2, "up"), (4, "down"), (5, "down")]
-    L = l_partitions(BOX24)
+    L = build_l_partitions(BOX24)
     assert L.ranks[(3, 3)] == 6
     assert partition_to_diagonal(BOX24, (3, 3)) == (0, 1, 2, 2, 1)
     assert sum(partition_to_diagonal(BOX24, (3, 3))) == 6
@@ -120,7 +114,7 @@ def test_criterion_07_oracle_equivalence():
     rng = random.Random(99)
     for spec in DESK_SPECS:
         P = build_p_a(spec)
-        L = l_partitions(spec)
+        L = build_l_partitions(spec)
         D = build_d_a(spec)
         distL = bfs_all_pairs(L)
         distD = bfs_all_pairs(D)
@@ -157,23 +151,17 @@ def test_criterion_08_five_row_board_game():
 def test_criterion_09_structure_suite():
     built = []
     for spec in DESK_SPECS:
-        built.append(l_partitions(spec))
+        built.append(build_l_partitions(spec))
         built.append(build_d_a(spec))
     for spec in PRODUCT_SPECS:
         built.append(build_l_tilde(spec))
         built.append(build_l_tab(spec))
     for L in built:
-        assert L.is_lattice
         assert is_diamond_colored(L)
-        assert is_topographically_balanced(L)
-        assert is_distributive(L)
-        assert is_modular(L)
-        ranks = L.ranks
-        assert ranks is not None
-        for s in L.vertices:
-            for t in L.vertices:
-                assert (2 * ranks[L.join(s, t)] - ranks[s] - ranks[t]
-                        == ranks[s] + ranks[t] - 2 * ranks[L.meet(s, t)])
+        assert check_lattice_laws(L) == {
+            "vertices": len(L), "is_lattice": True, "modular": True,
+            "distributive": True, "topographically_balanced": True,
+            "rank_identity": True}
     report(9, f"structure checks on {len(built)} built lattices")
 
 
@@ -187,41 +175,13 @@ def test_criterion_10_fundamental_theorem_suite():
             assert check_constructed_iso(
                 L, m_lattice(meet_irreducibles(L)),
                 {x: canonical_iso_to_filters(L, x) for x in L.vertices})
-    rng = random.Random(2024)
-    for _ in range(50):
-        P = random_colored_poset(rng, 8, 4)
-        L = j_lattice(P)
-        assert check_poset_iso(P, join_irreducibles(L),
-                               {v: principal_ideal(P, v) for v in P.vertices})
-        M = m_lattice(P)
-        assert check_poset_iso(P, meet_irreducibles(M),
-                               {v: principal_filter(P, v) for v in P.vertices})
-    from dominolattice.lattice import ColoredLattice, product
-    for _ in range(25):
-        P = random_colored_poset(rng, 6, 3)
-        Q = random_colored_poset(rng, 6, 3)
-        sigma = {c: c + 9 for c in range(1, 4)}
-        for build in (j_lattice, m_lattice):
-            built = build(P)
-            flip = build(dual(P))
-            assert check_constructed_iso(
-                flip, built.dual(),
-                {x: frozenset(set(P.vertices) - x) for x in flip.vertices})
-            tinted = ColoredLattice(built.vertices,
-                                    [(a, b, sigma[c]) for a, b, c in built.edges])
-            assert check_constructed_iso(build(recolor(P, sigma)), tinted,
-                                         {x: x for x in built.vertices})
-            summed = build(disjoint_sum(P, Q))
-            split = {x: (frozenset(v for t, v in x if t == 0),
-                         frozenset(v for t, v in x if t == 1))
-                     for x in summed.vertices}
-            assert check_constructed_iso(summed, product(build(P), build(Q)),
-                                         split)
+    suite = suite_fundamental(seed=2024)
+    assert suite["passed"], suite["checks"]
     report(10, "round trips and all six identity families")
 
 
 def test_criterion_11_mountainization():
-    L = l_partitions(BOX24)
+    L = build_l_partitions(BOX24)
     rng = random.Random(17)
     verts = list(L.vertices)
     for _ in range(100):

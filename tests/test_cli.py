@@ -5,8 +5,8 @@ import pytest
 from dominolattice import io as serial
 from dominolattice.cli import main, parse_partition, render_partition
 from dominolattice.oracle import random_colored_poset
-from dominolattice.typea import BoxSpec, build_l_a, ideal_to_partition
-from dominolattice.poset import j_lattice
+from dominolattice.typea import BoxSpec, build_l_partitions
+from dominolattice.poset import PosetError, j_lattice
 
 
 def run_cli(capsys, *argv):
@@ -56,6 +56,25 @@ class TestLatticeCommand:
         code, out, _ = run_cli(capsys, "lattice", "--poset", str(target))
         assert code == 0
         assert out == serial.lattice_to_json(j_lattice(P))
+
+    def test_unreadable_poset_file_is_usage_error(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "lattice", "--poset", str(tmp_path / "absent.json"))
+        assert code == 1 and out == ""
+        assert err.startswith("error: cannot read")
+
+    @pytest.mark.parametrize("text", ['{"vertices": [{"id": "a"}], "covers": []}', "[1]"])
+    def test_poset_of_wrong_schema_is_domain_error(self, capsys, tmp_path, text):
+        target = tmp_path / "poset.json"
+        target.write_text(text)
+        code, _, err = run_cli(capsys, "lattice", "--poset", str(target))
+        assert code == 2 and "schema" in err
+        with pytest.raises(PosetError):
+            serial.poset_from_json(text)
+
+    def test_parts_listed_in_numeric_order(self, capsys):
+        code, out, _ = run_cli(capsys, "lattice", "--family", "A", "-k", "1", "-N", "12")
+        assert code == 0
+        assert [v["part"] for v in json.loads(out)["vertices"]] == [str(i) for i in range(12)]
 
 
 class TestConvertCommand:
@@ -180,7 +199,6 @@ class TestSerialization:
         assert text == again
 
     def test_dot_labels_carry_colors(self):
-        spec = BoxSpec(2, 5)
-        L = build_l_a(spec).relabel(lambda i: ideal_to_partition(spec, i))
+        L = build_l_partitions(BoxSpec(2, 5))
         dot = serial.lattice_to_dot(L)
         assert 'label="4"' in dot and "rank=same" in dot

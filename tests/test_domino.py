@@ -96,12 +96,15 @@ class TestBuild:
 
     def test_d23_is_isomorphic_to_l23(self):
         from dominolattice.isomorphism import phi
-        from dominolattice.typea import build_l_a, ideal_to_partition
+        from dominolattice.typea import build_l_partitions
         spec = BoxSpec(2, 5)
-        L = build_l_a(spec).relabel(lambda i: ideal_to_partition(spec, i))
+        L = build_l_partitions(spec)
         D = build_d_a(spec)
         assert len(D) == 10
         assert check_constructed_iso(L, D, {p: phi(spec, p) for p in L.vertices})
+
+    def test_vertices_in_numeric_order(self):
+        assert build_d_a(BoxSpec(1, 12)).vertices == tuple((i,) for i in range(12))
 
     def test_cardinalities(self):
         for k in range(1, 13):

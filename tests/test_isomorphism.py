@@ -10,8 +10,7 @@ from dominolattice.isomorphism import (BoxPermutation, apply_p, bareiss_solve,
                                        pi)
 from dominolattice.oracle import bfs_all_pairs, check_constructed_iso
 from dominolattice.typea import (BoxSpec, CircleState, all_partitions,
-                                 build_l_a, ideal_to_partition,
-                                 partition_to_diagonal)
+                                 build_l_partitions, partition_to_diagonal)
 
 BOX24 = BoxSpec(2, 6)
 
@@ -77,7 +76,7 @@ class TestPhi:
     @pytest.mark.parametrize("k,N", [(2, 5), (2, 6), (3, 6), (3, 7)])
     def test_color_preserving_isomorphism(self, k, N):
         spec = BoxSpec(k, N)
-        L = build_l_a(spec).relabel(lambda i: ideal_to_partition(spec, i))
+        L = build_l_partitions(spec)
         D = build_d_a(spec)
         assert check_constructed_iso(L, D, {p: phi(spec, p) for p in L.vertices})
 

@@ -7,14 +7,14 @@ from dominolattice.lattice import (ColoredLattice, LatticeError,
                                    full_length_witness,
                                    is_diamond_colored, is_distributive,
                                    is_modular, is_topographically_balanced,
-                                   join, meet, mountainize, path_from_vertices,
+                                   mountainize, path_from_vertices,
                                    path_stats, product, rank_function,
-                                   valleyize)
+                                   rank_identity_failure, valleyize)
 from dominolattice.poset import j_lattice, join_irreducibles, check_poset_iso
-from dominolattice.oracle import (enumerate_shortest_paths,
+from dominolattice.oracle import (check_lattice_laws, enumerate_shortest_paths,
                                   random_colored_poset, random_simple_path)
-from dominolattice.typea import (BoxSpec, build_l_a, build_l_tab,
-                                 build_l_tilde, build_p_a, ideal_to_partition)
+from dominolattice.typea import (BoxSpec, build_l_a, build_l_partitions,
+                                 build_l_tab, build_l_tilde, build_p_a)
 
 
 def two_chain(color):
@@ -31,9 +31,14 @@ def m3():
                                     ("a", "t", 4), ("b", "t", 5), ("c", "t", 6)])
 
 
+def hexagon():
+    # ranked and a lattice, but a and b have no common cover: not balanced
+    return ColoredLattice("01abcd", [("0", "a", 1), ("a", "c", 2), ("c", "1", 3),
+                                     ("0", "b", 2), ("b", "d", 1), ("d", "1", 3)])
+
+
 def l24():
-    spec = BoxSpec(2, 6)
-    return build_l_a(spec).relabel(lambda i: ideal_to_partition(spec, i))
+    return build_l_partitions(BoxSpec(2, 6))
 
 
 class TestConstruction:
@@ -48,6 +53,14 @@ class TestConstruction:
     def test_rejects_conflicting_colors(self):
         with pytest.raises(LatticeError, match="conflicting"):
             ColoredLattice("ab", [("a", "b", 1), ("a", "b", 2)])
+
+    def test_rejects_bool_color(self):
+        with pytest.raises(LatticeError, match="integer"):
+            ColoredLattice("ab", [("a", "b", True)])
+
+    def test_vertex_order_is_numeric_for_ints_only(self):
+        assert ColoredLattice([10, 9, 2], [(2, 9, 1), (9, 10, 1)]).vertices == (2, 9, 10)
+        assert ColoredLattice(["v9", "v10"], []).vertices == ("v10", "v9")
 
 
 class TestDiamondColoring:
@@ -96,6 +109,14 @@ class TestRank:
         with pytest.raises(LatticeError, match="disconnected"):
             rank_function(L)
 
+    def test_hexagon_breaks_rank_identity(self):
+        H = hexagon()
+        assert H.is_lattice and H.ranks is not None
+        assert rank_identity_failure(H) == ("a", "b")
+        assert check_lattice_laws(H)["rank_identity"] is False
+        with pytest.raises(LatticeError, match="not ranked"):
+            rank_identity_failure(n5())
+
 
 class TestBalanceRankEquivalence:
     def test_balance_iff_ranked_with_identity(self):
@@ -103,41 +124,36 @@ class TestBalanceRankEquivalence:
         # 2r(s v t) - r(s) - r(t) = r(s) + r(t) - 2r(s ^ t), on every
         # probed instance
         rng = random.Random(21)
-        cases = [n5(), m3(), l24(), product(two_chain(1), two_chain(2))]
+        cases = [n5(), m3(), hexagon(), l24(), product(two_chain(1), two_chain(2))]
         cases += [j_lattice(random_colored_poset(rng, 6)) for _ in range(10)]
         for L in cases:
-            balanced = is_topographically_balanced(L)
-            ranks = L.ranks
-            identity = ranks is not None and all(
-                2 * ranks[L.join(s, t)] - ranks[s] - ranks[t]
-                == ranks[s] + ranks[t] - 2 * ranks[L.meet(s, t)]
-                for s in L.vertices for t in L.vertices)
-            assert balanced == identity
+            identity = L.ranks is not None and rank_identity_failure(L) is None
+            assert is_topographically_balanced(L) == identity
 
 
 class TestMeetJoin:
     def test_meet_with_top_is_identity(self):
         L = l24()
         for x in L.vertices:
-            assert meet(L, x, L.maximum) == x
-            assert join(L, x, L.minimum) == x
+            assert L.meet(x, L.maximum) == x
+            assert L.join(x, L.minimum) == x
 
     def test_partition_meet_join_are_componentwise(self):
         L = l24()
-        assert meet(L, (3, 1), (2, 2)) == (2, 1)
-        assert join(L, (3, 1), (2, 2)) == (3, 2)
+        assert L.meet((3, 1), (2, 2)) == (2, 1)
+        assert L.join((3, 1), (2, 2)) == (3, 2)
 
     def test_join_of_ideals_is_union(self):
         L = build_l_a(BoxSpec(2, 5))
         for x in L.vertices:
             for y in L.vertices:
-                assert join(L, x, y) == x | y
-                assert meet(L, x, y) == x & y
+                assert L.join(x, y) == x | y
+                assert L.meet(x, y) == x & y
 
     def test_failure_on_non_lattice(self):
         two_tops = ColoredLattice("abc", [("a", "b", 1), ("a", "c", 2)])
         with pytest.raises(LatticeError):
-            join(two_tops, "b", "c")
+            two_tops.join("b", "c")
 
 
 class TestLaws:

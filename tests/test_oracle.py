@@ -7,7 +7,7 @@ from dominolattice.oracle import (PathCapExceeded, bfs_all_pairs,
                                   enumerate_shortest_paths,
                                   random_colored_poset)
 from dominolattice.poset import j_lattice
-from dominolattice.typea import BoxSpec, build_l_a, ideal_to_partition
+from dominolattice.typea import BoxSpec, build_l_a, build_l_partitions
 
 BOX24 = BoxSpec(2, 6)
 
@@ -81,8 +81,7 @@ class TestConstructedIso:
 
 class TestLatticeLaws:
     def test_l24_report(self):
-        spec = BOX24
-        L = build_l_a(spec).relabel(lambda i: ideal_to_partition(spec, i))
+        L = build_l_partitions(BOX24)
         report = check_lattice_laws(L)
         assert report["is_lattice"] and report["modular"]
         assert report["distributive"] and report["rank_identity"]

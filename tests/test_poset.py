@@ -42,6 +42,10 @@ class TestConstruction:
         with pytest.raises(PosetError, match="no color"):
             VertexColoredPoset("ab", [("a", "b")], {"a": 1})
 
+    def test_rejects_bool_color(self):
+        with pytest.raises(PosetError, match="positive integer"):
+            VertexColoredPoset("a", [], {"a": True})
+
     def test_empty_poset(self):
         P = VertexColoredPoset([], [], {})
         assert enumerate_order_ideals(P) == [frozenset()]

@@ -6,14 +6,16 @@ from dominolattice.lattice import is_diamond_colored
 from dominolattice.oracle import check_constructed_iso
 from dominolattice.poset import check_poset_iso, join_irreducibles, principal_ideal
 from dominolattice.typea import (BoxSpec, CircleState, all_partitions,
-                                 build_l_a, build_l_graph, build_l_tab,
-                                 build_l_tilde, build_p_a, circle_to_tableau,
-                                 diagonal_to_partition, ideal_to_partition,
-                                 is_valid_diagonal, l_up_edges, partition_join,
-                                 partition_meet, partition_rank,
-                                 partition_to_circle_L, partition_to_diagonal,
-                                 partition_to_ideal, partition_to_tableau_L,
-                                 tableau_to_circle, tableau_to_partition_L)
+                                 build_l_a, build_l_graph, build_l_partitions,
+                                 build_l_tab, build_l_tilde, build_p_a,
+                                 circle_to_tableau, diagonal_to_partition,
+                                 ideal_to_partition, is_valid_diagonal,
+                                 l_up_edges, partition_join, partition_meet,
+                                 partition_rank, partition_to_circle_L,
+                                 partition_to_diagonal, partition_to_ideal,
+                                 partition_to_tableau_L, tableau_to_circle,
+                                 tableau_to_partition_L, validate_diagonal,
+                                 validate_partition)
 
 BOX24 = BoxSpec(2, 6)
 
@@ -56,6 +58,25 @@ class TestSpec:
         assert BoxSpec(2, 6).cols == 4
 
 
+class TestRejectsBool:
+    # bool subclasses int, so True and False would pass as 1 and 0
+    def test_box_spec(self):
+        with pytest.raises(ValueError, match="integers"):
+            BoxSpec(True, 3)
+
+    def test_partition(self):
+        with pytest.raises(ValueError, match="not an integer"):
+            validate_partition(BOX24, (True, False))
+
+    def test_diagonal(self):
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            validate_diagonal(BOX24, (0, 0, 0, True, 0))
+
+    def test_tableau(self):
+        with pytest.raises(ValueError, match="out of range"):
+            tableau_to_partition_L(BOX24, (True, 2))
+
+
 class TestGridPoset:
     def test_smallest_grid(self):
         P = build_p_a(BoxSpec(1, 2))
@@ -83,7 +104,7 @@ class TestFundamentalLattice:
         assert len(build_l_a(BoxSpec(2, 5))) == 10
 
     def test_l24_matches_reference_edges_exactly(self):
-        L = build_l_a(BOX24).relabel(lambda i: ideal_to_partition(BOX24, i))
+        L = build_l_partitions(BOX24)
         assert len(L) == 15
         assert set(L.edges) == L24_EDGES
 
