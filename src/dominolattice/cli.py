@@ -106,7 +106,7 @@ def _from_partition(spec, system, side, parts):
     raise ValueError(f"unknown coordinate system {system!r}")
 
 
-def render_partition(spec, parts, highlight_corner=True):
+def render_partition(spec, parts):
     """One character per box: '#' shaded, '.' unshaded, 'r' unshaded red corner."""
     rows = []
     for r in range(1, spec.k + 1):
@@ -114,8 +114,7 @@ def render_partition(spec, parts, highlight_corner=True):
         for c in range(1, spec.cols + 1):
             shaded = c <= parts[r - 1]
             glyph = "#" if shaded else "."
-            if (not shaded and highlight_corner and r == 1 and c == spec.cols
-                    and is_red(spec, r, c)):
+            if not shaded and r == 1 and c == spec.cols and is_red(spec, r, c):
                 glyph = "r"
             row.append(glyph)
         rows.append("".join(row))

@@ -9,7 +9,7 @@ round-trip byte for byte.
 
 import json
 
-from .lattice import ColoredLattice, sort_key
+from .lattice import ColoredLattice, LatticeError, sort_key
 from .poset import PosetError, VertexColoredPoset
 
 _DOT_PALETTE = ("red", "blue", "forestgreen", "purple", "orange", "cyan4",
@@ -58,9 +58,15 @@ def lattice_to_json(L):
 
 
 def lattice_from_json(text):
+    """Parse the lattice schema; a document of another shape raises LatticeError."""
     doc = json.loads(text)
-    return ColoredLattice(doc["vertices"],
-                          [(e["from"], e["to"], e["color"]) for e in doc["edges"]])
+    try:
+        vertices = doc["vertices"]
+        edges = [(e["from"], e["to"], e["color"]) for e in doc["edges"]]
+    except (KeyError, TypeError) as exc:
+        raise LatticeError(
+            f"lattice JSON does not match the schema ({type(exc).__name__}: {exc})") from None
+    return ColoredLattice(vertices, edges)
 
 
 def lattice_to_dot(L, name="lattice"):

@@ -30,10 +30,6 @@ class BoxPermutation:
     def __call__(self, i):
         return self.mapping[i - 1]
 
-    @property
-    def parity(self):
-        return "even" if len(self.mapping) % 2 == 0 else "odd"
-
     def inverse(self):
         inv = [0] * len(self.mapping)
         for i, p in enumerate(self.mapping, start=1):

@@ -2,7 +2,8 @@
 
 A lattice is stored as its cover digraph: vertices plus directed edges
 (x, y, color) meaning y covers x.  Everything else (order, rank, meets,
-joins) is derived.  All values are immutable after construction.
+joins) is derived.  All values are immutable after construction.  The
+index-based order core, `CoverDigraph`, also carries vertex-colored posets.
 """
 
 from collections import Counter, deque
@@ -36,7 +37,95 @@ def sort_key(v):
     return (0, type(v).__name__, repr(v))
 
 
-class ColoredLattice:
+class CoverDigraph:
+    """Cover digraph of a finite order, stored by vertex index.
+
+    Vertices are numbered 0..n-1 in sort_key order and `_index` maps each
+    label to its number; labels are translated only at the public boundary.
+    A cover (i, j) means j covers i.  `_up[i]` and `_down[i]` list the
+    indices covering and covered by i, in index order.  `_upsets[i]` and
+    `_downsets[i]` are the inclusive up-set and down-set of i as bitmasks.
+    Subclasses set `error` to the exception class they raise.
+    """
+
+    error = ValueError
+
+    def __init__(self, vertices):
+        self.vertices = tuple(sorted(set(vertices), key=sort_key))
+        self._index = {v: i for i, v in enumerate(self.vertices)}
+
+    def _pair(self, a, b):
+        """Index pair of the cover (a, b); unknown endpoints and loops raise."""
+        i, j = self._index.get(a), self._index.get(b)
+        if i is None or j is None:
+            raise self.error(f"cover ({a!r}, {b!r}) mentions unknown vertex")
+        if i == j:
+            raise self.error(f"reflexive cover at {a!r}")
+        return i, j
+
+    def _link(self, pairs):
+        """Store the covers, given as index pairs; reject cycles and non-covers."""
+        pairs = sorted(pairs)
+        n = len(self.vertices)
+        up, down = [[] for _ in range(n)], [[] for _ in range(n)]
+        for i, j in pairs:
+            up[i].append(j)
+            down[j].append(i)
+        self._up, self._down = tuple(map(tuple, up)), tuple(map(tuple, down))
+        # Kahn order from the maximal elements (the loop visits what it
+        # appends); vertices on or below a cycle never enter it.
+        outdeg = [len(ws) for ws in up]
+        order = [i for i in range(n) if not outdeg[i]]
+        for i in order:
+            for w in down[i]:
+                outdeg[w] -= 1
+                if not outdeg[w]:
+                    order.append(w)
+        if len(order) != n:
+            raise self.error("cover relation contains a cycle")
+        self._topo = order
+        self._upsets = ups = _closure(order, self._up)
+        vs = self.vertices
+        for i, j in pairs:
+            bit = 1 << j
+            for z in up[i]:
+                if z != j and ups[z] & bit:
+                    raise self.error(
+                        f"({vs[i]!r}, {vs[j]!r}) is not a cover: {vs[z]!r} lies between")
+
+    @cached_property
+    def _downsets(self):
+        return _closure(reversed(self._topo), self._down)
+
+    def __len__(self):
+        return len(self.vertices)
+
+    def __contains__(self, v):
+        return v in self._index
+
+    def index(self, v):
+        """Position of v in the canonical vertex order (used for tie-breaks)."""
+        return self._index[v]
+
+    def le(self, x, y):
+        return x == y or bool(self._upsets[self._index[x]] >> self._index[y] & 1)
+
+
+def _closure(order, adj):
+    """Inclusive reachability bitmasks along adj, filled in the given order.
+
+    Every vertex must come after all of its adj-neighbours in order.
+    """
+    masks = [0] * len(adj)
+    for i in order:
+        m = 1 << i
+        for w in adj[i]:
+            m |= masks[w]
+        masks[i] = m
+    return masks
+
+
+class ColoredLattice(CoverDigraph):
     """Finite edge-colored cover digraph.
 
     Edges point "up".  The constructor checks that the digraph is acyclic,
@@ -46,93 +135,29 @@ class ColoredLattice:
     covers excepted) can be represented and probed.
     """
 
+    error = LatticeError
+
     def __init__(self, vertices, edges):
-        self.vertices = tuple(sorted(set(vertices), key=sort_key))
+        super().__init__(vertices)
         if not self.vertices:
             raise LatticeError("empty vertex set")
-        self._vindex = {v: i for i, v in enumerate(self.vertices)}
-        seen = {}
+        color = {}
         for a, b, c in edges:
-            if a not in self._vindex or b not in self._vindex:
-                raise LatticeError(f"edge endpoint not a vertex: ({a!r}, {b!r})")
-            if a == b:
-                raise LatticeError(f"loop edge at {a!r}")
+            pair = self._pair(a, b)
             if not is_int(c):
                 raise LatticeError(f"edge color must be an integer, got {c!r}")
-            if (a, b) in seen and seen[(a, b)] != c:
+            if color.setdefault(pair, c) != c:
                 raise LatticeError(f"conflicting colors on edge ({a!r}, {b!r})")
-            seen[(a, b)] = c
-        self._edge_color = seen
-        self.edges = tuple(
-            sorted(((a, b, c) for (a, b), c in seen.items()),
-                   key=lambda e: (sort_key(e[0]), sort_key(e[1]))))
-        up = {v: [] for v in self.vertices}
-        down = {v: [] for v in self.vertices}
-        for a, b, c in self.edges:
-            up[a].append((b, c))
-            down[b].append((a, c))
-        self._up = {v: tuple(ws) for v, ws in up.items()}
-        self._down = {v: tuple(ws) for v, ws in down.items()}
-        if len(self._topo_reversed) != len(self.vertices):
-            raise LatticeError("cover digraph contains a directed cycle")
-        self._check_covers()
-
-    # -- construction checks ------------------------------------------------
-
-    def _check_covers(self):
-        ups = self._upsets
-        for a, b, _ in self.edges:
-            ib = 1 << self._vindex[b]
-            for z, _ in self._up[a]:
-                if z != b and ups[self._vindex[z]] & ib:
-                    raise LatticeError(
-                        f"edge ({a!r}, {b!r}) is not a cover: {z!r} lies between")
+        self._color = color
+        self._link(color)
 
     # -- derived structure ---------------------------------------------------
 
     @cached_property
-    def _upsets(self):
-        """Inclusive up-set of each vertex as a bitmask, indexed by _vindex."""
-        n = len(self.vertices)
-        masks = [0] * n
-        for v in self._topo_reversed:
-            i = self._vindex[v]
-            m = 1 << i
-            for w, _ in self._up[v]:
-                m |= masks[self._vindex[w]]
-            masks[i] = m
-        return masks
-
-    @cached_property
-    def _downsets(self):
-        n = len(self.vertices)
-        masks = [0] * n
-        for v in reversed(self._topo_reversed):
-            i = self._vindex[v]
-            m = 1 << i
-            for w, _ in self._down[v]:
-                m |= masks[self._vindex[w]]
-            masks[i] = m
-        return masks
-
-    @cached_property
-    def _topo_reversed(self):
-        """Vertices in reverse topological order (tops first).
-
-        Vertices on or below a directed cycle are left out, which is how
-        the constructor detects cycles.
-        """
-        indeg = {v: len(self._up[v]) for v in self.vertices}
-        queue = deque(v for v in self.vertices if indeg[v] == 0)
-        order = []
-        while queue:
-            v = queue.popleft()
-            order.append(v)
-            for w, _ in self._down[v]:
-                indeg[w] -= 1
-                if indeg[w] == 0:
-                    queue.append(w)
-        return order
+    def edges(self):
+        """(x, y, color) for every cover, in (x, y) vertex order."""
+        vs = self.vertices
+        return tuple((vs[i], vs[j], c) for (i, j), c in sorted(self._color.items()))
 
     @cached_property
     def _down_lookup(self):
@@ -142,63 +167,52 @@ class ColoredLattice:
     def _up_lookup(self):
         return {m: i for i, m in enumerate(self._upsets)}
 
-    def __len__(self):
-        return len(self.vertices)
-
-    def __contains__(self, v):
-        return v in self._vindex
-
     def __eq__(self, other):
         if not isinstance(other, ColoredLattice):
             return NotImplemented
         return self.vertices == other.vertices and self.edges == other.edges
 
     def __repr__(self):
-        return f"ColoredLattice({len(self.vertices)} vertices, {len(self.edges)} edges)"
+        return f"ColoredLattice({len(self.vertices)} vertices, {len(self._color)} edges)"
 
     def up_neighbors(self, v):
-        return self._up[v]
+        i, vs = self._index[v], self.vertices
+        return tuple((vs[j], self._color[i, j]) for j in self._up[i])
 
     def down_neighbors(self, v):
-        return self._down[v]
+        i, vs = self._index[v], self.vertices
+        return tuple((vs[j], self._color[j, i]) for j in self._down[i])
 
     def edge_color(self, x, y):
         try:
-            return self._edge_color[(x, y)]
+            return self._color[self._index[x], self._index[y]]
         except KeyError:
             raise LatticeError(f"no edge {x!r} -> {y!r}") from None
 
     def has_edge(self, x, y):
-        return (x, y) in self._edge_color
-
-    def le(self, x, y):
-        return bool(self._upsets[self._vindex[x]] & (1 << self._vindex[y])) \
-            if x != y else True
-
-    def comparable(self, x, y):
-        return self.le(x, y) or self.le(y, x)
+        return (self._index.get(x), self._index.get(y)) in self._color
 
     @cached_property
     def is_connected(self):
-        seen = {self.vertices[0]}
-        queue = deque(seen)
-        while queue:
-            v = queue.popleft()
-            for w, _ in self._up[v] + self._down[v]:
+        seen = {0}
+        stack = [0]
+        while stack:
+            i = stack.pop()
+            for w in self._up[i] + self._down[i]:
                 if w not in seen:
                     seen.add(w)
-                    queue.append(w)
+                    stack.append(w)
         return len(seen) == len(self.vertices)
 
     def meet(self, x, y):
-        common = self._downsets[self._vindex[x]] & self._downsets[self._vindex[y]]
+        common = self._downsets[self._index[x]] & self._downsets[self._index[y]]
         i = self._down_lookup.get(common)
         if i is None:
             raise LatticeError(f"no meet for {x!r}, {y!r}")
         return self.vertices[i]
 
     def join(self, x, y):
-        common = self._upsets[self._vindex[x]] & self._upsets[self._vindex[y]]
+        common = self._upsets[self._index[x]] & self._upsets[self._index[y]]
         i = self._up_lookup.get(common)
         if i is None:
             raise LatticeError(f"no join for {x!r}, {y!r}")
@@ -217,22 +231,21 @@ class ColoredLattice:
                     return False
         return True
 
+    def _sole_end(self, adj):
+        # Acyclic, so walking along adj from any vertex ends at a vertex with
+        # no adj-neighbour; when there is only one, it is the extreme.
+        ends = [i for i, ws in enumerate(adj) if not ws]
+        return self.vertices[ends[0]] if len(ends) == 1 else None
+
     @cached_property
     def minimum(self):
         """The unique bottom element, or None."""
-        full = (1 << len(self.vertices)) - 1
-        sources = [v for v in self.vertices if not self._down[v]]
-        if len(sources) == 1 and self._upsets[self._vindex[sources[0]]] == full:
-            return sources[0]
-        return None
+        return self._sole_end(self._down)
 
     @cached_property
     def maximum(self):
-        full = (1 << len(self.vertices)) - 1
-        sinks = [v for v in self.vertices if not self._up[v]]
-        if len(sinks) == 1 and self._downsets[self._vindex[sinks[0]]] == full:
-            return sinks[0]
-        return None
+        """The unique top element, or None."""
+        return self._sole_end(self._up)
 
     @cached_property
     def ranks(self):
@@ -243,27 +256,20 @@ class ColoredLattice:
         """
         if not self.is_connected:
             return None
-        start = self.vertices[0]
-        val = {start: 0}
-        queue = deque([start])
+        val = [None] * len(self.vertices)
+        val[0] = 0
+        queue = deque([0])
         while queue:
-            v = queue.popleft()
-            for w, _ in self._up[v]:
-                if w in val:
-                    if val[w] != val[v] + 1:
+            i = queue.popleft()
+            for adj, step in ((self._up, 1), (self._down, -1)):
+                for w in adj[i]:
+                    if val[w] is None:
+                        val[w] = val[i] + step
+                        queue.append(w)
+                    elif val[w] != val[i] + step:
                         return None
-                else:
-                    val[w] = val[v] + 1
-                    queue.append(w)
-            for w, _ in self._down[v]:
-                if w in val:
-                    if val[w] != val[v] - 1:
-                        return None
-                else:
-                    val[w] = val[v] - 1
-                    queue.append(w)
-        low = min(val.values())
-        return {v: r - low for v, r in val.items()}
+        low = min(val)
+        return {v: r - low for v, r in zip(self.vertices, val)}
 
     @cached_property
     def length(self):
@@ -293,36 +299,27 @@ class ColoredLattice:
 
 def is_diamond_colored(L):
     """True iff every diamond carries equal colors on opposite edges."""
-    for v in L.vertices:
-        ups = L.up_neighbors(v)
-        for i in range(len(ups)):
-            s, cs = ups[i]
-            for j in range(i + 1, len(ups)):
-                t, ct = ups[j]
-                for u, csu in L.up_neighbors(s):
-                    if L.has_edge(t, u):
-                        if csu != ct or L.edge_color(t, u) != cs:
-                            return False
+    up, color = L._up, L._color
+    for v, ups in enumerate(up):
+        for a, s in enumerate(ups):
+            cs = color[v, s]
+            for t in ups[a + 1:]:
+                ct = color[v, t]
+                for u in up[s]:
+                    ctu = color.get((t, u))
+                    if ctu is not None and (color[s, u] != ct or ctu != cs):
+                        return False
     return True
 
 
 def is_topographically_balanced(L):
     """Check unique completion of non-chain length-2 valleys and mountains."""
-    for v in L.vertices:
-        ups = [w for w, _ in L.up_neighbors(v)]
-        for i in range(len(ups)):
-            for j in range(i + 1, len(ups)):
-                s, t = ups[i], ups[j]
-                common = [u for u, _ in L.up_neighbors(s) if L.has_edge(t, u)]
-                if len(common) != 1:
-                    return False
-        downs = [w for w, _ in L.down_neighbors(v)]
-        for i in range(len(downs)):
-            for j in range(i + 1, len(downs)):
-                s, t = downs[i], downs[j]
-                common = [u for u, _ in L.down_neighbors(s) if L.has_edge(u, t)]
-                if len(common) != 1:
-                    return False
+    for adj in (L._up, L._down):
+        for nbrs in adj:
+            for a, s in enumerate(nbrs):
+                for t in nbrs[a + 1:]:
+                    if len(set(adj[s]).intersection(adj[t])) != 1:
+                        return False
     return True
 
 
@@ -366,16 +363,14 @@ def rank_identity_failure(L):
 
 def _op_tables(L):
     n = len(L.vertices)
-    idx = L._vindex
+    down, up = L._downsets, L._upsets
+    dl, ul = L._down_lookup, L._up_lookup
     meets = [[0] * n for _ in range(n)]
     joins = [[0] * n for _ in range(n)]
-    for i, x in enumerate(L.vertices):
+    for i in range(n):
         for j in range(i, n):
-            y = L.vertices[j]
-            m = idx[L.meet(x, y)]
-            jo = idx[L.join(x, y)]
-            meets[i][j] = meets[j][i] = m
-            joins[i][j] = joins[j][i] = jo
+            meets[i][j] = meets[j][i] = dl[down[i] & down[j]]
+            joins[i][j] = joins[j][i] = ul[up[i] & up[j]]
     return meets, joins
 
 
@@ -385,10 +380,10 @@ def is_modular(L):
         raise LatticeError("not a lattice")
     meets, joins = _op_tables(L)
     n = len(L.vertices)
-    le = [[bool(L._downsets[j] & (1 << i)) for j in range(n)] for i in range(n)]
     for x in range(n):
+        above = L._upsets[x]
         for b in range(n):
-            if not le[x][b]:
+            if not above >> b & 1:
                 continue
             jx, mb = joins[x], meets[b]
             for a in range(n):
@@ -462,6 +457,10 @@ class PathRecord:
             raise LatticeError("vertex/step count mismatch")
         for (a, b), (color, direction) in zip(
                 zip(self.vertices, self.vertices[1:]), self.steps):
+            if direction not in (UP, DOWN):
+                raise LatticeError(
+                    f"step {a!r} -> {b!r} has direction {direction!r}, "
+                    f"not {UP!r} or {DOWN!r}")
             x, y = (a, b) if direction == UP else (b, a)
             if not L.has_edge(x, y) or L.edge_color(x, y) != color:
                 raise LatticeError(

@@ -17,16 +17,13 @@ class PathCapExceeded(RuntimeError):
     """Raised when shortest-path enumeration would overflow its cap."""
 
 
-def _adjacency(L, undirected):
-    adj = {v: [w for w, _ in L.up_neighbors(v)] for v in L.vertices}
-    if undirected:
-        for v in L.vertices:
-            adj[v].extend(w for w, _ in L.down_neighbors(v))
-    return adj
+def _adjacency(L):
+    return {v: [w for w, _ in L.up_neighbors(v) + L.down_neighbors(v)]
+            for v in L.vertices}
 
 
-def bfs_distances(L, source, undirected=True):
-    adj = _adjacency(L, undirected)
+def bfs_distances(L, source):
+    adj = _adjacency(L)
     dist = {source: 0}
     queue = deque([source])
     while queue:
@@ -38,11 +35,11 @@ def bfs_distances(L, source, undirected=True):
     return dist
 
 
-def bfs_all_pairs(L, undirected=True):
+def bfs_all_pairs(L):
     """Exact distance table over all vertex pairs; rejects disconnected input."""
     table = {}
     for s in L.vertices:
-        dist = bfs_distances(L, s, undirected)
+        dist = bfs_distances(L, s)
         if len(dist) != len(L.vertices):
             raise LatticeError("graph is disconnected")
         for t, d in dist.items():
@@ -127,13 +124,13 @@ def random_colored_poset(rng, max_vertices=8, max_colors=3, min_vertices=1):
     return VertexColoredPoset(names, covers, colors)
 
 
-def random_simple_path(L, rng, max_len=None):
+def random_simple_path(L, rng):
     """A uniformly improvised simple walk in the cover graph (both directions)."""
-    adj = _adjacency(L, undirected=True)
+    adj = _adjacency(L)
     start = rng.choice(L.vertices)
     trail = [start]
     seen = {start}
-    limit = max_len if max_len is not None else rng.randint(0, len(L.vertices) - 1)
+    limit = rng.randint(0, len(L.vertices) - 1)
     while len(trail) - 1 < limit:
         options = [w for w in adj[trail[-1]] if w not in seen]
         if not options:

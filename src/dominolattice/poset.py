@@ -6,57 +6,33 @@ isomorphisms of the fundamental theorem are ordinary dictionaries.
 """
 
 from collections import deque
-from functools import cached_property
 
-from .lattice import ColoredLattice, LatticeError, induced_covers, is_int, sort_key
+from .lattice import (ColoredLattice, CoverDigraph, LatticeError, induced_covers,
+                      is_int, sort_key)
 
 
 class PosetError(ValueError):
     pass
 
 
-class VertexColoredPoset:
+class VertexColoredPoset(CoverDigraph):
     """Finite poset given by covers, every vertex carrying a positive color."""
 
+    error = PosetError
+
     def __init__(self, vertices, covers, colors):
-        self.vertices = tuple(sorted(set(vertices), key=sort_key))
-        vset = set(self.vertices)
-        cov = set()
-        for a, b in covers:
-            if a not in vset or b not in vset:
-                raise PosetError(f"cover ({a!r}, {b!r}) mentions unknown vertex")
-            if a == b:
-                raise PosetError(f"reflexive cover at {a!r}")
-            cov.add((a, b))
-        self.covers = frozenset(cov)
-        for v in self.vertices:
+        super().__init__(vertices)
+        pairs = {self._pair(a, b) for a, b in covers}
+        vs = self.vertices
+        self.covers = frozenset((vs[i], vs[j]) for i, j in pairs)
+        for v in vs:
             if v not in colors:
                 raise PosetError(f"vertex {v!r} has no color")
             c = colors[v]
             if not is_int(c) or c < 1:
                 raise PosetError(f"color of {v!r} must be a positive integer")
-        self.colors = {v: colors[v] for v in self.vertices}
-        self._index = {v: i for i, v in enumerate(self.vertices)}
-        up = {v: [] for v in self.vertices}
-        down = {v: [] for v in self.vertices}
-        for a, b in sorted(self.covers, key=lambda e: (sort_key(e[0]), sort_key(e[1]))):
-            up[a].append(b)
-            down[b].append(a)
-        self._up = {v: tuple(ws) for v, ws in up.items()}
-        self._down = {v: tuple(ws) for v, ws in down.items()}
-        self._check_dag_and_covers()
-
-    def _check_dag_and_covers(self):
-        if len(self._topo_from_top) != len(self.vertices):
-            raise PosetError("cover relation contains a cycle")
-        for a, b in self.covers:
-            for z in self._up[a]:
-                if z != b and b in self.strict_up(z):
-                    raise PosetError(
-                        f"({a!r}, {b!r}) is not a cover: {z!r} lies between")
-
-    def __len__(self):
-        return len(self.vertices)
+        self.colors = {v: colors[v] for v in vs}
+        self._link(pairs)
 
     def __eq__(self, other):
         if not isinstance(other, VertexColoredPoset):
@@ -67,68 +43,26 @@ class VertexColoredPoset:
     def __repr__(self):
         return f"VertexColoredPoset({len(self.vertices)} vertices, {len(self.covers)} covers)"
 
-    @cached_property
-    def _strict_up(self):
-        out = {}
-        for v in self._topo_from_top:
-            s = set()
-            for w in self._up[v]:
-                s.add(w)
-                s |= out[w]
-            out[v] = frozenset(s)
-        return out
-
-    @cached_property
-    def _topo_from_top(self):
-        """Kahn order from the maximal elements; short when covers form a cycle."""
-        indeg = {v: len(self._up[v]) for v in self.vertices}
-        queue = deque(v for v in self.vertices if indeg[v] == 0)
-        order = []
-        while queue:
-            v = queue.popleft()
-            order.append(v)
-            for w in self._down[v]:
-                indeg[w] -= 1
-                if indeg[w] == 0:
-                    queue.append(w)
-        return order
-
-    @cached_property
-    def _strict_down(self):
-        out = {}
-        for v in reversed(self._topo_from_top):
-            s = set()
-            for w in self._down[v]:
-                s.add(w)
-                s |= out[w]
-            out[v] = frozenset(s)
-        return out
+    def _members(self, mask):
+        vs = self.vertices
+        return frozenset(vs[i] for i in range(mask.bit_length()) if mask >> i & 1)
 
     def strict_up(self, v):
-        return self._strict_up[v]
+        i = self._index[v]
+        return self._members(self._upsets[i] & ~(1 << i))
 
     def strict_down(self, v):
-        return self._strict_down[v]
-
-    def le(self, u, v):
-        return u == v or v in self._strict_up[u]
+        i = self._index[v]
+        return self._members(self._downsets[i] & ~(1 << i))
 
     def color(self, v):
         return self.colors[v]
 
-    def index(self, v):
-        """Position of v in the canonical vertex order (used for tie-breaks)."""
-        return self._index[v]
-
     def minimal_of(self, subset):
-        subset = set(subset)
-        return [v for v in self.vertices
-                if v in subset and not (self._strict_down[v] & subset)]
-
-    def maximal_of(self, subset):
-        subset = set(subset)
-        return [v for v in self.vertices
-                if v in subset and not (self._strict_up[v] & subset)]
+        idx, down = self._index, self._downsets
+        mask = sum(1 << idx[v] for v in set(subset) if v in idx)
+        return [v for i, v in enumerate(self.vertices)
+                if mask >> i & 1 and down[i] & mask == 1 << i]
 
 
 def is_order_ideal(P, members):
@@ -136,13 +70,6 @@ def is_order_ideal(P, members):
     if not members <= set(P.vertices):
         return False
     return all(P.strict_down(v) <= members for v in members)
-
-
-def is_filter(P, members):
-    members = set(members)
-    if not members <= set(P.vertices):
-        return False
-    return all(P.strict_up(v) <= members for v in members)
 
 
 def enumerate_order_ideals(P):

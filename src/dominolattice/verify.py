@@ -33,12 +33,12 @@ def _result(checks):
             "checks": [{"name": name, "passed": ok} for name, ok in checks]}
 
 
-def suite_fundamental(seed=0, rounds=50):
+def suite_fundamental(seed=0):
     """Birkhoff round trips and the J/M/j/m identity families."""
     rng = random.Random(seed)
     checks = []
     jj = mm = True
-    for _ in range(rounds):
+    for _ in range(50):
         P = random_colored_poset(rng, 8, 4)
         L = j_lattice(P)
         jj &= check_poset_iso(P, join_irreducibles(L),
@@ -56,7 +56,7 @@ def suite_fundamental(seed=0, rounds=50):
     checks.append(("m(M(P)) = P and M(m(L)) = L", mm))
 
     fam = {"dual": True, "recolor": True, "sum": True}
-    for _ in range(max(10, rounds // 2)):
+    for _ in range(25):
         P = random_colored_poset(rng, 6, 3)
         Q = random_colored_poset(rng, 6, 3)
         sigma = {c: c + 7 for c in range(1, 4)}
@@ -164,13 +164,11 @@ def suite_solver(k, N, seed=0):
     return _result(checks)
 
 
-def suite_structure(k, N, include_chain_product=None):
+def suite_structure(k, N):
     """Diamond coloring, balance, lattice laws, and the rank identity."""
     spec = BoxSpec(k, N)
-    if include_chain_product is None:
-        include_chain_product = (spec.cols + 1) ** spec.k <= 130
     built = [("L_A", build_l_partitions(spec)), ("D_A", build_d_a(spec))]
-    if include_chain_product:
+    if (spec.cols + 1) ** spec.k <= 130:
         built.append(("L_tilde", build_l_tilde(spec)))
         built.append(("L_tab", build_l_tab(spec)))
     checks = []

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -6,6 +7,7 @@ from dominolattice import io as serial
 from dominolattice.cli import main, parse_partition, render_partition
 from dominolattice.oracle import random_colored_poset
 from dominolattice.typea import BoxSpec, build_l_partitions
+from dominolattice.lattice import LatticeError
 from dominolattice.poset import PosetError, j_lattice
 
 
@@ -198,7 +200,48 @@ class TestSerialization:
         again = serial.lattice_to_json(serial.lattice_from_json(text))
         assert text == again
 
+    @pytest.mark.parametrize("text", [
+        "[1]",
+        '{"vertices": ["a"]}',
+        '{"vertices": ["a", "b"], "edges": [{"from": "a", "color": 1}]}',
+    ])
+    def test_lattice_of_wrong_schema_raises_lattice_error(self, text):
+        with pytest.raises(LatticeError, match="schema"):
+            serial.lattice_from_json(text)
+
     def test_dot_labels_carry_colors(self):
         L = build_l_partitions(BoxSpec(2, 5))
         dot = serial.lattice_to_dot(L)
         assert 'label="4"' in dot and "rank=same" in dot
+
+
+GOLDEN_POSET = ('{"vertices": [{"id": "a", "color": 1}, {"id": "b", "color": 2}, '
+                '{"id": "c", "color": 1}, {"id": "d", "color": 3}], '
+                '"covers": [["a", "b"], ["a", "c"], ["b", "d"]]}')
+
+
+class TestGoldenOutput:
+    """stdout of a few commands, pinned by sha256; any change to it is deliberate."""
+
+    @pytest.mark.parametrize("argv, digest", [
+        ("solve -k 2 -N 6 --from 4,4 --to 1,1",
+         "d5c07e4028495c2800b909190dd5284467ff1a7f34d32482ab036efb57313514"),
+        ("solve -k 2 -N 6 --from 4,4 --to 1,1 --via meet --format json",
+         "d3dc3a283dbfd5b2d93deb5bded24840d030ef498a9f64009bf2bfd65fc1d07c"),
+        ("lattice --family A -k 3 -N 7",
+         "9d2124b659741e2e321c0d68baed8ed0c22962a3941a65a7f6faa295cf942487"),
+        ("lattice --family D -k 3 -N 8 --format dot",
+         "afe420f119ca0f3d6852f04f03108f94fc4e2d49b8840df315063e0efe831dd9"),
+        ("lattice --poset FILE --construction M",
+         "bbfebd7f76147be28f164f1d5175772564ff75b49b3cd3c3d50ca6cfd7fb3b33"),
+        ("lattice --poset FILE --construction J --format dot",
+         "7ef229450e14de801916f1360cecf113e65a273fe98b3bcfcf8b1f983396ddbc"),
+        ("verify --suite structure -k 2 -N 5",
+         "87f86566e979e21379b9e671779a89deda33e2a3b46c2cede0a812b4f60f65a8"),
+    ])
+    def test_stdout_is_unchanged(self, capsys, tmp_path, argv, digest):
+        poset = tmp_path / "poset.json"
+        poset.write_text(GOLDEN_POSET)
+        code, out, err = run_cli(capsys, *argv.replace("FILE", str(poset)).split())
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -10,7 +10,9 @@ from dominolattice.lattice import (ColoredLattice, LatticeError,
                                    mountainize, path_from_vertices,
                                    path_stats, product, rank_function,
                                    rank_identity_failure, valleyize)
-from dominolattice.poset import j_lattice, join_irreducibles, check_poset_iso
+from dominolattice.domino import build_d_a
+from dominolattice.poset import (PosetError, VertexColoredPoset, j_lattice,
+                                 join_irreducibles, check_poset_iso)
 from dominolattice.oracle import (check_lattice_laws, enumerate_shortest_paths,
                                   random_colored_poset, random_simple_path)
 from dominolattice.typea import (BoxSpec, build_l_a, build_l_partitions,
@@ -61,6 +63,59 @@ class TestConstruction:
     def test_vertex_order_is_numeric_for_ints_only(self):
         assert ColoredLattice([10, 9, 2], [(2, 9, 1), (9, 10, 1)]).vertices == (2, 9, 10)
         assert ColoredLattice(["v9", "v10"], []).vertices == ("v10", "v9")
+
+
+def _cover_digraph(cls, vertices, covers):
+    if cls is ColoredLattice:
+        return ColoredLattice(vertices, [(a, b, 1) for a, b in covers])
+    return VertexColoredPoset(vertices, covers, {v: 1 for v in vertices})
+
+
+class TestCoverDigraph:
+    @pytest.mark.parametrize("cls, error", [(ColoredLattice, LatticeError),
+                                            (VertexColoredPoset, PosetError)],
+                             ids=["lattice", "poset"])
+    @pytest.mark.parametrize("covers, message", [
+        ([("a", "z")], "cover ('a', 'z') mentions unknown vertex"),
+        ([("b", "b")], "reflexive cover at 'b'"),
+        ([("a", "b"), ("b", "a")], "cover relation contains a cycle"),
+        ([("a", "b"), ("b", "c"), ("a", "c")],
+         "('a', 'c') is not a cover: 'b' lies between"),
+    ], ids=["unknown", "loop", "cycle", "transitive"])
+    def test_rejects_with_shared_message(self, cls, error, covers, message):
+        with pytest.raises(error) as exc:
+            _cover_digraph(cls, "abc", covers)
+        assert str(exc.value) == message
+
+    def test_both_classes_share_the_order(self):
+        rng = random.Random(6)
+        for _ in range(10):
+            P = random_colored_poset(rng, 7)
+            L = _cover_digraph(ColoredLattice, P.vertices, P.covers)
+            assert L.vertices == P.vertices
+            for u in P.vertices:
+                assert L.index(u) == P.index(u)
+                for v in P.vertices:
+                    assert L.le(u, v) == P.le(u, v)
+
+    def test_edge_order(self):
+        # recorded before the index core; edges list in (x, y) vertex order
+        assert build_d_a(BoxSpec(2, 5)).edges == (
+            ((0, 0), (1, 1), 4), ((1, 0), (3, 0), 3), ((1, 1), (3, 1), 3),
+            ((2, 0), (0, 0), 1), ((2, 0), (2, 2), 4), ((2, 2), (1, 1), 1),
+            ((2, 2), (3, 3), 3), ((3, 0), (2, 0), 2), ((3, 0), (3, 2), 4),
+            ((3, 1), (2, 1), 2), ((3, 2), (2, 2), 2), ((3, 3), (3, 1), 1))
+
+    def test_neighbor_order(self):
+        D = build_d_a(BoxSpec(2, 5))
+        assert D.up_neighbors((2, 2)) == (((1, 1), 1), ((3, 3), 3))
+        assert D.down_neighbors((2, 2)) == (((2, 0), 4), ((3, 2), 2))
+
+    def test_ideal_lattice_vertex_order(self):
+        P = VertexColoredPoset("abcd", [("a", "b"), ("a", "c"), ("b", "d")],
+                               {"a": 1, "b": 2, "c": 1, "d": 3})
+        assert ["".join(sorted(x)) for x in j_lattice(P).vertices] == [
+            "", "a", "ab", "abc", "abcd", "abd", "ac"]
 
 
 class TestDiamondColoring:
@@ -176,6 +231,11 @@ class TestPaths:
     def test_empty_path_stats(self):
         p = PathRecord(((0, 0),), ())
         assert path_stats(p) == (0, {}, {})
+
+    def test_validate_rejects_unknown_direction(self):
+        p = PathRecord(((3, 0), (1, 0)), ((3, "sideways"),))
+        with pytest.raises(LatticeError, match="sideways"):
+            p.validate(build_d_a(BoxSpec(2, 5)))
 
     def test_worked_three_step_path(self):
         L = l24()
