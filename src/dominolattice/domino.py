@@ -2,13 +2,13 @@
 
 Vertices are k x (N-k) partitions; directed edges are the legal domino
 moves, colored by [N-1].  The "up" direction is fixed by the per-color
-move-vector branch tables, which differ with the parity of N.  The board
-is checkered with the upper-right cell red.
+move-vector branch table, one table whose offsets shift by N % 2.  The
+board is checkered with the upper-right cell red.
 """
 
 from functools import lru_cache
 
-from .lattice import ColoredLattice, is_diamond_colored
+from .lattice import ColoredLattice, is_diamond_colored, is_int
 from .typea import (CircleState, all_partitions, is_valid_diagonal,
                     is_valid_partition, partition_to_diagonal,
                     validate_diagonal, validate_partition)
@@ -51,11 +51,10 @@ def is_legal_domino_move(spec, sigma, tau):
     return False
 
 
-def _apply(parts, deltas):
-    out = list(parts)
-    for j, d in deltas:
-        out[j - 1] += d
-    return tuple(out)
+def _check_color(N, l):
+    """Reject a color that is not an int (bool included) in [1, N-1]."""
+    if not (is_int(l) and 1 <= l <= N - 1):
+        raise ValueError(f"color {l!r} outside [1, {N - 1}]")
 
 
 def beta_part(spec, sigma, l):
@@ -68,78 +67,48 @@ def beta_part(spec, sigma, l):
     at most one candidate per color, which is asserted.
     """
     sigma = validate_partition(spec, sigma)
+    _check_color(spec.N, l)
+    return _beta_part(spec, sigma, l)
+
+
+def _beta_part(spec, sigma, l):
+    """beta_part on a shape and color already validated.
+
+    Low colors remove a domino, the middle color removes the red corner
+    and high colors add a domino; the row offsets shift by N % 2.
+    """
     n, k = spec.N, spec.k
-    if not 1 <= l <= n - 1:
-        raise ValueError(f"color {l} outside [1, {n - 1}]")
-    mid = n // 2
-    candidates = []
-
-    def single(j, step):
-        tau = _apply(sigma, [(j, step)])
-        if is_valid_partition(spec, tau):
-            candidates.append(tau)
-
-    def double(j, step):
-        if sigma[j - 1] != sigma[j]:
-            return
-        tau = _apply(sigma, [(j, step), (j + 1, step)])
-        if is_valid_partition(spec, tau):
-            candidates.append(tau)
-
-    if n % 2 == 0:
-        if l < mid:
-            a = 2 * l - k
-            for j in range(1, k + 1):
-                if sigma[j - 1] - j == a:
-                    single(j, -2)
-            for j in range(1, k):
-                if sigma[j] - j == a:
-                    double(j, -1)
-        elif l == mid:
-            if sigma[0] == n - k:
-                single(1, -1)
-        else:
-            for j in range(1, k + 1):
-                if sigma[j - 1] - j == 2 * n - k - 2 * l - 1:
-                    single(j, 2)
-            for j in range(1, k):
-                if sigma[j] - j == 2 * n - k - 2 * l:
-                    double(j, 1)
+    mid, p = n // 2, n % 2
+    if l == mid:
+        deltas = [(-1,) + (0,) * (k - 1)] if sigma[0] == spec.cols else []
     else:
-        if l < mid:
-            a = 2 * l - k + 1
-            for j in range(1, k + 1):
-                if sigma[j - 1] - j == a:
-                    single(j, -2)
-            for j in range(1, k):
-                if sigma[j] - j == a:
-                    double(j, -1)
-        elif l == mid:
-            if sigma[0] == n - k:
-                single(1, -1)
-        else:
-            for j in range(1, k + 1):
-                if sigma[j - 1] - j == 2 * n - k - 2 * l - 2:
-                    single(j, 2)
-            for j in range(1, k):
-                if sigma[j] - j == 2 * n - k - 2 * l - 1:
-                    double(j, 1)
-
-    if not candidates:
-        return None
-    if len(candidates) > 1:
-        raise AssertionError(
-            f"color {l} matches several moves at {sigma}: {candidates}")
-    tau = candidates[0]
-    return tau, tuple(t - s for s, t in zip(sigma, tau))
+        # With rows j counted from 1: a single-row move of 2 cells where
+        # sigma_j - j == a - (step > 0), a two-row move of 1 cell each
+        # where sigma_j == sigma_{j+1} and sigma_{j+1} - j == a.
+        step, a = (-1, 2 * l - k + p) if l < mid else (1, 2 * n - k - 2 * l - p)
+        deltas = [tuple(2 * step if r == j else 0 for r in range(k))
+                  for j in range(k) if sigma[j] - j - 1 == a - (step > 0)]
+        deltas += [tuple(step if r in (j, j + 1) else 0 for r in range(k))
+                   for j in range(k - 1)
+                   if sigma[j] == sigma[j + 1] and sigma[j + 1] - j - 1 == a]
+    moves = []
+    for delta in deltas:
+        tau = tuple(s + d for s, d in zip(sigma, delta))
+        if is_valid_partition(spec, tau):
+            moves.append((tau, delta))
+    if len(moves) > 1:
+        raise AssertionError(f"color {l} matches several moves at {sigma}: "
+                             f"{[tau for tau, _ in moves]}")
+    return moves[0] if moves else None
 
 
 def d_up_edges(spec, x, system="part"):
     """Up-neighbors with colors in the requested Domino coordinatization."""
     if system == "part":
+        sigma = validate_partition(spec, x)
         out = []
         for l in spec.colors:
-            hit = beta_part(spec, x, l)
+            hit = _beta_part(spec, sigma, l)
             if hit is not None:
                 out.append((hit[0], l))
         return out
@@ -259,20 +228,13 @@ def dtab_move_pair(N, l):
     The middle color owns its index; the outer branches are strict, which
     resolves the overlap the printed ranges would otherwise have.
     """
-    if not 1 <= l <= N - 1:
-        raise ValueError(f"color {l} outside [1, {N - 1}]")
-    mid = N // 2
-    if N % 2 == 0:
-        if l < mid:
-            return (2 * l - 1, 2 * l + 1)
-        if l == mid:
-            return (2 * l - 1, 2 * l)
-        return (2 * N - 2 * l + 2, 2 * N - 2 * l)
-    if l < mid:
-        return (2 * l, 2 * l + 2)
-    if l == mid:
-        return (2 * l, 2 * l + 1)
-    return (2 * N - 2 * l + 1, 2 * N - 2 * l - 1)
+    _check_color(N, l)
+    p = N % 2
+    if l < N // 2:
+        return (2 * l - 1 + p, 2 * l + 1 + p)
+    if l == N // 2:
+        return (2 * l - 1 + p, 2 * l + p)
+    return (2 * N - 2 * l + 2 - p, 2 * N - 2 * l - p)
 
 
 def beta_circ(spec, l):
@@ -292,26 +254,13 @@ def beta_circ(spec, l):
 def beta_diag(spec, l):
     """Diagonal-space delta of the color-l up-move."""
     n = spec.N
-    if not 1 <= l <= n - 1:
-        raise ValueError(f"color {l} outside [1, {n - 1}]")
-    mid = n // 2
+    _check_color(n, l)
+    p = n % 2
     delta = [0] * (n - 1)
-    if n % 2 == 0:
-        if l < mid:
-            delta[n - 2 * l - 1] -= 1
-            delta[n - 2 * l] -= 1
-        elif l == mid:
-            delta[0] -= 1
-        else:
-            delta[2 * l - n - 1] += 1
-            delta[2 * l - n - 2] += 1
+    if l < n // 2:
+        delta[n - 2 * l - 1 - p] = delta[n - 2 * l - p] = -1
+    elif l == n // 2:
+        delta[0] = -1
     else:
-        if l < mid:
-            delta[n - 2 * l - 1] -= 1
-            delta[n - 2 * l - 2] -= 1
-        elif l == mid:
-            delta[0] -= 1
-        else:
-            delta[2 * l - n - 1] += 1
-            delta[2 * l - n] += 1
+        delta[2 * l - n - 2 + p] = delta[2 * l - n - 1 + p] = 1
     return tuple(delta)

@@ -40,8 +40,8 @@ def poset_from_json(text):
     try:
         vertices = [item["id"] for item in doc["vertices"]]
         colors = {item["id"]: item["color"] for item in doc["vertices"]}
-        covers = [tuple(c) for c in doc["covers"]]
-    except (KeyError, TypeError) as exc:
+        covers = [(a, b) for a, b in doc["covers"]]
+    except (KeyError, TypeError, ValueError) as exc:
         raise PosetError(
             f"poset JSON does not match the schema ({type(exc).__name__}: {exc})") from None
     return VertexColoredPoset(vertices, covers, colors)
@@ -66,6 +66,10 @@ def lattice_from_json(text):
     except (KeyError, TypeError) as exc:
         raise LatticeError(
             f"lattice JSON does not match the schema ({type(exc).__name__}: {exc})") from None
+    labels = [v for e in edges for v in e[:2]]
+    if not isinstance(vertices, list) or not all(
+            isinstance(v, str) for v in vertices + labels):
+        raise LatticeError("lattice JSON does not match the schema (vertex labels must be strings)")
     return ColoredLattice(vertices, edges)
 
 

@@ -38,18 +38,13 @@ class BoxPermutation:
 
 
 def pi(N):
-    """The box renumbering permutation; branches on the parity of N."""
+    """The box renumbering permutation, one formula shifted by N % 2."""
     if N < 2:
         raise ValueError("need N >= 2")
-    if N % 2 == 0:
-        half = N // 2
-        mapping = [2 * i - 1 for i in range(1, half + 1)] + \
-                  [2 * N - 2 * (j - 1) for j in range(half + 1, N + 1)]
-    else:
-        half = N // 2
-        mapping = [2 * i for i in range(1, half + 1)] + \
-                  [2 * (N - j) + 1 for j in range(half + 1, N + 1)]
-    return BoxPermutation(tuple(mapping))
+    p = N % 2
+    return BoxPermutation(tuple(
+        [2 * i - 1 + p for i in range(1, N // 2 + 1)]
+        + [2 * N - 2 * j + 2 - p for j in range(N // 2 + 1, N + 1)]))
 
 
 def phi_circ(state):

@@ -188,8 +188,7 @@ def tableau_to_partition_L(spec, entries):
         if t <= prev:
             raise ValueError(f"entries must strictly increase at position {i + 1}")
         prev = t
-    return validate_partition(
-        spec, tuple(spec.cols + r + 1 - t for r, t in enumerate(entries)))
+    return tuple(spec.cols + r + 1 - t for r, t in enumerate(entries))
 
 
 # -- circle diagrams (L scheme) ----------------------------------------------------
@@ -279,7 +278,7 @@ def diagonal_to_partition(spec, diag):
         total = sum(1 for j in range(i, n - k + 1) if diag[j - 1] >= i)
         total += sum(1 for l in range(1, i) if diag[n - k + l - 1] >= i - l)
         parts.append(total)
-    return validate_partition(spec, parts)
+    return tuple(parts)
 
 
 # -- colored up-edges in each coordinatization ------------------------------------

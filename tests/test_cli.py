@@ -64,7 +64,11 @@ class TestLatticeCommand:
         assert code == 1 and out == ""
         assert err.startswith("error: cannot read")
 
-    @pytest.mark.parametrize("text", ['{"vertices": [{"id": "a"}], "covers": []}', "[1]"])
+    @pytest.mark.parametrize("text", [
+        '{"vertices": [{"id": "a"}], "covers": []}', "[1]",
+        '{"vertices": [{"id": "a", "color": 1}], "covers": [["a"]]}',
+        '{"vertices": [{"id": "a", "color": 1}], "covers": [["a", "b", "c"]]}',
+    ])
     def test_poset_of_wrong_schema_is_domain_error(self, capsys, tmp_path, text):
         target = tmp_path / "poset.json"
         target.write_text(text)
@@ -204,6 +208,8 @@ class TestSerialization:
         "[1]",
         '{"vertices": ["a"]}',
         '{"vertices": ["a", "b"], "edges": [{"from": "a", "color": 1}]}',
+        '{"vertices": 5, "edges": []}',
+        '{"vertices": [[1]], "edges": []}',
     ])
     def test_lattice_of_wrong_schema_raises_lattice_error(self, text):
         with pytest.raises(LatticeError, match="schema"):
@@ -238,6 +244,12 @@ class TestGoldenOutput:
          "7ef229450e14de801916f1360cecf113e65a273fe98b3bcfcf8b1f983396ddbc"),
         ("verify --suite structure -k 2 -N 5",
          "87f86566e979e21379b9e671779a89deda33e2a3b46c2cede0a812b4f60f65a8"),
+        ("lattice --family D -k 3 -N 7",
+         "19cc104f5f97f1b6a3b692f453b24e9ff2ee1392e18c6b939f00a16c19a0fe20"),
+        ("lattice --family D -k 4 -N 9 --format dot",
+         "3af925bcfaa34df7217ebb94448daf0fe4c4d548e5485482ff34d08357b9339f"),
+        ("solve -k 3 -N 9 --from 6,3,1 --to 0,0,0 --format json",
+         "b7b08a9d34107dc4346c2d6a6e4c175f21b73d0e55aebf0b95d26c87fab0d879"),
     ])
     def test_stdout_is_unchanged(self, capsys, tmp_path, argv, digest):
         poset = tmp_path / "poset.json"

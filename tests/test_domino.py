@@ -213,6 +213,27 @@ class TestMoveVectors:
         with pytest.raises(ValueError):
             dtab_move_pair(6, 6)
 
+    def test_beta_diag_n7_columns(self):
+        spec = BoxSpec(3, 7)
+        assert [beta_diag(spec, l) for l in spec.colors] == [
+            (0, 0, 0, -1, -1, 0), (0, -1, -1, 0, 0, 0), (-1, 0, 0, 0, 0, 0),
+            (1, 1, 0, 0, 0, 0), (0, 0, 1, 1, 0, 0), (0, 0, 0, 0, 1, 1)]
+
+    def test_move_pairs_n7_n8(self):
+        assert [dtab_move_pair(7, l) for l in range(1, 7)] == [
+            (2, 4), (4, 6), (6, 7), (7, 5), (5, 3), (3, 1)]
+        assert [dtab_move_pair(8, l) for l in range(1, 8)] == [
+            (1, 3), (3, 5), (5, 7), (7, 8), (8, 6), (6, 4), (4, 2)]
+
+    @pytest.mark.parametrize("color", [True, 2.5, 2.0])
+    def test_color_must_be_an_int(self, color):
+        with pytest.raises(ValueError, match="color"):
+            beta_part(BOX24, (1, 1), color)
+        with pytest.raises(ValueError, match="color"):
+            beta_diag(BOX24, color)
+        with pytest.raises(ValueError, match="color"):
+            dtab_move_pair(6, color)
+
     def test_transport_coherence(self):
         for spec in (BOX24, BoxSpec(2, 5), BoxSpec(3, 7), BoxSpec(4, 7)):
             for sigma in all_partitions(spec):
