@@ -25,9 +25,11 @@ from .domino import (beta_circ, beta_diag, beta_part, build_d_a, d_max, d_min,
                      gamma_ct, gamma_pt, gamma_tc, gamma_tp,
                      is_legal_domino_move, is_red, m_diag)
 from .isomorphism import (BoxPermutation, MoveMatrix, apply_p, decompose,
-                          move_matrix, phi, phi_circ, phi_inverse, pi)
+                          move_census, move_matrix, phi, phi_circ, phi_inverse,
+                          pi)
 from .solver import GameSolution, color_census, solve_distributive, solve_domino
-from .oracle import (PathCapExceeded, bfs_all_pairs, check_constructed_iso,
-                     check_lattice_laws, enumerate_shortest_paths)
+from .oracle import (PathCapExceeded, bareiss_decompose, bfs_all_pairs,
+                     check_constructed_iso, check_lattice_laws,
+                     enumerate_shortest_paths)
 
 __version__ = "1.0.0"

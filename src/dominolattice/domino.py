@@ -3,15 +3,19 @@
 Vertices are k x (N-k) partitions; directed edges are the legal domino
 moves, colored by [N-1].  The "up" direction is fixed by the per-color
 move-vector branch table, one table whose offsets shift by N % 2.  The
-board is checkered with the upper-right cell red.
+board is checkered with the upper-right cell red.  The extremes come in
+closed form, as the images of the empty and the full box under the
+isomorphism, so nothing that needs them builds the digraph.
 """
 
+from dataclasses import dataclass
 from functools import lru_cache
 
 from .lattice import ColoredLattice, is_diamond_colored, is_int
 from .typea import (CircleState, all_partitions, is_valid_diagonal,
                     is_valid_partition, partition_to_diagonal,
-                    validate_diagonal, validate_partition)
+                    tableau_to_circle, validate_circle, validate_diagonal,
+                    validate_entries, validate_partition)
 
 
 def is_red(spec, r, c):
@@ -113,7 +117,7 @@ def d_up_edges(spec, x, system="part"):
                 out.append((hit[0], l))
         return out
     if system == "tab":
-        entries = set(x)
+        entries = validate_entries(spec, x)
         out = []
         for l in spec.colors:
             xx, yy = dtab_move_pair(spec.N, l)
@@ -121,8 +125,7 @@ def d_up_edges(spec, x, system="part"):
                 out.append((tuple(sorted((entries - {yy}) | {xx}, reverse=True)), l))
         return out
     if system == "circ":
-        if x.scheme != "D":
-            raise ValueError("expected a D-scheme circle state")
+        validate_circle(spec, x, "D")
         out = []
         for l in spec.colors:
             delta = beta_circ(spec, l)
@@ -159,13 +162,53 @@ def build_d_a(spec):
     return L
 
 
+# -- the extremes, in closed form ------------------------------------------------
+
+
+@dataclass(frozen=True)
+class BoxPermutation:
+    """Permutation of [N] sending L-scheme cell numbers to D-scheme ones."""
+
+    mapping: tuple
+
+    def __post_init__(self):
+        if sorted(self.mapping) != list(range(1, len(self.mapping) + 1)):
+            raise ValueError("not a permutation of [N]")
+
+    def __call__(self, i):
+        return self.mapping[i - 1]
+
+    def inverse(self):
+        inv = [0] * len(self.mapping)
+        for i, p in enumerate(self.mapping, start=1):
+            inv[p - 1] = i
+        return BoxPermutation(tuple(inv))
+
+
+def pi(N):
+    """The box renumbering permutation, one formula shifted by N % 2."""
+    if not (is_int(N) and N >= 2):
+        raise ValueError(f"need an integer N >= 2, got {N!r}")
+    p = N % 2
+    return BoxPermutation(tuple(
+        [2 * i - 1 + p for i in range(1, N // 2 + 1)]
+        + [2 * N - 2 * j + 2 - p for j in range(N // 2 + 1, N + 1)]))
+
+
 def d_min(spec):
-    """Bottom shape of the Domino lattice (computed structurally)."""
-    return build_d_a(spec).minimum
+    """Bottom shape of the Domino lattice: the image of the empty shape.
+
+    phi sends the L bottom, whose L tableau is {N-k+1, ..., N}, to the D
+    shape whose dots sit in the renumbered cells pi(N-k+1), ..., pi(N).
+    """
+    p = pi(spec.N)
+    return gamma_tp(spec, [p(i) for i in range(spec.cols + 1, spec.N + 1)])
 
 
 def d_max(spec):
-    return build_d_a(spec).maximum
+    """Top shape of the Domino lattice: the image of the full box, {1, ..., k}."""
+    p = pi(spec.N)
+    return gamma_tp(spec, [p(i) for i in range(1, spec.k + 1)])
 
 
 def m_diag(spec):
@@ -183,32 +226,17 @@ def gamma_pt(spec, sigma):
 
 
 def gamma_tp(spec, entries):
-    entries = tuple(sorted(entries, reverse=True))
-    if len(set(entries)) != len(entries) or len(entries) != spec.k:
-        raise ValueError(f"expected {spec.k} distinct tableau entries")
-    if not all(1 <= t <= spec.N for t in entries):
-        raise ValueError(f"entries must lie in [1, {spec.N}]")
-    return validate_partition(
-        spec, tuple(t - spec.k + j - 1 for j, t in enumerate(entries, start=1)))
+    """Tableau (any order) -> partition; the entries fix a valid shape."""
+    entries = sorted(validate_entries(spec, entries), reverse=True)
+    return tuple(t - spec.k + j - 1 for j, t in enumerate(entries, start=1))
 
 
 def gamma_tc(spec, entries):
-    entries = set(entries)
-    if len(entries) != spec.k or not entries <= set(range(1, spec.N + 1)):
-        raise ValueError(f"expected {spec.k} distinct entries in [1, {spec.N}]")
-    return CircleState(tuple(1 if i in entries else 0
-                             for i in range(1, spec.N + 1)), "D")
+    return tableau_to_circle(spec, entries, "D")
 
 
 def gamma_ct(spec, state):
-    if state.scheme != "D":
-        raise ValueError("expected a D-scheme circle state")
-    if len(state.bits) != spec.N:
-        raise ValueError(f"expected {spec.N} bits")
-    ones = state.ones
-    if len(ones) != spec.k:
-        raise ValueError(f"expected {spec.k} dots, got {len(ones)}")
-    return tuple(sorted(ones, reverse=True))
+    return validate_circle(spec, state, "D").ones[::-1]
 
 
 def partition_to_circle_D(spec, sigma):

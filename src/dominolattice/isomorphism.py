@@ -1,51 +1,28 @@
 """The explicit isomorphism between the fundamental and Domino lattices.
 
 pi renumbers the physical circle-diagram cells from the L scheme to the D
-scheme; phi transports partitions through tableau and circle coordinates;
-the matrix P of diagonal move-vectors turns move counting into exact
-integer linear algebra.  No floating point anywhere: elimination is
-fraction-free (Bareiss) with rational back-substitution.
+scheme; phi transports partitions through tableau and circle coordinates.
+Because phi preserves colors, the per-color move counts from the Domino
+minimum up to a shape are the color census of the cells of its preimage,
+which is how `decompose` and the solver get them, in time polynomial in N.
+The matrix P of diagonal move-vectors is the paper's route to the same
+counts: `apply_p` transports coordinates by it, and the oracle solves
+P c = d - m with fraction-free (Bareiss) elimination and rational
+back-substitution.  No floating point anywhere.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .domino import beta_diag, gamma_ct, gamma_pt, gamma_tc, gamma_tp, m_diag
+# BoxPermutation and pi live in domino, whose closed-form extremes need pi;
+# they are re-exported here, next to phi.
+from .domino import (BoxPermutation, beta_diag, gamma_ct, gamma_pt, gamma_tc,
+                     gamma_tp, m_diag, pi)
 from .typea import (CircleState, partition_to_tableau_L, tableau_to_circle,
                     circle_to_tableau, tableau_to_partition_L,
+                    diagonal_to_partition, partition_to_diagonal,
                     validate_diagonal)
-
-
-@dataclass(frozen=True)
-class BoxPermutation:
-    """Permutation of [N] sending L-scheme cell numbers to D-scheme ones."""
-
-    mapping: tuple
-
-    def __post_init__(self):
-        if sorted(self.mapping) != list(range(1, len(self.mapping) + 1)):
-            raise ValueError("not a permutation of [N]")
-
-    def __call__(self, i):
-        return self.mapping[i - 1]
-
-    def inverse(self):
-        inv = [0] * len(self.mapping)
-        for i, p in enumerate(self.mapping, start=1):
-            inv[p - 1] = i
-        return BoxPermutation(tuple(inv))
-
-
-def pi(N):
-    """The box renumbering permutation, one formula shifted by N % 2."""
-    if N < 2:
-        raise ValueError("need N >= 2")
-    p = N % 2
-    return BoxPermutation(tuple(
-        [2 * i - 1 + p for i in range(1, N // 2 + 1)]
-        + [2 * N - 2 * j + 2 - p for j in range(N // 2 + 1, N + 1)]))
-
 
 def phi_circ(state):
     """Move each dot to its renumbered box: output bit pi(i) = input bit i."""
@@ -189,20 +166,22 @@ def apply_p(spec, diag):
     return validate_diagonal(spec, out)
 
 
+def move_census(spec, sigma):
+    """Per-color move counts from the Domino minimum up to the shape sigma.
+
+    phi is a color-preserving isomorphism that fixes the bottoms, so these
+    are the colors of the cells of phi_inverse(sigma): its diagonal
+    coordinates.  Entry l - 1 counts the moves of color l; the sum is the
+    rank of sigma in D.
+    """
+    return partition_to_diagonal(spec, phi_inverse(spec, sigma))
+
+
 def decompose(spec, diag):
     """Per-color move counts from the Domino minimum up to the element.
 
-    Solves P c = d - m exactly; the solution must be a vector of
-    nonnegative integers, and its sum is the element's rank in D.
+    The element is given by its diagonal coordinates; the counts are the
+    unique solution of P c = d - m, read off the cell census instead of
+    solved for (`oracle.bareiss_decompose` solves it).
     """
-    diag = validate_diagonal(spec, diag)
-    P = move_matrix(spec)
-    rhs = [d - s for d, s in zip(diag, P.shift)]
-    sol = bareiss_solve(P.entries, rhs)
-    out = []
-    for i, value in enumerate(sol, start=1):
-        if value.denominator != 1 or value < 0:
-            raise ValueError(
-                f"coefficient {i} is not a nonnegative integer: {value}")
-        out.append(int(value))
-    return tuple(out)
+    return move_census(spec, diagonal_to_partition(spec, diag))

@@ -1,16 +1,20 @@
 """Independent brute-force ground truth.
 
 BFS distances, exhaustive shortest-path enumeration, explicit-map
-isomorphism checking, and definitional lattice-law reports.  Nothing here
-reuses the closed-form machinery it is meant to check.
+isomorphism checking, definitional lattice-law reports, and the paper's
+matrix route to the per-color move counts.  Nothing here reuses the
+closed-form machinery it is meant to check.
 """
 
 from collections import deque
 
+from .domino import build_d_a
+from .isomorphism import bareiss_solve, move_matrix
 from .lattice import (LatticeError, is_distributive, is_modular,
                       is_topographically_balanced, path_from_vertices,
                       rank_identity_failure, sort_key)
 from .poset import VertexColoredPoset
+from .typea import partition_to_diagonal, validate_diagonal
 
 
 class PathCapExceeded(RuntimeError):
@@ -82,6 +86,24 @@ def check_constructed_iso(G, H, f):
         return False
     g_edges = {(images[a], images[b], c) for a, b, c in G.edges}
     return g_edges == set(H.edges)
+
+
+def bareiss_decompose(spec, diag):
+    """Per-color move counts by solving P c = d - m exactly.
+
+    The shift m is the diagonal of the minimum of the built Domino lattice,
+    not the closed form, so this route shares nothing with the census.  The
+    solution must be a vector of nonnegative integers.
+    """
+    diag = validate_diagonal(spec, diag)
+    shift = partition_to_diagonal(spec, build_d_a(spec).minimum)
+    sol = bareiss_solve(move_matrix(spec).entries,
+                        [d - s for d, s in zip(diag, shift)])
+    for i, value in enumerate(sol, start=1):
+        if value.denominator != 1 or value < 0:
+            raise ValueError(
+                f"coefficient {i} is not a nonnegative integer: {value}")
+    return tuple(int(value) for value in sol)
 
 
 def check_lattice_laws(L):

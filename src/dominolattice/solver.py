@@ -2,8 +2,9 @@
 
 Two routes to the same answers: the generic distributive-lattice solution
 (count order-ideal differences, walk through the join or the meet) and
-the Domino-specific procedure (decompose diagonal coordinates into move
-multisets, then greedily apply move vectors).  Multisets of colored moves
+the Domino-specific procedure (read each shape's move multiset off the
+cell census of its preimage under phi, then greedily apply move vectors).
+Neither Domino route builds the lattice.  Multisets of colored moves
 are Counters: union is entrywise max, difference is truncated.
 """
 
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 
 from .lattice import DOWN, UP, PathRecord
 from .domino import beta_diag
-from .isomorphism import decompose
+from .isomorphism import move_census
 from .poset import is_order_ideal
 from .typea import (diagonal_to_partition, is_valid_diagonal,
                     partition_to_diagonal, validate_partition)
@@ -122,8 +123,8 @@ def solve_domino(spec, sigma, tau, via="join"):
     tau = validate_partition(spec, tau)
     ds = partition_to_diagonal(spec, sigma)
     dt = partition_to_diagonal(spec, tau)
-    S = Counter(dict(enumerate(decompose(spec, ds), start=1)))
-    T = Counter(dict(enumerate(decompose(spec, dt), start=1)))
+    S = Counter(dict(enumerate(move_census(spec, sigma), start=1)))
+    T = Counter(dict(enumerate(move_census(spec, tau), start=1)))
     S, T = +S, +T
     union, inter = S | T, S & T
     per_color = (union - S) + (union - T)

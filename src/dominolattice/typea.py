@@ -65,7 +65,8 @@ def vertex_rc(v):
     return int(r), int(c)
 
 
-def vertex_color(spec, r, c):
+def cell_color(spec, r, c):
+    """The color N-k+r-c of box cell (r, c), the one place it is written."""
     return spec.N - spec.k + r - c
 
 
@@ -79,7 +80,7 @@ def build_p_a(spec):
         for c in range(1, spec.cols + 1):
             v = vertex_id(r, c)
             vertices.append(v)
-            colors[v] = vertex_color(spec, r, c)
+            colors[v] = cell_color(spec, r, c)
             if r < spec.k:
                 covers.append((v, vertex_id(r + 1, c)))
             if c < spec.cols:
@@ -194,25 +195,39 @@ def tableau_to_partition_L(spec, entries):
 # -- circle diagrams (L scheme) ----------------------------------------------------
 
 
+def validate_entries(spec, entries):
+    """A tableau in either convention: k distinct ints in [1, N], as a set."""
+    entries = tuple(entries)
+    if len(entries) != spec.k or len(set(entries)) != spec.k:
+        raise ValueError(f"expected {spec.k} distinct tableau entries")
+    if not all(is_int(t) and 1 <= t <= spec.N for t in entries):
+        raise ValueError(f"entries must be integers in [1, {spec.N}]")
+    return frozenset(entries)
+
+
+def validate_circle(spec, state, scheme):
+    """A circle state of the given scheme with N bits and k dots."""
+    if state.scheme != scheme:
+        raise ValueError(f"expected a circle state in the {scheme}-scheme numbering")
+    if len(state.bits) != spec.N:
+        raise ValueError(f"expected {spec.N} bits")
+    if len(state.ones) != spec.k:
+        raise ValueError(f"expected {spec.k} dots, got {len(state.ones)}")
+    return state
+
+
 def tableau_to_circle(spec, entries, scheme="L"):
-    entries = set(entries)
-    if len(entries) != spec.k:
-        raise ValueError(f"expected {spec.k} distinct entries")
-    if not entries <= set(range(1, spec.N + 1)):
-        raise ValueError(f"entries must lie in [1, {spec.N}]")
+    entries = validate_entries(spec, entries)
     return CircleState(tuple(1 if i in entries else 0
                              for i in range(1, spec.N + 1)), scheme)
 
 
 def circle_to_tableau(spec, state):
-    if len(state.bits) != spec.N:
-        raise ValueError(f"expected {spec.N} bits")
-    ones = state.ones
-    if len(ones) != spec.k:
-        raise ValueError(f"expected {spec.k} dots, got {len(ones)}")
+    """Dot positions, increasing in the L scheme and decreasing in the D scheme."""
+    ones = validate_circle(spec, state, state.scheme).ones
     if state.scheme == "L":
-        return tuple(sorted(ones))
-    return tuple(sorted(ones, reverse=True))
+        return ones
+    return ones[::-1]
 
 
 def partition_to_circle_L(spec, parts):
@@ -220,24 +235,23 @@ def partition_to_circle_L(spec, parts):
 
 
 def circle_to_partition_L(spec, state):
-    if state.scheme != "L":
-        raise ValueError("expected an L-scheme circle state")
-    return tableau_to_partition_L(spec, circle_to_tableau(spec, state))
+    return tableau_to_partition_L(spec, validate_circle(spec, state, "L").ones)
 
 
 # -- diagonal coordinates ------------------------------------------------------------
 
-# Diagonal i collects the box cells (r, c) with r - c = i - (N - k); the
-# first N-k diagonals start along the top row (rightmost first), the
-# remaining k-1 continue down the left column.
+# Diagonal i collects the box cells (r, c) with r - c = i - (N - k), which
+# are the cells of color i; the first N-k diagonals start along the top row
+# (rightmost first), the remaining k-1 continue down the left column.
 
 
 def partition_to_diagonal(spec, parts):
+    """Diagonal coordinates: entry i counts the shape's cells of color i."""
     parts = validate_partition(spec, parts)
     diag = [0] * (spec.N - 1)
     for r in range(1, spec.k + 1):
         for c in range(1, parts[r - 1] + 1):
-            diag[r - c + spec.cols - 1] += 1
+            diag[cell_color(spec, r, c) - 1] += 1
     return tuple(diag)
 
 
@@ -295,16 +309,14 @@ def l_up_edges(spec, x, system="part"):
                 out.append((tau, spec.cols - tau[l - 1] + l))
         return out
     if system == "tab":
-        entries = set(x)
+        entries = validate_entries(spec, x)
         out = []
         for i in range(1, spec.N):
             if i + 1 in entries and i not in entries:
                 out.append((tuple(sorted((entries - {i + 1}) | {i})), i))
         return out
     if system == "circ":
-        if x.scheme != "L":
-            raise ValueError("expected an L-scheme circle state")
-        bits = x.bits
+        bits = validate_circle(spec, x, "L").bits
         out = []
         for l in range(1, spec.N):
             if bits[l] == 1 and bits[l - 1] == 0:

@@ -20,9 +20,10 @@ from .typea import (BoxSpec, build_l_a, build_l_partitions, build_l_tab,
                     diagonal_to_partition, tableau_to_partition_L)
 from .domino import (build_d_a, circle_to_partition_D, d_up_edges, gamma_pt,
                      gamma_tp, is_legal_domino_move, partition_to_circle_D)
-from .isomorphism import apply_p, move_matrix, phi, phi_inverse
-from .oracle import (bfs_all_pairs, check_constructed_iso, check_lattice_laws,
-                     enumerate_shortest_paths, random_colored_poset)
+from .isomorphism import apply_p, decompose, move_matrix, phi, phi_inverse
+from .oracle import (bareiss_decompose, bfs_all_pairs, check_constructed_iso,
+                     check_lattice_laws, enumerate_shortest_paths,
+                     random_colored_poset)
 from .solver import solve_distributive, solve_domino
 
 SUITES = ("fundamental", "coordinates", "iso", "solver", "structure", "transport")
@@ -128,7 +129,11 @@ def suite_iso(k, N):
 
 
 def suite_solver(k, N, seed=0):
-    """Closed-form distances against BFS, path legality, color optimality."""
+    """Closed forms against the oracles: distances, counts, paths, colors.
+
+    Distances against BFS, the cell-census move counts against the Bareiss
+    solve, path legality and the per-color census of every shortest path.
+    """
     spec = BoxSpec(k, N)
     from .typea import build_p_a, partition_to_ideal
     P = build_p_a(spec)
@@ -148,9 +153,12 @@ def suite_solver(k, N, seed=0):
                 gd.path.validate(D)
             except Exception:
                 okPath = False
+    diags = [partition_to_diagonal(spec, a) for a in D.vertices]
     checks = [("ideal-counting distance equals BFS on L", okL),
               ("multiset distance equals BFS on D", okD),
-              ("returned domino paths are legal colored edges", okPath)]
+              ("returned domino paths are legal colored edges", okPath),
+              ("census move counts equal the Bareiss solve of P c = d - m",
+               all(decompose(spec, d) == bareiss_decompose(spec, d) for d in diags))]
     rng = random.Random(seed)
     verts = list(D.vertices)
     okColors = True

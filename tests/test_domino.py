@@ -234,6 +234,23 @@ class TestMoveVectors:
         with pytest.raises(ValueError, match="color"):
             dtab_move_pair(6, color)
 
+    @pytest.mark.parametrize("entries", [(9, 9), (7, 1, 0), (2, 2), (1,),
+                                         (0, 3), (7, 1), (True, 3), (2.0, 3)])
+    def test_up_edges_reject_a_bad_tableau(self, entries):
+        with pytest.raises(ValueError, match="entries"):
+            d_up_edges(BOX24, entries, "tab")
+
+    @pytest.mark.parametrize("bits,scheme,match", [
+        ((1, 0, 1, 0), "D", "bits"),
+        ((1, 0, 1, 0, 0, 0, 0), "D", "bits"),
+        ((1, 1, 1, 0, 0, 0), "D", "dots"),
+        ((0, 0, 0, 0, 0, 0), "D", "dots"),
+        ((1, 0, 1, 0, 0, 0), "L", "D-scheme"),
+    ])
+    def test_up_edges_reject_a_bad_circle(self, bits, scheme, match):
+        with pytest.raises(ValueError, match=match):
+            d_up_edges(BOX24, CircleState(bits, scheme), "circ")
+
     def test_transport_coherence(self):
         for spec in (BOX24, BoxSpec(2, 5), BoxSpec(3, 7), BoxSpec(4, 7)):
             for sigma in all_partitions(spec):

@@ -31,6 +31,11 @@ class TestPi:
             q = p.inverse()
             assert all(q(p(i)) == i for i in range(1, n + 1))
 
+    @pytest.mark.parametrize("N", [4.0, True, "6", 1, -3])
+    def test_rejects_n_that_is_not_an_int_at_least_2(self, N):
+        with pytest.raises(ValueError, match="N >= 2"):
+            pi(N)
+
     def test_rejects_non_permutation(self):
         with pytest.raises(ValueError):
             BoxPermutation((1, 1))

@@ -1,15 +1,20 @@
 import pytest
 
-from dominolattice.domino import build_d_a
+from dominolattice.domino import build_d_a, d_max, d_min, m_diag
+from dominolattice.isomorphism import decompose, phi
 from dominolattice.lattice import ColoredLattice, LatticeError, path_stats
-from dominolattice.oracle import (PathCapExceeded, bfs_all_pairs,
-                                  check_constructed_iso, check_lattice_laws,
-                                  enumerate_shortest_paths,
+from dominolattice.oracle import (PathCapExceeded, bareiss_decompose,
+                                  bfs_all_pairs, check_constructed_iso,
+                                  check_lattice_laws, enumerate_shortest_paths,
                                   random_colored_poset)
 from dominolattice.poset import j_lattice
-from dominolattice.typea import BoxSpec, build_l_a, build_l_partitions
+from dominolattice.typea import (BoxSpec, build_l_a, build_l_partitions,
+                                 partition_to_diagonal)
 
 BOX24 = BoxSpec(2, 6)
+
+DESK_SPECS = tuple(BoxSpec(k, N) for k in range(1, 13)
+                   for N in range(k + 1, 15) if k * (N - k) <= 12)
 
 
 def chain_lattice(n):
@@ -115,3 +120,28 @@ class TestRandomPosets:
             P = random_colored_poset(rng, 5, 2)
             assert len(P) <= 5
             assert all(c <= 2 for c in P.colors.values())
+
+
+class TestClosedFormAgainstBuiltLattice:
+    """The phi extremes and the cell census against the built Domino lattice."""
+
+    @pytest.mark.parametrize("spec", DESK_SPECS, ids=lambda s: f"k{s.k}N{s.N}")
+    def test_extremes(self, spec):
+        D = build_d_a(spec)
+        assert d_min(spec) == D.minimum == phi(spec, (0,) * spec.k)
+        assert d_max(spec) == D.maximum == phi(spec, (spec.cols,) * spec.k)
+        assert m_diag(spec) == partition_to_diagonal(spec, D.minimum)
+
+    @pytest.mark.parametrize("spec", DESK_SPECS, ids=lambda s: f"k{s.k}N{s.N}")
+    def test_census_equals_the_bareiss_solve_and_sums_to_the_rank(self, spec):
+        D = build_d_a(spec)
+        ranks = D.ranks
+        for sigma in D.vertices:
+            diag = partition_to_diagonal(spec, sigma)
+            census = decompose(spec, diag)
+            assert census == bareiss_decompose(spec, diag)
+            assert sum(census) == ranks[sigma]
+
+    def test_bareiss_route_rejects_an_invalid_diagonal(self):
+        with pytest.raises(ValueError):
+            bareiss_decompose(BOX24, (2, 0, 0, 0, 0))

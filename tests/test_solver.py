@@ -3,7 +3,11 @@ from collections import Counter
 
 import pytest
 
-from dominolattice.domino import build_d_a, is_legal_domino_move
+import sys
+
+from dominolattice.cli import main
+from dominolattice.domino import build_d_a, d_max, d_min, is_legal_domino_move
+from dominolattice.isomorphism import phi_inverse
 from dominolattice.lattice import path_stats
 from dominolattice.oracle import bfs_all_pairs, enumerate_shortest_paths
 from dominolattice.solver import (GameSolution, color_census,
@@ -13,6 +17,23 @@ from dominolattice.typea import (BoxSpec, all_partitions, build_l_a,
                                  partition_to_ideal)
 
 BOX24 = BoxSpec(2, 6)
+
+
+@pytest.fixture
+def forbid_lattice_build(monkeypatch):
+    """Make every module's build_d_a and bareiss_solve raise when called."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the solve path built the lattice or ran Bareiss")
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "dominolattice":
+            for attr in ("build_d_a", "bareiss_solve"):
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, forbidden)
+
+
+def random_shape(rng, spec):
+    return tuple(sorted((rng.randint(0, spec.cols) for _ in range(spec.k)),
+                        reverse=True))
 
 
 class TestMultisets:
@@ -161,6 +182,45 @@ class TestSolveDomino:
     def test_rejects_invalid_shape(self):
         with pytest.raises(ValueError):
             solve_domino(BOX24, (5, 0), (1, 1))
+
+
+class TestClosedFormSolve:
+    """solve_domino never builds D, so it runs where C(N, k) is out of reach."""
+
+    def test_solve_neither_builds_nor_eliminates(self, forbid_lattice_build, capsys):
+        spec = BoxSpec(5, 12)
+        rng = random.Random(5)
+        pairs = [(d_min(spec), d_max(spec)), (d_max(spec), d_min(spec))]
+        pairs += [(random_shape(rng, spec), random_shape(rng, spec)) for _ in range(4)]
+        for a, b in pairs:
+            for via in ("join", "meet"):
+                solve_domino(spec, a, b, via=via)
+                for fmt in ("text", "json"):
+                    code = main(["solve", "-k", "5", "-N", "12", "--via", via,
+                                 "--format", fmt, "--from", ",".join(map(str, a)),
+                                 "--to", ",".join(map(str, b))])
+                    assert code == 0
+        capsys.readouterr()
+
+    def test_large_boxes_without_the_lattice(self):
+        build_d_a.cache_clear()
+        rng = random.Random(2024)
+        spec = BoxSpec(10, 20)
+        games = [(spec, random_shape(rng, spec), random_shape(rng, spec), via)
+                 for via in ("join", "meet") for _ in range(10)]
+        big = BoxSpec(20, 40)
+        games += [(big, d_min(big), d_max(big), "join"),
+                  (big, d_max(big), d_min(big), "meet")]
+        for spec, a, b, via in games:
+            sol = solve_domino(spec, a, b, via=via)
+            lam, mu = phi_inverse(spec, a), phi_inverse(spec, b)
+            assert sol.distance == sum(abs(x - y) for x, y in zip(lam, mu))
+            verts = sol.path.vertices
+            assert verts[0] == a and verts[-1] == b
+            assert all(is_legal_domino_move(spec, v, w)
+                       for v, w in zip(verts, verts[1:]))
+        assert sol.distance == big.k * big.cols     # the top-to-bottom game
+        assert build_d_a.cache_info().currsize == 0
 
 
 class TestGameSolution:

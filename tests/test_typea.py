@@ -220,6 +220,23 @@ class TestUpEdges:
         assert l_up_edges(BOX24, (4, 4), "part") == []
         assert l_up_edges(BOX24, partition_to_tableau_L(BOX24, (4, 4)), "tab") == []
 
+    @pytest.mark.parametrize("entries", [(9, 9), (7, 1, 0), (2, 2), (1,),
+                                         (0, 3), (7, 1), (True, 3), (2.0, 3)])
+    def test_tableau_must_be_k_distinct_ints_in_range(self, entries):
+        with pytest.raises(ValueError, match="entries"):
+            l_up_edges(BOX24, entries, "tab")
+
+    @pytest.mark.parametrize("bits,scheme,match", [
+        ((1, 0, 1, 0), "L", "bits"),
+        ((1, 0, 1, 0, 0, 0, 0), "L", "bits"),
+        ((1, 1, 1, 0, 0, 0), "L", "dots"),
+        ((0, 0, 0, 0, 0, 0), "L", "dots"),
+        ((1, 0, 1, 0, 0, 0), "D", "L-scheme"),
+    ])
+    def test_circle_must_have_n_bits_and_k_dots(self, bits, scheme, match):
+        with pytest.raises(ValueError, match=match):
+            l_up_edges(BOX24, CircleState(bits, scheme), "circ")
+
     def test_all_systems_agree(self):
         for spec in (BOX24, BoxSpec(3, 7), BoxSpec(2, 5), BoxSpec(1, 6)):
             base = build_l_graph(spec, "part")
