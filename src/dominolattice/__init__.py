@@ -30,6 +30,6 @@ from .isomorphism import (BoxPermutation, MoveMatrix, apply_p, decompose,
 from .solver import GameSolution, color_census, solve_distributive, solve_domino
 from .oracle import (PathCapExceeded, bareiss_decompose, bfs_all_pairs,
                      check_constructed_iso, check_lattice_laws,
-                     enumerate_shortest_paths)
+                     diagonal_greedy_solve, enumerate_shortest_paths)
 
 __version__ = "1.0.0"

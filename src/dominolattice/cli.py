@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 usage, 2 domain violation, 3 verification failure.
 
 import argparse
 import json
+import re
 import sys
 
 from . import io as serial
@@ -32,12 +33,24 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_ERROR)
 
 
+_INT_FIELD = re.compile(r"\s*-?[0-9]+\s*", re.ASCII)
+
+
 def parse_ints(text, brackets, what):
-    """Comma-separated integers, optionally wrapped in the given bracket pair."""
+    """Comma-separated integers, optionally wrapped in the given bracket pair.
+
+    Each field is an optional minus sign and ASCII digits; an empty field
+    is an error, but an empty text is the empty tuple.
+    """
     text = text.strip().strip(brackets)
+    if text == "":
+        return ()
+    fields = text.split(",")
+    if not all(_INT_FIELD.fullmatch(p) for p in fields):
+        raise ValueError(f"cannot parse {what} {text!r}")
     try:
-        return tuple(int(p) for p in text.split(",") if p.strip() != "")
-    except ValueError:
+        return tuple(int(p) for p in fields)
+    except ValueError:      # more digits than int() accepts
         raise ValueError(f"cannot parse {what} {text!r}") from None
 
 
@@ -220,10 +233,11 @@ def cmd_solve(args):
 
 
 def cmd_verify(args):
+    spec = _spec_from(args)
     names = SUITES if args.suite == "all" else (args.suite,)
     report = {}
     for name in names:
-        report[name] = run_suite(name, k=args.k, N=args.N, seed=args.seed)
+        report[name] = run_suite(name, k=spec.k, N=spec.N, seed=args.seed)
     json.dump(report, sys.stdout, indent=2, sort_keys=True)
     sys.stdout.write("\n")
     return 0 if all(r["passed"] for r in report.values()) else VERIFY_ERROR

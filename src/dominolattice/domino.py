@@ -227,8 +227,14 @@ def gamma_pt(spec, sigma):
 
 def gamma_tp(spec, entries):
     """Tableau (any order) -> partition; the entries fix a valid shape."""
-    entries = sorted(validate_entries(spec, entries), reverse=True)
-    return tuple(t - spec.k + j - 1 for j, t in enumerate(entries, start=1))
+    return _gamma_tp(spec, validate_entries(spec, entries))
+
+
+def _gamma_tp(spec, entries):
+    """gamma_tp on k distinct entries in [1, N] already validated."""
+    k = spec.k
+    return tuple(t - k + j - 1
+                 for j, t in enumerate(sorted(entries, reverse=True), start=1))
 
 
 def gamma_tc(spec, entries):

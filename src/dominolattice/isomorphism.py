@@ -1,10 +1,13 @@
 """The explicit isomorphism between the fundamental and Domino lattices.
 
 pi renumbers the physical circle-diagram cells from the L scheme to the D
-scheme; phi transports partitions through tableau and circle coordinates.
-Because phi preserves colors, the per-color move counts from the Domino
-minimum up to a shape are the color census of the cells of its preimage,
-which is how `decompose` and the solver get them, in time polynomial in N.
+scheme.  phi_circ moves the dots of a circle state accordingly; on
+tableaux that is elementwise pi, so phi maps a partition's L tableau
+through pi and sorts the result into a D tableau, and phi_inverse applies
+pi inverse and sorts.  Because phi preserves colors, the per-color move
+counts from the Domino minimum up to a shape are the color census of the
+cells of its preimage, which is how `decompose` and the solver get them,
+in time polynomial in N.
 The matrix P of diagonal move-vectors is the paper's route to the same
 counts: `apply_p` transports coordinates by it, and the oracle solves
 P c = d - m with fraction-free (Bareiss) elimination and rational
@@ -17,10 +20,8 @@ from functools import lru_cache
 
 # BoxPermutation and pi live in domino, whose closed-form extremes need pi;
 # they are re-exported here, next to phi.
-from .domino import (BoxPermutation, beta_diag, gamma_ct, gamma_pt, gamma_tc,
-                     gamma_tp, m_diag, pi)
-from .typea import (CircleState, partition_to_tableau_L, tableau_to_circle,
-                    circle_to_tableau, tableau_to_partition_L,
+from .domino import BoxPermutation, beta_diag, gamma_pt, gamma_tp, m_diag, pi
+from .typea import (CircleState, partition_to_tableau_L, tableau_to_partition_L,
                     diagonal_to_partition, partition_to_diagonal,
                     validate_diagonal)
 
@@ -46,14 +47,19 @@ def phi_circ_inverse(state):
 
 
 def phi(spec, sigma):
-    """The partition-level isomorphism from the L lattice to the D lattice."""
-    s = tableau_to_circle(spec, partition_to_tableau_L(spec, sigma), "L")
-    return gamma_tp(spec, gamma_ct(spec, phi_circ(s)))
+    """The partition-level isomorphism from the L lattice to the D lattice.
+
+    On tableaux it is elementwise pi: the L tableau's entries, renumbered,
+    are the D tableau's entries.
+    """
+    p = pi(spec.N)
+    return gamma_tp(spec, [p(t) for t in partition_to_tableau_L(spec, sigma)])
 
 
 def phi_inverse(spec, sigma):
-    s = gamma_tc(spec, gamma_pt(spec, sigma))
-    return tableau_to_partition_L(spec, circle_to_tableau(spec, phi_circ_inverse(s)))
+    """Elementwise pi inverse on the D tableau, sorted into an L tableau."""
+    q = pi(spec.N).inverse()
+    return tableau_to_partition_L(spec, sorted(q(t) for t in gamma_pt(spec, sigma)))
 
 
 # -- exact linear algebra ---------------------------------------------------------

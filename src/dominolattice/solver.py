@@ -3,20 +3,22 @@
 Two routes to the same answers: the generic distributive-lattice solution
 (count order-ideal differences, walk through the join or the meet) and
 the Domino-specific procedure (read each shape's move multiset off the
-cell census of its preimage under phi, then greedily apply move vectors).
-Neither Domino route builds the lattice.  Multisets of colored moves
-are Counters: union is entrywise max, difference is truncated.
+cell census of its preimage under phi, then greedily apply the moves).
+The Domino walk runs on D-tableaux: a color-l move swaps one entry for
+another, so its legality is two set lookups, and each path vertex is read
+off its tableau.  It never builds the lattice; its slow reference is the
+same walk in diagonal coordinates, `oracle.diagonal_greedy_solve`.
+Multisets of colored moves are Counters: union is entrywise max,
+difference is truncated.
 """
 
 from collections import Counter
 from dataclasses import dataclass
 
 from .lattice import DOWN, UP, PathRecord
-from .domino import beta_diag
+from .domino import _gamma_tp, dtab_move_pair, gamma_pt
 from .isomorphism import move_census
 from .poset import is_order_ideal
-from .typea import (diagonal_to_partition, is_valid_diagonal,
-                    partition_to_diagonal, validate_partition)
 
 
 def color_census(P, members):
@@ -88,12 +90,14 @@ def solve_distributive(P, s, t, via="join"):
     return GameSolution(distance, per_color, path, waypoint)
 
 
-def _greedy_diag_leg(spec, start, colors, direction):
-    """Apply the multiset of move vectors greedily, smallest color first.
+def _greedy_tab_leg(pairs, start, colors, direction):
+    """Apply the multiset of colored moves greedily, smallest color first.
 
-    Each step must land on a valid diagonal sequence; the procedure is
-    guaranteed to consume the whole multiset, which is asserted.  Returns
-    the visited diagonals and the color of each step.
+    Tableaux are frozensets of D-tableau entries.  pairs[l] is the (x, y)
+    of color l: the up-move swaps entry y for x and is legal exactly when
+    y is in the tableau and x is not; the down-move swaps the roles.  The
+    procedure is guaranteed to consume the whole multiset, which is
+    asserted.  Returns the visited tableaux and the color of each step.
     """
     seq = [start]
     applied = []
@@ -101,52 +105,50 @@ def _greedy_diag_leg(spec, start, colors, direction):
     current = start
     while remaining:
         for l in sorted(remaining):
-            delta = beta_diag(spec, l)
-            cand = tuple(d + direction * e for d, e in zip(current, delta))
-            if is_valid_diagonal(spec, cand):
+            new, old = pairs[l] if direction > 0 else pairs[l][::-1]
+            if old in current and new not in current:
                 remaining[l] -= 1
                 if remaining[l] == 0:
                     del remaining[l]
-                current = cand
+                current = (current - {old}) | {new}
                 seq.append(current)
                 applied.append(l)
                 break
         else:
             raise AssertionError(
-                f"no legal move among {sorted(remaining)} at {current}")
+                f"no legal move among {sorted(remaining)} at {sorted(current)}")
     return seq, applied
 
 
 def solve_domino(spec, sigma, tau, via="join"):
     """Shortest Domino play between two shapes, with an explicit move list."""
-    sigma = validate_partition(spec, sigma)
-    tau = validate_partition(spec, tau)
-    ds = partition_to_diagonal(spec, sigma)
-    dt = partition_to_diagonal(spec, tau)
+    ts = frozenset(gamma_pt(spec, sigma))
+    tt = frozenset(gamma_pt(spec, tau))
     S = Counter(dict(enumerate(move_census(spec, sigma), start=1)))
     T = Counter(dict(enumerate(move_census(spec, tau), start=1)))
     S, T = +S, +T
     union, inter = S | T, S & T
     per_color = (union - S) + (union - T)
     distance = per_color.total()
+    pairs = {l: dtab_move_pair(spec.N, l) for l in spec.colors}
     if via == "join":
-        up_leg, up_colors = _greedy_diag_leg(spec, ds, union - S, +1)
-        down_leg, down_colors = _greedy_diag_leg(spec, dt, union - T, +1)
-        diags = up_leg + down_leg[-2::-1]
+        up_leg, up_colors = _greedy_tab_leg(pairs, ts, union - S, +1)
+        down_leg, down_colors = _greedy_tab_leg(pairs, tt, union - T, +1)
+        tabs = up_leg + down_leg[-2::-1]
         steps = [(c, UP) for c in up_colors] + [(c, DOWN) for c in reversed(down_colors)]
-        waypoint = diagonal_to_partition(spec, up_leg[-1])
+        waypoint = _gamma_tp(spec, up_leg[-1])
         if up_leg[-1] != down_leg[-1]:
             raise AssertionError("legs did not meet at the join")
     elif via == "meet":
-        down_leg, down_colors = _greedy_diag_leg(spec, ds, S - T, -1)
-        up_leg, up_colors = _greedy_diag_leg(spec, down_leg[-1], T - inter, +1)
-        diags = down_leg + up_leg[1:]
+        down_leg, down_colors = _greedy_tab_leg(pairs, ts, S - T, -1)
+        up_leg, up_colors = _greedy_tab_leg(pairs, down_leg[-1], T - inter, +1)
+        tabs = down_leg + up_leg[1:]
         steps = [(c, DOWN) for c in down_colors] + [(c, UP) for c in up_colors]
-        waypoint = diagonal_to_partition(spec, down_leg[-1])
-        if up_leg[-1] != dt:
+        waypoint = _gamma_tp(spec, down_leg[-1])
+        if up_leg[-1] != tt:
             raise AssertionError("legs did not meet at the target")
     else:
         raise ValueError(f"via must be 'join' or 'meet', got {via!r}")
-    verts = tuple(diagonal_to_partition(spec, d) for d in diags)
+    verts = tuple(_gamma_tp(spec, t) for t in tabs)
     path = PathRecord(verts, tuple(steps))
     return GameSolution(distance, per_color, path, waypoint)

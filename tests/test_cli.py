@@ -1,7 +1,11 @@
+import contextlib
 import hashlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dominolattice import io as serial
 from dominolattice.cli import main, parse_partition, render_partition
@@ -166,6 +170,13 @@ class TestVerifyCommand:
             run_cli(capsys, "verify", "--suite", "nonsense")
         assert exc.value.code == 1
 
+    @pytest.mark.parametrize("k, N", [("0", "5"), ("7", "5")])
+    def test_bad_box_is_usage_error(self, capsys, k, N):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(capsys, "verify", "--suite", "structure", "-k", k, "-N", N)
+        assert exc.value.code == 1
+        assert "need 1 <= k <= N-1" in capsys.readouterr().err
+
 
 class TestParsing:
     def test_trailing_zeros_normalized(self):
@@ -176,6 +187,49 @@ class TestParsing:
     def test_garbage_rejected(self):
         with pytest.raises(ValueError):
             parse_partition(BoxSpec(2, 6), "a,b")
+
+    @pytest.mark.parametrize("text", [
+        "1_0", "\u0663", "+3", "3,,1", "3,1,", ",3", ",", "(,)", "3 1", "0x3", "1e1",
+        "3,\u00a01",
+    ])
+    def test_each_field_is_a_sign_and_ascii_digits(self, text):
+        with pytest.raises(ValueError, match="cannot parse partition"):
+            parse_partition(BoxSpec(3, 13), text)
+
+    @pytest.mark.parametrize("text, parts", [
+        ("", (0, 0, 0)), ("()", (0, 0, 0)), ("  ", (0, 0, 0)),
+        ("(3,1)", (3, 1, 0)), (" 3 , 1 ", (3, 1, 0)), ("10,0,0", (10, 0, 0)),
+    ])
+    def test_brackets_spaces_and_omitted_zeros_still_parse(self, text, parts):
+        assert parse_partition(BoxSpec(3, 13), text) == parts
+
+    def test_field_longer_than_int_accepts_is_a_parse_error(self):
+        with pytest.raises(ValueError, match="cannot parse partition"):
+            parse_partition(BoxSpec(2, 6), "9" * 5000)
+
+    def test_negative_field_parses_then_fails_as_a_shape(self):
+        with pytest.raises(ValueError, match="out of range"):
+            parse_partition(BoxSpec(2, 6), "-1")
+
+    @pytest.mark.parametrize("text", ["3,,1", "1_0", "\u0663"])
+    def test_bad_field_exits_2_from_solve(self, capsys, text):
+        code, out, err = run_cli(capsys, "solve", "-k", "3", "-N", "13",
+                                 "--from", text, "--to", "0")
+        assert (code, out) == (2, "")
+        assert "cannot parse partition" in err
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(alphabet=st.sampled_from("0123456789,-+_() \u0663\u00a0x"),
+                   max_size=12) | st.text(max_size=8))
+    def test_solve_exit_code_contract(self, text):
+        sink = io.StringIO()
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+            try:
+                code = main(["solve", "-k", "2", "-N", "6",
+                             "--from", text, "--to", "0"])
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (0, 1, 2)
 
 
 class TestRendering:

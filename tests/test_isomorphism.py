@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from dominolattice.domino import build_d_a
+from dominolattice.domino import (build_d_a, gamma_ct, gamma_pt, gamma_tc,
+                                  gamma_tp)
 from dominolattice.isomorphism import (BoxPermutation, apply_p, bareiss_solve,
                                        decompose, exact_inverse,
                                        integer_determinant, move_matrix, phi,
@@ -10,7 +11,8 @@ from dominolattice.isomorphism import (BoxPermutation, apply_p, bareiss_solve,
                                        pi)
 from dominolattice.oracle import bfs_all_pairs, check_constructed_iso
 from dominolattice.typea import (BoxSpec, CircleState, all_partitions,
-                                 build_l_partitions, partition_to_diagonal)
+                                 build_l_partitions, circle_to_partition_L,
+                                 partition_to_circle_L, partition_to_diagonal)
 
 BOX24 = BoxSpec(2, 6)
 
@@ -84,6 +86,20 @@ class TestPhi:
         L = build_l_partitions(spec)
         D = build_d_a(spec)
         assert check_constructed_iso(L, D, {p: phi(spec, p) for p in L.vertices})
+
+
+class TestTableauPhi:
+    """phi as elementwise pi on tableaux against the circle route."""
+
+    @pytest.mark.parametrize("N", range(2, 13))
+    def test_matches_phi_circ_on_every_shape(self, N):
+        for k in range(1, N):
+            spec = BoxSpec(k, N)
+            for sigma in all_partitions(spec):
+                circ = phi_circ(partition_to_circle_L(spec, sigma))
+                assert phi(spec, sigma) == gamma_tp(spec, gamma_ct(spec, circ))
+                back = phi_circ_inverse(gamma_tc(spec, gamma_pt(spec, sigma)))
+                assert phi_inverse(spec, sigma) == circle_to_partition_L(spec, back)
 
 
 class TestExactAlgebra:

@@ -9,7 +9,8 @@ from dominolattice.cli import main
 from dominolattice.domino import build_d_a, d_max, d_min, is_legal_domino_move
 from dominolattice.isomorphism import phi_inverse
 from dominolattice.lattice import path_stats
-from dominolattice.oracle import bfs_all_pairs, enumerate_shortest_paths
+from dominolattice.oracle import (bfs_all_pairs, diagonal_greedy_solve,
+                                  enumerate_shortest_paths)
 from dominolattice.solver import (GameSolution, color_census,
                                   solve_distributive, solve_domino)
 from dominolattice.typea import (BoxSpec, all_partitions, build_l_a,
@@ -17,6 +18,9 @@ from dominolattice.typea import (BoxSpec, all_partitions, build_l_a,
                                  partition_to_ideal)
 
 BOX24 = BoxSpec(2, 6)
+
+DESK_SPECS = tuple(BoxSpec(k, N) for k in range(1, 13)
+                   for N in range(k + 1, 15) if k * (N - k) <= 12)
 
 
 @pytest.fixture
@@ -211,16 +215,38 @@ class TestClosedFormSolve:
         big = BoxSpec(20, 40)
         games += [(big, d_min(big), d_max(big), "join"),
                   (big, d_max(big), d_min(big), "meet")]
+        huge = BoxSpec(50, 100)
+        games += [(huge, d_min(huge), d_max(huge), "join"),
+                  (huge, d_max(huge), d_min(huge), "meet")]
         for spec, a, b, via in games:
             sol = solve_domino(spec, a, b, via=via)
             lam, mu = phi_inverse(spec, a), phi_inverse(spec, b)
             assert sol.distance == sum(abs(x - y) for x, y in zip(lam, mu))
+            if spec in (big, huge):     # bottom <-> top crosses the whole box
+                assert sol.distance == spec.k * spec.cols
             verts = sol.path.vertices
             assert verts[0] == a and verts[-1] == b
             assert all(is_legal_domino_move(spec, v, w)
                        for v, w in zip(verts, verts[1:]))
-        assert sol.distance == big.k * big.cols     # the top-to-bottom game
         assert build_d_a.cache_info().currsize == 0
+
+
+class TestTableauWalkAgainstDiagonalOracle:
+    """The tableau walk against the greedy walk in diagonal coordinates."""
+
+    @pytest.mark.parametrize("spec", DESK_SPECS, ids=lambda s: f"k{s.k}N{s.N}")
+    def test_every_ordered_pair_both_routes(self, spec):
+        shapes = all_partitions(spec)
+        for a in shapes:
+            for b in shapes:
+                for via in ("join", "meet"):
+                    got = solve_domino(spec, a, b, via=via)
+                    want = diagonal_greedy_solve(spec, a, b, via=via)
+                    assert got.distance == want.distance
+                    assert got.per_color == want.per_color
+                    assert got.waypoint == want.waypoint
+                    assert got.path.vertices == want.path.vertices
+                    assert got.path.steps == want.path.steps
 
 
 class TestGameSolution:
