@@ -11,15 +11,11 @@ import re
 import sys
 
 from . import io as serial
-from .domino import (build_d_a, circle_to_partition_D, gamma_pt, gamma_tp,
-                     is_red, partition_to_circle_D)
+from .domino import D_COORDINATES, build_d_a, is_red
 from .isomorphism import phi, phi_inverse
 from .poset import j_lattice, m_lattice
 from .solver import solve_domino
-from .typea import (BoxSpec, CircleState, build_l_partitions,
-                    circle_to_partition_L, diagonal_to_partition,
-                    partition_to_circle_L, partition_to_diagonal,
-                    partition_to_tableau_L, tableau_to_partition_L,
+from .typea import (L_COORDINATES, BoxSpec, CircleState, build_l_graph,
                     validate_partition)
 from .verify import SUITES, run_suite
 
@@ -85,38 +81,29 @@ def fmt_diagonal(diag):
     return "(" + ",".join(str(d) for d in diag) + ")"
 
 
+# Text parser and formatter of each coordinate system; a parser takes
+# (spec, text, side).  Tableau entries are read in any order.
+_TEXT = {
+    "part": (lambda spec, text, side: parse_partition(spec, text), fmt_partition),
+    "tab": (lambda spec, text, side: tuple(sorted(parse_ints(text, "{}", "tableau"))),
+            fmt_tableau),
+    "circ": (parse_circle, fmt_circle),
+    "diag": (lambda spec, text, side: parse_ints(text, "()", "diagonal sequence"),
+             fmt_diagonal),
+}
+_COORDINATES = {"L": L_COORDINATES, "D": D_COORDINATES}
+
+
 def _to_partition(spec, system, side, text):
-    if system == "part":
-        return parse_partition(spec, text)
-    if system == "tab":
-        entries = parse_ints(text, "{}", "tableau")
-        if side == "L":
-            return tableau_to_partition_L(spec, tuple(sorted(entries)))
-        return gamma_tp(spec, entries)
-    if system == "circ":
-        state = parse_circle(spec, text, side)
-        if side == "L":
-            return circle_to_partition_L(spec, state)
-        return circle_to_partition_D(spec, state)
-    if system == "diag":
-        return diagonal_to_partition(spec, parse_ints(text, "()", "diagonal sequence"))
-    raise ValueError(f"unknown coordinate system {system!r}")
+    if system not in _TEXT:
+        raise ValueError(f"unknown coordinate system {system!r}")
+    parse, _ = _TEXT[system]
+    return _COORDINATES[side][system][1](spec, parse(spec, text, side))
 
 
 def _from_partition(spec, system, side, parts):
-    if system == "part":
-        return fmt_partition(parts)
-    if system == "tab":
-        if side == "L":
-            return fmt_tableau(partition_to_tableau_L(spec, parts))
-        return fmt_tableau(gamma_pt(spec, parts))
-    if system == "circ":
-        if side == "L":
-            return fmt_circle(partition_to_circle_L(spec, parts))
-        return fmt_circle(partition_to_circle_D(spec, parts))
-    if system == "diag":
-        return fmt_diagonal(partition_to_diagonal(spec, parts))
-    raise ValueError(f"unknown coordinate system {system!r}")
+    _, fmt = _TEXT[system]
+    return fmt(_COORDINATES[side][system][0](spec, parts))
 
 
 def render_partition(spec, parts):
@@ -132,19 +119,6 @@ def render_partition(spec, parts):
             row.append(glyph)
         rows.append("".join(row))
     return "\n".join(rows)
-
-
-def _vertex_doc(spec, family, parts):
-    if family == "A":
-        tab, circ = partition_to_tableau_L(spec, parts), partition_to_circle_L(spec, parts)
-    else:
-        tab, circ = gamma_pt(spec, parts), partition_to_circle_D(spec, parts)
-    return {
-        "part": fmt_partition(parts),
-        "tab": fmt_tableau(tab),
-        "circ": fmt_circle(circ),
-        "diag": fmt_diagonal(partition_to_diagonal(spec, parts)),
-    }
 
 
 def cmd_lattice(args):
@@ -163,25 +137,22 @@ def cmd_lattice(args):
             sys.stdout.write(serial.lattice_to_json(L))
         return 0
     spec = _spec_from(args)
-    if args.family == "A":
-        L = build_l_partitions(spec)
-    else:
-        L = build_d_a(spec)
+    L = build_l_graph(spec) if args.family == "A" else build_d_a(spec)
     if args.format == "dot":
         sys.stdout.write(serial.lattice_to_dot(L, name=f"{args.family}_{spec.k}_{spec.N}"))
         return 0
     ranks = L.ranks
+    side = "L" if args.family == "A" else "D"
     doc = {
         "family": args.family,
         "k": spec.k,
         "N": spec.N,
-        "vertices": [dict(_vertex_doc(spec, args.family, p), rank=ranks[p])
-                     for p in L.vertices],
+        "vertices": [dict({s: _from_partition(spec, s, side, p) for s in _TEXT},
+                          rank=ranks[p]) for p in L.vertices],
         "edges": [{"from": fmt_partition(a), "to": fmt_partition(b), "color": c}
                   for a, b, c in L.edges],
     }
-    json.dump(doc, sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
+    sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return 0
 
 
@@ -194,7 +165,7 @@ def cmd_convert(args):
         return 0
     system, _, side = args.src.partition(":")
     side = side or "L"
-    if side not in ("L", "D"):
+    if side not in _COORDINATES:
         raise ValueError(f"unknown side {side!r}; use L or D")
     parts = _to_partition(spec, system, side, args.value)
     print(_from_partition(spec, args.dest, side, parts))
@@ -214,8 +185,7 @@ def cmd_solve(args):
             "path": [fmt_partition(p) for p in sol.path.vertices],
             "steps": [{"color": c, "direction": d} for c, d in sol.path.steps],
         }
-        json.dump(doc, sys.stdout, indent=2, sort_keys=True)
-        sys.stdout.write("\n")
+        sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
         return 0
     print(f"distance: {sol.distance}")
     census = " ".join(f"{c}:{n}" for c, n in sorted(sol.per_color.items())) or "-"
@@ -238,8 +208,7 @@ def cmd_verify(args):
     report = {}
     for name in names:
         report[name] = run_suite(name, k=spec.k, N=spec.N, seed=args.seed)
-    json.dump(report, sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
+    sys.stdout.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
     return 0 if all(r["passed"] for r in report.values()) else VERIFY_ERROR
 
 

@@ -12,10 +12,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .lattice import ColoredLattice, is_diamond_colored, is_int
-from .typea import (CircleState, all_partitions, is_valid_diagonal,
-                    is_valid_partition, partition_to_diagonal,
-                    tableau_to_circle, validate_circle, validate_diagonal,
-                    validate_entries, validate_partition)
+from .typea import (CircleState, all_partitions, diagonal_to_partition,
+                    is_valid_diagonal, is_valid_partition,
+                    partition_to_diagonal, tableau_to_circle, validate_circle,
+                    validate_diagonal, validate_entries, validate_partition)
 
 
 def is_red(spec, r, c):
@@ -33,25 +33,27 @@ def render_board(spec):
         for r in range(1, spec.k + 1))
 
 
-def cells(spec, parts):
-    parts = validate_partition(spec, parts)
-    return {(r + 1, c + 1) for r, p in enumerate(parts) for c in range(p)}
-
-
 def is_legal_domino_move(spec, sigma, tau):
     """Geometric move test, direction-agnostic.
 
     The symmetric difference of the two shapes must be either a single
-    edge-adjacent pair of cells, or exactly the red corner cell.
+    edge-adjacent pair of cells, or exactly the red corner cell.  Row r
+    of the difference holds the cells in columns min+1..max of the two
+    parts, so the shapes are compared row by row.
     """
     if not (is_valid_partition(spec, sigma) and is_valid_partition(spec, tau)):
         return False
-    diff = cells(spec, sigma) ^ cells(spec, tau)
-    if len(diff) == 1:
-        return diff == {(1, spec.cols)}
-    if len(diff) == 2:
-        (r1, c1), (r2, c2) = sorted(diff)
-        return abs(r1 - r2) + abs(c1 - c2) == 1
+    rows = [(r, min(s, t), max(s, t))
+            for r, (s, t) in enumerate(zip(sigma, tau), start=1) if s != t]
+    size = sum(hi - lo for _, lo, hi in rows)
+    if size == 1:
+        (r, _, c), = rows
+        return (r, c) == (1, spec.cols)
+    if size == 2:
+        if len(rows) == 1:      # two cells side by side in one row
+            return True
+        (r1, _, c1), (r2, _, c2) = rows
+        return r2 == r1 + 1 and c1 == c2
     return False
 
 
@@ -189,10 +191,17 @@ def pi(N):
     """The box renumbering permutation, one formula shifted by N % 2."""
     if not (is_int(N) and N >= 2):
         raise ValueError(f"need an integer N >= 2, got {N!r}")
+    return _pi_pair(N)[0]
+
+
+@lru_cache(maxsize=None)
+def _pi_pair(N):
+    """pi(N) and its inverse, built and validated once per valid N."""
     p = N % 2
-    return BoxPermutation(tuple(
+    perm = BoxPermutation(tuple(
         [2 * i - 1 + p for i in range(1, N // 2 + 1)]
         + [2 * N - 2 * j + 2 - p for j in range(N // 2 + 1, N + 1)]))
+    return perm, perm.inverse()
 
 
 def d_min(spec):
@@ -253,22 +262,28 @@ def circle_to_partition_D(spec, state):
     return gamma_tp(spec, gamma_ct(spec, state))
 
 
+# Each system maps to its (partition -> coordinates, coordinates -> partition)
+# pair in the Domino conventions.
+D_COORDINATES = {
+    "part": (validate_partition, validate_partition),
+    "tab": (gamma_pt, gamma_tp),
+    "circ": (partition_to_circle_D, circle_to_partition_D),
+    "diag": (partition_to_diagonal, diagonal_to_partition),
+}
+
+
 # -- move vectors in the other coordinate spaces ---------------------------------
 
 
 def dtab_move_pair(N, l):
     """(x, y) such that the color-l up-move replaces tableau entry y by x.
 
-    The middle color owns its index; the outer branches are strict, which
-    resolves the overlap the printed ranges would otherwise have.
+    The pair is (pi(l), pi(l+1)): the color-l move of the L lattice swaps
+    the entries l and l+1, and phi renumbers them through pi.
     """
     _check_color(N, l)
-    p = N % 2
-    if l < N // 2:
-        return (2 * l - 1 + p, 2 * l + 1 + p)
-    if l == N // 2:
-        return (2 * l - 1 + p, 2 * l + p)
-    return (2 * N - 2 * l + 2 - p, 2 * N - 2 * l - p)
+    p = pi(N)
+    return p(l), p(l + 1)
 
 
 def beta_circ(spec, l):

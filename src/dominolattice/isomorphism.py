@@ -20,10 +20,12 @@ from functools import lru_cache
 
 # BoxPermutation and pi live in domino, whose closed-form extremes need pi;
 # they are re-exported here, next to phi.
-from .domino import BoxPermutation, beta_diag, gamma_pt, gamma_tp, m_diag, pi
+from .domino import (BoxPermutation, _pi_pair, beta_diag, gamma_pt, gamma_tp,
+                     m_diag, pi)
 from .typea import (CircleState, partition_to_tableau_L, tableau_to_partition_L,
                     diagonal_to_partition, partition_to_diagonal,
                     validate_diagonal)
+
 
 def phi_circ(state):
     """Move each dot to its renumbered box: output bit pi(i) = input bit i."""
@@ -58,7 +60,7 @@ def phi(spec, sigma):
 
 def phi_inverse(spec, sigma):
     """Elementwise pi inverse on the D tableau, sorted into an L tableau."""
-    q = pi(spec.N).inverse()
+    q = _pi_pair(spec.N)[1]
     return tableau_to_partition_L(spec, sorted(q(t) for t in gamma_pt(spec, sigma)))
 
 

@@ -94,11 +94,6 @@ def build_l_a(spec):
     return j_lattice(build_p_a(spec))
 
 
-def build_l_partitions(spec):
-    """The fundamental lattice with each ideal relabeled as its partition."""
-    return build_l_a(spec).relabel(lambda i: ideal_to_partition(spec, i))
-
-
 # -- partitions -----------------------------------------------------------------
 
 
@@ -295,6 +290,18 @@ def diagonal_to_partition(spec, diag):
     return tuple(parts)
 
 
+# -- the coordinate table ---------------------------------------------------------
+
+# Each system maps to its (partition -> coordinates, coordinates -> partition)
+# pair; partitions themselves are only validated.
+L_COORDINATES = {
+    "part": (validate_partition, validate_partition),
+    "tab": (partition_to_tableau_L, tableau_to_partition_L),
+    "circ": (partition_to_circle_L, circle_to_partition_L),
+    "diag": (partition_to_diagonal, diagonal_to_partition),
+}
+
+
 # -- colored up-edges in each coordinatization ------------------------------------
 
 
@@ -337,17 +344,15 @@ def l_up_edges(spec, x, system="part"):
 
 @lru_cache(maxsize=None)
 def build_l_graph(spec, system="part"):
-    """The L-lattice generated directly from one coordinatization's edge rule."""
-    if system == "part":
-        vertices = all_partitions(spec)
-    elif system == "tab":
-        vertices = [partition_to_tableau_L(spec, p) for p in all_partitions(spec)]
-    elif system == "circ":
-        vertices = [partition_to_circle_L(spec, p) for p in all_partitions(spec)]
-    elif system == "diag":
-        vertices = [partition_to_diagonal(spec, p) for p in all_partitions(spec)]
-    else:
+    """The L-lattice generated directly from one coordinatization's edge rule.
+
+    In the default partition labels this is the fundamental lattice with
+    each ideal relabeled as its partition.
+    """
+    if system not in L_COORDINATES:
         raise ValueError(f"unknown coordinatization {system!r}")
+    encode = L_COORDINATES[system][0]
+    vertices = [encode(spec, p) for p in all_partitions(spec)]
     edges = []
     for v in vertices:
         for w, color in l_up_edges(spec, v, system):

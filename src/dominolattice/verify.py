@@ -6,6 +6,7 @@ the same ground; these suites make it scriptable.
 """
 
 import random
+from functools import partial
 from math import comb
 
 from .lattice import ColoredLattice, is_diamond_colored, path_stats, product
@@ -13,13 +14,11 @@ from .poset import (canonical_iso_to_filters, canonical_iso_to_ideals,
                     check_poset_iso, disjoint_sum, dual, j_lattice,
                     join_irreducibles, m_lattice, meet_irreducibles,
                     principal_filter, principal_ideal, recolor)
-from .typea import (BoxSpec, build_l_a, build_l_partitions, build_l_tab,
-                    build_l_tilde, ideal_to_partition, partition_to_circle_L,
-                    partition_to_diagonal, partition_to_tableau_L,
-                    build_l_graph, all_partitions, circle_to_partition_L,
-                    diagonal_to_partition, tableau_to_partition_L)
-from .domino import (build_d_a, circle_to_partition_D, d_up_edges, gamma_pt,
-                     gamma_tp, is_legal_domino_move, partition_to_circle_D)
+from .typea import (L_COORDINATES, BoxSpec, all_partitions, build_l_a,
+                    build_l_graph, build_l_tab, build_l_tilde,
+                    ideal_to_partition, partition_to_diagonal)
+from .domino import (D_COORDINATES, build_d_a, d_up_edges,
+                     is_legal_domino_move)
 from .isomorphism import apply_p, decompose, move_matrix, phi, phi_inverse
 from .oracle import (bareiss_decompose, bfs_all_pairs, check_constructed_iso,
                      check_lattice_laws, enumerate_shortest_paths,
@@ -88,20 +87,16 @@ def suite_coordinates(k, N):
     spec = BoxSpec(k, N)
     checks = []
     parts = all_partitions(spec)
-    ok = all(
-        tableau_to_partition_L(spec, partition_to_tableau_L(spec, p)) == p
-        and circle_to_partition_L(spec, partition_to_circle_L(spec, p)) == p
-        and diagonal_to_partition(spec, partition_to_diagonal(spec, p)) == p
-        and gamma_tp(spec, gamma_pt(spec, p)) == p
-        and circle_to_partition_D(spec, partition_to_circle_D(spec, p)) == p
-        for p in parts)
+    ok = all(decode(spec, encode(spec, p)) == p
+             for table in (L_COORDINATES, D_COORDINATES)
+             for encode, decode in table.values() for p in parts)
     checks.append(("round trips through every coordinatization", ok))
-    base = build_l_graph(spec, "part")
-    for system, conv in (("tab", lambda p: partition_to_tableau_L(spec, p)),
-                         ("circ", lambda p: partition_to_circle_L(spec, p)),
-                         ("diag", lambda p: partition_to_diagonal(spec, p))):
+    base = build_l_graph(spec)
+    for system in ("tab", "circ", "diag"):
+        encode, _ = L_COORDINATES[system]
         checks.append((f"edge agreement part vs {system}",
-                       check_constructed_iso(base, build_l_graph(spec, system), conv)))
+                       check_constructed_iso(base, build_l_graph(spec, system),
+                                             partial(encode, spec))))
     checks.append(("ideal lattice matches the partition edge rule",
                    check_constructed_iso(build_l_a(spec), base,
                                          lambda i: ideal_to_partition(spec, i))))
@@ -112,7 +107,7 @@ def suite_coordinates(k, N):
 def suite_iso(k, N):
     """Phi as a colored digraph isomorphism, plus the matrix transport."""
     spec = BoxSpec(k, N)
-    L = build_l_partitions(spec)
+    L = build_l_graph(spec)
     D = build_d_a(spec)
     checks = [
         ("phi is a color-preserving isomorphism",
@@ -137,7 +132,7 @@ def suite_solver(k, N, seed=0):
     spec = BoxSpec(k, N)
     from .typea import build_p_a, partition_to_ideal
     P = build_p_a(spec)
-    L = build_l_partitions(spec)
+    L = build_l_graph(spec)
     D = build_d_a(spec)
     distL = bfs_all_pairs(L)
     distD = bfs_all_pairs(D)
@@ -175,7 +170,7 @@ def suite_solver(k, N, seed=0):
 def suite_structure(k, N):
     """Diamond coloring, balance, lattice laws, and the rank identity."""
     spec = BoxSpec(k, N)
-    built = [("L_A", build_l_partitions(spec)), ("D_A", build_d_a(spec))]
+    built = [("L_A", build_l_graph(spec)), ("D_A", build_d_a(spec))]
     if (spec.cols + 1) ** spec.k <= 130:
         built.append(("L_tilde", build_l_tilde(spec)))
         built.append(("L_tab", build_l_tab(spec)))
@@ -194,14 +189,10 @@ def suite_transport(k, N):
     spec = BoxSpec(k, N)
     okEdges = okGeom = True
     for sigma in all_partitions(spec):
-        part = {(t, l) for t, l in d_up_edges(spec, sigma, "part")}
-        tab = {(gamma_tp(spec, t), l)
-               for t, l in d_up_edges(spec, gamma_pt(spec, sigma), "tab")}
-        circ = {(circle_to_partition_D(spec, t), l)
-                for t, l in d_up_edges(spec, partition_to_circle_D(spec, sigma), "circ")}
-        diag = {(diagonal_to_partition(spec, t), l)
-                for t, l in d_up_edges(spec, partition_to_diagonal(spec, sigma), "diag")}
-        okEdges &= part == tab == circ == diag
+        part, *others = [{(decode(spec, t), l)
+                          for t, l in d_up_edges(spec, encode(spec, sigma), system)}
+                         for system, (encode, decode) in D_COORDINATES.items()]
+        okEdges &= all(edges == part for edges in others)
         okGeom &= all(is_legal_domino_move(spec, sigma, t) for t, _ in part)
     return _result([
         ("beta vectors generate one edge set in all coordinatizations", okEdges),

@@ -23,7 +23,7 @@ from dominolattice.poset import (canonical_iso_to_filters,
                                  meet_irreducibles)
 from dominolattice.solver import solve_distributive, solve_domino
 from dominolattice.typea import (BoxSpec, all_partitions, build_l_a,
-                                 build_l_partitions, build_l_tab,
+                                 build_l_graph, build_l_tab,
                                  build_l_tilde, build_p_a,
                                  partition_to_diagonal, partition_to_ideal,
                                  partition_to_tableau_L)
@@ -77,7 +77,7 @@ def test_criterion_04_phi():
     assert phi_inverse(BOX24, (4, 3)) == (1, 1)
     for k, N in ((2, 5), (2, 6), (3, 6), (3, 7)):
         spec = BoxSpec(k, N)
-        L = build_l_partitions(spec)
+        L = build_l_graph(spec)
         assert check_constructed_iso(L, build_d_a(spec),
                                      {p: phi(spec, p) for p in L.vertices})
     report(4, "phi values and colored-digraph isomorphisms")
@@ -103,7 +103,7 @@ def test_criterion_06_solver_worked_examples():
     sol = solve_domino(BOX24, (4, 4), (1, 1))
     assert sol.distance == 3
     assert list(sol.path.steps) == [(2, "up"), (4, "down"), (5, "down")]
-    L = build_l_partitions(BOX24)
+    L = build_l_graph(BOX24)
     assert L.ranks[(3, 3)] == 6
     assert partition_to_diagonal(BOX24, (3, 3)) == (0, 1, 2, 2, 1)
     assert sum(partition_to_diagonal(BOX24, (3, 3))) == 6
@@ -114,7 +114,7 @@ def test_criterion_07_oracle_equivalence():
     rng = random.Random(99)
     for spec in DESK_SPECS:
         P = build_p_a(spec)
-        L = build_l_partitions(spec)
+        L = build_l_graph(spec)
         D = build_d_a(spec)
         distL = bfs_all_pairs(L)
         distD = bfs_all_pairs(D)
@@ -151,7 +151,7 @@ def test_criterion_08_five_row_board_game():
 def test_criterion_09_structure_suite():
     built = []
     for spec in DESK_SPECS:
-        built.append(build_l_partitions(spec))
+        built.append(build_l_graph(spec))
         built.append(build_d_a(spec))
     for spec in PRODUCT_SPECS:
         built.append(build_l_tilde(spec))
@@ -181,7 +181,7 @@ def test_criterion_10_fundamental_theorem_suite():
 
 
 def test_criterion_11_mountainization():
-    L = build_l_partitions(BOX24)
+    L = build_l_graph(BOX24)
     rng = random.Random(17)
     verts = list(L.vertices)
     for _ in range(100):

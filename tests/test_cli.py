@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from dominolattice import io as serial
 from dominolattice.cli import main, parse_partition, render_partition
 from dominolattice.oracle import random_colored_poset
-from dominolattice.typea import BoxSpec, build_l_partitions
+from dominolattice.typea import BoxSpec, all_partitions, build_l_graph
 from dominolattice.lattice import LatticeError
 from dominolattice.poset import PosetError, j_lattice
 
@@ -113,6 +113,46 @@ class TestConvertCommand:
                                "--from", "part:L", "--to", "tab", "1,4")
         assert code == 2
         assert "position" in err or "decreasing" in err
+
+    def test_unknown_system_is_domain_error(self, capsys):
+        code, out, err = run_cli(capsys, "convert", "-k", "2", "-N", "6",
+                                 "--from", "foo:L", "--to", "part", "1")
+        assert (code, out) == (2, "")
+        assert err == "error: unknown coordinate system 'foo'\n"
+
+    @pytest.mark.parametrize("k, N", [(2, 6), (3, 7)])
+    @pytest.mark.parametrize("side", ["L", "D"])
+    @pytest.mark.parametrize("system", ["part", "tab", "circ", "diag"])
+    def test_every_shape_round_trips_through_every_system(self, capsys, system,
+                                                          side, k, N):
+        box = ["-k", str(k), "-N", str(N)]
+        for parts in all_partitions(BoxSpec(k, N)):
+            text = ",".join(str(p) for p in parts)
+            code, coords, _ = run_cli(capsys, "convert", *box, "--from", f"part:{side}",
+                                      "--to", system, text)
+            assert code == 0
+            code, back, _ = run_cli(capsys, "convert", *box, "--from", f"{system}:{side}",
+                                    "--to", "part", coords.strip())
+            assert (code, back) == (0, text + "\n")
+
+    @settings(max_examples=300, deadline=None)
+    @given(system=st.sampled_from(["part", "tab", "circ", "diag", "", "foo"])
+           | st.text(max_size=6),
+           side=st.sampled_from(["", ":L", ":D", ":", ":X"])
+           | st.text(max_size=3).map(lambda t: ":" + t),
+           dest=st.sampled_from(["part", "tab", "circ", "diag"]),
+           value=st.text(alphabet=st.sampled_from("0123456789,(){}- \u0663"),
+                         max_size=14) | st.text(max_size=8))
+    def test_convert_exit_code_contract(self, system, side, dest, value):
+        sink = io.StringIO()
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+            try:
+                code = main(["convert", "-k", "2", "-N", "6", f"--from={system}{side}",
+                             "--to", dest, "--", value])
+            except SystemExit as exc:
+                assert exc.code == 1
+                return
+        assert code in (0, 2)
 
 
 class TestSolveCommand:
@@ -270,7 +310,7 @@ class TestSerialization:
             serial.lattice_from_json(text)
 
     def test_dot_labels_carry_colors(self):
-        L = build_l_partitions(BoxSpec(2, 5))
+        L = build_l_graph(BoxSpec(2, 5))
         dot = serial.lattice_to_dot(L)
         assert 'label="4"' in dot and "rank=same" in dot
 

@@ -11,9 +11,37 @@ from dominolattice.domino import (beta_circ, beta_diag, beta_part, build_d_a,
 from dominolattice.lattice import is_diamond_colored, is_topographically_balanced
 from dominolattice.oracle import check_constructed_iso
 from dominolattice.typea import (BoxSpec, CircleState, all_partitions,
-                                 diagonal_to_partition, partition_to_diagonal)
+                                 diagonal_to_partition, is_valid_partition,
+                                 partition_to_diagonal)
 
 BOX24 = BoxSpec(2, 6)
+
+
+def cell_set_legal_move(spec, sigma, tau):
+    """Reference legality test: the symmetric difference of two cell sets."""
+    if not (is_valid_partition(spec, sigma) and is_valid_partition(spec, tau)):
+        return False
+
+    def cells(parts):
+        return {(r + 1, c + 1) for r, p in enumerate(parts) for c in range(p)}
+
+    diff = cells(sigma) ^ cells(tau)
+    if len(diff) == 1:
+        return diff == {(1, spec.cols)}
+    if len(diff) == 2:
+        (r1, c1), (r2, c2) = sorted(diff)
+        return abs(r1 - r2) + abs(c1 - c2) == 1
+    return False
+
+
+def printed_move_pair(N, l):
+    """The printed three-branch table of the D-tableau move pair (x, y)."""
+    p = N % 2
+    if l < N // 2:
+        return (2 * l - 1 + p, 2 * l + 1 + p)
+    if l == N // 2:
+        return (2 * l - 1 + p, 2 * l + p)
+    return (2 * N - 2 * l + 2 - p, 2 * N - 2 * l - p)
 
 # Frozen reference data: the complete colored edge list of D(2,4).
 D24_EDGES = {
@@ -96,9 +124,9 @@ class TestBuild:
 
     def test_d23_is_isomorphic_to_l23(self):
         from dominolattice.isomorphism import phi
-        from dominolattice.typea import build_l_partitions
+        from dominolattice.typea import build_l_graph
         spec = BoxSpec(2, 5)
-        L = build_l_partitions(spec)
+        L = build_l_graph(spec)
         D = build_d_a(spec)
         assert len(D) == 10
         assert check_constructed_iso(L, D, {p: phi(spec, p) for p in L.vertices})
@@ -159,6 +187,16 @@ class TestLegalMoves:
                     arrows = int(D.has_edge(a, b)) + int(D.has_edge(b, a))
                     assert arrows == (1 if is_legal_domino_move(spec, a, b) else 0)
 
+    @pytest.mark.parametrize("k, N", [(1, 5), (2, 6), (3, 7), (3, 8), (4, 8), (2, 9)])
+    def test_rowwise_test_matches_the_cell_sets(self, k, N):
+        spec = BoxSpec(k, N)
+        shapes = list(all_partitions(spec))
+        shapes += [(spec.cols + 1,) + (0,) * (k - 1), (0,) * (k - 1) + (-1,),
+                   (1,) * (k + 1), (True,) + (0,) * (k - 1)]
+        for a in shapes:
+            for b in shapes:
+                assert is_legal_domino_move(spec, a, b) == cell_set_legal_move(spec, a, b)
+
 
 class TestGammaMaps:
     def test_gamma_pt_examples(self):
@@ -212,6 +250,11 @@ class TestMoveVectors:
     def test_move_pair_ranges(self):
         with pytest.raises(ValueError):
             dtab_move_pair(6, 6)
+
+    def test_move_pair_matches_the_printed_table(self):
+        for N in range(2, 61):
+            for l in range(1, N):
+                assert dtab_move_pair(N, l) == printed_move_pair(N, l)
 
     def test_beta_diag_n7_columns(self):
         spec = BoxSpec(3, 7)

@@ -11,7 +11,7 @@ from dominolattice.isomorphism import (BoxPermutation, apply_p, bareiss_solve,
                                        pi)
 from dominolattice.oracle import bfs_all_pairs, check_constructed_iso
 from dominolattice.typea import (BoxSpec, CircleState, all_partitions,
-                                 build_l_partitions, circle_to_partition_L,
+                                 build_l_graph, circle_to_partition_L,
                                  partition_to_circle_L, partition_to_diagonal)
 
 BOX24 = BoxSpec(2, 6)
@@ -83,7 +83,7 @@ class TestPhi:
     @pytest.mark.parametrize("k,N", [(2, 5), (2, 6), (3, 6), (3, 7)])
     def test_color_preserving_isomorphism(self, k, N):
         spec = BoxSpec(k, N)
-        L = build_l_partitions(spec)
+        L = build_l_graph(spec)
         D = build_d_a(spec)
         assert check_constructed_iso(L, D, {p: phi(spec, p) for p in L.vertices})
 

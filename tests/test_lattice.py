@@ -15,7 +15,7 @@ from dominolattice.poset import (PosetError, VertexColoredPoset, j_lattice,
                                  join_irreducibles, check_poset_iso)
 from dominolattice.oracle import (check_lattice_laws, enumerate_shortest_paths,
                                   random_colored_poset, random_simple_path)
-from dominolattice.typea import (BoxSpec, build_l_a, build_l_partitions,
+from dominolattice.typea import (BoxSpec, build_l_a, build_l_graph,
                                  build_l_tab, build_l_tilde, build_p_a)
 
 
@@ -40,7 +40,7 @@ def hexagon():
 
 
 def l24():
-    return build_l_partitions(BoxSpec(2, 6))
+    return build_l_graph(BoxSpec(2, 6))
 
 
 class TestConstruction:

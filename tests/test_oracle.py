@@ -8,7 +8,7 @@ from dominolattice.oracle import (PathCapExceeded, bareiss_decompose,
                                   check_lattice_laws, enumerate_shortest_paths,
                                   random_colored_poset)
 from dominolattice.poset import j_lattice
-from dominolattice.typea import (BoxSpec, build_l_a, build_l_partitions,
+from dominolattice.typea import (BoxSpec, build_l_a, build_l_graph,
                                  partition_to_diagonal)
 
 BOX24 = BoxSpec(2, 6)
@@ -86,7 +86,7 @@ class TestConstructedIso:
 
 class TestLatticeLaws:
     def test_l24_report(self):
-        L = build_l_partitions(BOX24)
+        L = build_l_graph(BOX24)
         report = check_lattice_laws(L)
         assert report["is_lattice"] and report["modular"]
         assert report["distributive"] and report["rank_identity"]

@@ -6,7 +6,7 @@ from dominolattice.lattice import is_diamond_colored
 from dominolattice.oracle import check_constructed_iso
 from dominolattice.poset import check_poset_iso, join_irreducibles, principal_ideal
 from dominolattice.typea import (BoxSpec, CircleState, all_partitions,
-                                 build_l_a, build_l_graph, build_l_partitions,
+                                 build_l_a, build_l_graph,
                                  build_l_tab, build_l_tilde, build_p_a,
                                  circle_to_tableau, diagonal_to_partition,
                                  ideal_to_partition, is_valid_diagonal,
@@ -104,9 +104,17 @@ class TestFundamentalLattice:
         assert len(build_l_a(BoxSpec(2, 5))) == 10
 
     def test_l24_matches_reference_edges_exactly(self):
-        L = build_l_partitions(BOX24)
+        L = build_l_graph(BOX24)
         assert len(L) == 15
         assert set(L.edges) == L24_EDGES
+
+    def test_partition_edge_rule_is_the_relabeled_ideal_lattice(self):
+        for k in range(1, 13):
+            for N in range(k + 1, 15):
+                if k * (N - k) <= 12:
+                    spec = BoxSpec(k, N)
+                    assert build_l_graph(spec) == build_l_a(spec).relabel(
+                        lambda i: ideal_to_partition(spec, i))
 
     def test_cardinality_is_binomial(self):
         for k in range(1, 13):
