@@ -6,11 +6,11 @@ move-minimizing games in closed form, with brute-force oracles checking
 everything at desk scale.
 """
 
-from .lattice import (ColoredLattice, LatticeError, PathRecord,
+from .lattice import (ColoredLattice, LatticeError, PathRecord, birkhoff_failure,
                       check_full_length_sublattice, full_length_witness,
                       is_diamond_colored, is_distributive, is_modular,
                       is_topographically_balanced, mountainize, path_stats,
-                      product, rank_function, valleyize)
+                      product, rank_function, rank_identity_failure, valleyize)
 from .poset import (PosetError, VertexColoredPoset, canonical_iso_to_ideals,
                     canonical_iso_to_filters, disjoint_sum, dual,
                     enumerate_order_ideals, j_lattice, join_irreducibles,

@@ -230,7 +230,11 @@ def m_diag(spec):
 
 def gamma_pt(spec, sigma):
     """Partition -> tableau, entries listed in decreasing order."""
-    sigma = validate_partition(spec, sigma)
+    return _gamma_pt(spec, validate_partition(spec, sigma))
+
+
+def _gamma_pt(spec, sigma):
+    """gamma_pt on a shape already validated."""
     return tuple(s + spec.k - j + 1 for j, s in enumerate(sigma, start=1))
 
 
@@ -284,6 +288,12 @@ def dtab_move_pair(N, l):
     _check_color(N, l)
     p = pi(N)
     return p(l), p(l + 1)
+
+
+@lru_cache(maxsize=None)
+def _move_pairs(N):
+    """{l: dtab_move_pair(N, l)} for every color, built once per valid N."""
+    return {l: dtab_move_pair(N, l) for l in range(1, N)}
 
 
 def beta_circ(spec, l):

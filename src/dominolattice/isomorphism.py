@@ -22,8 +22,8 @@ from functools import lru_cache
 # they are re-exported here, next to phi.
 from .domino import (BoxPermutation, _pi_pair, beta_diag, gamma_pt, gamma_tp,
                      m_diag, pi)
-from .typea import (CircleState, partition_to_tableau_L, tableau_to_partition_L,
-                    diagonal_to_partition, partition_to_diagonal,
+from .typea import (CircleState, _partition_to_diagonal, _tableau_to_partition_L,
+                    diagonal_to_partition, partition_to_tableau_L,
                     validate_diagonal)
 
 
@@ -60,8 +60,13 @@ def phi(spec, sigma):
 
 def phi_inverse(spec, sigma):
     """Elementwise pi inverse on the D tableau, sorted into an L tableau."""
+    return _phi_inverse(spec, gamma_pt(spec, sigma))
+
+
+def _phi_inverse(spec, entries):
+    """phi_inverse of the shape whose D tableau, already validated, is entries."""
     q = _pi_pair(spec.N)[1]
-    return tableau_to_partition_L(spec, sorted(q(t) for t in gamma_pt(spec, sigma)))
+    return _tableau_to_partition_L(spec, sorted(q(t) for t in entries))
 
 
 # -- exact linear algebra ---------------------------------------------------------
@@ -182,7 +187,12 @@ def move_census(spec, sigma):
     coordinates.  Entry l - 1 counts the moves of color l; the sum is the
     rank of sigma in D.
     """
-    return partition_to_diagonal(spec, phi_inverse(spec, sigma))
+    return _tableau_census(spec, gamma_pt(spec, sigma))
+
+
+def _tableau_census(spec, entries):
+    """move_census of the shape whose D tableau, already validated, is entries."""
+    return _partition_to_diagonal(spec, _phi_inverse(spec, entries))
 
 
 def decompose(spec, diag):

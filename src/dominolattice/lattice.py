@@ -4,6 +4,13 @@ A lattice is stored as its cover digraph: vertices plus directed edges
 (x, y, color) meaning y covers x.  Everything else (order, rank, meets,
 joins) is derived.  All values are immutable after construction.  The
 index-based order core, `CoverDigraph`, also carries vertex-colored posets.
+
+Whether a lattice is diamond-colored and distributive is decided by one
+pass over its covers, `birkhoff_failure`: Birkhoff's theorem says it is
+exactly when it is the ideal lattice of its colored join irreducibles.
+The definitional checks (`is_diamond_colored`, `is_modular`,
+`is_distributive`, `rank_identity_failure`, all O(n^3) or O(n^2)) stay
+as the slow reference it is tested against.
 """
 
 from collections import Counter, deque
@@ -84,7 +91,7 @@ class CoverDigraph:
         if len(order) != n:
             raise self.error("cover relation contains a cycle")
         self._topo = order
-        self._upsets = ups = _closure(order, self._up)
+        self._upsets = ups = _closure(order, self._up, _self_bit)
         vs = self.vertices
         for i, j in pairs:
             bit = 1 << j
@@ -95,7 +102,7 @@ class CoverDigraph:
 
     @cached_property
     def _downsets(self):
-        return _closure(reversed(self._topo), self._down)
+        return _closure(reversed(self._topo), self._down, _self_bit)
 
     def __len__(self):
         return len(self.vertices)
@@ -111,14 +118,33 @@ class CoverDigraph:
         return x == y or bool(self._upsets[self._index[x]] >> self._index[y] & 1)
 
 
-def _closure(order, adj):
-    """Inclusive reachability bitmasks along adj, filled in the given order.
+def _irreducible_masks(order, adj):
+    """The irreducibles reachable from each vertex along adj, as bitmasks.
 
+    A vertex with exactly one adj-neighbour is irreducible, and bit b of
+    a mask stands for the b-th irreducible in vertex order.  A vertex's
+    mask is its own bit, if it has one, plus its adj-neighbours' masks.
     Every vertex must come after all of its adj-neighbours in order.
+    Returns (the irreducibles' indices, the masks).
+    """
+    members = tuple(i for i, ws in enumerate(adj) if len(ws) == 1)
+    own = {i: 1 << b for b, i in enumerate(members)}
+    return members, _closure(order, adj, lambda i: own.get(i, 0))
+
+
+def _self_bit(i):
+    return 1 << i
+
+
+def _closure(order, adj, own):
+    """Masks filled in the given order: own(i) plus i's adj-neighbours' masks.
+
+    Every vertex must come after all of its adj-neighbours in order.  With
+    `_self_bit` for own, the masks are the inclusive reachability sets.
     """
     masks = [0] * len(adj)
     for i in order:
-        m = 1 << i
+        m = own(i)
         for w in adj[i]:
             m |= masks[w]
         masks[i] = m
@@ -158,6 +184,16 @@ class ColoredLattice(CoverDigraph):
         """(x, y, color) for every cover, in (x, y) vertex order."""
         vs = self.vertices
         return tuple((vs[i], vs[j], c) for (i, j), c in sorted(self._color.items()))
+
+    @cached_property
+    def _join_masks(self):
+        """(join irreducibles, for each vertex the mask of those below it)."""
+        return _irreducible_masks(reversed(self._topo), self._down)
+
+    @cached_property
+    def _meet_masks(self):
+        """(meet irreducibles, for each vertex the mask of those above it)."""
+        return _irreducible_masks(self._topo, self._up)
 
     @cached_property
     def _down_lookup(self):
@@ -358,6 +394,58 @@ def rank_identity_failure(L):
             if (2 * ranks[L.join(s, t)] - ranks[s] - ranks[t]
                     != ranks[s] + ranks[t] - 2 * ranks[L.meet(s, t)]):
                 return s, t
+    return None
+
+
+def birkhoff_failure(L):
+    """Why L is not a diamond-colored distributive lattice, or None.
+
+    Birkhoff's theorem as a certificate: L is one exactly when the map f,
+    sending each vertex to the set of join irreducibles below it, is a
+    color-preserving isomorphism onto the ideal lattice of the join
+    irreducibles, each colored like its one lower edge.  One pass over
+    the covers checks that L has one minimal element, that f is
+    injective, that each cover adds one join irreducible j and carries
+    j's color, and that the covers out of each x add exactly the j that
+    f(x) can take (those not in f(x) whose lower join irreducibles all
+    are).  The message names the vertex or cover where a check broke.
+    """
+    vs, down, color = L.vertices, L._down, L._color
+    bottoms = [v for v, ws in zip(vs, down) if not ws]
+    if len(bottoms) != 1:
+        return (f"{len(bottoms)} minimal elements, among them "
+                f"{bottoms[0]!r} and {bottoms[1]!r}")
+    members, masks = L._join_masks
+    first = {}
+    for i, m in enumerate(masks):
+        j = first.setdefault(m, i)
+        if j != i:
+            return f"{vs[j]!r} and {vs[i]!r} lie above the same join irreducibles"
+    hue = [color[down[j][0], j] for j in members]
+    bits = [(masks[j], 1 << b) for b, j in enumerate(members)]
+    for x, ys in enumerate(L._up):
+        fx = masks[x]
+        added = 0
+        for y in ys:
+            d = masks[y] ^ fx       # masks[y] contains fx; injective, so d != 0
+            if d & (d - 1):
+                return (f"cover ({vs[x]!r}, {vs[y]!r}) adds {d.bit_count()} "
+                        "join irreducibles, not one")
+            b = d.bit_length() - 1
+            if color[x, y] != hue[b]:
+                return (f"cover ({vs[x]!r}, {vs[y]!r}) has color {color[x, y]}, "
+                        f"but the join irreducible {vs[members[b]]!r} it adds "
+                        f"has color {hue[b]}")
+            added |= d
+        # A cover's j always qualifies (what lies below j lies below y), so
+        # the covers match the takeable j one to one when none is missing.
+        rest = ~fx
+        missing = sum(bit for m, bit in bits if m & rest == bit) & ~added
+        if missing:
+            j = members[(missing & -missing).bit_length() - 1]
+            return (f"no cover out of {vs[x]!r} adds the join irreducible "
+                    f"{vs[j]!r}, though every join irreducible below it lies "
+                    f"below {vs[x]!r}")
     return None
 
 

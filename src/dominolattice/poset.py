@@ -172,19 +172,24 @@ def canonical_iso_to_ideals(L, x):
 
     Witnesses L = J(j(L)): sending every x through this map is a colored
     digraph isomorphism onto the ideal lattice of join_irreducibles(L).
+    It reads the masks `lattice.birkhoff_failure` checks, built once per
+    lattice.
     """
-    if x not in L:
-        raise LatticeError(f"{x!r} is not an element of the lattice")
-    jirr = [v for v in L.vertices if len(L.down_neighbors(v)) == 1]
-    return frozenset(j for j in jirr if L.le(j, x))
+    return _irreducibles_of(L, x, L._join_masks)
 
 
 def canonical_iso_to_filters(L, x):
     """The filter of meet irreducibles above x (dual witness for M(m(L)))."""
+    return _irreducibles_of(L, x, L._meet_masks)
+
+
+def _irreducibles_of(L, x, irreducible_masks):
+    """The irreducibles that x's mask in (members, masks) names; O(|members|)."""
     if x not in L:
         raise LatticeError(f"{x!r} is not an element of the lattice")
-    mirr = [v for v in L.vertices if len(L.up_neighbors(v)) == 1]
-    return frozenset(m for m in mirr if L.le(x, m))
+    members, masks = irreducible_masks
+    m, vs = masks[L.index(x)], L.vertices
+    return frozenset(vs[i] for b, i in enumerate(members) if m >> b & 1)
 
 
 def join_to_meet_irreducible(L, u):

@@ -16,9 +16,10 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .lattice import DOWN, UP, PathRecord
-from .domino import _gamma_tp, dtab_move_pair, gamma_pt
-from .isomorphism import move_census
+from .domino import _gamma_pt, _gamma_tp, _move_pairs
+from .isomorphism import _tableau_census
 from .poset import is_order_ideal
+from .typea import validate_partition
 
 
 def color_census(P, members):
@@ -121,16 +122,20 @@ def _greedy_tab_leg(pairs, start, colors, direction):
 
 
 def solve_domino(spec, sigma, tau, via="join"):
-    """Shortest Domino play between two shapes, with an explicit move list."""
-    ts = frozenset(gamma_pt(spec, sigma))
-    tt = frozenset(gamma_pt(spec, tau))
-    S = Counter(dict(enumerate(move_census(spec, sigma), start=1)))
-    T = Counter(dict(enumerate(move_census(spec, tau), start=1)))
-    S, T = +S, +T
+    """Shortest Domino play between two shapes, with an explicit move list.
+
+    Each shape is validated once, here; its D tableau then gives both the
+    move census and the start of the walk.
+    """
+    ts = _gamma_pt(spec, validate_partition(spec, sigma))
+    tt = _gamma_pt(spec, validate_partition(spec, tau))
+    S = +Counter(dict(enumerate(_tableau_census(spec, ts), start=1)))
+    T = +Counter(dict(enumerate(_tableau_census(spec, tt), start=1)))
+    ts, tt = frozenset(ts), frozenset(tt)
     union, inter = S | T, S & T
     per_color = (union - S) + (union - T)
     distance = per_color.total()
-    pairs = {l: dtab_move_pair(spec.N, l) for l in spec.colors}
+    pairs = _move_pairs(spec.N)
     if via == "join":
         up_leg, up_colors = _greedy_tab_leg(pairs, ts, union - S, +1)
         down_leg, down_colors = _greedy_tab_leg(pairs, tt, union - T, +1)

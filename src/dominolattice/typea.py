@@ -184,6 +184,11 @@ def tableau_to_partition_L(spec, entries):
         if t <= prev:
             raise ValueError(f"entries must strictly increase at position {i + 1}")
         prev = t
+    return _tableau_to_partition_L(spec, entries)
+
+
+def _tableau_to_partition_L(spec, entries):
+    """tableau_to_partition_L on k increasing entries in [1, N] already checked."""
     return tuple(spec.cols + r + 1 - t for r, t in enumerate(entries))
 
 
@@ -242,7 +247,11 @@ def circle_to_partition_L(spec, state):
 
 def partition_to_diagonal(spec, parts):
     """Diagonal coordinates: entry i counts the shape's cells of color i."""
-    parts = validate_partition(spec, parts)
+    return _partition_to_diagonal(spec, validate_partition(spec, parts))
+
+
+def _partition_to_diagonal(spec, parts):
+    """partition_to_diagonal on a shape already validated."""
     diag = [0] * (spec.N - 1)
     for r in range(1, spec.k + 1):
         for c in range(1, parts[r - 1] + 1):

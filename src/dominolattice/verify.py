@@ -1,15 +1,16 @@
 """Named verification suites behind the CLI `verify` subcommand.
 
 Each suite returns a report dict with a boolean "passed" plus per-check
-entries, so failures say what broke.  The pytest acceptance module covers
-the same ground; these suites make it scriptable.
+entries, so failures say what broke; a failing check that knows where it
+broke also carries a "witness" message.  The pytest acceptance module
+covers the same ground; these suites make it scriptable.
 """
 
 import random
 from functools import partial
 from math import comb
 
-from .lattice import ColoredLattice, is_diamond_colored, path_stats, product
+from .lattice import ColoredLattice, birkhoff_failure, path_stats, product
 from .poset import (canonical_iso_to_filters, canonical_iso_to_ideals,
                     check_poset_iso, disjoint_sum, dual, j_lattice,
                     join_irreducibles, m_lattice, meet_irreducibles,
@@ -21,16 +22,27 @@ from .domino import (D_COORDINATES, build_d_a, d_up_edges,
                      is_legal_domino_move)
 from .isomorphism import apply_p, decompose, move_matrix, phi, phi_inverse
 from .oracle import (bareiss_decompose, bfs_all_pairs, check_constructed_iso,
-                     check_lattice_laws, enumerate_shortest_paths,
-                     random_colored_poset)
+                     enumerate_shortest_paths, random_colored_poset)
 from .solver import solve_distributive, solve_domino
 
 SUITES = ("fundamental", "coordinates", "iso", "solver", "structure", "transport")
 
 
+def _entry(name, ok, witness=None):
+    entry = {"name": name, "passed": ok}
+    if witness is not None:
+        entry["witness"] = witness
+    return entry
+
+
 def _result(checks):
-    return {"passed": all(ok for _, ok in checks),
-            "checks": [{"name": name, "passed": ok} for name, ok in checks]}
+    """Report for (name, passed) or (name, passed, witness) checks.
+
+    A witness, where a check has one, says where a failing check broke;
+    passing checks give None, so their entries stay as they were.
+    """
+    return {"passed": all(check[1] for check in checks),
+            "checks": [_entry(*check) for check in checks]}
 
 
 def suite_fundamental(seed=0):
@@ -168,7 +180,14 @@ def suite_solver(k, N, seed=0):
 
 
 def suite_structure(k, N):
-    """Diamond coloring, balance, lattice laws, and the rank identity."""
+    """Diamond coloring, balance, lattice laws, and the rank identity.
+
+    All of them hold exactly when the lattice is diamond-colored and
+    distributive, which Birkhoff's theorem turns into the one-pass
+    certificate `lattice.birkhoff_failure`; its message is the witness of
+    a failing check.  The definitional checks, `is_diamond_colored` and
+    `oracle.check_lattice_laws`, are the oracle the tests compare it with.
+    """
     spec = BoxSpec(k, N)
     built = [("L_A", build_l_graph(spec)), ("D_A", build_d_a(spec))]
     if (spec.cols + 1) ** spec.k <= 130:
@@ -176,11 +195,8 @@ def suite_structure(k, N):
         built.append(("L_tab", build_l_tab(spec)))
     checks = []
     for name, L in built:
-        laws = check_lattice_laws(L)
-        good = is_diamond_colored(L) and all(
-            laws[law] for law in ("is_lattice", "topographically_balanced",
-                                  "modular", "distributive", "rank_identity"))
-        checks.append((f"{name} structure and rank identity", good))
+        failure = birkhoff_failure(L)
+        checks.append((f"{name} structure and rank identity", failure is None, failure))
     return _result(checks)
 
 

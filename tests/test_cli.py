@@ -205,6 +205,13 @@ class TestVerifyCommand:
         assert code == 0
         assert json.loads(out)["solver"]["passed"]
 
+    def test_structure_suite_at_6_14(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--suite", "structure",
+                               "-k", "6", "-N", "14")
+        report = json.loads(out)["structure"]
+        assert code == 0 and report["passed"]
+        assert [c["passed"] for c in report["checks"]] == [True, True]
+
     def test_unknown_suite_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run_cli(capsys, "verify", "--suite", "nonsense")

@@ -3,7 +3,8 @@ import random
 import pytest
 
 from dominolattice.lattice import (ColoredLattice, LatticeError,
-                                   PathRecord, check_full_length_sublattice,
+                                   PathRecord, birkhoff_failure,
+                                   check_full_length_sublattice,
                                    full_length_witness,
                                    is_diamond_colored, is_distributive,
                                    is_modular, is_topographically_balanced,
@@ -12,7 +13,7 @@ from dominolattice.lattice import (ColoredLattice, LatticeError,
                                    rank_identity_failure, valleyize)
 from dominolattice.domino import build_d_a
 from dominolattice.poset import (PosetError, VertexColoredPoset, j_lattice,
-                                 join_irreducibles, check_poset_iso)
+                                 join_irreducibles, check_poset_iso, m_lattice)
 from dominolattice.oracle import (check_lattice_laws, enumerate_shortest_paths,
                                   random_colored_poset, random_simple_path)
 from dominolattice.typea import (BoxSpec, build_l_a, build_l_graph,
@@ -41,6 +42,11 @@ def hexagon():
 
 def l24():
     return build_l_graph(BoxSpec(2, 6))
+
+
+DESK_SPECS = tuple(BoxSpec(k, N) for k in range(1, 13)
+                   for N in range(k + 1, 15) if k * (N - k) <= 12)
+PRODUCT_SPECS = tuple(s for s in DESK_SPECS if (s.cols + 1) ** s.k <= 130)
 
 
 class TestConstruction:
@@ -225,6 +231,108 @@ class TestLaws:
 
     def test_n5_is_not_modular(self):
         assert not is_modular(n5())
+
+
+def definitional_verdict(L):
+    """The definitional checks: diamond-colored, and every law holds."""
+    laws = check_lattice_laws(L)
+    return is_diamond_colored(L) and all(
+        laws[law] for law in ("is_lattice", "topographically_balanced",
+                              "modular", "distributive", "rank_identity"))
+
+
+def certify(L):
+    """birkhoff_failure(L), after checking it against the definitional verdict."""
+    failure = birkhoff_failure(L)
+    assert (failure is None) == definitional_verdict(L), failure
+    if failure is not None:
+        assert any(repr(v) in failure for v in L.vertices), failure
+    return failure
+
+
+def mutants(L, rng):
+    """L with one edge dropped and L with one edge recolored."""
+    edges = list(L.edges)
+    i = rng.randrange(len(edges))
+    a, b, c = edges[i]
+    return (ColoredLattice(L.vertices, edges[:i] + edges[i + 1:]),
+            ColoredLattice(L.vertices, edges[:i] + [(a, b, c + 1)] + edges[i + 1:]))
+
+
+def d37_mutant(kind):
+    """D(3,7) with one recolored edge, one dropped edge or one swapped diamond."""
+    D = build_d_a(BoxSpec(3, 7))
+    color = {(a, b): c for a, b, c in D.edges}
+    x = next(v for v in D.vertices if len(D.up_neighbors(v)) >= 2)
+    (s, cs), (t, ct) = D.up_neighbors(x)[:2]
+    if kind == "recolored":
+        color[x, s] = ct
+    elif kind == "dropped":
+        del color[x, s]
+    else:
+        u = D.join(s, t)
+        color[x, s], color[t, u], color[x, t], color[s, u] = ct, ct, cs, cs
+    return ColoredLattice(D.vertices, [(a, b, c) for (a, b), c in color.items()])
+
+
+class TestBirkhoffCertificate:
+    """The one-pass certificate against the definitional law checks."""
+
+    @pytest.mark.parametrize("spec", DESK_SPECS, ids=lambda s: f"k{s.k}N{s.N}")
+    def test_every_box(self, spec):
+        for L in (build_l_graph(spec), build_d_a(spec)):
+            assert certify(L) is None
+
+    @pytest.mark.parametrize("spec", PRODUCT_SPECS, ids=lambda s: f"k{s.k}N{s.N}")
+    def test_chain_products(self, spec):
+        for L in (build_l_tilde(spec), build_l_tab(spec)):
+            assert certify(L) is None
+
+    def test_ideal_and_filter_lattices_and_their_duals(self):
+        rng = random.Random(8)
+        for _ in range(50):
+            P = random_colored_poset(rng, 7, 3)
+            for L in (j_lattice(P), m_lattice(P)):
+                assert certify(L) is None
+                assert certify(L.dual()) is None
+
+    def test_one_edge_mutants_of_ideal_lattices(self):
+        rng = random.Random(9)
+        verdicts = set()
+        for _ in range(40):
+            L = j_lattice(random_colored_poset(rng, 6, 3, min_vertices=2))
+            for K in mutants(L, rng):
+                verdicts.add(certify(K) is None)
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("L, message", [
+        (ColoredLattice("0", []), None),
+        (n5(), "cover ('a', 't') adds 2 join irreducibles, not one"),
+        (m3(), "cover ('a', 't') adds 2 join irreducibles, not one"),
+        (hexagon(), "no cover out of 'a' adds the join irreducible 'b', though "
+                    "every join irreducible below it lies below 'a'"),
+        (ColoredLattice("abc", [("a", "c", 1), ("b", "c", 2)]),
+         "2 minimal elements, among them 'a' and 'b'"),
+        (ColoredLattice("0abcd", [("0", "a", 1), ("0", "b", 2), ("a", "c", 3),
+                                  ("b", "c", 3), ("a", "d", 3), ("b", "d", 3)]),
+         "'c' and 'd' lie above the same join irreducibles"),
+        (ColoredLattice("0ab", [("0", "a", 1), ("0", "b", 2)]),
+         "no cover out of 'a' adds the join irreducible 'b', though every "
+         "join irreducible below it lies below 'a'"),
+        (ColoredLattice("0abt", [("0", "a", 1), ("0", "b", 2),
+                                 ("a", "t", 2), ("b", "t", 3)]),
+         "cover ('b', 't') has color 3, but the join irreducible 'a' it adds "
+         "has color 1"),
+    ], ids=["one-element", "N5", "M3", "hexagon", "two-minima", "bowtie",
+            "V", "miscolored-square"])
+    def test_small_lattices_name_the_broken_check(self, L, message):
+        assert certify(L) == message
+
+    @pytest.mark.parametrize("kind", ["recolored", "dropped", "swapped"])
+    def test_d37_mutants_fail_with_a_witness(self, kind):
+        D = d37_mutant(kind)
+        assert certify(D) is not None
+        assert not definitional_verdict(D)
 
 
 class TestPaths:

@@ -181,6 +181,24 @@ class TestRoundTrips:
                 M, m_lattice(meet_irreducibles(M)),
                 {x: canonical_iso_to_filters(M, x) for x in M.vertices})
 
+    def test_canonical_maps_list_the_irreducibles_below_and_above(self):
+        # the definitional listing, on lattices and on non-lattices alike
+        rng = random.Random(43)
+        cases = [ColoredLattice("0abct", [("0", "a", 1), ("a", "t", 2), ("0", "b", 1),
+                                          ("b", "c", 2), ("c", "t", 3)]),
+                 ColoredLattice("0abcd", [("0", "a", 1), ("0", "b", 2), ("a", "c", 3),
+                                          ("b", "c", 3), ("a", "d", 3), ("b", "d", 3)])]
+        cases += [build(random_colored_poset(rng, 7, 3))
+                  for _ in range(10) for build in (j_lattice, m_lattice)]
+        for L in cases:
+            jirr = [v for v in L.vertices if len(L.down_neighbors(v)) == 1]
+            mirr = [v for v in L.vertices if len(L.up_neighbors(v)) == 1]
+            for x in L.vertices:
+                assert canonical_iso_to_ideals(L, x) == frozenset(
+                    j for j in jirr if L.le(j, x))
+                assert canonical_iso_to_filters(L, x) == frozenset(
+                    m for m in mirr if L.le(x, m))
+
     def test_canonical_iso_extremes(self):
         L = build_l_a(BoxSpec(2, 6))
         assert canonical_iso_to_ideals(L, L.minimum) == frozenset()

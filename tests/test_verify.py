@@ -1,5 +1,9 @@
 import pytest
 
+from dominolattice import verify
+from dominolattice.domino import build_d_a
+from dominolattice.lattice import ColoredLattice
+from dominolattice.typea import BoxSpec
 from dominolattice.verify import SUITES, run_suite
 
 
@@ -24,3 +28,18 @@ def test_fundamental_is_seed_stable():
     a = run_suite("fundamental", seed=12)
     b = run_suite("fundamental", seed=12)
     assert a == b
+
+
+def test_failing_structure_check_names_its_witness(monkeypatch):
+    D = build_d_a(BoxSpec(3, 7))
+    (a, b, c), *rest = D.edges
+    mutant = ColoredLattice(D.vertices, [(a, b, c + 1)] + rest)
+    monkeypatch.setattr(verify, "build_d_a", lambda spec: mutant)
+    result = run_suite("structure", k=3, N=7)
+    assert result["passed"] is False
+    by_name = {check["name"]: check for check in result["checks"]}
+    failed = by_name.pop("D_A structure and rank identity")
+    assert failed["passed"] is False
+    assert any(repr(v) in failed["witness"] for v in mutant.vertices)
+    assert all(check == {"name": check["name"], "passed": True}
+               for check in by_name.values())
