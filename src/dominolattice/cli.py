@@ -3,6 +3,8 @@
 Subcommands: lattice (build/export), convert (coordinates and phi),
 solve (domino game with ASCII playback), verify (named suites).
 Exit codes: 0 success, 1 usage, 2 domain violation, 3 verification failure.
+Each subcommand imports what only it needs (serialization, the ideal
+lattices, the suites) when it runs, so a solve loads none of it.
 """
 
 import argparse
@@ -10,14 +12,12 @@ import json
 import re
 import sys
 
-from . import io as serial
 from .domino import D_COORDINATES, build_d_a, is_red
 from .isomorphism import phi, phi_inverse
-from .poset import j_lattice, m_lattice
 from .solver import solve_domino
+from .suites import SUITES
 from .typea import (L_COORDINATES, BoxSpec, CircleState, build_l_graph,
                     validate_partition)
-from .verify import SUITES, run_suite
 
 USAGE_ERROR, DOMAIN_ERROR, VERIFY_ERROR = 1, 2, 3
 
@@ -122,6 +122,8 @@ def render_partition(spec, parts):
 
 
 def cmd_lattice(args):
+    from . import io as serial
+    from .poset import j_lattice, m_lattice
     if args.poset is not None:
         try:
             with open(args.poset, encoding="utf-8") as handle:
@@ -203,6 +205,7 @@ def cmd_solve(args):
 
 
 def cmd_verify(args):
+    from .verify import run_suite
     spec = _spec_from(args)
     names = SUITES if args.suite == "all" else (args.suite,)
     report = {}

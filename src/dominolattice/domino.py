@@ -8,10 +8,9 @@ closed form, as the images of the empty and the full box under the
 isomorphism, so nothing that needs them builds the digraph.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 
-from .lattice import ColoredLattice, is_diamond_colored, is_int
+from .lattice import ColoredLattice, Record, _set_field, is_diamond_colored, is_int
 from .typea import (CircleState, all_partitions, diagonal_to_partition,
                     is_valid_diagonal, is_valid_partition,
                     partition_to_diagonal, tableau_to_circle, validate_circle,
@@ -167,15 +166,15 @@ def build_d_a(spec):
 # -- the extremes, in closed form ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BoxPermutation:
+class BoxPermutation(Record):
     """Permutation of [N] sending L-scheme cell numbers to D-scheme ones."""
 
-    mapping: tuple
+    __slots__ = ("mapping",)
 
-    def __post_init__(self):
-        if sorted(self.mapping) != list(range(1, len(self.mapping) + 1)):
+    def __init__(self, mapping):
+        if sorted(mapping) != list(range(1, len(mapping) + 1)):
             raise ValueError("not a permutation of [N]")
+        _set_field(self, "mapping", mapping)
 
     def __call__(self, i):
         return self.mapping[i - 1]

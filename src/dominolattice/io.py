@@ -38,12 +38,22 @@ def poset_from_json(text):
     """Parse the poset schema; a document of another shape raises PosetError."""
     doc = json.loads(text)
     try:
-        vertices = [item["id"] for item in doc["vertices"]]
-        colors = {item["id"]: item["color"] for item in doc["vertices"]}
-        covers = [(a, b) for a, b in doc["covers"]]
+        items, pairs = doc["vertices"], doc["covers"]
+        vertices = [item["id"] for item in items]
+        colors = {item["id"]: item["color"] for item in items}
+        covers = [(a, b) for a, b in pairs]
     except (KeyError, TypeError, ValueError) as exc:
         raise PosetError(
             f"poset JSON does not match the schema ({type(exc).__name__}: {exc})") from None
+    if not (isinstance(items, list) and isinstance(pairs, list)
+            and all(isinstance(pair, list) for pair in pairs)):
+        raise PosetError("poset JSON does not match the schema "
+                         "(vertices, covers and each cover must be lists)")
+    ends = [v for cover in covers for v in cover]
+    if not all(isinstance(v, str) for v in vertices + ends):
+        raise PosetError("poset JSON does not match the schema (vertex ids must be strings)")
+    if len(set(vertices)) != len(vertices):
+        raise PosetError("poset JSON does not match the schema (vertex ids must be unique)")
     return VertexColoredPoset(vertices, covers, colors)
 
 
@@ -70,6 +80,8 @@ def lattice_from_json(text):
     if not isinstance(vertices, list) or not all(
             isinstance(v, str) for v in vertices + labels):
         raise LatticeError("lattice JSON does not match the schema (vertex labels must be strings)")
+    if len(set(vertices)) != len(vertices):
+        raise LatticeError("lattice JSON does not match the schema (vertex labels must be unique)")
     return ColoredLattice(vertices, edges)
 
 

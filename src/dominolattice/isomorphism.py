@@ -9,19 +9,19 @@ counts from the Domino minimum up to a shape are the color census of the
 cells of its preimage, which is how `decompose` and the solver get them,
 in time polynomial in N.
 The matrix P of diagonal move-vectors is the paper's route to the same
-counts: `apply_p` transports coordinates by it, and the oracle solves
-P c = d - m with fraction-free (Bareiss) elimination and rational
+counts: `apply_p` transports coordinates by it, and the oracle
+`oracle.bareiss_decompose` solves P c = d - m exactly, by fraction-free
+(Bareiss) forward elimination, `_bareiss_forward` below, and rational
 back-substitution.  No floating point anywhere.
 """
 
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 # BoxPermutation and pi live in domino, whose closed-form extremes need pi;
 # they are re-exported here, next to phi.
 from .domino import (BoxPermutation, _pi_pair, beta_diag, gamma_pt, gamma_tp,
                      m_diag, pi)
+from .lattice import Record, _set_field
 from .typea import (CircleState, _partition_to_diagonal, _tableau_to_partition_L,
                     diagonal_to_partition, partition_to_tableau_L,
                     validate_diagonal)
@@ -98,49 +98,20 @@ def _bareiss_forward(a):
     return sign
 
 
-def bareiss_solve(matrix, rhs):
-    """Solve an integer square system exactly.
-
-    Fraction-free forward elimination, then rational back-substitution.
-    Raises ValueError on a singular matrix.
-    """
-    n = len(matrix)
-    a = [list(row) + [b] for row, b in zip(matrix, rhs)]
-    if any(len(row) != n + 1 for row in a):
-        raise ValueError("matrix must be square and match the right-hand side")
-    if not _bareiss_forward(a):
-        raise ValueError("matrix is singular")
-    x = [Fraction(0)] * n
-    for r in range(n - 1, -1, -1):
-        acc = Fraction(a[r][n])
-        for c in range(r + 1, n):
-            acc -= a[r][c] * x[c]
-        x[r] = acc / a[r][r]
-    return x
-
-
 def integer_determinant(matrix):
     """Exact determinant via Bareiss elimination."""
     a = [list(row) for row in matrix]
     return _bareiss_forward(a) * a[-1][-1]
 
 
-def exact_inverse(matrix):
-    """Inverse as a matrix of Fractions (column-by-column exact solves)."""
-    n = len(matrix)
-    cols = []
-    for j in range(n):
-        e = [1 if i == j else 0 for i in range(n)]
-        cols.append(bareiss_solve(matrix, e))
-    return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
-
-
-@dataclass(frozen=True)
-class MoveMatrix:
+class MoveMatrix(Record):
     """Columns are the diagonal move-vectors; shift is the Domino minimum."""
 
-    entries: tuple
-    shift: tuple
+    __slots__ = ("entries", "shift")
+
+    def __init__(self, entries, shift):
+        _set_field(self, "entries", entries)
+        _set_field(self, "shift", shift)
 
     @property
     def size(self):

@@ -14,7 +14,6 @@ as the slow reference it is tested against.
 """
 
 from collections import Counter, deque
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import product as iproduct
 
@@ -26,6 +25,46 @@ class LatticeError(ValueError):
 def is_int(value):
     """True for an int that is not a bool (bool subclasses int)."""
     return type(value) is int or (isinstance(value, int) and not isinstance(value, bool))
+
+
+_set_field = object.__setattr__
+
+
+class Record:
+    """Immutable record whose fields are its `__slots__`.
+
+    A subclass names its fields in `__slots__` and sets each once, in its
+    own `__init__`, with `_set_field`; any later assignment or deletion
+    raises AttributeError.  Equality holds only between records of the
+    same class with equal fields; hash and repr are read off the fields,
+    and a record pickles and copies by calling its class on them.
+    """
+
+    __slots__ = ()
+
+    def _fields(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._fields()
 
 
 def sort_key(v):
@@ -502,12 +541,14 @@ UP = "up"
 DOWN = "down"
 
 
-@dataclass(frozen=True)
-class PathRecord:
+class PathRecord(Record):
     """A walk in a cover graph: vertex sequence plus (color, direction) steps."""
 
-    vertices: tuple
-    steps: tuple
+    __slots__ = ("vertices", "steps")
+
+    def __init__(self, vertices, steps):
+        _set_field(self, "vertices", vertices)
+        _set_field(self, "steps", steps)
 
     def __len__(self):
         return len(self.steps)

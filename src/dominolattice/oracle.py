@@ -9,9 +9,10 @@ from the cell census, which the matrix route checks on its own.
 """
 
 from collections import Counter, deque
+from fractions import Fraction
 
 from .domino import beta_diag, build_d_a
-from .isomorphism import bareiss_solve, move_census, move_matrix
+from .isomorphism import _bareiss_forward, move_census, move_matrix
 from .lattice import (DOWN, UP, LatticeError, PathRecord, is_distributive,
                       is_modular, is_topographically_balanced,
                       path_from_vertices, rank_identity_failure, sort_key)
@@ -91,6 +92,37 @@ def check_constructed_iso(G, H, f):
         return False
     g_edges = {(images[a], images[b], c) for a, b, c in G.edges}
     return g_edges == set(H.edges)
+
+
+def bareiss_solve(matrix, rhs):
+    """Solve an integer square system exactly.
+
+    Fraction-free forward elimination, then rational back-substitution.
+    Raises ValueError on a singular matrix.
+    """
+    n = len(matrix)
+    a = [list(row) + [b] for row, b in zip(matrix, rhs)]
+    if any(len(row) != n + 1 for row in a):
+        raise ValueError("matrix must be square and match the right-hand side")
+    if not _bareiss_forward(a):
+        raise ValueError("matrix is singular")
+    x = [Fraction(0)] * n
+    for r in range(n - 1, -1, -1):
+        acc = Fraction(a[r][n])
+        for c in range(r + 1, n):
+            acc -= a[r][c] * x[c]
+        x[r] = acc / a[r][r]
+    return x
+
+
+def exact_inverse(matrix):
+    """Inverse as a matrix of Fractions (column-by-column exact solves)."""
+    n = len(matrix)
+    cols = []
+    for j in range(n):
+        e = [1 if i == j else 0 for i in range(n)]
+        cols.append(bareiss_solve(matrix, e))
+    return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
 
 
 def bareiss_decompose(spec, diag):

@@ -13,9 +13,8 @@ difference is truncated.
 """
 
 from collections import Counter
-from dataclasses import dataclass
 
-from .lattice import DOWN, UP, PathRecord
+from .lattice import DOWN, UP, PathRecord, Record, _set_field
 from .domino import _gamma_pt, _gamma_tp, _move_pairs
 from .isomorphism import _tableau_census
 from .poset import is_order_ideal
@@ -27,20 +26,23 @@ def color_census(P, members):
     return Counter(P.color(v) for v in members)
 
 
-@dataclass(frozen=True)
-class GameSolution:
-    """Distance, per-color move counts, an explicit path, and its waypoint."""
+class GameSolution(Record):
+    """Distance, per-color move counts, an explicit path, and its waypoint.
 
-    distance: int
-    per_color: Counter
-    path: PathRecord
-    waypoint: object
+    per_color is a Counter, so a GameSolution is not hashable.
+    """
 
-    def __post_init__(self):
-        if len(self.path.steps) != self.distance:
+    __slots__ = ("distance", "per_color", "path", "waypoint")
+
+    def __init__(self, distance, per_color, path, waypoint):
+        if len(path.steps) != distance:
             raise ValueError("path length disagrees with distance")
-        if Counter(c for c, _ in self.path.steps) != self.per_color:
+        if Counter(c for c, _ in path.steps) != per_color:
             raise ValueError("path colors disagree with the per-color counts")
+        _set_field(self, "distance", distance)
+        _set_field(self, "per_color", per_color)
+        _set_field(self, "path", path)
+        _set_field(self, "waypoint", waypoint)
 
 
 def _greedy_ideal_ascent(P, start, target):

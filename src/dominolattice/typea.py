@@ -8,25 +8,24 @@ Partitions are the default view; every map here is a pure function on
 plain tuples.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 
-from .lattice import ColoredLattice, is_int, product
+from .lattice import ColoredLattice, Record, _set_field, is_int, product
 from .poset import VertexColoredPoset, j_lattice
 
 
-@dataclass(frozen=True)
-class BoxSpec:
+class BoxSpec(Record):
     """Game box parameters: k rows, N-k columns, colors drawn from [N-1]."""
 
-    k: int
-    N: int
+    __slots__ = ("k", "N")
 
-    def __post_init__(self):
-        if not (is_int(self.k) and is_int(self.N)):
+    def __init__(self, k, N):
+        if not (is_int(k) and is_int(N)):
             raise ValueError("k and N must be integers")
-        if not 1 <= self.k <= self.N - 1:
-            raise ValueError(f"need 1 <= k <= N-1, got k={self.k}, N={self.N}")
+        if not 1 <= k <= N - 1:
+            raise ValueError(f"need 1 <= k <= N-1, got k={k}, N={N}")
+        _set_field(self, "k", k)
+        _set_field(self, "N", N)
 
     @property
     def cols(self):
@@ -37,18 +36,18 @@ class BoxSpec:
         return range(1, self.N)
 
 
-@dataclass(frozen=True)
-class CircleState:
+class CircleState(Record):
     """Length-N indicator bits plus the physical numbering scheme they use."""
 
-    bits: tuple
-    scheme: str  # "L" or "D"
+    __slots__ = ("bits", "scheme")
 
-    def __post_init__(self):
-        if self.scheme not in ("L", "D"):
-            raise ValueError(f"unknown circle scheme {self.scheme!r}")
-        if any(b not in (0, 1) for b in self.bits):
+    def __init__(self, bits, scheme):
+        if scheme not in ("L", "D"):
+            raise ValueError(f"unknown circle scheme {scheme!r}")
+        if any(b not in (0, 1) for b in bits):
             raise ValueError("circle bits must be 0/1")
+        _set_field(self, "bits", bits)
+        _set_field(self, "scheme", scheme)
 
     @property
     def ones(self):

@@ -4,7 +4,7 @@ import io
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from dominolattice import io as serial
@@ -13,6 +13,24 @@ from dominolattice.oracle import random_colored_poset
 from dominolattice.typea import BoxSpec, all_partitions, build_l_graph
 from dominolattice.lattice import LatticeError
 from dominolattice.poset import PosetError, j_lattice
+
+
+# Any JSON value, and documents near the poset schema: few vertices, so
+# that the ideal lattice stays small, with ids and covers of any JSON type.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 3) | st.floats(allow_nan=False)
+    | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6)
+POSET_IDS = st.sampled_from(["a", "b", "c", "d"]) | JSON_VALUES
+POSET_DOCUMENTS = JSON_VALUES | st.fixed_dictionaries({
+    "vertices": st.lists(st.fixed_dictionaries(
+        {"id": POSET_IDS, "color": st.integers(0, 3) | JSON_VALUES}), max_size=5)
+    | JSON_VALUES,
+    "covers": st.lists(st.lists(POSET_IDS, max_size=3) | JSON_VALUES, max_size=5)
+    | JSON_VALUES,
+})
 
 
 def run_cli(capsys, *argv):
@@ -72,6 +90,10 @@ class TestLatticeCommand:
         '{"vertices": [{"id": "a"}], "covers": []}', "[1]",
         '{"vertices": [{"id": "a", "color": 1}], "covers": [["a"]]}',
         '{"vertices": [{"id": "a", "color": 1}], "covers": [["a", "b", "c"]]}',
+        '{"vertices": [{"id": "a", "color": 1}], "covers": [[["a"], "a"]]}',
+        '{"vertices": [{"id": 1, "color": 1}], "covers": []}',
+        '{"vertices": [{"id": "a", "color": 1}, {"id": "b", "color": 1}], "covers": ["ab"]}',
+        '{"vertices": [], "covers": {"ab": 1}}',
     ])
     def test_poset_of_wrong_schema_is_domain_error(self, capsys, tmp_path, text):
         target = tmp_path / "poset.json"
@@ -80,6 +102,17 @@ class TestLatticeCommand:
         assert code == 2 and "schema" in err
         with pytest.raises(PosetError):
             serial.poset_from_json(text)
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(POSET_DOCUMENTS)
+    def test_poset_exit_code_contract(self, tmp_path, doc):
+        target = tmp_path / "poset.json"
+        target.write_text(json.dumps(doc))
+        sink = io.StringIO()
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+            code = main(["lattice", "--poset", str(target)])
+        assert code in (0, 2)
 
     def test_parts_listed_in_numeric_order(self, capsys):
         code, out, _ = run_cli(capsys, "lattice", "--family", "A", "-k", "1", "-N", "12")
@@ -315,6 +348,14 @@ class TestSerialization:
     def test_lattice_of_wrong_schema_raises_lattice_error(self, text):
         with pytest.raises(LatticeError, match="schema"):
             serial.lattice_from_json(text)
+
+    def test_repeated_vertex_ids_are_rejected(self):
+        with pytest.raises(PosetError, match="unique"):
+            serial.poset_from_json('{"vertices": [{"id": "a", "color": 1}, '
+                                   '{"id": "a", "color": 2}], "covers": []}')
+        with pytest.raises(LatticeError, match="unique"):
+            serial.lattice_from_json('{"vertices": ["a", "a", "b"], '
+                                     '"edges": [{"from": "a", "to": "b", "color": 1}]}')
 
     def test_dot_labels_carry_colors(self):
         L = build_l_graph(BoxSpec(2, 5))

@@ -4,12 +4,12 @@ import pytest
 
 from dominolattice.domino import (build_d_a, gamma_ct, gamma_pt, gamma_tc,
                                   gamma_tp)
-from dominolattice.isomorphism import (BoxPermutation, apply_p, bareiss_solve,
-                                       decompose, exact_inverse,
+from dominolattice.isomorphism import (BoxPermutation, apply_p, decompose,
                                        integer_determinant, move_matrix, phi,
                                        phi_circ, phi_circ_inverse, phi_inverse,
                                        pi)
-from dominolattice.oracle import bfs_all_pairs, check_constructed_iso
+from dominolattice.oracle import (bareiss_solve, bfs_all_pairs,
+                                  check_constructed_iso, exact_inverse)
 from dominolattice.typea import (BoxSpec, CircleState, all_partitions,
                                  build_l_graph, circle_to_partition_L,
                                  partition_to_circle_L, partition_to_diagonal)

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -11,12 +13,14 @@ from dominolattice.lattice import (ColoredLattice, LatticeError,
                                    mountainize, path_from_vertices,
                                    path_stats, product, rank_function,
                                    rank_identity_failure, valleyize)
-from dominolattice.domino import build_d_a
+from dominolattice.domino import build_d_a, pi
+from dominolattice.isomorphism import MoveMatrix, move_matrix
 from dominolattice.poset import (PosetError, VertexColoredPoset, j_lattice,
                                  join_irreducibles, check_poset_iso, m_lattice)
 from dominolattice.oracle import (check_lattice_laws, enumerate_shortest_paths,
                                   random_colored_poset, random_simple_path)
-from dominolattice.typea import (BoxSpec, build_l_a, build_l_graph,
+from dominolattice.solver import solve_domino
+from dominolattice.typea import (BoxSpec, CircleState, build_l_a, build_l_graph,
                                  build_l_tab, build_l_tilde, build_p_a)
 
 
@@ -388,6 +392,63 @@ class TestPaths:
             _, asc, desc = path_stats(p)
             assert (ranks[p.vertices[-1]] - ranks[p.vertices[0]]
                     == sum(asc.values()) - sum(desc.values()))
+
+
+class TestRecords:
+    """The immutable records share one base: field equality within a class,
+    a hash and repr read off the fields, and no assignment."""
+
+    def records(self):
+        solution = solve_domino(BoxSpec(2, 6), (4, 3), (1, 1))
+        return [BoxSpec(2, 5), CircleState((0, 1, 1), "D"), pi(6),
+                move_matrix(BoxSpec(2, 5)), solution.path, solution]
+
+    def test_repr_names_the_fields(self):
+        assert repr(BoxSpec(2, 5)) == "BoxSpec(k=2, N=5)"
+        assert repr(CircleState((0, 1), "L")) == "CircleState(bits=(0, 1), scheme='L')"
+        assert repr(PathRecord((1, 2), ((3, "up"),))) \
+            == "PathRecord(vertices=(1, 2), steps=((3, 'up'),))"
+        solution = solve_domino(BoxSpec(2, 6), (1, 0), (1, 0))
+        assert repr(solution) == ("GameSolution(distance=0, per_color=Counter(), "
+                                  "path=PathRecord(vertices=((1, 0),), steps=()), "
+                                  "waypoint=(1, 0))")
+
+    def test_equal_fields_are_equal_only_within_one_class(self):
+        assert BoxSpec(2, 5) == BoxSpec(2, 5) != BoxSpec(2, 6)
+        assert hash(BoxSpec(2, 5)) == hash(BoxSpec(2, 5))
+        assert BoxSpec(2, 5) != (2, 5) and (2, 5) != BoxSpec(2, 5)
+        assert PathRecord((), ()) != MoveMatrix((), ())
+        assert len({BoxSpec(2, 5), BoxSpec(2, 5), BoxSpec(3, 5)}) == 2
+
+    def test_a_box_is_a_cache_key(self):
+        assert build_p_a(BoxSpec(2, 5)) is build_p_a(BoxSpec(2, 5))
+
+    def test_a_game_solution_is_not_hashable(self):
+        with pytest.raises(TypeError, match="Counter"):
+            hash(self.records()[-1])
+
+    def test_fields_cannot_be_assigned_added_or_deleted(self):
+        fields = ["k", "bits", "mapping", "entries", "vertices", "distance"]
+        for record, field in zip(self.records(), fields):
+            with pytest.raises(AttributeError):
+                setattr(record, field, None)
+            with pytest.raises(AttributeError):
+                record.extra = 1
+            with pytest.raises(AttributeError):
+                delattr(record, field)
+
+    def test_pickle_and_copy_rebuild_an_equal_record(self):
+        for record in self.records():
+            assert pickle.loads(pickle.dumps(record)) == record
+            assert copy.copy(record) == record == copy.deepcopy(record)
+
+    def test_construction_still_validates(self):
+        with pytest.raises(ValueError, match="integers"):
+            BoxSpec(2, 5.0)
+        with pytest.raises(ValueError, match="scheme"):
+            CircleState((0, 1), "X")
+        with pytest.raises(ValueError, match="0/1"):
+            CircleState((0, 2), "L")
 
 
 class TestMountainize:

@@ -1,0 +1,113 @@
+"""The package surface: lazy top-level exports, what a command imports,
+and the `python -m dominolattice` entry point."""
+
+import importlib
+import os
+import subprocess
+import sys
+
+import pytest
+
+import dominolattice
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+# Every top-level name, written out under the submodule it lives in.
+EXPORTS = {
+    "lattice": ["ColoredLattice", "LatticeError", "PathRecord", "birkhoff_failure",
+                "check_full_length_sublattice", "full_length_witness",
+                "is_diamond_colored", "is_distributive", "is_modular",
+                "is_topographically_balanced", "mountainize", "path_stats", "product",
+                "rank_function", "rank_identity_failure", "valleyize"],
+    "poset": ["PosetError", "VertexColoredPoset", "canonical_iso_to_ideals",
+              "canonical_iso_to_filters", "disjoint_sum", "dual",
+              "enumerate_order_ideals", "j_lattice", "join_irreducibles", "m_lattice",
+              "meet_irreducibles", "recolor"],
+    "typea": ["BoxSpec", "CircleState", "build_l_a", "build_l_tab", "build_l_tilde",
+              "build_p_a", "diagonal_to_partition", "ideal_to_partition",
+              "partition_join", "partition_meet", "partition_rank",
+              "partition_to_diagonal", "partition_to_ideal", "partition_to_tableau_L",
+              "tableau_to_circle", "tableau_to_partition_L"],
+    "domino": ["beta_circ", "beta_diag", "beta_part", "build_d_a", "d_max", "d_min",
+               "gamma_ct", "gamma_pt", "gamma_tc", "gamma_tp", "is_legal_domino_move",
+               "is_red", "m_diag"],
+    "isomorphism": ["BoxPermutation", "MoveMatrix", "apply_p", "decompose",
+                    "move_census", "move_matrix", "phi", "phi_circ", "phi_inverse",
+                    "pi"],
+    "solver": ["GameSolution", "color_census", "solve_distributive", "solve_domino"],
+    "oracle": ["PathCapExceeded", "bareiss_decompose", "bfs_all_pairs",
+               "check_constructed_iso", "check_lattice_laws", "diagonal_greedy_solve",
+               "enumerate_shortest_paths"],
+}
+NAMES = [name for names in EXPORTS.values() for name in names]
+
+# Modules a solve or convert never runs, so its process must not load them.
+NOT_ON_THE_SOLVE_PATH = ("dominolattice.verify", "dominolattice.oracle",
+                         "dominolattice.io", "fractions", "dataclasses", "inspect")
+
+
+def run_python(*args):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=120)
+
+
+class TestExports:
+    def test_the_78_names(self):
+        assert len(NAMES) == len(set(NAMES)) == 78
+        assert sorted(dominolattice.__all__) == sorted(NAMES)
+
+    @pytest.mark.parametrize("module, name",
+                             [(m, n) for m, names in EXPORTS.items() for n in names])
+    def test_each_name_is_the_object_in_its_home_module(self, module, name):
+        home = importlib.import_module(f"dominolattice.{module}")
+        assert getattr(dominolattice, name) is getattr(home, name)
+
+    def test_star_import_binds_every_name(self):
+        namespace = {}
+        exec("from dominolattice import *", namespace)
+        assert set(namespace) - {"__builtins__"} == set(NAMES)
+        assert all(namespace[n] is getattr(dominolattice, n) for n in NAMES)
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            dominolattice.no_such_name
+
+    def test_dir_lists_every_name_and_the_version(self):
+        assert set(NAMES) | {"__version__"} <= set(dir(dominolattice))
+        assert dominolattice.__version__ == "1.0.0"
+
+
+class TestImportBudget:
+    @pytest.mark.parametrize("argv", [
+        "solve -k 3 -N 7 --from 0 --to 4,4,4 --format json",
+        "convert -k 3 -N 7 --map phi 4,2,1",
+    ])
+    def test_solve_and_convert_import_only_what_they_run(self, argv):
+        done = run_python("-X", "importtime", "-m", "dominolattice.cli", *argv.split())
+        assert done.returncode == 0, done.stderr
+        imported = {line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines()
+                    if line.startswith("import time:")}
+        assert "dominolattice.solver" in imported
+        assert imported.isdisjoint(NOT_ON_THE_SOLVE_PATH), \
+            sorted(imported & set(NOT_ON_THE_SOLVE_PATH))
+
+    def test_bare_import_loads_no_submodule(self):
+        done = run_python("-c", "import sys, dominolattice; "
+                          "print(sorted(m for m in sys.modules if m.startswith('dominolattice')))")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "['dominolattice']"
+
+
+class TestModuleEntryPoint:
+    @pytest.mark.parametrize("argv", [
+        "solve -k 2 -N 6 --from 4,4 --to 1,1",
+        "solve -k 3 -N 9 --from 6,3,1 --to 0,0,0 --via meet --format json",
+        "solve -k 2 -N 6 --from 9 --to 0",
+        "solve -k 0 -N 6 --from 0 --to 0",
+    ])
+    def test_same_output_as_the_cli_module(self, argv):
+        package = run_python("-m", "dominolattice", *argv.split())
+        cli = run_python("-m", "dominolattice.cli", *argv.split())
+        assert (package.stdout, package.stderr, package.returncode) \
+            == (cli.stdout, cli.stderr, cli.returncode)

@@ -2,8 +2,9 @@ import pytest
 
 from dominolattice import verify
 from dominolattice.domino import build_d_a
+from dominolattice.isomorphism import phi
 from dominolattice.lattice import ColoredLattice
-from dominolattice.typea import BoxSpec
+from dominolattice.typea import BoxSpec, build_l_graph
 from dominolattice.verify import SUITES, run_suite
 
 
@@ -43,3 +44,16 @@ def test_failing_structure_check_names_its_witness(monkeypatch):
     assert any(repr(v) in failed["witness"] for v in mutant.vertices)
     assert all(check == {"name": check["name"], "passed": True}
                for check in by_name.values())
+
+
+def test_iso_suite_maps_each_vertex_through_phi_once(monkeypatch):
+    calls = []
+
+    def counting_phi(spec, sigma):
+        calls.append(sigma)
+        return phi(spec, sigma)
+
+    monkeypatch.setattr(verify, "phi", counting_phi)
+    result = run_suite("iso", k=3, N=7)
+    assert result["passed"]
+    assert sorted(calls) == sorted(build_l_graph(BoxSpec(3, 7)).vertices)
