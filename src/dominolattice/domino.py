@@ -1,17 +1,20 @@
 """The Domino Game digraph and its coordinatizations.
 
 Vertices are k x (N-k) partitions; directed edges are the legal domino
-moves, colored by [N-1].  The "up" direction is fixed by the per-color
-move-vector branch table, one table whose offsets shift by N % 2.  The
-board is checkered with the upper-right cell red.  The extremes come in
-closed form, as the images of the empty and the full box under the
-isomorphism, so nothing that needs them builds the digraph.
+moves, colored by [N-1].  A color-l up-move hops a tableau entry from
+pi(l+1) to pi(l), the L move renumbered; this pair table builds the
+digraph and drives the solver.  The paper's partition branch table
+`beta_part`, whose offsets shift by N % 2, is the independent definition
+it is checked against.  The board is checkered with the upper-right cell
+red.  The extremes come in closed form, as the images of the empty and
+the full box under the isomorphism, so nothing that needs them builds
+the digraph.
 """
 
 from functools import lru_cache
 
 from .lattice import ColoredLattice, Record, _set_field, is_diamond_colored, is_int
-from .typea import (CircleState, all_partitions, diagonal_to_partition,
+from .typea import (all_partitions, diagonal_to_partition, hop_up_moves,
                     is_valid_diagonal, is_valid_partition,
                     partition_to_diagonal, tableau_to_circle, validate_circle,
                     validate_diagonal, validate_entries, validate_partition)
@@ -118,22 +121,11 @@ def d_up_edges(spec, x, system="part"):
                 out.append((hit[0], l))
         return out
     if system == "tab":
-        entries = validate_entries(spec, x)
-        out = []
-        for l in spec.colors:
-            xx, yy = dtab_move_pair(spec.N, l)
-            if yy in entries and xx not in entries:
-                out.append((tuple(sorted((entries - {yy}) | {xx}, reverse=True)), l))
-        return out
+        return [(tuple(sorted(t, reverse=True)), l) for t, l in
+                hop_up_moves(validate_entries(spec, x), _move_pairs(spec.N))]
     if system == "circ":
-        validate_circle(spec, x, "D")
-        out = []
-        for l in spec.colors:
-            delta = beta_circ(spec, l)
-            t = tuple(b + d for b, d in zip(x.bits, delta))
-            if all(b in (0, 1) for b in t):
-                out.append((CircleState(t, "D"), l))
-        return out
+        ones = frozenset(validate_circle(spec, x, "D").ones)
+        return [(gamma_tc(spec, t), l) for t, l in hop_up_moves(ones, _move_pairs(spec.N))]
     if system == "diag":
         diag = validate_diagonal(spec, x)
         out = []
@@ -149,13 +141,16 @@ def d_up_edges(spec, x, system="part"):
 def build_d_a(spec):
     """The Domino Game lattice on all k x (N-k) partitions.
 
+    Edges hop tableau entries (`gamma_pt`, then back by `gamma_tp`).
     Diamond coloring and the existence of unique extremes are asserted at
     build time; the deeper structure checks live in the verification
     suites.
     """
     vertices = all_partitions(spec)
-    L = ColoredLattice(vertices, [(sigma, tau, l) for sigma in vertices
-                                  for tau, l in d_up_edges(spec, sigma)])
+    pairs = _move_pairs(spec.N)
+    L = ColoredLattice(vertices, [
+        (sigma, _gamma_tp(spec, t), l) for sigma in vertices
+        for t, l in hop_up_moves(frozenset(_gamma_pt(spec, sigma)), pairs)])
     if L.minimum is None or L.maximum is None:
         raise AssertionError("domino digraph lacks unique extremes")
     if not is_diamond_colored(L):

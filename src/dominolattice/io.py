@@ -54,6 +54,10 @@ def poset_from_json(text):
         raise PosetError("poset JSON does not match the schema (vertex ids must be strings)")
     if len(set(vertices)) != len(vertices):
         raise PosetError("poset JSON does not match the schema (vertex ids must be unique)")
+    for v in vertices:      # ; joins ideal labels, " and \ would break DOT
+        if any(c in v for c in ';"\\'):
+            raise PosetError(f"poset JSON does not match the schema "
+                             f"(vertex id {v!r} may not contain ; \" or \\)")
     return VertexColoredPoset(vertices, covers, colors)
 
 

@@ -313,6 +313,21 @@ L_COORDINATES = {
 # -- colored up-edges in each coordinatization ------------------------------------
 
 
+def hop_up_moves(entries, pairs):
+    """The one move rule: color l hops a tableau entry from y to x.
+
+    `pairs` is {l: (x, y)}: (l, l+1) for L, through pi for the Domino game.
+    """
+    return [((entries - {y}) | {x}, l) for l, (x, y) in pairs.items()
+            if y in entries and x not in entries]
+
+
+@lru_cache(maxsize=None)
+def _l_move_pairs(N):
+    """The L move pairs {l: (l, l+1)}."""
+    return {l: (l, l + 1) for l in range(1, N)}
+
+
 def l_up_edges(spec, x, system="part"):
     """Up-neighbors of x with edge colors, computed natively per system."""
     if system == "part":
@@ -324,21 +339,12 @@ def l_up_edges(spec, x, system="part"):
                 out.append((tau, spec.cols - tau[l - 1] + l))
         return out
     if system == "tab":
-        entries = validate_entries(spec, x)
-        out = []
-        for i in range(1, spec.N):
-            if i + 1 in entries and i not in entries:
-                out.append((tuple(sorted((entries - {i + 1}) | {i})), i))
-        return out
+        return [(tuple(sorted(t)), l) for t, l in
+                hop_up_moves(validate_entries(spec, x), _l_move_pairs(spec.N))]
     if system == "circ":
-        bits = validate_circle(spec, x, "L").bits
-        out = []
-        for l in range(1, spec.N):
-            if bits[l] == 1 and bits[l - 1] == 0:
-                t = list(bits)
-                t[l], t[l - 1] = 0, 1
-                out.append((CircleState(tuple(t), "L"), l))
-        return out
+        ones = frozenset(validate_circle(spec, x, "L").ones)
+        return [(tableau_to_circle(spec, t, "L"), l)
+                for t, l in hop_up_moves(ones, _l_move_pairs(spec.N))]
     if system == "diag":
         diag = validate_diagonal(spec, x)
         out = []
@@ -351,21 +357,14 @@ def l_up_edges(spec, x, system="part"):
 
 
 @lru_cache(maxsize=None)
-def build_l_graph(spec, system="part"):
-    """The L-lattice generated directly from one coordinatization's edge rule.
+def build_l_graph(spec):
+    """The fundamental lattice on partitions, from the partition edge rule.
 
-    In the default partition labels this is the fundamental lattice with
-    each ideal relabeled as its partition.
+    It is `build_l_a(spec)` with each ideal relabeled as its partition.
     """
-    if system not in L_COORDINATES:
-        raise ValueError(f"unknown coordinatization {system!r}")
-    encode = L_COORDINATES[system][0]
-    vertices = [encode(spec, p) for p in all_partitions(spec)]
-    edges = []
-    for v in vertices:
-        for w, color in l_up_edges(spec, v, system):
-            edges.append((v, w, color))
-    return ColoredLattice(vertices, edges)
+    vertices = all_partitions(spec)
+    return ColoredLattice(vertices, [(v, w, color) for v in vertices
+                                     for w, color in l_up_edges(spec, v)])
 
 
 # -- product-of-chains lattice and its tableau sublattice ---------------------------

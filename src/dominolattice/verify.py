@@ -7,7 +7,6 @@ covers the same ground; these suites make it scriptable.
 """
 
 import random
-from functools import partial
 from math import comb
 
 from .lattice import ColoredLattice, birkhoff_failure, path_stats, product
@@ -17,7 +16,7 @@ from .poset import (canonical_iso_to_filters, canonical_iso_to_ideals,
                     principal_filter, principal_ideal, recolor)
 from .typea import (L_COORDINATES, BoxSpec, all_partitions, build_l_a,
                     build_l_graph, build_l_tab, build_l_tilde,
-                    ideal_to_partition, partition_to_diagonal)
+                    ideal_to_partition, l_up_edges, partition_to_diagonal)
 from .domino import (D_COORDINATES, build_d_a, d_up_edges,
                      is_legal_domino_move)
 from .isomorphism import apply_p, decompose, move_matrix, phi, phi_inverse
@@ -93,6 +92,13 @@ def suite_fundamental(seed=0):
     return _result(checks)
 
 
+def _native_up_edges(spec, coordinates, up_edges, sigma):
+    """sigma's up-edges by each system's own rule, decoded; "part" is the partition rule."""
+    return {system: {(decode(spec, t), l)
+                     for t, l in up_edges(spec, encode(spec, sigma), system)}
+            for system, (encode, decode) in coordinates.items()}
+
+
 def suite_coordinates(k, N):
     """Conversion square and edge agreement for one box."""
     spec = BoxSpec(k, N)
@@ -102,14 +108,12 @@ def suite_coordinates(k, N):
              for table in (L_COORDINATES, D_COORDINATES)
              for encode, decode in table.values() for p in parts)
     checks.append(("round trips through every coordinatization", ok))
-    base = build_l_graph(spec)
+    native = [_native_up_edges(spec, L_COORDINATES, l_up_edges, p) for p in parts]
     for system in ("tab", "circ", "diag"):
-        encode, _ = L_COORDINATES[system]
         checks.append((f"edge agreement part vs {system}",
-                       check_constructed_iso(base, build_l_graph(spec, system),
-                                             partial(encode, spec))))
+                       all(edges[system] == edges["part"] for edges in native)))
     checks.append(("ideal lattice matches the partition edge rule",
-                   check_constructed_iso(build_l_a(spec), base,
+                   check_constructed_iso(build_l_a(spec), build_l_graph(spec),
                                          lambda i: ideal_to_partition(spec, i))))
     checks.append(("cardinality C(N, k)", len(parts) == comb(N, k)))
     return _result(checks)
@@ -204,11 +208,9 @@ def suite_transport(k, N):
     spec = BoxSpec(k, N)
     okEdges = okGeom = True
     for sigma in all_partitions(spec):
-        part, *others = [{(decode(spec, t), l)
-                          for t, l in d_up_edges(spec, encode(spec, sigma), system)}
-                         for system, (encode, decode) in D_COORDINATES.items()]
-        okEdges &= all(edges == part for edges in others)
-        okGeom &= all(is_legal_domino_move(spec, sigma, t) for t, _ in part)
+        edges = _native_up_edges(spec, D_COORDINATES, d_up_edges, sigma)
+        okEdges &= all(e == edges["part"] for e in edges.values())
+        okGeom &= all(is_legal_domino_move(spec, sigma, t) for t, _ in edges["part"])
     return _result([
         ("beta vectors generate one edge set in all coordinatizations", okEdges),
         ("every generated edge is a legal domino move", okGeom),

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from dominolattice import io as serial
 from dominolattice.cli import main, parse_partition, render_partition
 from dominolattice.oracle import random_colored_poset
-from dominolattice.typea import BoxSpec, all_partitions, build_l_graph
+from dominolattice.typea import BoxSpec, all_partitions, build_l_graph, build_p_a
 from dominolattice.lattice import LatticeError
 from dominolattice.poset import PosetError, j_lattice
 
@@ -94,6 +94,7 @@ class TestLatticeCommand:
         '{"vertices": [{"id": 1, "color": 1}], "covers": []}',
         '{"vertices": [{"id": "a", "color": 1}, {"id": "b", "color": 1}], "covers": ["ab"]}',
         '{"vertices": [], "covers": {"ab": 1}}',
+        '{"vertices": [{"id": "c\\\\d", "color": 1}], "covers": []}',
     ])
     def test_poset_of_wrong_schema_is_domain_error(self, capsys, tmp_path, text):
         target = tmp_path / "poset.json"
@@ -102,6 +103,22 @@ class TestLatticeCommand:
         assert code == 2 and "schema" in err
         with pytest.raises(PosetError):
             serial.poset_from_json(text)
+
+    def test_semicolon_in_an_id_is_domain_error(self, capsys, tmp_path):
+        # ids a, b and a;b would all label the ideal {a, b} as {a;b}
+        target = tmp_path / "poset.json"
+        target.write_text('{"vertices": [{"id": "a", "color": 1}, {"id": "b", "color": 1}, '
+                          '{"id": "a;b", "color": 2}], "covers": []}')
+        code, out, err = run_cli(capsys, "lattice", "--poset", str(target))
+        assert (code, out) == (2, "") and "'a;b'" in err
+
+    def test_quote_in_an_id_is_domain_error(self, capsys, tmp_path):
+        # a quote ends the DOT node name early
+        target = tmp_path / "poset.json"
+        target.write_text('{"vertices": [{"id": "x\\"y", "color": 1}], "covers": []}')
+        code, out, err = run_cli(capsys, "lattice", "--poset", str(target),
+                                 "--format", "dot")
+        assert (code, out) == (2, "") and """'x"y'""" in err
 
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -326,10 +343,11 @@ class TestRendering:
 class TestSerialization:
     def test_poset_json_round_trip_is_bit_exact(self):
         import random
-        P = random_colored_poset(random.Random(3), 7)
-        text = serial.poset_to_json(P)
-        again = serial.poset_to_json(serial.poset_from_json(text))
-        assert text == again
+        # the grid's ids are "r,c": commas stay allowed in ids
+        for P in (random_colored_poset(random.Random(3), 7), build_p_a(BoxSpec(2, 5))):
+            text = serial.poset_to_json(P)
+            again = serial.poset_to_json(serial.poset_from_json(text))
+            assert text == again
 
     def test_lattice_json_round_trip_is_bit_exact(self):
         import random
@@ -392,6 +410,12 @@ class TestGoldenOutput:
          "3af925bcfaa34df7217ebb94448daf0fe4c4d548e5485482ff34d08357b9339f"),
         ("solve -k 3 -N 9 --from 6,3,1 --to 0,0,0 --format json",
          "b7b08a9d34107dc4346c2d6a6e4c175f21b73d0e55aebf0b95d26c87fab0d879"),
+        ("verify --suite coordinates -k 3 -N 7",
+         "d92d368a27265b79a8fdd4cbce9e9beed40d28b4c074ff283c3888727e92ab2d"),
+        ("verify --suite transport -k 3 -N 7",
+         "399f81c796fee28485b9c9960f165bdd1b5203d6e71789c758be89a42918bcce"),
+        ("verify --suite iso -k 3 -N 7",
+         "fdcb63254150f7b4fbcb54624595dc485a7299913e6cc4d6893a873714edbbd1"),
     ])
     def test_stdout_is_unchanged(self, capsys, tmp_path, argv, digest):
         poset = tmp_path / "poset.json"

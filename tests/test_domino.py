@@ -16,6 +16,9 @@ from dominolattice.typea import (BoxSpec, CircleState, all_partitions,
 
 BOX24 = BoxSpec(2, 6)
 
+DESK_SPECS = tuple(BoxSpec(k, N) for k in range(1, 13)
+                   for N in range(k + 1, 15) if k * (N - k) <= 12)
+
 
 def cell_set_legal_move(spec, sigma, tau):
     """Reference legality test: the symmetric difference of two cell sets."""
@@ -131,6 +134,16 @@ class TestBuild:
         assert len(D) == 10
         assert check_constructed_iso(L, D, {p: phi(spec, p) for p in L.vertices})
 
+    @pytest.mark.parametrize("spec", DESK_SPECS + (BoxSpec(5, 12), BoxSpec(6, 14)),
+                             ids=lambda spec: f"{spec.k}-{spec.N}")
+    def test_edges_are_the_partition_table(self, spec):
+        # build_d_a hops tableau entries through pi; beta_part, the paper's
+        # branch table, defines the same edges without pi
+        table = {(sigma, hit[0], l) for sigma in all_partitions(spec)
+                 for l in spec.colors
+                 for hit in [beta_part(spec, sigma, l)] if hit is not None}
+        assert set(build_d_a(spec).edges) == table
+
     def test_vertices_in_numeric_order(self):
         assert build_d_a(BoxSpec(1, 12)).vertices == tuple((i,) for i in range(12))
 
@@ -177,7 +190,7 @@ class TestLegalMoves:
                 assert is_legal_domino_move(spec, a, b)
 
     def test_every_legal_move_is_exactly_one_edge(self):
-        for spec in (BOX24, BoxSpec(2, 5), BoxSpec(3, 6)):
+        for spec in DESK_SPECS:     # includes (2,6), (2,5) and (3,6)
             D = build_d_a(spec)
             parts = all_partitions(spec)
             for a in parts:

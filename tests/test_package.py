@@ -1,6 +1,7 @@
 """The package surface: lazy top-level exports, what a command imports,
 and the `python -m dominolattice` entry point."""
 
+import ast
 import importlib
 import os
 import subprocess
@@ -40,6 +41,10 @@ EXPORTS = {
                "enumerate_shortest_paths"],
 }
 NAMES = [name for names in EXPORTS.values() for name in names]
+
+# Names a module imports only to export them: `isomorphism` re-exports the
+# permutation that `domino` defines.
+RE_EXPORTS = {("isomorphism", "BoxPermutation"), ("isomorphism", "pi")}
 
 # Modules a solve or convert never runs, so its process must not load them.
 NOT_ON_THE_SOLVE_PATH = ("dominolattice.verify", "dominolattice.oracle",
@@ -111,3 +116,25 @@ class TestModuleEntryPoint:
         cli = run_python("-m", "dominolattice.cli", *argv.split())
         assert (package.stdout, package.stderr, package.returncode) \
             == (cli.stdout, cli.stderr, cli.returncode)
+
+
+class TestImports:
+    def test_no_module_imports_a_name_it_never_uses(self):
+        package = os.path.join(SRC, "dominolattice")
+        unused = []
+        for filename in sorted(os.listdir(package)):
+            if not filename.endswith(".py"):
+                continue
+            with open(os.path.join(package, filename)) as source:
+                tree = ast.parse(source.read())
+            imported = set()
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    imported |= {a.asname or a.name.split(".")[0] for a in node.names}
+                elif isinstance(node, ast.ImportFrom):
+                    imported |= {a.asname or a.name for a in node.names}
+            used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            module = filename[:-3]
+            unused += [(module, name) for name in sorted(imported - used)
+                       if (module, name) not in RE_EXPORTS]
+        assert unused == []

@@ -126,6 +126,18 @@ class TestJandM:
             assert check_constructed_iso(M, J, {x: x for x in M.vertices})
 
 
+class TestPosetIso:
+    def test_same_colors_in_another_order_is_not_an_iso(self):
+        # the identity on c0 < c1 < c2 and on c0 < c1, c0 < c2 is a
+        # color-preserving bijection, but not an order isomorphism
+        P = chain([1, 2, 1])
+        Q = VertexColoredPoset(P.vertices, [("c0", "c1"), ("c0", "c2")], P.colors)
+        same = {v: v for v in P.vertices}
+        assert not check_poset_iso(P, Q, same)
+        assert not check_poset_iso(Q, P, same)
+        assert check_poset_iso(P, P, same) and check_poset_iso(Q, Q, same)
+
+
 class TestIrreducibles:
     def test_two_chain_join_irreducible(self):
         L = j_lattice(antichain([3]))

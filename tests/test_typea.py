@@ -246,18 +246,22 @@ class TestUpEdges:
             l_up_edges(BOX24, CircleState(bits, scheme), "circ")
 
     def test_all_systems_agree(self):
+        # each system's native up-edges at encode(p) are the encoded
+        # partition-rule edges at p, and encode is one to one
         for spec in (BOX24, BoxSpec(3, 7), BoxSpec(2, 5), BoxSpec(1, 6)):
-            base = build_l_graph(spec, "part")
-            for system, conv in (
-                    ("tab", lambda p: partition_to_tableau_L(spec, p)),
-                    ("circ", lambda p: partition_to_circle_L(spec, p)),
-                    ("diag", lambda p: partition_to_diagonal(spec, p))):
-                assert check_constructed_iso(base, build_l_graph(spec, system), conv)
+            parts = all_partitions(spec)
+            for system, encode in (("tab", partition_to_tableau_L),
+                                   ("circ", partition_to_circle_L),
+                                   ("diag", partition_to_diagonal)):
+                assert len({encode(spec, p) for p in parts}) == len(parts)
+                for p in parts:
+                    assert set(l_up_edges(spec, encode(spec, p), system)) == {
+                        (encode(spec, q), l) for q, l in l_up_edges(spec, p)}
 
     def test_ideal_lattice_matches_edge_rules(self):
         for spec in (BOX24, BoxSpec(3, 6)):
             assert check_constructed_iso(
-                build_l_a(spec), build_l_graph(spec, "part"),
+                build_l_a(spec), build_l_graph(spec),
                 lambda i: ideal_to_partition(spec, i))
 
 
