@@ -271,6 +271,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.command == "convert" and not args.map and not (args.src and args.dest):
         parser.error("convert needs either --map or both --from and --to")
+    if args.command == "convert" and args.map and (args.src or args.dest):
+        parser.error("convert takes --map or --from/--to, not both")
     if args.command == "lattice" and args.poset is None \
             and (args.k is None or args.N is None):
         parser.error("lattice needs -k and -N (or --poset FILE)")

@@ -34,9 +34,17 @@ def poset_to_json(P):
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+def _load(text, kind, error):
+    """json.loads, with nesting too deep to parse raised as a schema error."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise error(f"{kind} JSON does not match the schema (nested too deeply)") from None
+
+
 def poset_from_json(text):
     """Parse the poset schema; a document of another shape raises PosetError."""
-    doc = json.loads(text)
+    doc = _load(text, "poset", PosetError)
     try:
         items, pairs = doc["vertices"], doc["covers"]
         vertices = [item["id"] for item in items]
@@ -73,7 +81,7 @@ def lattice_to_json(L):
 
 def lattice_from_json(text):
     """Parse the lattice schema; a document of another shape raises LatticeError."""
-    doc = json.loads(text)
+    doc = _load(text, "lattice", LatticeError)
     try:
         vertices = doc["vertices"]
         edges = [(e["from"], e["to"], e["color"]) for e in doc["edges"]]

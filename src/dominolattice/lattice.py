@@ -8,9 +8,9 @@ index-based order core, `CoverDigraph`, also carries vertex-colored posets.
 Whether a lattice is diamond-colored and distributive is decided by one
 pass over its covers, `birkhoff_failure`: Birkhoff's theorem says it is
 exactly when it is the ideal lattice of its colored join irreducibles.
-The definitional checks (`is_diamond_colored`, `is_modular`,
-`is_distributive`, `rank_identity_failure`, all O(n^3) or O(n^2)) stay
-as the slow reference it is tested against.
+Its slow reference, the definitional law checks, lives in `oracle` and
+reads a lattice only through its public methods; `is_diamond_colored`
+stays here because `build_d_a` runs it.
 """
 
 from collections import Counter, deque
@@ -387,55 +387,6 @@ def is_diamond_colored(L):
     return True
 
 
-def is_topographically_balanced(L):
-    """Check unique completion of non-chain length-2 valleys and mountains."""
-    for adj in (L._up, L._down):
-        for nbrs in adj:
-            for a, s in enumerate(nbrs):
-                for t in nbrs[a + 1:]:
-                    if len(set(adj[s]).intersection(adj[t])) != 1:
-                        return False
-    return True
-
-
-def rank_function(L):
-    """The unique rank map with rank 0 at the bottom.
-
-    Raises LatticeError when the graph is disconnected or admits no
-    consistent rank.  On topographically balanced lattices the rank
-    identity is verified for every pair as a safety net.
-    """
-    if not L.is_connected:
-        raise LatticeError("disconnected cover graph")
-    ranks = L.ranks
-    if ranks is None:
-        raise LatticeError("no consistent rank function exists")
-    if L.is_lattice and is_topographically_balanced(L):
-        pair = rank_identity_failure(L)
-        if pair is not None:
-            raise LatticeError(f"rank identity fails at ({pair[0]!r}, {pair[1]!r})")
-    return dict(ranks)
-
-
-def rank_identity_failure(L):
-    """The first pair (s, t) breaking the rank identity, or None.
-
-    The identity is 2*rho(s v t) - rho(s) - rho(t) = rho(s) + rho(t) - 2*rho(s ^ t).
-    It is symmetric and holds for s == t, so each unordered pair is tried
-    once, in vertex order.  L must be a ranked lattice.
-    """
-    ranks = L.ranks
-    if ranks is None:
-        raise LatticeError("not ranked")
-    vertices = L.vertices
-    for i, s in enumerate(vertices):
-        for t in vertices[i + 1:]:
-            if (2 * ranks[L.join(s, t)] - ranks[s] - ranks[t]
-                    != ranks[s] + ranks[t] - 2 * ranks[L.meet(s, t)]):
-                return s, t
-    return None
-
-
 def birkhoff_failure(L):
     """Why L is not a diamond-colored distributive lattice, or None.
 
@@ -486,53 +437,6 @@ def birkhoff_failure(L):
                     f"{vs[j]!r}, though every join irreducible below it lies "
                     f"below {vs[x]!r}")
     return None
-
-
-def _op_tables(L):
-    n = len(L.vertices)
-    down, up = L._downsets, L._upsets
-    dl, ul = L._down_lookup, L._up_lookup
-    meets = [[0] * n for _ in range(n)]
-    joins = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            meets[i][j] = meets[j][i] = dl[down[i] & down[j]]
-            joins[i][j] = joins[j][i] = ul[up[i] & up[j]]
-    return meets, joins
-
-
-def is_modular(L):
-    """Definitional modular-law check over all triples."""
-    if not L.is_lattice:
-        raise LatticeError("not a lattice")
-    meets, joins = _op_tables(L)
-    n = len(L.vertices)
-    for x in range(n):
-        above = L._upsets[x]
-        for b in range(n):
-            if not above >> b & 1:
-                continue
-            jx, mb = joins[x], meets[b]
-            for a in range(n):
-                if jx[mb[a]] != mb[jx[a]]:
-                    return False
-    return True
-
-
-def is_distributive(L):
-    """Definitional distributive-law check over all triples."""
-    if not L.is_lattice:
-        raise LatticeError("not a lattice")
-    meets, joins = _op_tables(L)
-    n = len(L.vertices)
-    for a in range(n):
-        ma, ja = meets[a], joins[a]
-        for b in range(n):
-            mab = ma[b]
-            for c in range(n):
-                if ma[joins[b][c]] != joins[mab][ma[c]]:
-                    return False
-    return True
 
 
 # -- paths --------------------------------------------------------------------

@@ -1,21 +1,22 @@
 """Independent brute-force ground truth.
 
 BFS distances, exhaustive shortest-path enumeration, explicit-map
-isomorphism checking, definitional lattice-law reports, the paper's
-matrix route to the per-color move counts, and the greedy Domino walk in
-diagonal coordinates.  Nothing here reuses the closed-form machinery it
-is meant to check, except that the diagonal walk takes its move counts
-from the cell census, which the matrix route checks on its own.
+isomorphism checking, the definitional lattice laws and their report, the
+paper's matrix route to the per-color move counts, and the greedy Domino
+walk in diagonal coordinates.  Nothing here reuses the closed-form
+machinery it is meant to check, except that the diagonal walk takes its
+move counts from the cell census, which the matrix route checks on its
+own.  The law checks read a lattice only through its public methods.
 """
 
 from collections import Counter, deque
 from fractions import Fraction
+from itertools import combinations
 
 from .domino import beta_diag, build_d_a
 from .isomorphism import _bareiss_forward, move_census, move_matrix
-from .lattice import (DOWN, UP, LatticeError, PathRecord, is_distributive,
-                      is_modular, is_topographically_balanced,
-                      path_from_vertices, rank_identity_failure, sort_key)
+from .lattice import (DOWN, UP, LatticeError, PathRecord, path_from_vertices,
+                      sort_key)
 from .poset import VertexColoredPoset
 from .solver import GameSolution
 from .typea import (diagonal_to_partition, is_valid_diagonal,
@@ -33,7 +34,10 @@ def _adjacency(L):
 
 
 def bfs_distances(L, source):
-    adj = _adjacency(L)
+    return _bfs(_adjacency(L), source)
+
+
+def _bfs(adj, source):
     dist = {source: 0}
     queue = deque([source])
     while queue:
@@ -47,13 +51,13 @@ def bfs_distances(L, source):
 
 def bfs_all_pairs(L):
     """Exact distance table over all vertex pairs; rejects disconnected input."""
+    adj = _adjacency(L)
     table = {}
     for s in L.vertices:
-        dist = bfs_distances(L, s)
+        dist = _bfs(adj, s)
         if len(dist) != len(L.vertices):
             raise LatticeError("graph is disconnected")
-        for t, d in dist.items():
-            table[(s, t)] = d
+        table.update(((s, t), d) for t, d in dist.items())
     return table
 
 
@@ -211,6 +215,96 @@ def diagonal_greedy_solve(spec, sigma, tau, via="join"):
     verts = tuple(diagonal_to_partition(spec, d) for d in diags)
     path = PathRecord(verts, tuple(steps))
     return GameSolution(distance, per_color, path, waypoint)
+
+
+def is_topographically_balanced(L):
+    """Check unique completion of non-chain length-2 valleys and mountains."""
+    for neighbors in (L.up_neighbors, L.down_neighbors):
+        adj = {v: {w for w, _ in neighbors(v)} for v in L.vertices}
+        for ws in adj.values():
+            for s, t in combinations(ws, 2):
+                if len(adj[s] & adj[t]) != 1:
+                    return False
+    return True
+
+
+def rank_function(L):
+    """The unique rank map with rank 0 at the bottom.
+
+    Raises LatticeError when the graph is disconnected or admits no
+    consistent rank.  On topographically balanced lattices the rank
+    identity is verified for every pair as a safety net.
+    """
+    if not L.is_connected:
+        raise LatticeError("disconnected cover graph")
+    ranks = L.ranks
+    if ranks is None:
+        raise LatticeError("no consistent rank function exists")
+    if L.is_lattice and is_topographically_balanced(L):
+        pair = rank_identity_failure(L)
+        if pair is not None:
+            raise LatticeError(f"rank identity fails at ({pair[0]!r}, {pair[1]!r})")
+    return dict(ranks)
+
+
+def rank_identity_failure(L):
+    """The first pair (s, t) breaking the rank identity, or None.
+
+    The identity is 2*rho(s v t) - rho(s) - rho(t) = rho(s) + rho(t) - 2*rho(s ^ t).
+    It is symmetric and holds for s == t, so each unordered pair is tried
+    once, in vertex order.  L must be a ranked lattice.
+    """
+    ranks = L.ranks
+    if ranks is None:
+        raise LatticeError("not ranked")
+    vertices = L.vertices
+    for i, s in enumerate(vertices):
+        for t in vertices[i + 1:]:
+            if (2 * ranks[L.join(s, t)] - ranks[s] - ranks[t]
+                    != ranks[s] + ranks[t] - 2 * ranks[L.meet(s, t)]):
+                return s, t
+    return None
+
+
+def _op_tables(L):
+    """Meet and join tables on vertex positions, read off L.meet and L.join."""
+    vs, index = L.vertices, L.index
+    return ([[index(L.meet(x, y)) for y in vs] for x in vs],
+            [[index(L.join(x, y)) for y in vs] for x in vs])
+
+
+def is_modular(L):
+    """Definitional modular-law check over all triples."""
+    if not L.is_lattice:
+        raise LatticeError("not a lattice")
+    meets, joins = _op_tables(L)
+    n = len(L.vertices)
+    for x in range(n):
+        jx = joins[x]
+        for b in range(n):
+            if jx[b] != b:      # x <= b exactly when x v b = b
+                continue
+            mb = meets[b]
+            for a in range(n):
+                if jx[mb[a]] != mb[jx[a]]:
+                    return False
+    return True
+
+
+def is_distributive(L):
+    """Definitional distributive-law check over all triples."""
+    if not L.is_lattice:
+        raise LatticeError("not a lattice")
+    meets, joins = _op_tables(L)
+    n = len(L.vertices)
+    for a in range(n):
+        ma = meets[a]
+        for b in range(n):
+            mab = ma[b]
+            for c in range(n):
+                if ma[joins[b][c]] != joins[mab][ma[c]]:
+                    return False
+    return True
 
 
 def check_lattice_laws(L):

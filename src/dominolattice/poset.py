@@ -73,7 +73,7 @@ def is_order_ideal(P, members):
 
 
 def enumerate_order_ideals(P):
-    """All order ideals of P, sorted lexicographically by sorted member ids."""
+    """All order ideals of P, in vertex order (by sorted member ids)."""
     ideals = {frozenset()}
     queue = deque(ideals)
     while queue:
@@ -83,7 +83,7 @@ def enumerate_order_ideals(P):
             if y not in ideals:
                 ideals.add(y)
                 queue.append(y)
-    return sorted(ideals, key=lambda s: tuple(sorted(sort_key(m) for m in s)))
+    return sorted(ideals, key=sort_key)
 
 
 def j_lattice(P):

@@ -95,6 +95,7 @@ class TestLatticeCommand:
         '{"vertices": [{"id": "a", "color": 1}, {"id": "b", "color": 1}], "covers": ["ab"]}',
         '{"vertices": [], "covers": {"ab": 1}}',
         '{"vertices": [{"id": "c\\\\d", "color": 1}], "covers": []}',
+        pytest.param("[" * 100_000, id="nested-too-deeply"),
     ])
     def test_poset_of_wrong_schema_is_domain_error(self, capsys, tmp_path, text):
         target = tmp_path / "poset.json"
@@ -147,6 +148,16 @@ class TestConvertCommand:
         code, out, _ = run_cli(capsys, "convert", "-k", "2", "-N", "6",
                                "--map", "phi-inverse", "4,3")
         assert code == 0 and out.strip() == "1,1"
+
+    @pytest.mark.parametrize("flags", [["--to", "tab"], ["--from", "part:L"],
+                                       ["--from", "part:L", "--to", "tab"]])
+    @pytest.mark.parametrize("mapping", ["phi", "phi-inverse"])
+    def test_map_with_from_or_to_is_usage_error(self, capsys, mapping, flags):
+        with pytest.raises(SystemExit) as exc:
+            main(["convert", "-k", "2", "-N", "6", "--map", mapping, *flags, "4,3"])
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (1, "")
+        assert "not both" in err
 
     def test_d_partition_to_diagonal(self, capsys):
         code, out, _ = run_cli(capsys, "convert", "-k", "2", "-N", "6",
@@ -362,6 +373,7 @@ class TestSerialization:
         '{"vertices": ["a", "b"], "edges": [{"from": "a", "color": 1}]}',
         '{"vertices": 5, "edges": []}',
         '{"vertices": [[1]], "edges": []}',
+        pytest.param("[" * 100_000, id="nested-too-deeply"),
     ])
     def test_lattice_of_wrong_schema_raises_lattice_error(self, text):
         with pytest.raises(LatticeError, match="schema"):

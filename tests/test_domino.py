@@ -8,8 +8,8 @@ from dominolattice.domino import (beta_circ, beta_diag, beta_part, build_d_a,
                                   gamma_pt, gamma_tc, gamma_tp,
                                   is_legal_domino_move, is_red, m_diag,
                                   partition_to_circle_D, render_board)
-from dominolattice.lattice import is_diamond_colored, is_topographically_balanced
-from dominolattice.oracle import check_constructed_iso
+from dominolattice.lattice import is_diamond_colored
+from dominolattice.oracle import check_constructed_iso, is_topographically_balanced
 from dominolattice.typea import (BoxSpec, CircleState, all_partitions,
                                  diagonal_to_partition, is_valid_partition,
                                  partition_to_diagonal)

@@ -7,18 +7,18 @@ import pytest
 from dominolattice.lattice import (ColoredLattice, LatticeError,
                                    PathRecord, birkhoff_failure,
                                    check_full_length_sublattice,
-                                   full_length_witness,
-                                   is_diamond_colored, is_distributive,
-                                   is_modular, is_topographically_balanced,
+                                   full_length_witness, is_diamond_colored,
                                    mountainize, path_from_vertices,
-                                   path_stats, product, rank_function,
-                                   rank_identity_failure, valleyize)
+                                   path_stats, product, valleyize)
 from dominolattice.domino import build_d_a, pi
 from dominolattice.isomorphism import MoveMatrix, move_matrix
 from dominolattice.poset import (PosetError, VertexColoredPoset, j_lattice,
                                  join_irreducibles, check_poset_iso, m_lattice)
 from dominolattice.oracle import (check_lattice_laws, enumerate_shortest_paths,
-                                  random_colored_poset, random_simple_path)
+                                  is_distributive, is_modular,
+                                  is_topographically_balanced,
+                                  random_colored_poset, random_simple_path,
+                                  rank_function, rank_identity_failure)
 from dominolattice.solver import solve_domino
 from dominolattice.typea import (BoxSpec, CircleState, build_l_a, build_l_graph,
                                  build_l_tab, build_l_tilde, build_p_a)

@@ -17,9 +17,8 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 EXPORTS = {
     "lattice": ["ColoredLattice", "LatticeError", "PathRecord", "birkhoff_failure",
                 "check_full_length_sublattice", "full_length_witness",
-                "is_diamond_colored", "is_distributive", "is_modular",
-                "is_topographically_balanced", "mountainize", "path_stats", "product",
-                "rank_function", "rank_identity_failure", "valleyize"],
+                "is_diamond_colored", "mountainize", "path_stats", "product",
+                "valleyize"],
     "poset": ["PosetError", "VertexColoredPoset", "canonical_iso_to_ideals",
               "canonical_iso_to_filters", "disjoint_sum", "dual",
               "enumerate_order_ideals", "j_lattice", "join_irreducibles", "m_lattice",
@@ -38,7 +37,8 @@ EXPORTS = {
     "solver": ["GameSolution", "color_census", "solve_distributive", "solve_domino"],
     "oracle": ["PathCapExceeded", "bareiss_decompose", "bfs_all_pairs",
                "check_constructed_iso", "check_lattice_laws", "diagonal_greedy_solve",
-               "enumerate_shortest_paths"],
+               "enumerate_shortest_paths", "is_distributive", "is_modular",
+               "is_topographically_balanced", "rank_function", "rank_identity_failure"],
 }
 NAMES = [name for names in EXPORTS.values() for name in names]
 
@@ -49,6 +49,10 @@ RE_EXPORTS = {("isomorphism", "BoxPermutation"), ("isomorphism", "pi")}
 # Modules a solve or convert never runs, so its process must not load them.
 NOT_ON_THE_SOLVE_PATH = ("dominolattice.verify", "dominolattice.oracle",
                          "dominolattice.io", "fractions", "dataclasses", "inspect")
+
+# The modules that know the order core's internals (its masks and index
+# tables): the core itself and the poset subclass built on it.
+KNOW_THE_CORE = ("lattice.py", "poset.py")
 
 
 def run_python(*args):
@@ -138,3 +142,22 @@ class TestImports:
             unused += [(module, name) for name in sorted(imported - used)
                        if (module, name) not in RE_EXPORTS]
         assert unused == []
+
+
+class TestEncapsulation:
+    def test_only_the_order_core_reads_private_attributes_of_other_objects(self):
+        package = os.path.join(SRC, "dominolattice")
+        readers = {}
+        for filename in sorted(os.listdir(package)):
+            if not filename.endswith(".py"):
+                continue
+            with open(os.path.join(package, filename)) as source:
+                tree = ast.parse(source.read())
+            reads = [ast.unparse(node) for node in ast.walk(tree)
+                     if isinstance(node, ast.Attribute)
+                     and node.attr.startswith("_") and not node.attr.startswith("__")
+                     and not (isinstance(node.value, ast.Name)
+                              and node.value.id in ("self", "cls"))]
+            if reads:
+                readers[filename] = sorted(set(reads))
+        assert set(readers) <= set(KNOW_THE_CORE), readers

@@ -6,12 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dominolattice.lattice import (ColoredLattice, is_diamond_colored,
-                                   is_distributive, is_modular,
-                                   is_topographically_balanced, path_stats,
-                                   product, rank_function)
+                                   path_stats, product)
 from dominolattice.oracle import (bfs_all_pairs, check_constructed_iso,
-                                  enumerate_shortest_paths,
-                                  random_colored_poset, random_simple_path)
+                                  enumerate_shortest_paths, is_distributive,
+                                  is_modular, is_topographically_balanced,
+                                  random_colored_poset, random_simple_path,
+                                  rank_function)
 from dominolattice.poset import (canonical_iso_to_ideals, disjoint_sum, dual,
                                  j_lattice, join_irreducibles, m_lattice,
                                  recolor)
