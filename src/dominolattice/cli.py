@@ -236,7 +236,7 @@ def build_parser():
                    help="build the ideal/filter lattice of a poset JSON file")
     p.add_argument("--construction", choices=("J", "M"), default="J")
     p.add_argument("--format", choices=("json", "dot"), default="json")
-    p.set_defaults(func=cmd_lattice)
+    p.set_defaults(func=cmd_lattice, parser=p)
 
     p = sub.add_parser("convert", help="convert coordinates or apply phi")
     p.add_argument("-k", type=int, required=True)
@@ -246,7 +246,7 @@ def build_parser():
     p.add_argument("--to", dest="dest", choices=("part", "tab", "circ", "diag"))
     p.add_argument("--map", choices=("phi", "phi-inverse"))
     p.add_argument("value")
-    p.set_defaults(func=cmd_convert)
+    p.set_defaults(func=cmd_convert, parser=p)
 
     p = sub.add_parser("solve", help="solve the domino game between two shapes")
     p.add_argument("-k", type=int, required=True)
@@ -255,27 +255,28 @@ def build_parser():
     p.add_argument("--to", dest="dest", required=True)
     p.add_argument("--via", choices=("join", "meet"), default="join")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=cmd_solve)
+    p.set_defaults(func=cmd_solve, parser=p)
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", default="all", choices=SUITES + ("all",))
     p.add_argument("-k", type=int, default=2)
     p.add_argument("-N", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_verify)
+    p.set_defaults(func=cmd_verify, parser=p)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # usage errors found after parsing show the subcommand's usage line
+    usage_error = args.parser.error
     if args.command == "convert" and not args.map and not (args.src and args.dest):
-        parser.error("convert needs either --map or both --from and --to")
+        usage_error("convert needs either --map or both --from and --to")
     if args.command == "convert" and args.map and (args.src or args.dest):
-        parser.error("convert takes --map or --from/--to, not both")
+        usage_error("convert takes --map or --from/--to, not both")
     if args.command == "lattice" and args.poset is None \
             and (args.k is None or args.N is None):
-        parser.error("lattice needs -k and -N (or --poset FILE)")
+        usage_error("lattice needs -k and -N (or --poset FILE)")
     try:
         return args.func(args)
     except ValueError as exc:

@@ -66,10 +66,19 @@ class VertexColoredPoset(CoverDigraph):
 
 
 def is_order_ideal(P, members):
+    """True when members are vertices of P closed under going down.
+
+    One AND per member: its down-set mask must lie inside the members'
+    mask.  A member that is not a vertex of P gives False.
+    """
+    idx, down = P._index, P._downsets
     members = set(members)
-    if not members <= set(P.vertices):
+    if not members <= idx.keys():
         return False
-    return all(P.strict_down(v) <= members for v in members)
+    mask = 0
+    for v in members:
+        mask |= 1 << idx[v]
+    return all(down[idx[v]] & ~mask == 0 for v in members)
 
 
 def enumerate_order_ideals(P):

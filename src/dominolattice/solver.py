@@ -2,20 +2,23 @@
 
 Two routes to the same answers: the generic distributive-lattice solution
 (count order-ideal differences, walk through the join or the meet) and
-the Domino-specific procedure (read each shape's move multiset off the
-cell census of its preimage under phi, then greedily apply the moves).
-The Domino walk runs on D-tableaux: a color-l move swaps one entry for
-another, so its legality is two set lookups, and each path vertex is read
-off its tableau.  It never builds the lattice; its slow reference is the
-same walk in diagonal coordinates, `oracle.diagonal_greedy_solve`.
-Multisets of colored moves are Counters: union is entrywise max,
-difference is truncated.
+the Domino-specific procedure (read each shape's per-color move counts
+off the cell census of its preimage under phi, then greedily apply the
+moves).  The Domino walk runs on plain integers, with no Counter in it:
+a D tableau is an int mask with bit t set for entry t, the moves still
+to make are count lists indexed by color, and a color-l move hops one
+dot, so its legality is two bit tests and it changes one row of the
+shape, or two when the dot passes the entry between its ends.  It never
+builds the lattice; its slow reference is the same walk in diagonal
+coordinates, over Counters, `oracle.diagonal_greedy_solve`.  The
+per-color answer of either route is a Counter.
 """
 
 from collections import Counter
+from functools import lru_cache
 
 from .lattice import DOWN, UP, PathRecord, Record, _set_field
-from .domino import _gamma_pt, _gamma_tp, _move_pairs
+from .domino import _gamma_pt, _move_pairs
 from .isomorphism import _tableau_census
 from .poset import is_order_ideal
 from .typea import validate_partition
@@ -93,69 +96,116 @@ def solve_distributive(P, s, t, via="join"):
     return GameSolution(distance, per_color, path, waypoint)
 
 
-def _greedy_tab_leg(pairs, start, colors, direction):
-    """Apply the multiset of colored moves greedily, smallest color first.
+@lru_cache(maxsize=None)
+def _hops(N):
+    """The up and down hop tables, indexed by color, built once per valid N.
 
-    Tableaux are frozensets of D-tableau entries.  pairs[l] is the (x, y)
-    of color l: the up-move swaps entry y for x and is legal exactly when
-    y is in the tableau and x is not; the down-move swaps the roles.  The
-    procedure is guaranteed to consume the whole multiset, which is
-    asserted.  Returns the visited tableaux and the color of each step.
+    A color-l move hops one dot of the D tableau: up from pi(l+1) to
+    pi(l), down the other way (`_move_pairs`).  For a dot hopping from
+    `old` to `old + delta`, a table holds five tuples indexed by color:
+    flip (both bits), bit (the old bit), shift (old + 1, so that
+    mask >> shift counts the entries above old), mid (the bit between
+    the ends when |delta| == 2, else 0) and delta.
     """
-    seq = [start]
-    applied = []
-    remaining = Counter(colors)
-    current = start
-    while remaining:
-        for l in sorted(remaining):
-            new, old = pairs[l] if direction > 0 else pairs[l][::-1]
-            if old in current and new not in current:
-                remaining[l] -= 1
-                if remaining[l] == 0:
-                    del remaining[l]
-                current = (current - {old}) | {new}
-                seq.append(current)
-                applied.append(l)
+    tables = []
+    for up in (True, False):
+        rows = [(0, 0, 0, 0, 0)]
+        for l, (x, y) in _move_pairs(N).items():
+            new, old = (x, y) if up else (y, x)
+            delta = new - old
+            if abs(delta) > 2:
+                raise AssertionError(f"color {l} hops over more than one entry")
+            mid = 1 << ((old + new) // 2) if abs(delta) == 2 else 0
+            rows.append(((1 << new) | (1 << old), 1 << old, old + 1, mid, delta))
+        tables.append(tuple(zip(*rows)))
+    return tuple(tables)
+
+
+def _greedy_leg(hops, mask, parts, need, verts, colors):
+    """Apply the colored moves counted in need greedily, smallest color first.
+
+    mask has bit t set for each D-tableau entry t, and parts is the shape
+    it encodes, updated in place; need[l] counts the color-l moves still
+    to make.  A move is legal when its old bit is set and its new bit
+    clear.  The dot keeps its row unless it passes the entry between
+    its ends, a vertical domino that moves two rows by one.  Appends each
+    shape to verts and each color to colors, and returns the final mask;
+    the procedure is guaranteed to consume every move, which is asserted.
+    """
+    flips, bits, shifts, mids, deltas = hops
+    active = [l for l, n in enumerate(need) if n]
+    while active:
+        for i, l in enumerate(active):
+            if mask & flips[l] == bits[l]:
                 break
         else:
-            raise AssertionError(
-                f"no legal move among {sorted(remaining)} at {sorted(current)}")
-    return seq, applied
+            entries = [t for t in range(mask.bit_length()) if mask >> t & 1]
+            raise AssertionError(f"no legal move among {active} at {entries}")
+        need[l] -= 1
+        if not need[l]:
+            del active[i]
+        row = (mask >> shifts[l]).bit_count()
+        delta = deltas[l]
+        if mask & mids[l]:
+            step = delta // 2
+            if step > 0:
+                row -= 1
+            parts[row] += step
+            parts[row + 1] += step
+        else:
+            parts[row] += delta
+        mask ^= flips[l]
+        verts.append(tuple(parts))
+        colors.append(l)
+    return mask
+
+
+def _mask(entries):
+    """The int with bit t set for each tableau entry t."""
+    mask = 0
+    for t in entries:
+        mask |= 1 << t
+    return mask
 
 
 def solve_domino(spec, sigma, tau, via="join"):
     """Shortest Domino play between two shapes, with an explicit move list.
 
     Each shape is validated once, here; its D tableau then gives both the
-    move census and the start of the walk.
+    move census and the start of the walk.  With S and T the censuses of
+    sigma and tau, rise[l] = max(0, T_l - S_l) and fall[l] =
+    max(0, S_l - T_l) count the color-l up and down moves of the play;
+    per_color holds their sums, colors in ascending order.
     """
-    ts = _gamma_pt(spec, validate_partition(spec, sigma))
-    tt = _gamma_pt(spec, validate_partition(spec, tau))
-    S = +Counter(dict(enumerate(_tableau_census(spec, ts), start=1)))
-    T = +Counter(dict(enumerate(_tableau_census(spec, tt), start=1)))
-    ts, tt = frozenset(ts), frozenset(tt)
-    union, inter = S | T, S & T
-    per_color = (union - S) + (union - T)
-    distance = per_color.total()
-    pairs = _move_pairs(spec.N)
+    sigma = validate_partition(spec, sigma)
+    tau = validate_partition(spec, tau)
+    ts, tt = _gamma_pt(spec, sigma), _gamma_pt(spec, tau)
+    rise, fall, per_color = [0], [0], Counter()
+    for l, (s, t) in enumerate(zip(_tableau_census(spec, ts),
+                                   _tableau_census(spec, tt)), start=1):
+        rise.append(t - s if t > s else 0)
+        fall.append(s - t if s > t else 0)
+        if s != t:
+            per_color[l] = abs(s - t)
+    distance = sum(rise) + sum(fall)
+    up, down = _hops(spec.N)
     if via == "join":
-        up_leg, up_colors = _greedy_tab_leg(pairs, ts, union - S, +1)
-        down_leg, down_colors = _greedy_tab_leg(pairs, tt, union - T, +1)
-        tabs = up_leg + down_leg[-2::-1]
-        steps = [(c, UP) for c in up_colors] + [(c, DOWN) for c in reversed(down_colors)]
-        waypoint = _gamma_tp(spec, up_leg[-1])
-        if up_leg[-1] != down_leg[-1]:
+        verts, up_colors, back, down_colors = [sigma], [], [tau], []
+        top = _greedy_leg(up, _mask(ts), list(sigma), rise, verts, up_colors)
+        waypoint = verts[-1]
+        if _greedy_leg(up, _mask(tt), list(tau), fall, back, down_colors) != top:
             raise AssertionError("legs did not meet at the join")
+        verts += back[-2::-1]
+        steps = [(c, UP) for c in up_colors] + [(c, DOWN) for c in reversed(down_colors)]
     elif via == "meet":
-        down_leg, down_colors = _greedy_tab_leg(pairs, ts, S - T, -1)
-        up_leg, up_colors = _greedy_tab_leg(pairs, down_leg[-1], T - inter, +1)
-        tabs = down_leg + up_leg[1:]
-        steps = [(c, DOWN) for c in down_colors] + [(c, UP) for c in up_colors]
-        waypoint = _gamma_tp(spec, down_leg[-1])
-        if up_leg[-1] != tt:
+        verts, down_colors, up_colors = [sigma], [], []
+        parts = list(sigma)
+        bottom = _greedy_leg(down, _mask(ts), parts, fall, verts, down_colors)
+        waypoint = verts[-1]
+        if _greedy_leg(up, bottom, parts, rise, verts, up_colors) != _mask(tt):
             raise AssertionError("legs did not meet at the target")
+        steps = [(c, DOWN) for c in down_colors] + [(c, UP) for c in up_colors]
     else:
         raise ValueError(f"via must be 'join' or 'meet', got {via!r}")
-    verts = tuple(_gamma_tp(spec, t) for t in tabs)
-    path = PathRecord(verts, tuple(steps))
+    path = PathRecord(tuple(verts), tuple(steps))
     return GameSolution(distance, per_color, path, waypoint)

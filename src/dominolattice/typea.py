@@ -100,12 +100,12 @@ def validate_partition(spec, parts):
     parts = tuple(parts)
     if len(parts) != spec.k:
         raise ValueError(f"expected {spec.k} parts, got {len(parts)}")
-    prev = spec.cols
+    prev = cols = spec.cols
     for i, p in enumerate(parts):
         if not is_int(p):
             raise ValueError(f"part {i + 1} is not an integer")
-        if p < 0 or p > spec.cols:
-            raise ValueError(f"part {i + 1} out of range [0, {spec.cols}]: {p}")
+        if p < 0 or p > cols:
+            raise ValueError(f"part {i + 1} out of range [0, {cols}]: {p}")
         if p > prev:
             raise ValueError(f"parts must be weakly decreasing at position {i + 1}")
         prev = p

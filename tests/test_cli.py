@@ -286,6 +286,25 @@ class TestVerifyCommand:
         assert "need 1 <= k <= N-1" in capsys.readouterr().err
 
 
+class TestPostParseUsageErrors:
+    """Checks made after parsing print the subcommand's usage, not the top level's."""
+
+    @pytest.mark.parametrize("argv, error", [
+        (["convert", "-k", "2", "-N", "6", "4,3"],
+         "convert needs either --map or both --from and --to"),
+        (["convert", "-k", "2", "-N", "6", "--map", "phi", "--to", "tab", "4,3"],
+         "convert takes --map or --from/--to, not both"),
+        (["lattice", "-k", "2"], "lattice needs -k and -N (or --poset FILE)"),
+    ])
+    def test_usage_names_the_subcommand(self, capsys, argv, error):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (1, "")
+        assert err.startswith(f"usage: dominolattice {argv[0]} ")
+        assert err.endswith(f"error: {error}\n")
+
+
 class TestParsing:
     def test_trailing_zeros_normalized(self):
         spec = BoxSpec(3, 7)

@@ -5,9 +5,9 @@ import pytest
 from dominolattice.domino import (build_d_a, gamma_ct, gamma_pt, gamma_tc,
                                   gamma_tp)
 from dominolattice.isomorphism import (BoxPermutation, apply_p, decompose,
-                                       integer_determinant, move_matrix, phi,
-                                       phi_circ, phi_circ_inverse, phi_inverse,
-                                       pi)
+                                       integer_determinant, move_census,
+                                       move_matrix, phi, phi_circ,
+                                       phi_circ_inverse, phi_inverse, pi)
 from dominolattice.oracle import (bareiss_solve, bfs_all_pairs,
                                   check_constructed_iso, exact_inverse)
 from dominolattice.typea import (BoxSpec, CircleState, all_partitions,
@@ -183,3 +183,14 @@ class TestDecompose:
     def test_invalid_input_rejected(self):
         with pytest.raises(ValueError):
             decompose(BOX24, (2, 0, 0, 0, 0))
+
+
+class TestMoveCensus:
+    @pytest.mark.parametrize("N", range(2, 13))
+    def test_prefix_count_is_the_cell_census_of_the_preimage(self, N):
+        # the closed form against the cell-by-cell colors of phi_inverse(sigma)
+        for k in range(1, N):
+            spec = BoxSpec(k, N)
+            for sigma in all_partitions(spec):
+                assert move_census(spec, sigma) \
+                    == partition_to_diagonal(spec, phi_inverse(spec, sigma))

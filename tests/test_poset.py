@@ -68,6 +68,26 @@ class TestIdeals:
         assert ideals == enumerate_order_ideals(P)
         assert all(is_order_ideal(P, x) for x in ideals)
 
+    def test_is_order_ideal_matches_the_definition(self):
+        # every subset of 50 random posets, alone and with a foreign vertex
+        def by_definition(P, members):
+            return members <= set(P.vertices) and all(
+                u in members for v in members for u in P.vertices if P.le(u, v))
+
+        rng = random.Random(50)
+        seen = {True: 0, False: 0, "foreign": 0}
+        for _ in range(50):
+            P = random_colored_poset(rng, 7)
+            verts = P.vertices
+            for mask in range(1 << len(verts)):
+                sel = {verts[i] for i in range(len(verts)) if mask >> i & 1}
+                for members in (sel, sel | {"foreign"}):
+                    want = by_definition(P, members)
+                    assert is_order_ideal(P, members) == want
+                    seen[want] += 1
+                    seen["foreign"] += "foreign" in members
+        assert min(seen.values()) > 0
+
     def test_ideals_count_antichains(self):
         # ideals correspond one-to-one with antichains (their maximal elements)
         rng = random.Random(2)

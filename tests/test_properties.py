@@ -5,9 +5,11 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dominolattice.domino import is_legal_domino_move
 from dominolattice.lattice import (ColoredLattice, is_diamond_colored,
                                    path_stats, product)
 from dominolattice.oracle import (bfs_all_pairs, check_constructed_iso,
+                                  diagonal_greedy_solve,
                                   enumerate_shortest_paths, is_distributive,
                                   is_modular, is_topographically_balanced,
                                   random_colored_poset, random_simple_path,
@@ -15,7 +17,7 @@ from dominolattice.oracle import (bfs_all_pairs, check_constructed_iso,
 from dominolattice.poset import (canonical_iso_to_ideals, disjoint_sum, dual,
                                  j_lattice, join_irreducibles, m_lattice,
                                  recolor)
-from dominolattice.solver import solve_distributive
+from dominolattice.solver import solve_distributive, solve_domino
 from dominolattice.typea import (BoxSpec, all_partitions,
                                  diagonal_to_partition, partition_to_diagonal,
                                  partition_to_tableau_L,
@@ -24,6 +26,16 @@ from dominolattice.typea import (BoxSpec, all_partitions,
 SMALL_SPECS = st.sampled_from(
     [BoxSpec(k, N) for k in range(1, 7) for N in range(k + 1, 11)
      if k * (N - k) <= 10])
+
+
+@st.composite
+def domino_games(draw):
+    """A box with N <= 24, two of its shapes and a route."""
+    N = draw(st.integers(2, 24))
+    spec = BoxSpec(draw(st.integers(1, N - 1)), N)
+    shape = st.lists(st.integers(0, spec.cols), min_size=spec.k, max_size=spec.k)
+    sigma, tau = (tuple(sorted(draw(shape), reverse=True)) for _ in range(2))
+    return spec, sigma, tau, draw(st.sampled_from(("join", "meet")))
 
 
 def poset_from_seed(seed, max_vertices=6, max_colors=3):
@@ -176,3 +188,20 @@ def test_shortest_path_censuses_are_invariants(spec):
         _, asc, desc = path_stats(p)
         censuses.add(frozenset((asc + desc).items()))
     assert len(censuses) <= 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(domino_games())
+def test_domino_walk_matches_the_diagonal_oracle_beyond_the_small_boxes(game):
+    # large k reaches the vertical dominoes, where a hop moves two rows
+    spec, sigma, tau, via = game
+    got = solve_domino(spec, sigma, tau, via=via)
+    want = diagonal_greedy_solve(spec, sigma, tau, via=via)
+    assert got.distance == want.distance
+    assert got.per_color == want.per_color
+    assert got.waypoint == want.waypoint
+    assert got.path.vertices == want.path.vertices
+    assert got.path.steps == want.path.steps
+    verts = got.path.vertices
+    assert all(is_legal_domino_move(spec, v, w) for v, w in zip(verts, verts[1:]))
+    assert list(got.per_color) == sorted(got.per_color)
