@@ -17,8 +17,8 @@ __version__ = "1.0.0"
 # Each exported name, listed under the submodule it lives in.
 _EXPORTS = {
     "lattice": ("ColoredLattice", "LatticeError", "PathRecord", "birkhoff_failure",
-                "check_full_length_sublattice", "full_length_witness", "is_diamond_colored",
-                "mountainize", "path_stats", "product", "valleyize"),
+                "check_full_length_sublattice", "full_length_witness", "mountainize",
+                "path_stats", "product", "valleyize"),
     "poset": ("PosetError", "VertexColoredPoset", "canonical_iso_to_ideals",
               "canonical_iso_to_filters", "disjoint_sum", "dual",
               "enumerate_order_ideals", "j_lattice", "join_irreducibles",
@@ -38,8 +38,9 @@ _EXPORTS = {
     "solver": ("GameSolution", "color_census", "solve_distributive", "solve_domino"),
     "oracle": ("PathCapExceeded", "bareiss_decompose", "bfs_all_pairs",
                "check_constructed_iso", "check_lattice_laws", "diagonal_greedy_solve",
-               "enumerate_shortest_paths", "is_distributive", "is_modular",
-               "is_topographically_balanced", "rank_function", "rank_identity_failure"),
+               "enumerate_shortest_paths", "is_diamond_colored", "is_distributive",
+               "is_modular", "is_topographically_balanced", "rank_function",
+               "rank_identity_failure"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -12,7 +12,7 @@ import json
 import re
 import sys
 
-from .domino import D_COORDINATES, build_d_a, is_red
+from .domino import D_COORDINATES, build_d_a
 from .isomorphism import phi, phi_inverse
 from .solver import solve_domino
 from .suites import SUITES
@@ -33,15 +33,18 @@ _INT_FIELD = re.compile(r"\s*-?[0-9]+\s*", re.ASCII)
 
 
 def parse_ints(text, brackets, what):
-    """Comma-separated integers, optionally wrapped in the given bracket pair.
+    """Comma-separated integers, optionally wrapped in one given bracket pair.
 
     Each field is an optional minus sign and ASCII digits; an empty field
     is an error, but an empty text is the empty tuple.
     """
-    text = text.strip().strip(brackets)
-    if text == "":
+    body = text.strip()
+    opening, closing = brackets
+    if body.startswith(opening) and body.endswith(closing):
+        body = body[1:-1]
+    if body == "":
         return ()
-    fields = text.split(",")
+    fields = body.split(",")
     if not all(_INT_FIELD.fullmatch(p) for p in fields):
         raise ValueError(f"cannot parse {what} {text!r}")
     try:
@@ -107,14 +110,14 @@ def _from_partition(spec, system, side, parts):
 
 
 def render_partition(spec, parts):
-    """One character per box: '#' shaded, '.' unshaded, 'r' unshaded red corner."""
+    """One character per box: '#' shaded, '.' unshaded, 'r' the red corner (1, N-k)."""
     rows = []
     for r in range(1, spec.k + 1):
         row = []
         for c in range(1, spec.cols + 1):
             shaded = c <= parts[r - 1]
             glyph = "#" if shaded else "."
-            if not shaded and r == 1 and c == spec.cols and is_red(spec, r, c):
+            if not shaded and r == 1 and c == spec.cols:
                 glyph = "r"
             row.append(glyph)
         rows.append("".join(row))

@@ -13,7 +13,7 @@ the digraph.
 
 from functools import lru_cache
 
-from .lattice import ColoredLattice, Record, _set_field, is_diamond_colored, is_int
+from .lattice import ColoredLattice, Record, _set_field, birkhoff_failure, is_int
 from .typea import (all_partitions, diagonal_to_partition, hop_up_moves,
                     is_valid_diagonal, is_valid_partition,
                     partition_to_diagonal, tableau_to_circle, validate_circle,
@@ -141,20 +141,18 @@ def d_up_edges(spec, x, system="part"):
 def build_d_a(spec):
     """The Domino Game lattice on all k x (N-k) partitions.
 
-    Edges hop tableau entries (`gamma_pt`, then back by `gamma_tp`).
-    Diamond coloring and the existence of unique extremes are asserted at
-    build time; the deeper structure checks live in the verification
-    suites.
+    Edges hop tableau entries (`gamma_pt`, then back by `gamma_tp`).  The
+    build asserts Birkhoff's certificate (`birkhoff_failure`), which implies
+    unique extremes; a failure raises AssertionError with its witness.
     """
     vertices = all_partitions(spec)
     pairs = _move_pairs(spec.N)
     L = ColoredLattice(vertices, [
         (sigma, _gamma_tp(spec, t), l) for sigma in vertices
         for t, l in hop_up_moves(frozenset(_gamma_pt(spec, sigma)), pairs)])
-    if L.minimum is None or L.maximum is None:
-        raise AssertionError("domino digraph lacks unique extremes")
-    if not is_diamond_colored(L):
-        raise AssertionError("domino digraph is not diamond colored")
+    failure = birkhoff_failure(L)
+    if failure is not None:
+        raise AssertionError(failure)
     return L
 
 

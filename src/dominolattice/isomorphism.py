@@ -42,21 +42,18 @@ def phi_circ(state):
     """Move each dot to its renumbered box: output bit pi(i) = input bit i."""
     if state.scheme != "L":
         raise ValueError("phi_circ expects an L-scheme circle state")
-    p = pi(len(state.bits))
-    out = [0] * len(state.bits)
-    for i, b in enumerate(state.bits, start=1):
-        out[p(i) - 1] = b
-    return CircleState(tuple(out), "D")
+    return _renumber(state, pi(len(state.bits)).inverse(), "D")
 
 
 def phi_circ_inverse(state):
     if state.scheme != "D":
         raise ValueError("phi_circ_inverse expects a D-scheme circle state")
-    p = pi(len(state.bits)).inverse()
-    out = [0] * len(state.bits)
-    for i, b in enumerate(state.bits, start=1):
-        out[p(i) - 1] = b
-    return CircleState(tuple(out), "L")
+    return _renumber(state, pi(len(state.bits)), "L")
+
+
+def _renumber(state, q, scheme):
+    """The circle state of the given scheme whose bit j is state's bit q(j)."""
+    return CircleState(tuple(state.bits[i - 1] for i in q.mapping), scheme)
 
 
 def phi(spec, sigma):

@@ -8,12 +8,12 @@ index-based order core, `CoverDigraph`, also carries vertex-colored posets.
 Whether a lattice is diamond-colored and distributive is decided by one
 pass over its covers, `birkhoff_failure`: Birkhoff's theorem says it is
 exactly when it is the ideal lattice of its colored join irreducibles.
-Its slow reference, the definitional law checks, lives in `oracle` and
-reads a lattice only through its public methods; `is_diamond_colored`
-stays here because `build_d_a` runs it.
+Its slow reference, the definitional checks (`is_diamond_colored` and
+the lattice laws), lives in `oracle` and reads a lattice only through its
+public methods.
 """
 
-from collections import Counter, deque
+from collections import Counter
 from functools import cached_property
 from itertools import product as iproduct
 
@@ -327,22 +327,21 @@ class ColoredLattice(CoverDigraph):
         """Edge-consistent rank map with smallest value 0, or None.
 
         None means no consistent assignment exists (e.g. an odd cycle of
-        covers) or the graph is disconnected.
+        covers) or the search from vertex 0 leaves a vertex unreached.
         """
-        if not self.is_connected:
-            return None
         val = [None] * len(self.vertices)
         val[0] = 0
-        queue = deque([0])
-        while queue:
-            i = queue.popleft()
+        order = [0]
+        for i in order:
             for adj, step in ((self._up, 1), (self._down, -1)):
                 for w in adj[i]:
                     if val[w] is None:
                         val[w] = val[i] + step
-                        queue.append(w)
+                        order.append(w)
                     elif val[w] != val[i] + step:
                         return None
+        if len(order) != len(val):
+            return None
         low = min(val)
         return {v: r - low for v, r in zip(self.vertices, val)}
 
@@ -370,21 +369,6 @@ class ColoredLattice(CoverDigraph):
 
 
 # -- structural predicates ----------------------------------------------------
-
-
-def is_diamond_colored(L):
-    """True iff every diamond carries equal colors on opposite edges."""
-    up, color = L._up, L._color
-    for v, ups in enumerate(up):
-        for a, s in enumerate(ups):
-            cs = color[v, s]
-            for t in ups[a + 1:]:
-                ct = color[v, t]
-                for u in up[s]:
-                    ctu = color.get((t, u))
-                    if ctu is not None and (color[s, u] != ct or ctu != cs):
-                        return False
-    return True
 
 
 def birkhoff_failure(L):
@@ -607,16 +591,15 @@ def check_full_length_sublattice(L, K):
         for y in members[i + 1:]:
             if L.meet(x, y) not in K or L.join(x, y) not in K:
                 return False
-    seen = {L.minimum}
-    queue = deque(seen)
-    while queue:
-        v = queue.popleft()
+    order = [L.minimum]
+    seen = set(order)
+    for v in order:
         if v == L.maximum:
             return True
         for w, _ in L.up_neighbors(v):
             if w in K and w not in seen:
                 seen.add(w)
-                queue.append(w)
+                order.append(w)
     return False
 
 

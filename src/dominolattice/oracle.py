@@ -1,12 +1,13 @@
 """Independent brute-force ground truth.
 
 BFS distances, exhaustive shortest-path enumeration, explicit-map
-isomorphism checking, the definitional lattice laws and their report, the
-paper's matrix route to the per-color move counts, and the greedy Domino
-walk in diagonal coordinates.  Nothing here reuses the closed-form
-machinery it is meant to check, except that the diagonal walk takes its
-move counts from the cell census, which the matrix route checks on its
-own.  The law checks read a lattice only through its public methods.
+isomorphism checking, the diamond-coloring check, the definitional
+lattice laws and their report, the paper's matrix route to the
+per-color move counts, and the greedy Domino walk in diagonal
+coordinates.  Nothing here reuses the closed-form machinery it is meant
+to check, except that the diagonal walk takes its move counts from the
+cell census, which the matrix route checks on its own.  The diamond and
+law checks read a lattice only through its public methods.
 """
 
 from collections import Counter, deque
@@ -215,6 +216,20 @@ def diagonal_greedy_solve(spec, sigma, tau, via="join"):
     verts = tuple(diagonal_to_partition(spec, d) for d in diags)
     path = PathRecord(verts, tuple(steps))
     return GameSolution(distance, per_color, path, waypoint)
+
+
+def is_diamond_colored(L):
+    """True iff every diamond carries equal colors on opposite edges."""
+    up = {v: dict(L.up_neighbors(v)) for v in L.vertices}
+    for ups in up.values():
+        covers = list(ups.items())
+        for a, (s, cs) in enumerate(covers):
+            for t, ct in covers[a + 1:]:
+                for u, csu in up[s].items():
+                    ctu = up[t].get(u)
+                    if ctu is not None and (csu != ct or ctu != cs):
+                        return False
+    return True
 
 
 def is_topographically_balanced(L):

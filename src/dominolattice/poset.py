@@ -5,8 +5,6 @@ from them keeps those frozensets as vertex labels, so the canonical
 isomorphisms of the fundamental theorem are ordinary dictionaries.
 """
 
-from collections import deque
-
 from .lattice import (ColoredLattice, CoverDigraph, LatticeError, induced_covers,
                       is_int, sort_key)
 
@@ -81,18 +79,28 @@ def is_order_ideal(P, members):
     return all(down[idx[v]] & ~mask == 0 for v in members)
 
 
+def _ideal_covers(P):
+    """The order ideals of P and the covers (x, v) of J(P), x | {v} covering x.
+
+    One breadth-first search from the empty ideal walks each cover once.
+    """
+    full = frozenset(P.vertices)
+    ideals = [frozenset()]
+    seen = set(ideals)
+    covers = []
+    for x in ideals:
+        for v in P.minimal_of(full - x):
+            covers.append((x, v))
+            y = x | {v}
+            if y not in seen:
+                seen.add(y)
+                ideals.append(y)
+    return ideals, covers
+
+
 def enumerate_order_ideals(P):
     """All order ideals of P, in vertex order (by sorted member ids)."""
-    ideals = {frozenset()}
-    queue = deque(ideals)
-    while queue:
-        x = queue.popleft()
-        for v in P.minimal_of(set(P.vertices) - x):
-            y = x | {v}
-            if y not in ideals:
-                ideals.add(y)
-                queue.append(y)
-    return sorted(ideals, key=sort_key)
+    return sorted(_ideal_covers(P)[0], key=sort_key)
 
 
 def j_lattice(P):
@@ -101,12 +109,8 @@ def j_lattice(P):
     Ideals are ordered by containment; the edge adjoining vertex v gets
     v's color.  Ranked by cardinality.
     """
-    ideals = enumerate_order_ideals(P)
-    edges = []
-    for x in ideals:
-        for v in P.minimal_of(set(P.vertices) - x):
-            edges.append((x, x | {v}, P.color(v)))
-    return ColoredLattice(ideals, edges)
+    ideals, covers = _ideal_covers(P)
+    return ColoredLattice(ideals, [(x, x | {v}, P.color(v)) for x, v in covers])
 
 
 def m_lattice(P):
@@ -114,13 +118,12 @@ def m_lattice(P):
 
     Going up removes a minimal element of the filter; the edge takes that
     element's color.  Minimum is the full filter, maximum the empty one.
+    The filter of an ideal x is its complement: adding v to x removes v.
     """
-    filters = [frozenset(set(P.vertices) - x) for x in enumerate_order_ideals(P)]
-    edges = []
-    for x in filters:
-        for v in P.minimal_of(x):
-            edges.append((x, x - {v}, P.color(v)))
-    return ColoredLattice(filters, edges)
+    ideals, covers = _ideal_covers(P)
+    full = frozenset(P.vertices)
+    return ColoredLattice([full - x for x in ideals],
+                          [(full - x, full - x - {v}, P.color(v)) for x, v in covers])
 
 
 def join_irreducibles(L):

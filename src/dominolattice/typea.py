@@ -246,11 +246,7 @@ def circle_to_partition_L(spec, state):
 
 def partition_to_diagonal(spec, parts):
     """Diagonal coordinates: entry i counts the shape's cells of color i."""
-    return _partition_to_diagonal(spec, validate_partition(spec, parts))
-
-
-def _partition_to_diagonal(spec, parts):
-    """partition_to_diagonal on a shape already validated."""
+    parts = validate_partition(spec, parts)
     diag = [0] * (spec.N - 1)
     for r in range(1, spec.k + 1):
         for c in range(1, parts[r - 1] + 1):

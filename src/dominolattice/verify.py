@@ -15,8 +15,9 @@ from .poset import (canonical_iso_to_filters, canonical_iso_to_ideals,
                     join_irreducibles, m_lattice, meet_irreducibles,
                     principal_filter, principal_ideal, recolor)
 from .typea import (L_COORDINATES, BoxSpec, all_partitions, build_l_a,
-                    build_l_graph, build_l_tab, build_l_tilde,
-                    ideal_to_partition, l_up_edges, partition_to_diagonal)
+                    build_l_graph, build_l_tab, build_l_tilde, build_p_a,
+                    ideal_to_partition, l_up_edges, partition_to_diagonal,
+                    partition_to_ideal)
 from .domino import (D_COORDINATES, build_d_a, d_up_edges,
                      is_legal_domino_move)
 from .isomorphism import apply_p, decompose, move_matrix, phi, phi_inverse
@@ -145,17 +146,16 @@ def suite_solver(k, N, seed=0):
     solve, path legality and the per-color census of every shortest path.
     """
     spec = BoxSpec(k, N)
-    from .typea import build_p_a, partition_to_ideal
     P = build_p_a(spec)
     L = build_l_graph(spec)
     D = build_d_a(spec)
     distL = bfs_all_pairs(L)
     distD = bfs_all_pairs(D)
+    ideal = {a: partition_to_ideal(spec, a) for a in D.vertices}
     okL = okD = okPath = True
     for a in D.vertices:
         for b in D.vertices:
-            ga = solve_distributive(P, partition_to_ideal(spec, a),
-                                    partition_to_ideal(spec, b))
+            ga = solve_distributive(P, ideal[a], ideal[b])
             okL &= ga.distance == distL[(a, b)]
             gd = solve_domino(spec, a, b)
             okD &= gd.distance == distD[(a, b)]
@@ -188,8 +188,8 @@ def suite_structure(k, N):
     All of them hold exactly when the lattice is diamond-colored and
     distributive, which Birkhoff's theorem turns into the one-pass
     certificate `lattice.birkhoff_failure`; its message is the witness of
-    a failing check.  The definitional checks, `is_diamond_colored` and
-    `oracle.check_lattice_laws`, are the oracle the tests compare it with.
+    a failing check.  The definitional checks, `oracle.is_diamond_colored`
+    and `oracle.check_lattice_laws`, are the oracle the tests compare it with.
     """
     spec = BoxSpec(k, N)
     built = [("L_A", build_l_graph(spec)), ("D_A", build_d_a(spec))]

@@ -13,10 +13,10 @@ from dominolattice.domino import (build_d_a, d_max, d_min,
                                   gamma_tp, d_up_edges, circle_to_partition_D,
                                   partition_to_circle_D)
 from dominolattice.isomorphism import decompose, move_matrix, phi, phi_inverse, pi
-from dominolattice.lattice import (is_diamond_colored, mountainize,
-                                   path_stats, valleyize)
+from dominolattice.lattice import mountainize, path_stats, valleyize
 from dominolattice.oracle import (bfs_all_pairs, check_constructed_iso,
-                                  check_lattice_laws, enumerate_shortest_paths)
+                                  check_lattice_laws, enumerate_shortest_paths,
+                                  is_diamond_colored)
 from dominolattice.poset import (canonical_iso_to_filters,
                                  canonical_iso_to_ideals, j_lattice,
                                  join_irreducibles, m_lattice,

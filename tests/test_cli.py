@@ -317,7 +317,7 @@ class TestParsing:
 
     @pytest.mark.parametrize("text", [
         "1_0", "\u0663", "+3", "3,,1", "3,1,", ",3", ",", "(,)", "3 1", "0x3", "1e1",
-        "3,\u00a01",
+        "3,\u00a01", "((1))", "(1", "1)", ")1(",
     ])
     def test_each_field_is_a_sign_and_ascii_digits(self, text):
         with pytest.raises(ValueError, match="cannot parse partition"):

@@ -2,14 +2,15 @@ from math import comb
 
 import pytest
 
+from dominolattice import domino
 from dominolattice.domino import (beta_circ, beta_diag, beta_part, build_d_a,
                                   circle_to_partition_D, d_max, d_min,
                                   d_up_edges, dtab_move_pair, gamma_ct,
                                   gamma_pt, gamma_tc, gamma_tp,
                                   is_legal_domino_move, is_red, m_diag,
                                   partition_to_circle_D, render_board)
-from dominolattice.lattice import is_diamond_colored
-from dominolattice.oracle import check_constructed_iso, is_topographically_balanced
+from dominolattice.oracle import (check_constructed_iso, is_diamond_colored,
+                                  is_topographically_balanced)
 from dominolattice.typea import (BoxSpec, CircleState, all_partitions,
                                  diagonal_to_partition, is_valid_partition,
                                  partition_to_diagonal)
@@ -158,6 +159,24 @@ class TestBuild:
         assert is_diamond_colored(D)
         assert is_topographically_balanced(D)
         assert D.is_lattice
+
+    def test_a_recolored_move_fails_the_build_at_a_named_shape(self, monkeypatch):
+        # recolor one of the two up-moves of (1, 1, 0): the certificate names
+        # the cover or join irreducible where the coloring breaks
+        spec = BoxSpec(3, 7)
+        target = frozenset(gamma_pt(spec, (1, 1, 0)))
+        hop = domino.hop_up_moves
+
+        def recolored(entries, pairs):
+            moves = hop(entries, pairs)
+            if entries == target:
+                assert len(moves) == 2
+                moves[0] = (moves[0][0], 99)
+            return moves
+
+        monkeypatch.setattr(domino, "hop_up_moves", recolored)
+        with pytest.raises(AssertionError, match=r"\(\d, \d, \d\)"):
+            build_d_a.__wrapped__(spec)
 
     def test_extremes(self):
         assert d_min(BOX24) == (2, 1)

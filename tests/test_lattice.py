@@ -7,15 +7,14 @@ import pytest
 from dominolattice.lattice import (ColoredLattice, LatticeError,
                                    PathRecord, birkhoff_failure,
                                    check_full_length_sublattice,
-                                   full_length_witness, is_diamond_colored,
-                                   mountainize, path_from_vertices,
+                                   full_length_witness, mountainize, path_from_vertices,
                                    path_stats, product, valleyize)
 from dominolattice.domino import build_d_a, pi
 from dominolattice.isomorphism import MoveMatrix, move_matrix
 from dominolattice.poset import (PosetError, VertexColoredPoset, j_lattice,
                                  join_irreducibles, check_poset_iso, m_lattice)
 from dominolattice.oracle import (check_lattice_laws, enumerate_shortest_paths,
-                                  is_distributive, is_modular,
+                                  is_diamond_colored, is_distributive, is_modular,
                                   is_topographically_balanced,
                                   random_colored_poset, random_simple_path,
                                   rank_function, rank_identity_failure)
@@ -171,6 +170,7 @@ class TestRank:
 
     def test_disconnected_rejected(self):
         L = ColoredLattice("abcd", [("a", "b", 1), ("c", "d", 1)])
+        assert L.ranks is None
         with pytest.raises(LatticeError, match="disconnected"):
             rank_function(L)
 

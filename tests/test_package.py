@@ -6,6 +6,7 @@ import importlib
 import os
 import subprocess
 import sys
+import tomllib
 
 import pytest
 
@@ -17,8 +18,7 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 EXPORTS = {
     "lattice": ["ColoredLattice", "LatticeError", "PathRecord", "birkhoff_failure",
                 "check_full_length_sublattice", "full_length_witness",
-                "is_diamond_colored", "mountainize", "path_stats", "product",
-                "valleyize"],
+                "mountainize", "path_stats", "product", "valleyize"],
     "poset": ["PosetError", "VertexColoredPoset", "canonical_iso_to_ideals",
               "canonical_iso_to_filters", "disjoint_sum", "dual",
               "enumerate_order_ideals", "j_lattice", "join_irreducibles", "m_lattice",
@@ -37,8 +37,9 @@ EXPORTS = {
     "solver": ["GameSolution", "color_census", "solve_distributive", "solve_domino"],
     "oracle": ["PathCapExceeded", "bareiss_decompose", "bfs_all_pairs",
                "check_constructed_iso", "check_lattice_laws", "diagonal_greedy_solve",
-               "enumerate_shortest_paths", "is_distributive", "is_modular",
-               "is_topographically_balanced", "rank_function", "rank_identity_failure"],
+               "enumerate_shortest_paths", "is_diamond_colored", "is_distributive",
+               "is_modular", "is_topographically_balanced", "rank_function",
+               "rank_identity_failure"],
 }
 NAMES = [name for names in EXPORTS.values() for name in names]
 
@@ -142,6 +143,22 @@ class TestImports:
             unused += [(module, name) for name in sorted(imported - used)
                        if (module, name) not in RE_EXPORTS]
         assert unused == []
+
+
+class TestSupportedPython:
+    def test_every_module_parses_as_the_oldest_supported_python(self):
+        with open(os.path.join(os.path.dirname(SRC), "pyproject.toml"), "rb") as handle:
+            assert tomllib.load(handle)["project"]["requires-python"] == ">=3.10"
+        package = os.path.join(SRC, "dominolattice")
+        for filename in sorted(os.listdir(package)):
+            if filename.endswith(".py"):
+                with open(os.path.join(package, filename)) as source:
+                    ast.parse(source.read(), filename, feature_version=(3, 10))
+
+    def test_the_check_rejects_newer_syntax(self):
+        with pytest.raises(SyntaxError):
+            ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n",
+                      feature_version=(3, 10))
 
 
 class TestEncapsulation:

@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dominolattice.domino import is_legal_domino_move
-from dominolattice.lattice import (ColoredLattice, is_diamond_colored,
-                                   path_stats, product)
+from dominolattice.lattice import ColoredLattice, path_stats, product
 from dominolattice.oracle import (bfs_all_pairs, check_constructed_iso,
                                   diagonal_greedy_solve,
-                                  enumerate_shortest_paths, is_distributive,
+                                  enumerate_shortest_paths, is_diamond_colored,
+                                  is_distributive,
                                   is_modular, is_topographically_balanced,
                                   random_colored_poset, random_simple_path,
                                   rank_function)

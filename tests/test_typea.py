@@ -2,8 +2,7 @@ from math import comb
 
 import pytest
 
-from dominolattice.lattice import is_diamond_colored
-from dominolattice.oracle import check_constructed_iso
+from dominolattice.oracle import check_constructed_iso, is_diamond_colored
 from dominolattice.poset import check_poset_iso, join_irreducibles, principal_ideal
 from dominolattice.typea import (BoxSpec, CircleState, all_partitions,
                                  build_l_a, build_l_graph,
