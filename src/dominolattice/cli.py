@@ -53,6 +53,16 @@ def parse_ints(text, brackets, what):
         raise ValueError(f"cannot parse {what} {text!r}") from None
 
 
+def _int_flag(text):
+    """An integer flag (-k, -N, --seed), read by the partition field rule."""
+    try:
+        if _INT_FIELD.fullmatch(text):
+            return int(text)
+    except ValueError:      # more digits than int() accepts
+        pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
 def parse_partition(spec, text):
     """Comma-separated parts, first row first; trailing zeros may be omitted."""
     values = parse_ints(text, "()", "partition")
@@ -233,8 +243,8 @@ def build_parser():
 
     p = sub.add_parser("lattice", help="build and export a lattice")
     p.add_argument("--family", choices=("A", "D"), default="A")
-    p.add_argument("-k", type=int)
-    p.add_argument("-N", type=int)
+    p.add_argument("-k", type=_int_flag)
+    p.add_argument("-N", type=_int_flag)
     p.add_argument("--poset", metavar="FILE",
                    help="build the ideal/filter lattice of a poset JSON file")
     p.add_argument("--construction", choices=("J", "M"), default="J")
@@ -242,8 +252,8 @@ def build_parser():
     p.set_defaults(func=cmd_lattice, parser=p)
 
     p = sub.add_parser("convert", help="convert coordinates or apply phi")
-    p.add_argument("-k", type=int, required=True)
-    p.add_argument("-N", type=int, required=True)
+    p.add_argument("-k", type=_int_flag, required=True)
+    p.add_argument("-N", type=_int_flag, required=True)
     p.add_argument("--from", dest="src", metavar="SYSTEM[:SIDE]",
                    help="part, tab, circ, or diag, optionally :L or :D")
     p.add_argument("--to", dest="dest", choices=("part", "tab", "circ", "diag"))
@@ -252,8 +262,8 @@ def build_parser():
     p.set_defaults(func=cmd_convert, parser=p)
 
     p = sub.add_parser("solve", help="solve the domino game between two shapes")
-    p.add_argument("-k", type=int, required=True)
-    p.add_argument("-N", type=int, required=True)
+    p.add_argument("-k", type=_int_flag, required=True)
+    p.add_argument("-N", type=_int_flag, required=True)
     p.add_argument("--from", dest="src", required=True)
     p.add_argument("--to", dest="dest", required=True)
     p.add_argument("--via", choices=("join", "meet"), default="join")
@@ -262,9 +272,9 @@ def build_parser():
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", default="all", choices=SUITES + ("all",))
-    p.add_argument("-k", type=int, default=2)
-    p.add_argument("-N", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("-k", type=_int_flag, default=2)
+    p.add_argument("-N", type=_int_flag, default=5)
+    p.add_argument("--seed", type=_int_flag, default=0)
     p.set_defaults(func=cmd_verify, parser=p)
     return parser
 

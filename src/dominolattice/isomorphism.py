@@ -6,8 +6,8 @@ tableaux that is elementwise pi, so phi maps a partition's L tableau
 through pi and sorts the result into a D tableau, and phi_inverse applies
 pi inverse and sorts.  Because phi preserves colors, the per-color move
 counts from the Domino minimum up to a shape are the color census of the
-cells of its preimage, which is how `move_census`, `decompose` and the
-solver get them, all through `_tableau_census`, in O(N) per shape:
+cells of its preimage, which is how `move_census` and `decompose` get
+them, through `_tableau_census`, in O(N) per shape:
 
     #color-l moves = #{t in T_D(sigma) : pi^-1(t) <= l} - max(0, l - (N-k)).
 
@@ -17,6 +17,21 @@ Its row r, with entry t_r, holds one cell of each color t_r, ..., N-k+r-1
 color l).  A row whose colors stop short of l, N-k+r <= l, also has
 t_r <= l, so the cells of color l are the rows with t_r <= l less those
 max(0, l - (N-k)) rows.
+
+Between two shapes the row terms cancel, so with Q = pi^-1(T_D), the L
+tableau of the preimage, the census difference is one running count
+over colors, which is how the solver reads its rise and fall counts:
+
+    T_l - S_l = #{q in Q_tau : q <= l} - #{q in Q_sigma : q <= l}.
+
+The same Q decides which moves are legal: phi preserves colors and
+covers, so a color-l move of D is legal at sigma exactly when the
+color-l move of L is legal at the preimage.  That move swaps entry l+1
+for l going up, so it is legal when l+1 is in Q and l is not; going
+down, when l is in Q and l+1 is not.  Held as an int with bit q set for
+each q in Q (`_preimage_bits`), the legal up colors are the set bits of
+(Q >> 1) & ~Q, and the legal down colors those of Q & ~(Q >> 1), the
+legal up colors of the complement ~Q.
 
 The matrix P of diagonal move-vectors is the paper's route to the same
 counts: `apply_p` transports coordinates by it, and the oracle
@@ -176,6 +191,16 @@ def _tableau_census(spec, entries):
     for t in entries:
         steps[q[t - 1]] += 1
     return tuple(accumulate(steps[1:-1]))
+
+
+@lru_cache(maxsize=None)
+def _preimage_bits(N):
+    """1 << pi^-1(t) at index t, for each D-tableau entry t; index 0 is unused.
+
+    OR-ed over a shape's D tableau, these bits are the int mask of its
+    preimage's L tableau, Q.
+    """
+    return (0,) + tuple(1 << q for q in _pi_pair(N)[1].mapping)
 
 
 def decompose(spec, diag):

@@ -2,13 +2,17 @@
 
 Two routes to the same answers: the generic distributive-lattice solution
 (count order-ideal differences, walk through the join or the meet) and
-the Domino-specific procedure (read each shape's per-color move counts
-off the cell census of its preimage under phi, then greedily apply the
-moves).  The Domino walk runs on plain integers, with no Counter in it:
-a D tableau is an int mask with bit t set for entry t, the moves still
-to make are count lists indexed by color, and a color-l move hops one
-dot, so its legality is two bit tests and it changes one row of the
-shape, or two when the dot passes the entry between its ends.  It never
+the Domino-specific procedure.  That one reads each shape once, into an
+int mask of its D tableau (bit t set for entry t) and one of its
+preimage's L tableau, Q (bit pi^-1(t)).  The per-color move counts are
+one running count over the two Q masks, and the moves are then applied
+greedily, smallest legal color first.  The walk runs on plain integers,
+with no Counter in it: the moves still to make are count lists indexed
+by color, the legal up colors are the set bits of (Q >> 1) & ~Q (the
+isomorphism module's docstring), and the smallest is the lowest set bit,
+so a step scans no colors.  A color-l move flips bits l and l+1 of Q and
+hops one dot of the D tableau, which changes one row of the shape, or
+two when the dot passes the entry between its ends.  The walk never
 builds the lattice; its slow reference is the same walk in diagonal
 coordinates, over Counters, `oracle.diagonal_greedy_solve`.  The
 per-color answer of either route is a Counter.
@@ -16,10 +20,11 @@ per-color answer of either route is a Counter.
 
 from collections import Counter
 from functools import lru_cache
+from operator import itemgetter
 
 from .lattice import DOWN, UP, PathRecord, Record, _set_field
-from .domino import _gamma_pt, _move_pairs
-from .isomorphism import _tableau_census
+from .domino import _move_pairs
+from .isomorphism import _preimage_bits
 from .poset import is_order_ideal
 from .typea import validate_partition
 
@@ -32,16 +37,26 @@ def color_census(P, members):
 class GameSolution(Record):
     """Distance, per-color move counts, an explicit path, and its waypoint.
 
-    per_color is a Counter, so a GameSolution is not hashable.
+    per_color is a Counter, so a GameSolution is not hashable.  The path
+    must have `distance` steps and make per_color[c] moves of each color
+    c, a color missing from either side counting zero; a failed check
+    names the two numbers that differ.
     """
 
     __slots__ = ("distance", "per_color", "path", "waypoint")
 
     def __init__(self, distance, per_color, path, waypoint):
         if len(path.steps) != distance:
-            raise ValueError("path length disagrees with distance")
-        if Counter(c for c, _ in path.steps) != per_color:
-            raise ValueError("path colors disagree with the per-color counts")
+            raise ValueError(f"the path has {len(path.steps)} steps "
+                             f"but the distance is {distance}")
+        made = Counter(map(itemgetter(0), path.steps))
+        # equal dicts are equal Counters; only a mismatch, or a zero entry,
+        # pays for the color-by-color comparison
+        if dict.__eq__(made, per_color) is not True:
+            for c in sorted(made.keys() | per_color.keys()):
+                if made[c] != per_color.get(c, 0):
+                    raise ValueError(f"color {c}: the path makes {made[c]} "
+                                     f"moves, per_color counts {per_color.get(c, 0)}")
         _set_field(self, "distance", distance)
         _set_field(self, "per_color", per_color)
         _set_field(self, "path", path)
@@ -97,53 +112,58 @@ def solve_distributive(P, s, t, via="join"):
 
 
 @lru_cache(maxsize=None)
-def _hops(N):
-    """The up and down hop tables, indexed by color, built once per valid N.
+def _walk_tables(N):
+    """The up and down hop tables and the step labels, built once per valid N.
 
     A color-l move hops one dot of the D tableau: up from pi(l+1) to
     pi(l), down the other way (`_move_pairs`).  For a dot hopping from
-    `old` to `old + delta`, a table holds five tuples indexed by color:
-    flip (both bits), bit (the old bit), shift (old + 1, so that
-    mask >> shift counts the entries above old), mid (the bit between
-    the ends when |delta| == 2, else 0) and delta.
+    `old` to `old + delta`, a hop table holds four tuples indexed by
+    color: flip (both bits), shift (old + 1, so that mask >> shift counts
+    the entries above old), mid (the bit between the ends when
+    |delta| == 2, else 0) and delta.  The labels are the steps (l, UP)
+    and (l, DOWN), shared by every path.
     """
-    tables = []
+    hops = []
     for up in (True, False):
-        rows = [(0, 0, 0, 0, 0)]
+        rows = [(0, 0, 0, 0)]
         for l, (x, y) in _move_pairs(N).items():
             new, old = (x, y) if up else (y, x)
             delta = new - old
             if abs(delta) > 2:
                 raise AssertionError(f"color {l} hops over more than one entry")
             mid = 1 << ((old + new) // 2) if abs(delta) == 2 else 0
-            rows.append(((1 << new) | (1 << old), 1 << old, old + 1, mid, delta))
-        tables.append(tuple(zip(*rows)))
-    return tuple(tables)
+            rows.append(((1 << new) | (1 << old), old + 1, mid, delta))
+        hops.append(tuple(zip(*rows)))
+    labels = [tuple((l, d) for l in range(N)) for d in (UP, DOWN)]
+    return (*hops, *labels)
 
 
-def _greedy_leg(hops, mask, parts, need, verts, colors):
-    """Apply the colored moves counted in need greedily, smallest color first.
+def _greedy_leg(hops, labels, mask, q, parts, need, active, verts, steps):
+    """Apply the colored up moves counted in need greedily, smallest color first.
 
     mask has bit t set for each D-tableau entry t, and parts is the shape
-    it encodes, updated in place; need[l] counts the color-l moves still
-    to make.  A move is legal when its old bit is set and its new bit
-    clear.  The dot keeps its row unless it passes the entry between
-    its ends, a vertical domino that moves two rows by one.  Appends each
-    shape to verts and each color to colors, and returns the final mask;
-    the procedure is guaranteed to consume every move, which is asserted.
+    it encodes, updated in place; q is the L-tableau mask of its preimage
+    (the isomorphism module's docstring), so the legal up colors are the
+    set bits of (q >> 1) & ~q.  A down leg passes ~q instead: a down move
+    is an up move of the complement.  need[l] counts the color-l moves
+    still to make and active has bit l set while need[l] is not 0.  The
+    dot keeps its row unless it passes the entry between its ends, a
+    vertical domino that moves two rows by one.  Appends each shape to
+    verts and labels[l] to steps, and returns the final mask and q; the
+    procedure is guaranteed to consume every move, which is asserted.
     """
-    flips, bits, shifts, mids, deltas = hops
-    active = [l for l, n in enumerate(need) if n]
+    flips, shifts, mids, deltas = hops
     while active:
-        for i, l in enumerate(active):
-            if mask & flips[l] == bits[l]:
-                break
-        else:
+        legal = (q >> 1) & ~q & active
+        if not legal:
+            colors = [l for l in range(active.bit_length()) if active >> l & 1]
             entries = [t for t in range(mask.bit_length()) if mask >> t & 1]
-            raise AssertionError(f"no legal move among {active} at {entries}")
+            raise AssertionError(f"no legal move among {colors} at {entries}")
+        low = legal & -legal
+        l = low.bit_length() - 1
         need[l] -= 1
         if not need[l]:
-            del active[i]
+            active ^= low
         row = (mask >> shifts[l]).bit_count()
         delta = deltas[l]
         if mask & mids[l]:
@@ -155,56 +175,64 @@ def _greedy_leg(hops, mask, parts, need, verts, colors):
         else:
             parts[row] += delta
         mask ^= flips[l]
+        q ^= 3 * low
         verts.append(tuple(parts))
-        colors.append(l)
-    return mask
-
-
-def _mask(entries):
-    """The int with bit t set for each tableau entry t."""
-    mask = 0
-    for t in entries:
-        mask |= 1 << t
-    return mask
+        steps.append(labels[l])
+    return mask, q
 
 
 def solve_domino(spec, sigma, tau, via="join"):
     """Shortest Domino play between two shapes, with an explicit move list.
 
-    Each shape is validated once, here; its D tableau then gives both the
-    move census and the start of the walk.  With S and T the censuses of
-    sigma and tau, rise[l] = max(0, T_l - S_l) and fall[l] =
-    max(0, S_l - T_l) count the color-l up and down moves of the play;
-    per_color holds their sums, colors in ascending order.
+    Each shape is validated once, here, and read once, into its D-tableau
+    mask and the L-tableau mask Q of its preimage.  With S and T the
+    censuses of sigma and tau, T_l - S_l is a running count over the two
+    Q masks (the isomorphism module's docstring); rise[l] = max(0,
+    T_l - S_l) and fall[l] = max(0, S_l - T_l) count the color-l up and
+    down moves of the play, and per_color holds their sums, colors in
+    ascending order.
     """
     sigma = validate_partition(spec, sigma)
     tau = validate_partition(spec, tau)
-    ts, tt = _gamma_pt(spec, sigma), _gamma_pt(spec, tau)
-    rise, fall, per_color = [0], [0], Counter()
-    for l, (s, t) in enumerate(zip(_tableau_census(spec, ts),
-                                   _tableau_census(spec, tt)), start=1):
-        rise.append(t - s if t > s else 0)
-        fall.append(s - t if s > t else 0)
-        if s != t:
-            per_color[l] = abs(s - t)
+    k, N = spec.k, spec.N
+    bits = _preimage_bits(N)
+    masks = []
+    for shape in (sigma, tau):
+        mask = q = 0
+        for j, s in enumerate(shape):
+            t = s + k - j
+            mask |= 1 << t
+            q |= bits[t]
+        masks += (mask, q)
+    ms, qs, mt, qt = masks
+    rise, fall, per_color = [0] * N, [0] * N, Counter()
+    rising = falling = diff = 0
+    for l in range(1, N):
+        diff += (qt >> l & 1) - (qs >> l & 1)
+        if diff > 0:
+            rise[l] = per_color[l] = diff
+            rising |= 1 << l
+        elif diff < 0:
+            fall[l] = per_color[l] = -diff
+            falling |= 1 << l
     distance = sum(rise) + sum(fall)
-    up, down = _hops(spec.N)
+    up, down, ups, downs = _walk_tables(N)
     if via == "join":
-        verts, up_colors, back, down_colors = [sigma], [], [tau], []
-        top = _greedy_leg(up, _mask(ts), list(sigma), rise, verts, up_colors)
+        verts, steps, back, back_steps = [sigma], [], [tau], []
+        top, _ = _greedy_leg(up, ups, ms, qs, list(sigma), rise, rising, verts, steps)
         waypoint = verts[-1]
-        if _greedy_leg(up, _mask(tt), list(tau), fall, back, down_colors) != top:
+        if _greedy_leg(up, downs, mt, qt, list(tau), fall, falling,
+                       back, back_steps)[0] != top:
             raise AssertionError("legs did not meet at the join")
         verts += back[-2::-1]
-        steps = [(c, UP) for c in up_colors] + [(c, DOWN) for c in reversed(down_colors)]
+        steps += back_steps[::-1]
     elif via == "meet":
-        verts, down_colors, up_colors = [sigma], [], []
+        verts, steps = [sigma], []
         parts = list(sigma)
-        bottom = _greedy_leg(down, _mask(ts), parts, fall, verts, down_colors)
+        bottom, q = _greedy_leg(down, downs, ms, ~qs, parts, fall, falling, verts, steps)
         waypoint = verts[-1]
-        if _greedy_leg(up, bottom, parts, rise, verts, up_colors) != _mask(tt):
+        if _greedy_leg(up, ups, bottom, ~q, parts, rise, rising, verts, steps)[0] != mt:
             raise AssertionError("legs did not meet at the target")
-        steps = [(c, DOWN) for c in down_colors] + [(c, UP) for c in up_colors]
     else:
         raise ValueError(f"via must be 'join' or 'meet', got {via!r}")
     path = PathRecord(tuple(verts), tuple(steps))

@@ -345,6 +345,22 @@ class TestParsing:
         assert (code, out) == (2, "")
         assert "cannot parse partition" in err
 
+    @pytest.mark.parametrize("text", ["1_0", "+3", "\u0663"])
+    @pytest.mark.parametrize("argv", [
+        "solve -k @ -N 20 --from 0 --to 0",
+        "solve -k 3 -N @ --from 0 --to 0",
+        "verify --suite solver -k @ -N 6",
+        "verify --suite solver -k 2 -N @",
+        "verify --suite solver -k 2 -N 5 --seed @",
+    ])
+    def test_integer_flags_follow_the_field_rule(self, capsys, argv, text):
+        # int() reads all three; a flag, like a partition field, is a sign and ASCII digits
+        with pytest.raises(SystemExit) as exc:
+            main([text if a == "@" else a for a in argv.split()])
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (1, "")
+        assert err.endswith(f"invalid int value: {text!r}\n")
+
     @settings(max_examples=300, deadline=None)
     @given(st.text(alphabet=st.sampled_from("0123456789,-+_() \u0663\u00a0x"),
                    max_size=12) | st.text(max_size=8))

@@ -2,9 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from dominolattice.domino import (build_d_a, gamma_ct, gamma_pt, gamma_tc,
-                                  gamma_tp)
-from dominolattice.isomorphism import (BoxPermutation, apply_p, decompose,
+from dominolattice.domino import (build_d_a, d_up_edges, gamma_ct, gamma_pt,
+                                  gamma_tc, gamma_tp)
+from dominolattice.isomorphism import (BoxPermutation, _preimage_bits,
+                                       apply_p, decompose,
                                        integer_determinant, move_census,
                                        move_matrix, phi, phi_circ,
                                        phi_circ_inverse, phi_inverse, pi)
@@ -12,9 +13,13 @@ from dominolattice.oracle import (bareiss_solve, bfs_all_pairs,
                                   check_constructed_iso, exact_inverse)
 from dominolattice.typea import (BoxSpec, CircleState, all_partitions,
                                  build_l_graph, circle_to_partition_L,
-                                 partition_to_circle_L, partition_to_diagonal)
+                                 partition_to_circle_L, partition_to_diagonal,
+                                 partition_to_tableau_L)
 
 BOX24 = BoxSpec(2, 6)
+
+DESK_SPECS = tuple(BoxSpec(k, N) for k in range(1, 13)
+                   for N in range(k + 1, 15) if k * (N - k) <= 12)
 
 
 class TestPi:
@@ -194,3 +199,25 @@ class TestMoveCensus:
             for sigma in all_partitions(spec):
                 assert move_census(spec, sigma) \
                     == partition_to_diagonal(spec, phi_inverse(spec, sigma))
+
+
+class TestLegalityIdentity:
+    """Move legality read off Q, the preimage's L tableau, against beta_part."""
+
+    @staticmethod
+    def bits(mask, N):
+        return {l for l in range(1, N) if mask >> l & 1}
+
+    @pytest.mark.parametrize("spec", DESK_SPECS, ids=lambda s: f"k{s.k}N{s.N}")
+    def test_legal_colors_are_the_bit_pairs_of_q(self, spec):
+        into = {sigma: set() for sigma in all_partitions(spec)}
+        for rho in into:
+            for sigma, l in d_up_edges(spec, rho, "part"):
+                into[sigma].add(l)
+        table = _preimage_bits(spec.N)
+        for sigma, down in into.items():
+            q = sum(1 << t for t in partition_to_tableau_L(spec, phi_inverse(spec, sigma)))
+            assert sum(table[t] for t in gamma_pt(spec, sigma)) == q
+            up = {l for _, l in d_up_edges(spec, sigma, "part")}
+            assert up == self.bits((q >> 1) & ~q, spec.N)
+            assert down == self.bits(q & ~(q >> 1), spec.N)

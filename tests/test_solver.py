@@ -218,11 +218,15 @@ class TestClosedFormSolve:
         huge = BoxSpec(50, 100)
         games += [(huge, d_min(huge), d_max(huge), "join"),
                   (huge, d_max(huge), d_min(huge), "meet")]
+        vast = BoxSpec(100, 200)        # 10 000 steps each way
+        games += [(vast, a, b, via) for a, b in ((d_min(vast), d_max(vast)),
+                                                 (d_max(vast), d_min(vast)))
+                  for via in ("join", "meet")]
         for spec, a, b, via in games:
             sol = solve_domino(spec, a, b, via=via)
             lam, mu = phi_inverse(spec, a), phi_inverse(spec, b)
             assert sol.distance == sum(abs(x - y) for x, y in zip(lam, mu))
-            if spec in (big, huge):     # bottom <-> top crosses the whole box
+            if spec in (big, huge, vast):   # bottom <-> top crosses the whole box
                 assert sol.distance == spec.k * spec.cols
             verts = sol.path.vertices
             assert verts[0] == a and verts[-1] == b
@@ -254,3 +258,25 @@ class TestGameSolution:
         sol = solve_domino(BOX24, (4, 3), (1, 1))
         with pytest.raises(ValueError):
             GameSolution(sol.distance + 1, sol.per_color, sol.path, sol.waypoint)
+
+    def test_length_error_gives_both_numbers(self):
+        sol = solve_domino(BOX24, (4, 3), (1, 1))
+        with pytest.raises(ValueError, match="the path has 3 steps but the distance is 4"):
+            GameSolution(4, sol.per_color, sol.path, sol.waypoint)
+
+    @pytest.mark.parametrize("per_color, message", [
+        (Counter({2: 1, 3: 1, 5: 1}), "color 3: the path makes 0 moves, per_color counts 1"),
+        (Counter({2: 1, 4: 2, 5: 0}), "color 4: the path makes 1 moves, per_color counts 2"),
+        (Counter({2: 1, 4: 1}), "color 5: the path makes 1 moves, per_color counts 0"),
+        ({2: 1, 4: 1, 5: 1, 0: -1}, "color 0: the path makes 0 moves, per_color counts -1"),
+    ])
+    def test_color_error_names_the_first_color_that_differs(self, per_color, message):
+        sol = solve_domino(BOX24, (4, 4), (1, 1))   # colors 2, 4 and 5, once each
+        with pytest.raises(ValueError, match=message):
+            GameSolution(sol.distance, per_color, sol.path, sol.waypoint)
+
+    def test_zero_entries_count_as_absent(self):
+        sol = solve_domino(BOX24, (4, 4), (1, 1))
+        per_color = Counter({1: 0, 2: 1, 4: 1, 5: 1, 3: 0})
+        assert GameSolution(sol.distance, per_color, sol.path, sol.waypoint) \
+            == GameSolution(sol.distance, per_color, sol.path, sol.waypoint)
