@@ -37,8 +37,8 @@ _EXPORTS = {
                     "pi"),
     "solver": ("GameSolution", "color_census", "solve_distributive", "solve_domino"),
     "oracle": ("PathCapExceeded", "bareiss_decompose", "bfs_all_pairs",
-               "check_constructed_iso", "check_lattice_laws", "diagonal_greedy_solve",
-               "enumerate_shortest_paths", "is_diamond_colored", "is_distributive",
+               "check_constructed_iso", "check_lattice_laws", "enumerate_shortest_paths",
+               "ideal_greedy_solve", "is_diamond_colored", "is_distributive",
                "is_modular", "is_topographically_balanced", "rank_function",
                "rank_identity_failure"),
 }

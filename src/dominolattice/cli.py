@@ -32,11 +32,21 @@ class _Parser(argparse.ArgumentParser):
 _INT_FIELD = re.compile(r"\s*-?[0-9]+\s*", re.ASCII)
 
 
+def _read_int(text):
+    """text as an int if it is an optional minus sign and ASCII digits, else None."""
+    if _INT_FIELD.fullmatch(text):
+        try:
+            return int(text)
+        except ValueError:      # more digits than int() accepts
+            pass
+    return None
+
+
 def parse_ints(text, brackets, what):
     """Comma-separated integers, optionally wrapped in one given bracket pair.
 
-    Each field is an optional minus sign and ASCII digits; an empty field
-    is an error, but an empty text is the empty tuple.
+    Each field is read by `_read_int`; an empty field is an error, but an
+    empty text is the empty tuple.
     """
     body = text.strip()
     opening, closing = brackets
@@ -44,23 +54,18 @@ def parse_ints(text, brackets, what):
         body = body[1:-1]
     if body == "":
         return ()
-    fields = body.split(",")
-    if not all(_INT_FIELD.fullmatch(p) for p in fields):
+    values = tuple(map(_read_int, body.split(",")))
+    if None in values:
         raise ValueError(f"cannot parse {what} {text!r}")
-    try:
-        return tuple(int(p) for p in fields)
-    except ValueError:      # more digits than int() accepts
-        raise ValueError(f"cannot parse {what} {text!r}") from None
+    return values
 
 
 def _int_flag(text):
     """An integer flag (-k, -N, --seed), read by the partition field rule."""
-    try:
-        if _INT_FIELD.fullmatch(text):
-            return int(text)
-    except ValueError:      # more digits than int() accepts
-        pass
-    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    value = _read_int(text)
+    if value is None:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return value
 
 
 def parse_partition(spec, text):

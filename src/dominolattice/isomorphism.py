@@ -29,9 +29,9 @@ covers, so a color-l move of D is legal at sigma exactly when the
 color-l move of L is legal at the preimage.  That move swaps entry l+1
 for l going up, so it is legal when l+1 is in Q and l is not; going
 down, when l is in Q and l+1 is not.  Held as an int with bit q set for
-each q in Q (`_preimage_bits`), the legal up colors are the set bits of
-(Q >> 1) & ~Q, and the legal down colors those of Q & ~(Q >> 1), the
-legal up colors of the complement ~Q.
+each q in Q (bit pi^-1(t) for each D-tableau entry t), the legal up
+colors are the set bits of (Q >> 1) & ~Q, and the legal down colors
+those of Q & ~(Q >> 1), the legal up colors of the complement ~Q.
 
 The matrix P of diagonal move-vectors is the paper's route to the same
 counts: `apply_p` transports coordinates by it, and the oracle
@@ -191,16 +191,6 @@ def _tableau_census(spec, entries):
     for t in entries:
         steps[q[t - 1]] += 1
     return tuple(accumulate(steps[1:-1]))
-
-
-@lru_cache(maxsize=None)
-def _preimage_bits(N):
-    """1 << pi^-1(t) at index t, for each D-tableau entry t; index 0 is unused.
-
-    OR-ed over a shape's D tableau, these bits are the int mask of its
-    preimage's L tableau, Q.
-    """
-    return (0,) + tuple(1 << q for q in _pi_pair(N)[1].mapping)
 
 
 def decompose(spec, diag):

@@ -3,26 +3,25 @@
 BFS distances, exhaustive shortest-path enumeration, explicit-map
 isomorphism checking, the diamond-coloring check, the definitional
 lattice laws and their report, the paper's matrix route to the
-per-color move counts, and the greedy Domino walk in diagonal
-coordinates.  Nothing here reuses the closed-form machinery it is meant
-to check, except that the diagonal walk takes its move counts from the
-cell census, which the matrix route checks on its own.  The diamond and
-law checks read a lattice only through its public methods.
+per-color move counts, and the Domino game played by the generic
+ideal solver on J(P_A) and read through phi.  Nothing here reuses the
+closed-form machinery it is meant to check: the ideal route counts
+moves by the colors of ideal differences, not by the cell census, and
+never walks a tableau.  The diamond and law checks read a lattice only
+through its public methods.
 """
 
-from collections import Counter, deque
+from collections import deque
 from fractions import Fraction
 from itertools import combinations
 
-from .domino import beta_diag, build_d_a
-from .isomorphism import _bareiss_forward, move_census, move_matrix
-from .lattice import (DOWN, UP, LatticeError, PathRecord, path_from_vertices,
-                      sort_key)
+from .domino import build_d_a
+from .isomorphism import _bareiss_forward, move_matrix, phi, phi_inverse
+from .lattice import LatticeError, PathRecord, path_from_vertices, sort_key
 from .poset import VertexColoredPoset
-from .solver import GameSolution
-from .typea import (diagonal_to_partition, is_valid_diagonal,
-                    partition_to_diagonal, validate_diagonal,
-                    validate_partition)
+from .solver import GameSolution, solve_distributive
+from .typea import (build_p_a, ideal_to_partition, partition_to_diagonal,
+                    partition_to_ideal, validate_diagonal)
 
 
 class PathCapExceeded(RuntimeError):
@@ -148,74 +147,23 @@ def bareiss_decompose(spec, diag):
     return tuple(int(value) for value in sol)
 
 
-def _greedy_diag_leg(spec, start, colors, direction):
-    """Apply the multiset of move vectors greedily, smallest color first.
-
-    Each step must land on a valid diagonal sequence; the procedure is
-    guaranteed to consume the whole multiset, which is asserted.  Returns
-    the visited diagonals and the color of each step.
-    """
-    seq = [start]
-    applied = []
-    remaining = Counter(colors)
-    current = start
-    while remaining:
-        for l in sorted(remaining):
-            delta = beta_diag(spec, l)
-            cand = tuple(d + direction * e for d, e in zip(current, delta))
-            if is_valid_diagonal(spec, cand):
-                remaining[l] -= 1
-                if remaining[l] == 0:
-                    del remaining[l]
-                current = cand
-                seq.append(current)
-                applied.append(l)
-                break
-        else:
-            raise AssertionError(
-                f"no legal move among {sorted(remaining)} at {current}")
-    return seq, applied
-
-
-def diagonal_greedy_solve(spec, sigma, tau, via="join"):
-    """Shortest Domino play by the greedy walk in diagonal coordinates.
+def ideal_greedy_solve(spec, sigma, tau, via="join"):
+    """Shortest Domino play by the greedy solver on ideals, read through phi.
 
     The slow route that `solver.solve_domino` is checked against: the
-    same move census, but every candidate step is added to the diagonal
-    sequence and kept only if the result is a valid diagonal, and every
-    path vertex is converted back to a partition.
+    generic `solve_distributive` on the order ideals of J(P_A) that the
+    two preimages name, with every vertex and the waypoint carried back
+    through phi.  It shares no code with the tableau walk.
     """
-    sigma = validate_partition(spec, sigma)
-    tau = validate_partition(spec, tau)
-    ds = partition_to_diagonal(spec, sigma)
-    dt = partition_to_diagonal(spec, tau)
-    S = Counter(dict(enumerate(move_census(spec, sigma), start=1)))
-    T = Counter(dict(enumerate(move_census(spec, tau), start=1)))
-    S, T = +S, +T
-    union, inter = S | T, S & T
-    per_color = (union - S) + (union - T)
-    distance = per_color.total()
-    if via == "join":
-        up_leg, up_colors = _greedy_diag_leg(spec, ds, union - S, +1)
-        down_leg, down_colors = _greedy_diag_leg(spec, dt, union - T, +1)
-        diags = up_leg + down_leg[-2::-1]
-        steps = [(c, UP) for c in up_colors] + [(c, DOWN) for c in reversed(down_colors)]
-        waypoint = diagonal_to_partition(spec, up_leg[-1])
-        if up_leg[-1] != down_leg[-1]:
-            raise AssertionError("legs did not meet at the join")
-    elif via == "meet":
-        down_leg, down_colors = _greedy_diag_leg(spec, ds, S - T, -1)
-        up_leg, up_colors = _greedy_diag_leg(spec, down_leg[-1], T - inter, +1)
-        diags = down_leg + up_leg[1:]
-        steps = [(c, DOWN) for c in down_colors] + [(c, UP) for c in up_colors]
-        waypoint = diagonal_to_partition(spec, down_leg[-1])
-        if up_leg[-1] != dt:
-            raise AssertionError("legs did not meet at the target")
-    else:
-        raise ValueError(f"via must be 'join' or 'meet', got {via!r}")
-    verts = tuple(diagonal_to_partition(spec, d) for d in diags)
-    path = PathRecord(verts, tuple(steps))
-    return GameSolution(distance, per_color, path, waypoint)
+    def ideal(shape):
+        return partition_to_ideal(spec, phi_inverse(spec, shape))
+
+    def shape(x):
+        return phi(spec, ideal_to_partition(spec, x))
+
+    sol = solve_distributive(build_p_a(spec), ideal(sigma), ideal(tau), via=via)
+    path = PathRecord(tuple(map(shape, sol.path.vertices)), sol.path.steps)
+    return GameSolution(sol.distance, sol.per_color, path, shape(sol.waypoint))
 
 
 def is_diamond_colored(L):

@@ -57,10 +57,22 @@ class VertexColoredPoset(CoverDigraph):
         return self.colors[v]
 
     def minimal_of(self, subset):
-        idx, down = self._index, self._downsets
+        """The vertices of subset with nothing of subset below them."""
+        return self._extremes_of(subset, self._downsets)
+
+    def maximal_of(self, subset):
+        """The vertices of subset with nothing of subset above them."""
+        return self._extremes_of(subset, self._upsets)
+
+    def _extremes_of(self, subset, closures):
+        """The members whose closure mask meets subset's mask only in themselves.
+
+        Non-vertices are ignored; the result is in vertex order.
+        """
+        idx = self._index
         mask = sum(1 << idx[v] for v in set(subset) if v in idx)
         return [v for i, v in enumerate(self.vertices)
-                if mask >> i & 1 and down[i] & mask == 1 << i]
+                if mask >> i & 1 and closures[i] & mask == 1 << i]
 
 
 def is_order_ideal(P, members):

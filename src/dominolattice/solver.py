@@ -2,20 +2,21 @@
 
 Two routes to the same answers: the generic distributive-lattice solution
 (count order-ideal differences, walk through the join or the meet) and
-the Domino-specific procedure.  That one reads each shape once, into an
-int mask of its D tableau (bit t set for entry t) and one of its
-preimage's L tableau, Q (bit pi^-1(t)).  The per-color move counts are
-one running count over the two Q masks, and the moves are then applied
-greedily, smallest legal color first.  The walk runs on plain integers,
-with no Counter in it: the moves still to make are count lists indexed
-by color, the legal up colors are the set bits of (Q >> 1) & ~Q (the
-isomorphism module's docstring), and the smallest is the lowest set bit,
-so a step scans no colors.  A color-l move flips bits l and l+1 of Q and
-hops one dot of the D tableau, which changes one row of the shape, or
-two when the dot passes the entry between its ends.  The walk never
-builds the lattice; its slow reference is the same walk in diagonal
-coordinates, over Counters, `oracle.diagonal_greedy_solve`.  The
-per-color answer of either route is a Counter.
+the Domino-specific procedure.  Both play by one greedy rule, smallest
+color first: through the join both legs climb, and through the meet the
+play descends from the start, then climbs.  The Domino procedure reads each shape once, into an int mask of its D
+tableau (bit t set for entry t) and one of its preimage's L tableau, Q
+(bit pi^-1(t)).  The per-color move counts are one running count over
+the two Q masks, and the walk runs on plain integers, with no Counter
+in it: the moves still to make are count lists indexed by color, the
+legal up colors are the set bits of (Q >> 1) & ~Q (the isomorphism
+module's docstring), and the smallest is the lowest set bit, so a step
+scans no colors.  A color-l move flips bits l and l+1 of Q and hops one
+dot of the D tableau, which changes one row of the shape, or two when
+the dot passes the entry between its ends.  The walk never builds the
+lattice; its slow reference is the generic route on the ideals of
+J(P_A), read through phi, `oracle.ideal_greedy_solve`.  The per-color
+answer of either route is a Counter.
 """
 
 from collections import Counter
@@ -23,8 +24,7 @@ from functools import lru_cache
 from operator import itemgetter
 
 from .lattice import DOWN, UP, PathRecord, Record, _set_field
-from .domino import _move_pairs
-from .isomorphism import _preimage_bits
+from .domino import _move_pairs, _pi_pair
 from .poset import is_order_ideal
 from .typea import validate_partition
 
@@ -63,51 +63,56 @@ class GameSolution(Record):
         _set_field(self, "waypoint", waypoint)
 
 
-def _greedy_ideal_ascent(P, start, target):
-    """Ideal chain from start up to target, adjoining minimal elements.
+def _greedy_ideal_leg(P, start, target):
+    """Ideal chain from start to target, one element of their difference a step.
 
-    Tie-break: smallest color first, then the poset's canonical vertex
-    order.  Any choice is optimal; this one makes runs reproducible.
+    Going up, start inside target, it adjoins a minimal element of
+    target - current; going down, target inside start, it removes a
+    maximal element of current - target.  Tie-break: smallest color
+    first, then the poset's canonical vertex order, which is the Domino
+    walk's rule.  Any choice is optimal; this one makes runs reproducible.
     """
+    extremes = P.minimal_of if start <= target else P.maximal_of
     chain = [start]
     current = start
     while current != target:
-        rest = target - current
-        pick = min(P.minimal_of(rest),
+        pick = min(extremes(current ^ target),
                    key=lambda v: (P.color(v), P.index(v)))
-        current = current | {pick}
+        current = current ^ {pick}
         chain.append(current)
     return chain
 
 
 def solve_distributive(P, s, t, via="join"):
-    """Shortest play between two ideals of P, routed through join or meet."""
+    """Shortest play between two ideals of P, routed through join or meet.
+
+    Through the join both legs climb; through the meet the play descends
+    from s to the meet, then climbs to t.
+    """
     s, t = frozenset(s), frozenset(t)
     for name, x in (("s", s), ("t", t)):
         if not is_order_ideal(P, x):
             raise ValueError(f"{name} is not an order ideal of the poset")
-    union, inter = s | t, s & t
+    union = s | t
     distance = (len(union) - len(s)) + (len(union) - len(t))
     per_color = color_census(P, union - s) + color_census(P, union - t)
     if via == "join":
-        up_leg = _greedy_ideal_ascent(P, s, union)
-        down_leg = _greedy_ideal_ascent(P, t, union)
+        up_leg = _greedy_ideal_leg(P, s, union)
+        down_leg = _greedy_ideal_leg(P, t, union)
         verts = up_leg + down_leg[-2::-1]
         dirs = [UP] * (len(up_leg) - 1) + [DOWN] * (len(down_leg) - 1)
         waypoint = union
     elif via == "meet":
-        down_leg = _greedy_ideal_ascent(P, inter, s)
-        up_leg = _greedy_ideal_ascent(P, inter, t)
-        verts = down_leg[::-1] + up_leg[1:]
+        waypoint = s & t
+        down_leg = _greedy_ideal_leg(P, s, waypoint)
+        up_leg = _greedy_ideal_leg(P, waypoint, t)
+        verts = down_leg + up_leg[1:]
         dirs = [DOWN] * (len(down_leg) - 1) + [UP] * (len(up_leg) - 1)
-        waypoint = inter
     else:
         raise ValueError(f"via must be 'join' or 'meet', got {via!r}")
-    steps = []
-    for (a, b), d in zip(zip(verts, verts[1:]), dirs):
-        added = (b - a) if d == UP else (a - b)
-        steps.append((P.color(next(iter(added))), d))
-    path = PathRecord(tuple(verts), tuple(steps))
+    steps = tuple((P.color(next(iter(a ^ b))), d)
+                  for a, b, d in zip(verts, verts[1:], dirs))
+    path = PathRecord(tuple(verts), steps)
     return GameSolution(distance, per_color, path, waypoint)
 
 
@@ -117,22 +122,24 @@ def _walk_tables(N):
 
     A color-l move hops one dot of the D tableau: up from pi(l+1) to
     pi(l), down the other way (`_move_pairs`).  For a dot hopping from
-    `old` to `old + delta`, a hop table holds four tuples indexed by
-    color: flip (both bits), shift (old + 1, so that mask >> shift counts
-    the entries above old), mid (the bit between the ends when
-    |delta| == 2, else 0) and delta.  The labels are the steps (l, UP)
-    and (l, DOWN), shared by every path.
+    `old` to `old + delta`, a hop table holds five tuples indexed by
+    color, all of small ints, so that the tables take O(N) memory: low
+    (the lower end), ends (the two end bits shifted down to low, 3 or
+    5), shift (old + 1, so that mask >> shift counts the entries above
+    old), mid (the entry between the ends when |delta| == 2, else 0,
+    which no D tableau holds) and delta.  The labels are the steps
+    (l, UP) and (l, DOWN), shared by every path.
     """
     hops = []
     for up in (True, False):
-        rows = [(0, 0, 0, 0)]
+        rows = [(0, 0, 0, 0, 0)]
         for l, (x, y) in _move_pairs(N).items():
             new, old = (x, y) if up else (y, x)
             delta = new - old
             if abs(delta) > 2:
                 raise AssertionError(f"color {l} hops over more than one entry")
-            mid = 1 << ((old + new) // 2) if abs(delta) == 2 else 0
-            rows.append(((1 << new) | (1 << old), old + 1, mid, delta))
+            mid = (old + new) // 2 if abs(delta) == 2 else 0
+            rows.append((min(old, new), 1 | 1 << abs(delta), old + 1, mid, delta))
         hops.append(tuple(zip(*rows)))
     labels = [tuple((l, d) for l in range(N)) for d in (UP, DOWN)]
     return (*hops, *labels)
@@ -152,7 +159,7 @@ def _greedy_leg(hops, labels, mask, q, parts, need, active, verts, steps):
     verts and labels[l] to steps, and returns the final mask and q; the
     procedure is guaranteed to consume every move, which is asserted.
     """
-    flips, shifts, mids, deltas = hops
+    lows, ends, shifts, mids, deltas = hops
     while active:
         legal = (q >> 1) & ~q & active
         if not legal:
@@ -166,7 +173,7 @@ def _greedy_leg(hops, labels, mask, q, parts, need, active, verts, steps):
             active ^= low
         row = (mask >> shifts[l]).bit_count()
         delta = deltas[l]
-        if mask & mids[l]:
+        if mask >> mids[l] & 1:
             step = delta // 2
             if step > 0:
                 row -= 1
@@ -174,7 +181,7 @@ def _greedy_leg(hops, labels, mask, q, parts, need, active, verts, steps):
             parts[row + 1] += step
         else:
             parts[row] += delta
-        mask ^= flips[l]
+        mask ^= ends[l] << lows[l]
         q ^= 3 * low
         verts.append(tuple(parts))
         steps.append(labels[l])
@@ -195,14 +202,14 @@ def solve_domino(spec, sigma, tau, via="join"):
     sigma = validate_partition(spec, sigma)
     tau = validate_partition(spec, tau)
     k, N = spec.k, spec.N
-    bits = _preimage_bits(N)
+    qinv = _pi_pair(N)[1].mapping
     masks = []
     for shape in (sigma, tau):
         mask = q = 0
         for j, s in enumerate(shape):
             t = s + k - j
             mask |= 1 << t
-            q |= bits[t]
+            q |= 1 << qinv[t - 1]
         masks += (mask, q)
     ms, qs, mt, qt = masks
     rise, fall, per_color = [0] * N, [0] * N, Counter()

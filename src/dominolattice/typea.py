@@ -10,7 +10,9 @@ plain tuples.
 
 from functools import lru_cache
 
-from .lattice import ColoredLattice, Record, _set_field, is_int, product
+from .lattice import (ColoredLattice, Record, _set_field,
+                      check_full_length_sublattice, induced_sublattice, is_int,
+                      product)
 from .poset import VertexColoredPoset, j_lattice
 
 
@@ -122,7 +124,7 @@ def is_valid_partition(spec, parts):
 
 @lru_cache(maxsize=None)
 def all_partitions(spec):
-    """Every k x (N-k) partition, in lexicographic order."""
+    """Every k x (N-k) partition, in lexicographic order, the order fill makes."""
     out = []
 
     def fill(prefix, bound):
@@ -133,7 +135,7 @@ def all_partitions(spec):
             fill(prefix + [p], p)
 
     fill([], spec.cols)
-    return tuple(sorted(out))
+    return tuple(out)
 
 
 def ideal_to_partition(spec, ideal):
@@ -383,7 +385,6 @@ def build_l_tilde(spec):
 
 @lru_cache(maxsize=None)
 def build_l_tab(spec):
-    from .lattice import check_full_length_sublattice, induced_sublattice
     big = build_l_tilde(spec)
     K = [v for v in big.vertices if all(a < b for a, b in zip(v, v[1:]))]
     if not check_full_length_sublattice(big, K):

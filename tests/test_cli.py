@@ -361,6 +361,14 @@ class TestParsing:
         assert (exc.value.code, out) == (1, "")
         assert err.endswith(f"invalid int value: {text!r}\n")
 
+    def test_integer_flag_longer_than_int_accepts_is_a_usage_error(self, capsys):
+        nines = "9" * 5000
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "-k", nines, "-N", "6", "--from", "0", "--to", "0"])
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (1, "")
+        assert err.endswith(f"invalid int value: {nines!r}\n")
+
     @settings(max_examples=300, deadline=None)
     @given(st.text(alphabet=st.sampled_from("0123456789,-+_() \u0663\u00a0x"),
                    max_size=12) | st.text(max_size=8))

@@ -36,8 +36,8 @@ EXPORTS = {
                     "pi"],
     "solver": ["GameSolution", "color_census", "solve_distributive", "solve_domino"],
     "oracle": ["PathCapExceeded", "bareiss_decompose", "bfs_all_pairs",
-               "check_constructed_iso", "check_lattice_laws", "diagonal_greedy_solve",
-               "enumerate_shortest_paths", "is_diamond_colored", "is_distributive",
+               "check_constructed_iso", "check_lattice_laws", "enumerate_shortest_paths",
+               "ideal_greedy_solve", "is_diamond_colored", "is_distributive",
                "is_modular", "is_topographically_balanced", "rank_function",
                "rank_identity_failure"],
 }
@@ -143,6 +143,28 @@ class TestImports:
             unused += [(module, name) for name in sorted(imported - used)
                        if (module, name) not in RE_EXPORTS]
         assert unused == []
+
+
+class TestLayering:
+    def test_only_verify_imports_the_oracles(self):
+        # no production module may lean on the slow references it is checked by
+        package = os.path.join(SRC, "dominolattice")
+        importers = []
+        for filename in sorted(os.listdir(package)):
+            if not filename.endswith(".py"):
+                continue
+            with open(os.path.join(package, filename)) as source:
+                tree = ast.parse(source.read())
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    paths = [a.name for a in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    paths = [f"{node.module or ''}.{a.name}" for a in node.names]
+                else:
+                    continue
+                if any("oracle" in path.split(".") for path in paths):
+                    importers.append(filename)
+        assert sorted(set(importers)) == ["verify.py"]
 
 
 class TestSupportedPython:

@@ -88,6 +88,24 @@ class TestIdeals:
                     seen["foreign"] += "foreign" in members
         assert min(seen.values()) > 0
 
+    def test_minimal_and_maximal_of_match_the_definition(self):
+        # every subset of 50 random posets, alone and with a foreign vertex
+        def extremes(P, members, below):
+            inside = [v for v in P.vertices if v in members]
+            return [v for v in inside
+                    if not any(u != v and below(u, v) for u in inside)]
+
+        rng = random.Random(51)
+        for _ in range(50):
+            P = random_colored_poset(rng, 7)
+            verts = P.vertices
+            for mask in range(1 << len(verts)):
+                sel = {verts[i] for i in range(len(verts)) if mask >> i & 1}
+                for members in (sel, sel | {"foreign"}):
+                    assert P.minimal_of(members) == extremes(P, members, P.le)
+                    assert P.maximal_of(members) == \
+                        extremes(P, members, lambda u, v: P.le(v, u))
+
     def test_ideals_count_antichains(self):
         # ideals correspond one-to-one with antichains (their maximal elements)
         rng = random.Random(2)

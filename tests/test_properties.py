@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from dominolattice.domino import is_legal_domino_move
 from dominolattice.lattice import ColoredLattice, path_stats, product
 from dominolattice.oracle import (bfs_all_pairs, check_constructed_iso,
-                                  diagonal_greedy_solve,
-                                  enumerate_shortest_paths, is_diamond_colored,
+                                  enumerate_shortest_paths, ideal_greedy_solve,
+                                  is_diamond_colored,
                                   is_distributive,
                                   is_modular, is_topographically_balanced,
                                   random_colored_poset, random_simple_path,
@@ -192,11 +192,11 @@ def test_shortest_path_censuses_are_invariants(spec):
 
 @settings(max_examples=100, deadline=None)
 @given(domino_games())
-def test_domino_walk_matches_the_diagonal_oracle_beyond_the_small_boxes(game):
+def test_domino_walk_matches_the_ideal_oracle_beyond_the_small_boxes(game):
     # large k reaches the vertical dominoes, where a hop moves two rows
     spec, sigma, tau, via = game
     got = solve_domino(spec, sigma, tau, via=via)
-    want = diagonal_greedy_solve(spec, sigma, tau, via=via)
+    want = ideal_greedy_solve(spec, sigma, tau, via=via)
     assert got.distance == want.distance
     assert got.per_color == want.per_color
     assert got.waypoint == want.waypoint

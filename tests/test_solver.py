@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -8,10 +9,10 @@ import sys
 from dominolattice.cli import main
 from dominolattice.domino import build_d_a, d_max, d_min, is_legal_domino_move
 from dominolattice.isomorphism import phi_inverse
-from dominolattice.lattice import path_stats
-from dominolattice.oracle import (bfs_all_pairs, diagonal_greedy_solve,
-                                  enumerate_shortest_paths)
-from dominolattice.solver import (GameSolution, color_census,
+from dominolattice.lattice import DOWN, path_stats
+from dominolattice.oracle import (bfs_all_pairs, enumerate_shortest_paths,
+                                  ideal_greedy_solve)
+from dominolattice.solver import (GameSolution, _walk_tables, color_census,
                                   solve_distributive, solve_domino)
 from dominolattice.typea import (BoxSpec, all_partitions, build_l_a,
                                  build_p_a, ideal_to_partition,
@@ -116,6 +117,17 @@ class TestSolveDistributive:
         sol = solve_distributive(P, s, t, via="meet")
         assert sol.waypoint == s & t
         assert sol.distance == 3
+
+    def test_meet_route_descends_smallest_color_first(self):
+        # (2,1) holds cells of colors 3 and 5 at its corners: the color-3
+        # cell goes first, as in the Domino walk
+        P = build_p_a(BOX24)
+        s = partition_to_ideal(BOX24, (2, 1))
+        t = partition_to_ideal(BOX24, (0, 0))
+        sol = solve_distributive(P, s, t, via="meet")
+        walked = [ideal_to_partition(BOX24, x) for x in sol.path.vertices]
+        assert walked == [(2, 1), (1, 1), (1, 0), (0, 0)]
+        assert sol.path.steps == ((3, DOWN), (5, DOWN), (4, DOWN))
 
     def test_rejects_non_ideal(self):
         P = build_p_a(BOX24)
@@ -235,8 +247,25 @@ class TestClosedFormSolve:
         assert build_d_a.cache_info().currsize == 0
 
 
-class TestTableauWalkAgainstDiagonalOracle:
-    """The tableau walk against the greedy walk in diagonal coordinates."""
+class TestWalkMemory:
+    def test_walk_tables_take_linear_memory(self):
+        # bottom -> top of (1, 10 000): tables of N-bit ints would take
+        # about 40 MB here; tables of positions, about 7 MB
+        spec = BoxSpec(1, 10_000)
+        a, b = d_min(spec), d_max(spec)
+        _walk_tables.cache_clear()
+        tracemalloc.start()
+        try:
+            sol = solve_domino(spec, a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sol.distance == spec.cols
+        assert peak < 20_000_000, peak
+
+
+class TestTableauWalkAgainstIdealOracle:
+    """The tableau walk against the generic ideal solver, read through phi."""
 
     @pytest.mark.parametrize("spec", DESK_SPECS, ids=lambda s: f"k{s.k}N{s.N}")
     def test_every_ordered_pair_both_routes(self, spec):
@@ -245,7 +274,7 @@ class TestTableauWalkAgainstDiagonalOracle:
             for b in shapes:
                 for via in ("join", "meet"):
                     got = solve_domino(spec, a, b, via=via)
-                    want = diagonal_greedy_solve(spec, a, b, via=via)
+                    want = ideal_greedy_solve(spec, a, b, via=via)
                     assert got.distance == want.distance
                     assert got.per_color == want.per_color
                     assert got.waypoint == want.waypoint

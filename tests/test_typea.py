@@ -121,6 +121,13 @@ class TestFundamentalLattice:
                 if k * (N - k) <= 12:
                     assert len(all_partitions(BoxSpec(k, N))) == comb(N, k)
 
+    def test_partitions_come_in_strictly_increasing_order(self):
+        for k in range(1, 13):
+            for N in range(k + 1, 15):
+                if k * (N - k) <= 12:
+                    parts = all_partitions(BoxSpec(k, N))
+                    assert all(a < b for a, b in zip(parts, parts[1:]))
+
     def test_l24_reference_table(self):
         for part, tab, diag in L24_TABLE:
             assert partition_to_tableau_L(BOX24, part) == tab
