@@ -126,16 +126,10 @@ def _from_partition(spec, system, side, parts):
 
 def render_partition(spec, parts):
     """One character per box: '#' shaded, '.' unshaded, 'r' the red corner (1, N-k)."""
-    rows = []
-    for r in range(1, spec.k + 1):
-        row = []
-        for c in range(1, spec.cols + 1):
-            shaded = c <= parts[r - 1]
-            glyph = "#" if shaded else "."
-            if not shaded and r == 1 and c == spec.cols:
-                glyph = "r"
-            row.append(glyph)
-        rows.append("".join(row))
+    cols = spec.cols
+    rows = ["#" * p + "." * (cols - p) for p in parts]
+    if parts[0] < cols:
+        rows[0] = rows[0][:-1] + "r"
     return "\n".join(rows)
 
 

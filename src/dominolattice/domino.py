@@ -22,7 +22,7 @@ from .typea import (all_partitions, diagonal_to_partition, hop_up_moves,
 
 def is_red(spec, r, c):
     """Checkerboard predicate anchored red at the upper-right cell (1, N-k)."""
-    if not (1 <= r <= spec.k and 1 <= c <= spec.cols):
+    if not (is_int(r) and is_int(c) and 1 <= r <= spec.k and 1 <= c <= spec.cols):
         raise ValueError(f"cell ({r}, {c}) is outside the {spec.k}x{spec.cols} board")
     return (r + c) % 2 == (1 + spec.cols) % 2
 
@@ -165,7 +165,9 @@ class BoxPermutation(Record):
     __slots__ = ("mapping",)
 
     def __init__(self, mapping):
-        if sorted(mapping) != list(range(1, len(mapping) + 1)):
+        mapping = tuple(mapping)
+        if not (all(map(is_int, mapping))
+                and sorted(mapping) == list(range(1, len(mapping) + 1))):
             raise ValueError("not a permutation of [N]")
         _set_field(self, "mapping", mapping)
 

@@ -6,17 +6,12 @@ tableaux that is elementwise pi, so phi maps a partition's L tableau
 through pi and sorts the result into a D tableau, and phi_inverse applies
 pi inverse and sorts.  Because phi preserves colors, the per-color move
 counts from the Domino minimum up to a shape are the color census of the
-cells of its preimage, which is how `move_census` and `decompose` get
-them, through `_tableau_census`, in O(N) per shape:
+cells of its preimage, its diagonal coordinates, which `move_census` and
+`decompose` read in O(N) per shape as the prefix count
+`typea._tableau_to_diagonal_L` (whose docstring proves it) over the
+preimage's L tableau pi^-1(T_D):
 
     #color-l moves = #{t in T_D(sigma) : pi^-1(t) <= l} - max(0, l - (N-k)).
-
-Proof sketch: the L tableau of the preimage is pi^-1 of the D tableau.
-Its row r, with entry t_r, holds one cell of each color t_r, ..., N-k+r-1
-(a color-l move of L swaps entry l+1 for l, so it adds the row's cell of
-color l).  A row whose colors stop short of l, N-k+r <= l, also has
-t_r <= l, so the cells of color l are the rows with t_r <= l less those
-max(0, l - (N-k)) rows.
 
 Between two shapes the row terms cancel, so with Q = pi^-1(T_D), the L
 tableau of the preimage, the census difference is one running count
@@ -41,16 +36,15 @@ back-substitution.  No floating point anywhere.
 """
 
 from functools import lru_cache
-from itertools import accumulate
 
 # BoxPermutation and pi live in domino, whose closed-form extremes need pi;
 # they are re-exported here, next to phi.
 from .domino import (BoxPermutation, _pi_pair, beta_diag, gamma_pt, gamma_tp,
                      m_diag, pi)
 from .lattice import Record, _set_field
-from .typea import (CircleState, _tableau_to_partition_L,
-                    diagonal_to_partition, partition_to_tableau_L,
-                    validate_diagonal)
+from .typea import (CircleState, _tableau_to_diagonal_L,
+                    _tableau_to_partition_L, diagonal_to_partition,
+                    partition_to_tableau_L, validate_diagonal)
 
 
 def phi_circ(state):
@@ -176,21 +170,8 @@ def move_census(spec, sigma):
     coordinates.  Entry l - 1 counts the moves of color l; the sum is the
     rank of sigma in D.
     """
-    return _tableau_census(spec, gamma_pt(spec, sigma))
-
-
-def _tableau_census(spec, entries):
-    """move_census of the shape whose D tableau, already validated, is entries.
-
-    The census identity of the module docstring as one prefix sum: each
-    renumbered entry pi^-1(t) counts +1 from its color on, and each row
-    r counts -1 from color N-k+r on, where its cells stop.
-    """
     q = _pi_pair(spec.N)[1].mapping
-    steps = [0] * (spec.cols + 1) + [-1] * spec.k
-    for t in entries:
-        steps[q[t - 1]] += 1
-    return tuple(accumulate(steps[1:-1]))
+    return _tableau_to_diagonal_L(spec, [q[t - 1] for t in gamma_pt(spec, sigma)])
 
 
 def decompose(spec, diag):

@@ -2,13 +2,14 @@
 
 BFS distances, exhaustive shortest-path enumeration, explicit-map
 isomorphism checking, the diamond-coloring check, the definitional
-lattice laws and their report, the paper's matrix route to the
-per-color move counts, and the Domino game played by the generic
-ideal solver on J(P_A) and read through phi.  Nothing here reuses the
-closed-form machinery it is meant to check: the ideal route counts
-moves by the colors of ideal differences, not by the cell census, and
-never walks a tableau.  The diamond and law checks read a lattice only
-through its public methods.
+lattice laws and their report, the cell-by-cell color census, the
+paper's matrix route to the per-color move counts, and the Domino game
+played by the generic ideal solver on J(P_A) and read through phi.
+Nothing here reuses the closed-form machinery it is meant to check: the
+matrix route's shift is counted cell by cell, not by the prefix count,
+and the ideal route counts moves by the colors of ideal differences and
+never walks a tableau.  The diamond and law checks
+read a lattice only through its public methods.
 """
 
 from collections import deque
@@ -20,8 +21,8 @@ from .isomorphism import _bareiss_forward, move_matrix, phi, phi_inverse
 from .lattice import LatticeError, PathRecord, path_from_vertices, sort_key
 from .poset import VertexColoredPoset
 from .solver import GameSolution, solve_distributive
-from .typea import (build_p_a, ideal_to_partition, partition_to_diagonal,
-                    partition_to_ideal, validate_diagonal)
+from .typea import (build_p_a, cell_color, ideal_to_partition,
+                    partition_to_ideal, validate_diagonal, validate_partition)
 
 
 class PathCapExceeded(RuntimeError):
@@ -129,15 +130,25 @@ def exact_inverse(matrix):
     return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
 
 
+def cell_census(spec, parts):
+    """Diagonal coordinates by definition: entry l counts the cells of color l."""
+    diag = [0] * (spec.N - 1)
+    for r, p in enumerate(validate_partition(spec, parts), start=1):
+        for c in range(1, p + 1):
+            diag[cell_color(spec, r, c) - 1] += 1
+    return tuple(diag)
+
+
 def bareiss_decompose(spec, diag):
     """Per-color move counts by solving P c = d - m exactly.
 
-    The shift m is the diagonal of the minimum of the built Domino lattice,
-    not the closed form, so this route shares nothing with the census.  The
-    solution must be a vector of nonnegative integers.
+    The shift m is the cell-by-cell `cell_census` of the minimum of the
+    built Domino lattice, not the closed form, so this route shares
+    nothing with the prefix count.  The solution must be a vector of
+    nonnegative integers.
     """
     diag = validate_diagonal(spec, diag)
-    shift = partition_to_diagonal(spec, build_d_a(spec).minimum)
+    shift = cell_census(spec, build_d_a(spec).minimum)
     sol = bareiss_solve(move_matrix(spec).entries,
                         [d - s for d, s in zip(diag, shift)])
     for i, value in enumerate(sol, start=1):

@@ -6,9 +6,26 @@ physical two-row box layout (circle diagrams), or as the census of shaded
 boxes along the northwest-southeast diagonals (diagonal coordinates).
 Partitions are the default view; every map here is a pure function on
 plain tuples.
+
+Diagonal coordinates are a cell census, read in O(N) off the L tableau
+by `_tableau_to_diagonal_L`:
+
+    d_l = #{r : t_r <= l} - max(0, l - (N-k)).
+
+Proof sketch: row r of a shape, with L-tableau entry t_r, holds one cell
+of each color t_r, ..., N-k+r-1 (a color-l move swaps entry l+1 for l,
+so it adds the row's cell of color l).  A row whose colors stop short of
+l, N-k+r <= l, also has t_r <= l, so the cells of color l are the rows
+with t_r <= l less those max(0, l - (N-k)) rows: one prefix count, +1
+from each entry on and -1 from each row end N-k+r on.  Read backwards,
+c_l = d_l + max(0, l - (N-k)) counts the entries up to l, so the entries
+are the l where c rises, plus N when c_{N-1} < k.  Because phi preserves
+colors, the same count over the preimage's L tableau gives the Domino
+move counts (`isomorphism.move_census`).
 """
 
 from functools import lru_cache
+from itertools import accumulate
 
 from .lattice import (ColoredLattice, Record, _set_field,
                       check_full_length_sublattice, induced_sublattice, is_int,
@@ -46,7 +63,8 @@ class CircleState(Record):
     def __init__(self, bits, scheme):
         if scheme not in ("L", "D"):
             raise ValueError(f"unknown circle scheme {scheme!r}")
-        if any(b not in (0, 1) for b in bits):
+        bits = tuple(bits)
+        if not all(is_int(b) and b in (0, 1) for b in bits):
             raise ValueError("circle bits must be 0/1")
         _set_field(self, "bits", bits)
         _set_field(self, "scheme", scheme)
@@ -248,12 +266,19 @@ def circle_to_partition_L(spec, state):
 
 def partition_to_diagonal(spec, parts):
     """Diagonal coordinates: entry i counts the shape's cells of color i."""
-    parts = validate_partition(spec, parts)
-    diag = [0] * (spec.N - 1)
-    for r in range(1, spec.k + 1):
-        for c in range(1, parts[r - 1] + 1):
-            diag[cell_color(spec, r, c) - 1] += 1
-    return tuple(diag)
+    return _tableau_to_diagonal_L(spec, partition_to_tableau_L(spec, parts))
+
+
+def _tableau_to_diagonal_L(spec, entries):
+    """Diagonal coordinates of the shape whose L tableau, checked, is entries.
+
+    The census of the module docstring as one prefix count; the entries
+    may come in any order.
+    """
+    steps = [0] * (spec.cols + 1) + [-1] * spec.k
+    for t in entries:
+        steps[t] += 1
+    return tuple(accumulate(steps[1:-1]))
 
 
 def validate_diagonal(spec, diag):
@@ -286,14 +311,23 @@ def is_valid_diagonal(spec, diag):
 
 
 def diagonal_to_partition(spec, diag):
+    """The census read backwards, as in the module docstring.
+
+    The L tableau holds each l where c_l = d_l + max(0, l - (N-k)) rises,
+    and N when c_{N-1} < k.
+    """
     diag = validate_diagonal(spec, diag)
-    n, k = spec.N, spec.k
-    parts = []
-    for i in range(1, k + 1):
-        total = sum(1 for j in range(i, n - k + 1) if diag[j - 1] >= i)
-        total += sum(1 for l in range(1, i) if diag[n - k + l - 1] >= i - l)
-        parts.append(total)
-    return tuple(parts)
+    cols = spec.cols
+    entries = []
+    prev = 0
+    for l, d in enumerate(diag, start=1):
+        c = d + max(0, l - cols)
+        if c > prev:
+            entries.append(l)
+        prev = c
+    if prev < spec.k:
+        entries.append(spec.N)
+    return _tableau_to_partition_L(spec, entries)
 
 
 # -- the coordinate table ---------------------------------------------------------

@@ -393,6 +393,14 @@ class TestRendering:
         spec = BoxSpec(2, 6)
         assert render_partition(spec, (4, 1)).splitlines()[0] == "####"
 
+    @pytest.mark.parametrize("parts, art", [
+        ((11, 11, 11), "###########\n###########\n###########"),
+        ((0, 0, 0), "..........r\n...........\n..........."),
+        ((10, 4, 0), "##########r\n####.......\n..........."),
+    ], ids=["full", "empty", "first-row-one-short"])
+    def test_rows_of_a_wide_board(self, parts, art):
+        assert render_partition(BoxSpec(3, 14), parts) == art
+
 
 class TestSerialization:
     def test_poset_json_round_trip_is_bit_exact(self):
@@ -471,6 +479,10 @@ class TestGoldenOutput:
          "399f81c796fee28485b9c9960f165bdd1b5203d6e71789c758be89a42918bcce"),
         ("verify --suite iso -k 3 -N 7",
          "fdcb63254150f7b4fbcb54624595dc485a7299913e6cc4d6893a873714edbbd1"),
+        ("solve -k 20 -N 40 --from " + ",".join(["20"] * 20) + " --to 0",
+         "f9f7a05d631ee0e4aec811029004be3d566df90f05b574e3ff8af7495a2ef550"),
+        ("solve -k 3 -N 14 --from 11,5,2 --to 0,0,0 --via meet",
+         "4ca3888c518937200380ea8a1f0dbf73c5a3ee4784ac1f023cc747f05423d96e"),
     ])
     def test_stdout_is_unchanged(self, capsys, tmp_path, argv, digest):
         poset = tmp_path / "poset.json"

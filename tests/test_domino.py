@@ -88,6 +88,11 @@ class TestBoard:
         with pytest.raises(ValueError):
             is_red(BOX24, 0, 1)
 
+    def test_bool_cell_rejected(self):
+        # True would pass as row 1 and put (1, 4) on the red corner
+        with pytest.raises(ValueError, match="outside"):
+            is_red(BOX24, True, 4)
+
     def test_render(self):
         assert render_board(BOX24) == "WRWR\nRWRW"
 

@@ -8,7 +8,7 @@ from dominolattice.isomorphism import (BoxPermutation, apply_p, decompose,
                                        integer_determinant, move_census,
                                        move_matrix, phi, phi_circ,
                                        phi_circ_inverse, phi_inverse, pi)
-from dominolattice.oracle import (bareiss_solve, bfs_all_pairs,
+from dominolattice.oracle import (bareiss_solve, bfs_all_pairs, cell_census,
                                   check_constructed_iso, exact_inverse)
 from dominolattice.typea import (BoxSpec, CircleState, all_partitions,
                                  build_l_graph, circle_to_partition_L,
@@ -196,8 +196,9 @@ class TestMoveCensus:
         for k in range(1, N):
             spec = BoxSpec(k, N)
             for sigma in all_partitions(spec):
-                assert move_census(spec, sigma) \
-                    == partition_to_diagonal(spec, phi_inverse(spec, sigma))
+                census = move_census(spec, sigma)
+                assert census == partition_to_diagonal(spec, phi_inverse(spec, sigma))
+                assert census == cell_census(spec, phi_inverse(spec, sigma))
 
 
 class TestLegalityIdentity:

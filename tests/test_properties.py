@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dominolattice.domino import is_legal_domino_move
+from dominolattice.isomorphism import move_census, phi_inverse
 from dominolattice.lattice import ColoredLattice, path_stats, product
-from dominolattice.oracle import (bfs_all_pairs, check_constructed_iso,
+from dominolattice.oracle import (bfs_all_pairs, cell_census, check_constructed_iso,
                                   enumerate_shortest_paths, ideal_greedy_solve,
                                   is_diamond_colored,
                                   is_distributive,
@@ -173,6 +174,25 @@ def test_coordinate_round_trips(spec, seed):
     parts = rng.choice(all_partitions(spec))
     assert tableau_to_partition_L(spec, partition_to_tableau_L(spec, parts)) == parts
     assert diagonal_to_partition(spec, partition_to_diagonal(spec, parts)) == parts
+
+
+@st.composite
+def box_shapes(draw):
+    """A box with N <= 60 and one of its shapes."""
+    N = draw(st.integers(2, 60))
+    spec = BoxSpec(draw(st.integers(1, N - 1)), N)
+    parts = draw(st.lists(st.integers(0, spec.cols), min_size=spec.k, max_size=spec.k))
+    return spec, tuple(sorted(parts, reverse=True))
+
+
+@settings(max_examples=100, deadline=None)
+@given(box_shapes())
+def test_diagonal_codec_and_move_census_are_the_cell_census(shape):
+    spec, parts = shape
+    diag = partition_to_diagonal(spec, parts)
+    assert diag == cell_census(spec, parts)
+    assert diagonal_to_partition(spec, diag) == parts
+    assert move_census(spec, parts) == cell_census(spec, phi_inverse(spec, parts))
 
 
 @settings(max_examples=20, deadline=None)

@@ -2,7 +2,8 @@ from math import comb
 
 import pytest
 
-from dominolattice.oracle import check_constructed_iso, is_diamond_colored
+from dominolattice.domino import BoxPermutation
+from dominolattice.oracle import cell_census, check_constructed_iso, is_diamond_colored
 from dominolattice.poset import check_poset_iso, join_irreducibles, principal_ideal
 from dominolattice.typea import (BoxSpec, CircleState, all_partitions,
                                  build_l_a, build_l_graph,
@@ -74,6 +75,20 @@ class TestRejectsBool:
     def test_tableau(self):
         with pytest.raises(ValueError, match="out of range"):
             tableau_to_partition_L(BOX24, (True, 2))
+
+    def test_circle_bits(self):
+        # these bits would read as the dots of (3, 2) at (2, 5)
+        with pytest.raises(ValueError, match="0/1"):
+            CircleState((True, False, True, False, False), "L")
+
+    def test_circle_bits_are_stored_as_a_tuple(self):
+        state = CircleState([0, 1, 1, 0, 0], "L")
+        assert state.bits == (0, 1, 1, 0, 0)
+        assert hash(state) == hash(CircleState((0, 1, 1, 0, 0), "L"))
+
+    def test_box_permutation(self):
+        with pytest.raises(ValueError, match="not a permutation"):
+            BoxPermutation((True, 2))
 
 
 class TestGridPoset:
@@ -185,6 +200,16 @@ class TestDiagonals:
     def test_round_trip_is_exhaustive(self):
         for p in all_partitions(BOX24):
             assert diagonal_to_partition(BOX24, partition_to_diagonal(BOX24, p)) == p
+
+    @pytest.mark.parametrize("N", range(2, 13))
+    def test_codec_is_the_cell_census_and_its_inverse(self, N):
+        # the prefix count against the cell-by-cell definition, every shape
+        for k in range(1, N):
+            spec = BoxSpec(k, N)
+            for p in all_partitions(spec):
+                diag = partition_to_diagonal(spec, p)
+                assert diag == cell_census(spec, p)
+                assert diagonal_to_partition(spec, diag) == p
 
     def test_validity_characterizes_the_image(self):
         # every sequence passing the step/bound conditions comes from a shape
