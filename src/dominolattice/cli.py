@@ -84,7 +84,7 @@ def parse_circle(spec, text, side):
 
 
 def fmt_partition(parts):
-    return ",".join(str(p) for p in parts)
+    return ",".join(map(str, parts))
 
 
 def fmt_tableau(entries):

@@ -29,7 +29,8 @@ colors are the set bits of (Q >> 1) & ~Q, and the legal down colors
 those of Q & ~(Q >> 1), the legal up colors of the complement ~Q.
 
 The matrix P of diagonal move-vectors is the paper's route to the same
-counts: `apply_p` transports coordinates by it, and the oracle
+counts: `apply_p` transports coordinates by it, in O(N), since each of
+its columns, a `beta_diag`, has at most two nonzero entries; the oracle
 `oracle.bareiss_decompose` solves P c = d - m exactly, by fraction-free
 (Bareiss) forward elimination, `_bareiss_forward` below, and rational
 back-substitution.  No floating point anywhere.
@@ -39,12 +40,13 @@ from functools import lru_cache
 
 # BoxPermutation and pi live in domino, whose closed-form extremes need pi;
 # they are re-exported here, next to phi.
-from .domino import (BoxPermutation, _pi_pair, beta_diag, gamma_pt, gamma_tp,
-                     m_diag, pi)
+from .domino import (BoxPermutation, _gamma_pt, _gamma_tp, _pi_pair, beta_diag,
+                     gamma_pt, m_diag, pi)
 from .lattice import Record, _set_field
-from .typea import (CircleState, _tableau_to_diagonal_L,
-                    _tableau_to_partition_L, diagonal_to_partition,
-                    partition_to_tableau_L, validate_diagonal)
+from .typea import (CircleState, _partition_to_tableau_L,
+                    _tableau_to_diagonal_L, _tableau_to_partition_L,
+                    diagonal_to_partition, validate_diagonal,
+                    validate_partition)
 
 
 def phi_circ(state):
@@ -71,14 +73,25 @@ def phi(spec, sigma):
     On tableaux it is elementwise pi: the L tableau's entries, renumbered,
     are the D tableau's entries.
     """
-    p = pi(spec.N)
-    return gamma_tp(spec, [p(t) for t in partition_to_tableau_L(spec, sigma)])
+    return _phi(spec, validate_partition(spec, sigma))
+
+
+def _phi(spec, sigma):
+    """phi on a shape already validated; pi permutes [N], so the image is one."""
+    p = _pi_pair(spec.N)[0].mapping
+    return _gamma_tp(spec, [p[t - 1] for t in _partition_to_tableau_L(spec, sigma)])
 
 
 def phi_inverse(spec, sigma):
     """Elementwise pi inverse on the D tableau, sorted into an L tableau."""
-    q = _pi_pair(spec.N)[1]
-    return _tableau_to_partition_L(spec, sorted(q(t) for t in gamma_pt(spec, sigma)))
+    return _phi_inverse(spec, validate_partition(spec, sigma))
+
+
+def _phi_inverse(spec, sigma):
+    """phi_inverse on a shape already validated."""
+    q = _pi_pair(spec.N)[1].mapping
+    return _tableau_to_partition_L(spec,
+                                   sorted(q[t - 1] for t in _gamma_pt(spec, sigma)))
 
 
 # -- exact linear algebra ---------------------------------------------------------
@@ -153,13 +166,34 @@ def move_matrix(spec):
     return m
 
 
+@lru_cache(maxsize=None)
+def _sparse_columns(spec):
+    """The nonzero entries (row, value) of each column of P, in column order.
+
+    Column l is `beta_diag(spec, l)`, which has at most two of them.
+    """
+    entries = move_matrix(spec).entries
+    return tuple(tuple((i, row[j]) for i, row in enumerate(entries) if row[j])
+                 for j in range(len(entries)))
+
+
 def apply_p(spec, diag):
     """Transport L-diagonal coordinates to D-diagonal ones: P d + m."""
-    diag = validate_diagonal(spec, diag)
-    P = move_matrix(spec)
-    out = tuple(sum(row[j] * diag[j] for j in range(P.size)) + s
-                for row, s in zip(P.entries, P.shift))
-    return validate_diagonal(spec, out)
+    return validate_diagonal(spec, _apply_p(spec, validate_diagonal(spec, diag)))
+
+
+def _apply_p(spec, diag):
+    """P d + m on diagonal coordinates already validated, in O(N).
+
+    Each column of P has at most two nonzero entries, so each d_l adds
+    to at most two entries of m.
+    """
+    out = list(move_matrix(spec).shift)
+    for d, column in zip(diag, _sparse_columns(spec)):
+        if d:
+            for i, a in column:
+                out[i] += a * d
+    return tuple(out)
 
 
 def move_census(spec, sigma):

@@ -72,15 +72,20 @@ def sort_key(v):
 
     Handles the label kinds used in this package (strings, ints, tuples,
     frozensets, recursively) without relying on hash order.  Ints compare
-    by value; other scalars by type name, then repr.
+    by value; other scalars by type name, then repr.  The exact types
+    int, str, tuple and frozenset are tested first, by identity; bools,
+    subclasses and other types are then told apart by isinstance.
     """
-    if isinstance(v, frozenset):
-        return (2, tuple(sorted(sort_key(x) for x in v)))
-    if isinstance(v, tuple):
-        return (1, tuple(sort_key(x) for x in v))
-    if type(v) is int:
+    t = type(v)
+    if t is int:
         return (0, "int", v)
-    return (0, type(v).__name__, repr(v))
+    if t is str:
+        return (0, "str", repr(v))
+    if t is tuple or isinstance(v, tuple):
+        return (1, tuple(map(sort_key, v)))
+    if t is frozenset or isinstance(v, frozenset):
+        return (2, tuple(sorted(map(sort_key, v))))
+    return (0, t.__name__, repr(v))
 
 
 class CoverDigraph:

@@ -3,7 +3,16 @@
 Ideals and filters are plain frozensets of vertex ids.  The lattice built
 from them keeps those frozensets as vertex labels, so the canonical
 isomorphisms of the fundamental theorem are ordinary dictionaries.
+
+Underneath, the ideal layer works on int masks (Birkhoff's rings of
+sets), one bit per vertex, the vertices numbered in (color, index)
+order: the order-ideal check, the breadth-first search of J(P) and the
+greedy legs of the generic solver.  A mask is an ideal when every
+member's lower covers, as a mask, lie inside it.  Frozensets are made
+only for the vertices a caller receives.
 """
+
+from functools import cached_property
 
 from .lattice import (ColoredLattice, CoverDigraph, LatticeError, induced_covers,
                       is_int, sort_key)
@@ -41,6 +50,30 @@ class VertexColoredPoset(CoverDigraph):
     def __repr__(self):
         return f"VertexColoredPoset({len(self.vertices)} vertices, {len(self.covers)} covers)"
 
+    @cached_property
+    def _by_color(self):
+        """The vertices renumbered in (color, index) order, for the ideal masks.
+
+        Bit b of a mask stands for the b-th vertex in that order, so a
+        mask's lowest set bit is its smallest-color member, ties to the
+        lowest index.  Returns the vertices, their colors, the position
+        of each vertex, and the lower and the upper covers of each as
+        masks, all in this numbering.
+        """
+        vs, colors = self.vertices, self.colors
+        order = sorted(range(len(vs)), key=lambda i: (colors[vs[i]], i))
+        pos = [0] * len(vs)
+        for b, i in enumerate(order):
+            pos[i] = b
+
+        def renumbered(adj):
+            return tuple(sum(1 << pos[j] for j in adj[i]) for i in order)
+
+        labels = tuple(vs[i] for i in order)
+        return (labels, tuple(colors[v] for v in labels),
+                {v: b for b, v in enumerate(labels)},
+                renumbered(self._down), renumbered(self._up))
+
     def _members(self, mask):
         vs = self.vertices
         return frozenset(vs[i] for i in range(mask.bit_length()) if mask >> i & 1)
@@ -75,44 +108,115 @@ class VertexColoredPoset(CoverDigraph):
                 if mask >> i & 1 and closures[i] & mask == 1 << i]
 
 
+def _ideal_mask(P, members):
+    """The mask of members in P's (color, index) numbering, if they form an ideal.
+
+    None when a member is not a vertex of P, or when a member's lower
+    covers, as a mask, do not lie inside the members' mask; the
+    numbering is `VertexColoredPoset._by_color`.
+    """
+    _, _, where, lower, _ = P._by_color
+    mask = 0
+    for v in members:
+        b = where.get(v)
+        if b is None:
+            return None
+        mask |= 1 << b
+    rest = mask
+    while rest:
+        low = rest & -rest
+        if lower[low.bit_length() - 1] & ~mask:
+            return None
+        rest ^= low
+    return mask
+
+
 def is_order_ideal(P, members):
     """True when members are vertices of P closed under going down.
 
-    One AND per member: its down-set mask must lie inside the members'
-    mask.  A member that is not a vertex of P gives False.
+    One AND per member, in `_ideal_mask`: its lower covers' mask must
+    lie inside the members' mask.  A member that is not a vertex of P
+    gives False.
     """
-    idx, down = P._index, P._downsets
-    members = set(members)
-    if not members <= idx.keys():
-        return False
-    mask = 0
-    for v in members:
-        mask |= 1 << idx[v]
-    return all(down[idx[v]] & ~mask == 0 for v in members)
+    return _ideal_mask(P, members) is not None
+
+
+def _greedy_flips(P, start, target):
+    """The vertices a greedy leg between two ideal masks flips, in order.
+
+    The masks, one inside the other, are as in `_ideal_mask`.  Going up
+    it adjoins a minimal element of target - current, one whose lower
+    covers are all in current; going down it removes a maximal element
+    of current - target, one with no upper cover in current.  Each step
+    flips the lowest such bit: smallest color first, then the lowest
+    index.  Returns (vertex, color) for each flip.
+    """
+    labels, hues, _, lower, upper = P._by_color
+    up = not (start & ~target)
+    blocking = lower if up else upper
+    current, flips = start, []
+    rest = start ^ target
+    while rest:
+        free = ~current if up else current
+        scan = rest
+        while True:
+            if not scan:
+                raise AssertionError("no greedy step between the two ideals")
+            low = scan & -scan
+            b = low.bit_length() - 1
+            if not blocking[b] & free:
+                break
+            scan ^= low
+        current ^= low
+        rest ^= low
+        flips.append((labels[b], hues[b]))
+    return flips
+
+
+def _colors_of(P, mask):
+    """The colors of the members of an ideal mask, ascending."""
+    hues = P._by_color[1]
+    return [hues[b] for b in range(mask.bit_length()) if mask >> b & 1]
 
 
 def _ideal_covers(P):
-    """The order ideals of P and the covers (x, v) of J(P), x | {v} covering x.
+    """The order ideals of P and the covers (x, b) of J(P) between them.
 
-    One breadth-first search from the empty ideal walks each cover once.
+    One breadth-first search on ideal masks from the empty ideal walks
+    each cover once: x | 1 << b covers x when vertex b is outside x and
+    its lower covers are all inside.  Returns {mask: frozenset} over the
+    ideals, in the order the search meets them, and the covers.
     """
-    full = frozenset(P.vertices)
-    ideals = [frozenset()]
-    seen = set(ideals)
+    vs, _, _, lower, _ = P._by_color
+    full = (1 << len(vs)) - 1
+    ideals = [0]
+    labels = {0: frozenset()}
     covers = []
     for x in ideals:
-        for v in P.minimal_of(full - x):
-            covers.append((x, v))
-            y = x | {v}
-            if y not in seen:
-                seen.add(y)
-                ideals.append(y)
-    return ideals, covers
+        rest = full & ~x
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            b = low.bit_length() - 1
+            if not lower[b] & ~x:
+                covers.append((x, b))
+                y = x | low
+                if y not in labels:
+                    labels[y] = labels[x] | {vs[b]}
+                    ideals.append(y)
+    return labels, covers
 
 
 def enumerate_order_ideals(P):
     """All order ideals of P, in vertex order (by sorted member ids)."""
-    return sorted(_ideal_covers(P)[0], key=sort_key)
+    return sorted(_ideal_covers(P)[0].values(), key=sort_key)
+
+
+def _mask_lattice(P, labels, covers):
+    """The lattice on the labels of the ideal masks, covers colored by vertex."""
+    hues = P._by_color[1]
+    return ColoredLattice(labels.values(), [(labels[x], labels[x | 1 << b], hues[b])
+                                            for x, b in covers])
 
 
 def j_lattice(P):
@@ -121,8 +225,7 @@ def j_lattice(P):
     Ideals are ordered by containment; the edge adjoining vertex v gets
     v's color.  Ranked by cardinality.
     """
-    ideals, covers = _ideal_covers(P)
-    return ColoredLattice(ideals, [(x, x | {v}, P.color(v)) for x, v in covers])
+    return _mask_lattice(P, *_ideal_covers(P))
 
 
 def m_lattice(P):
@@ -132,10 +235,9 @@ def m_lattice(P):
     element's color.  Minimum is the full filter, maximum the empty one.
     The filter of an ideal x is its complement: adding v to x removes v.
     """
-    ideals, covers = _ideal_covers(P)
+    labels, covers = _ideal_covers(P)
     full = frozenset(P.vertices)
-    return ColoredLattice([full - x for x in ideals],
-                          [(full - x, full - x - {v}, P.color(v)) for x, v in covers])
+    return _mask_lattice(P, {x: full - label for x, label in labels.items()}, covers)
 
 
 def join_irreducibles(L):

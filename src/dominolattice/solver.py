@@ -4,19 +4,24 @@ Two routes to the same answers: the generic distributive-lattice solution
 (count order-ideal differences, walk through the join or the meet) and
 the Domino-specific procedure.  Both play by one greedy rule, smallest
 color first: through the join both legs climb, and through the meet the
-play descends from the start, then climbs.  The Domino procedure reads each shape once, into an int mask of its D
-tableau (bit t set for entry t) and one of its preimage's L tableau, Q
-(bit pi^-1(t)).  The per-color move counts are one running count over
-the two Q masks, and the walk runs on plain integers, with no Counter
-in it: the moves still to make are count lists indexed by color, the
-legal up colors are the set bits of (Q >> 1) & ~Q (the isomorphism
-module's docstring), and the smallest is the lowest set bit, so a step
-scans no colors.  A color-l move flips bits l and l+1 of Q and hops one
-dot of the D tableau, which changes one row of the shape, or two when
-the dot passes the entry between its ends.  The walk never builds the
-lattice; its slow reference is the generic route on the ideals of
-J(P_A), read through phi, `oracle.ideal_greedy_solve`.  The per-color
-answer of either route is a Counter.
+play descends from the start, then climbs.  The generic route runs on
+the poset's masks (the poset module's docstring): each ideal is read
+once into a mask in (color, index) order, so a greedy step flips the
+lowest set bit among the free extremes, and the census is read off the
+mask of the difference.  The Domino procedure reads each shape once,
+into an int mask of its D tableau (bit t set for entry t) and one of
+its preimage's L tableau, Q (bit pi^-1(t)).  The per-color move counts
+are one running count over the two Q masks, and the walk runs on plain
+integers, with no Counter in it: the moves still to make are count
+lists indexed by color, the legal up colors are the set bits of
+(Q >> 1) & ~Q (the isomorphism module's docstring), and the smallest
+is the lowest set bit, so a step scans no colors.  A color-l move flips
+bits l and l+1 of Q and hops one dot of the D tableau, which changes
+one row of the shape, or two when the dot passes the entry between its
+ends.  The walk never builds the lattice; its slow reference is the
+generic route on the ideals of J(P_A), read through phi,
+`oracle.ideal_greedy_solve`.  The per-color answer of either route is
+a Counter.
 """
 
 from collections import Counter
@@ -25,7 +30,7 @@ from operator import itemgetter
 
 from .lattice import DOWN, UP, PathRecord, Record, _set_field
 from .domino import _move_pairs, _pi_pair
-from .poset import is_order_ideal
+from .poset import _colors_of, _greedy_flips, _ideal_mask
 from .typea import validate_partition
 
 
@@ -63,23 +68,12 @@ class GameSolution(Record):
         _set_field(self, "waypoint", waypoint)
 
 
-def _greedy_ideal_leg(P, start, target):
-    """Ideal chain from start to target, one element of their difference a step.
-
-    Going up, start inside target, it adjoins a minimal element of
-    target - current; going down, target inside start, it removes a
-    maximal element of current - target.  Tie-break: smallest color
-    first, then the poset's canonical vertex order, which is the Domino
-    walk's rule.  Any choice is optimal; this one makes runs reproducible.
-    """
-    extremes = P.minimal_of if start <= target else P.maximal_of
+def _chain(start, flips):
+    """The ideals from start, flipping each (vertex, color) of flips in turn."""
     chain = [start]
-    current = start
-    while current != target:
-        pick = min(extremes(current ^ target),
-                   key=lambda v: (P.color(v), P.index(v)))
-        current = current ^ {pick}
-        chain.append(current)
+    for v, _ in flips:
+        start = start ^ {v}
+        chain.append(start)
     return chain
 
 
@@ -87,32 +81,36 @@ def solve_distributive(P, s, t, via="join"):
     """Shortest play between two ideals of P, routed through join or meet.
 
     Through the join both legs climb; through the meet the play descends
-    from s to the meet, then climbs to t.
+    from s to the meet, then climbs to t.  The ideals are read once into
+    masks in P's (color, index) numbering, and the legs, the census of
+    the difference s ^ t and the waypoint's mask are computed on them;
+    frozensets are made only for the path's vertices and the waypoint.
     """
     s, t = frozenset(s), frozenset(t)
+    masks = []
     for name, x in (("s", s), ("t", t)):
-        if not is_order_ideal(P, x):
+        mask = _ideal_mask(P, x)
+        if mask is None:
             raise ValueError(f"{name} is not an order ideal of the poset")
-    union = s | t
-    distance = (len(union) - len(s)) + (len(union) - len(t))
-    per_color = color_census(P, union - s) + color_census(P, union - t)
+        masks.append(mask)
+    ms, mt = masks
+    distance = (ms ^ mt).bit_count()
+    per_color = Counter(_colors_of(P, ms ^ mt))
     if via == "join":
-        up_leg = _greedy_ideal_leg(P, s, union)
-        down_leg = _greedy_ideal_leg(P, t, union)
-        verts = up_leg + down_leg[-2::-1]
-        dirs = [UP] * (len(up_leg) - 1) + [DOWN] * (len(down_leg) - 1)
-        waypoint = union
+        waypoint = s | t
+        up = _greedy_flips(P, ms, ms | mt)
+        down = _greedy_flips(P, mt, ms | mt)[::-1]
+        verts = _chain(s, up) + _chain(waypoint, down)[1:]
+        steps = [(c, UP) for _, c in up] + [(c, DOWN) for _, c in down]
     elif via == "meet":
         waypoint = s & t
-        down_leg = _greedy_ideal_leg(P, s, waypoint)
-        up_leg = _greedy_ideal_leg(P, waypoint, t)
-        verts = down_leg + up_leg[1:]
-        dirs = [DOWN] * (len(down_leg) - 1) + [UP] * (len(up_leg) - 1)
+        down = _greedy_flips(P, ms, ms & mt)
+        up = _greedy_flips(P, ms & mt, mt)
+        verts = _chain(s, down) + _chain(waypoint, up)[1:]
+        steps = [(c, DOWN) for _, c in down] + [(c, UP) for _, c in up]
     else:
         raise ValueError(f"via must be 'join' or 'meet', got {via!r}")
-    steps = tuple((P.color(next(iter(a ^ b))), d)
-                  for a, b, d in zip(verts, verts[1:], dirs))
-    path = PathRecord(tuple(verts), steps)
+    path = PathRecord(tuple(verts), tuple(steps))
     return GameSolution(distance, per_color, path, waypoint)
 
 

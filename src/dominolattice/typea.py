@@ -188,8 +188,13 @@ def partition_join(spec, a, b):
 
 
 def partition_to_tableau_L(spec, parts):
-    parts = validate_partition(spec, parts)
-    return tuple(spec.cols + r + 1 - p for r, p in enumerate(parts))
+    return _partition_to_tableau_L(spec, validate_partition(spec, parts))
+
+
+def _partition_to_tableau_L(spec, parts):
+    """partition_to_tableau_L on a shape already validated."""
+    cols = spec.cols
+    return tuple(cols + r + 1 - p for r, p in enumerate(parts))
 
 
 def tableau_to_partition_L(spec, entries):
@@ -363,13 +368,7 @@ def _l_move_pairs(N):
 def l_up_edges(spec, x, system="part"):
     """Up-neighbors of x with edge colors, computed natively per system."""
     if system == "part":
-        parts = validate_partition(spec, x)
-        out = []
-        for l in range(1, spec.k + 1):
-            if parts[l - 1] < spec.cols and (l == 1 or parts[l - 2] > parts[l - 1]):
-                tau = parts[:l - 1] + (parts[l - 1] + 1,) + parts[l:]
-                out.append((tau, spec.cols - tau[l - 1] + l))
-        return out
+        return _l_part_up_edges(spec, validate_partition(spec, x))
     if system == "tab":
         return [(tuple(sorted(t)), l) for t, l in
                 hop_up_moves(validate_entries(spec, x), _l_move_pairs(spec.N))]
@@ -388,6 +387,22 @@ def l_up_edges(spec, x, system="part"):
     raise ValueError(f"unknown coordinatization {system!r}")
 
 
+def _l_part_up_edges(spec, parts):
+    """The partition rule of l_up_edges on a shape already validated.
+
+    Row l can take one more cell, (l, parts[l-1] + 1), when it is short
+    of the box and of the row above; the edge takes that cell's color.
+    """
+    cols = spec.cols
+    out = []
+    for l in range(1, spec.k + 1):
+        p = parts[l - 1]
+        if p < cols and (l == 1 or parts[l - 2] > p):
+            tau = parts[:l - 1] + (p + 1,) + parts[l:]
+            out.append((tau, cell_color(spec, l, p + 1)))
+    return out
+
+
 @lru_cache(maxsize=None)
 def build_l_graph(spec):
     """The fundamental lattice on partitions, from the partition edge rule.
@@ -396,7 +411,7 @@ def build_l_graph(spec):
     """
     vertices = all_partitions(spec)
     return ColoredLattice(vertices, [(v, w, color) for v in vertices
-                                     for w, color in l_up_edges(spec, v)])
+                                     for w, color in _l_part_up_edges(spec, v)])
 
 
 # -- product-of-chains lattice and its tableau sublattice ---------------------------

@@ -14,13 +14,14 @@ from .poset import (canonical_iso_to_filters, canonical_iso_to_ideals,
                     check_poset_iso, disjoint_sum, dual, j_lattice,
                     join_irreducibles, m_lattice, meet_irreducibles,
                     principal_filter, principal_ideal, recolor)
-from .typea import (L_COORDINATES, BoxSpec, all_partitions, build_l_a,
+from .typea import (L_COORDINATES, BoxSpec, _partition_to_tableau_L,
+                    _tableau_to_diagonal_L, all_partitions, build_l_a,
                     build_l_graph, build_l_tab, build_l_tilde, build_p_a,
                     ideal_to_partition, l_up_edges, partition_to_diagonal,
                     partition_to_ideal)
 from .domino import (D_COORDINATES, build_d_a, d_up_edges,
                      is_legal_domino_move)
-from .isomorphism import apply_p, decompose, move_matrix, phi, phi_inverse
+from .isomorphism import _apply_p, _phi, _phi_inverse, decompose, move_matrix
 from .oracle import (bareiss_decompose, bfs_all_pairs, check_constructed_iso,
                      enumerate_shortest_paths, random_colored_poset)
 from .solver import solve_distributive, solve_domino
@@ -124,18 +125,26 @@ def suite_coordinates(k, N):
 
 
 def suite_iso(k, N):
-    """Phi as a colored digraph isomorphism, plus the matrix transport."""
+    """Phi as a colored digraph isomorphism, plus the matrix transport.
+
+    The shapes are the vertices of the lattices just built, so they are
+    valid and the checks call the unchecked cores: each result is still
+    compared with a vertex of D, or with the diagonal of one.
+    """
     spec = BoxSpec(k, N)
     L = build_l_graph(spec)
     D = build_d_a(spec)
-    image = {p: phi(spec, p) for p in L.vertices}
+    image = {p: _phi(spec, p) for p in L.vertices}
+
+    def diagonal(p):
+        return _tableau_to_diagonal_L(spec, _partition_to_tableau_L(spec, p))
+
     checks = [
         ("phi is a color-preserving isomorphism", check_constructed_iso(L, D, image)),
         ("phi_inverse inverts phi",
-         all(phi_inverse(spec, q) == p for p, q in image.items())),
+         all(_phi_inverse(spec, q) == p for p, q in image.items())),
         ("matrix transport agrees with phi",
-         all(apply_p(spec, partition_to_diagonal(spec, p))
-             == partition_to_diagonal(spec, q) for p, q in image.items())),
+         all(_apply_p(spec, diagonal(p)) == diagonal(q) for p, q in image.items())),
         ("move matrix is invertible over the integers",
          move_matrix(spec).is_unimodular),
     ]

@@ -4,9 +4,9 @@ import pytest
 
 from dominolattice.domino import (build_d_a, d_up_edges, gamma_ct, gamma_pt,
                                   gamma_tc, gamma_tp)
-from dominolattice.isomorphism import (BoxPermutation, apply_p, decompose,
-                                       integer_determinant, move_census,
-                                       move_matrix, phi, phi_circ,
+from dominolattice.isomorphism import (BoxPermutation, _apply_p, apply_p,
+                                       decompose, integer_determinant,
+                                       move_census, move_matrix, phi, phi_circ,
                                        phi_circ_inverse, phi_inverse, pi)
 from dominolattice.oracle import (bareiss_solve, bfs_all_pairs, cell_census,
                                   check_constructed_iso, exact_inverse)
@@ -167,6 +167,20 @@ class TestApplyP:
         for p in all_partitions(BOX24):
             assert apply_p(BOX24, partition_to_diagonal(BOX24, p)) \
                 == partition_to_diagonal(BOX24, phi(BOX24, p))
+
+
+class TestSparseTransport:
+    """apply_p and its unchecked core against the dense product P d + m."""
+
+    @pytest.mark.parametrize("spec", DESK_SPECS, ids=lambda s: f"k{s.k}N{s.N}")
+    def test_matches_the_dense_product_on_every_shape(self, spec):
+        P = move_matrix(spec)
+        for p in all_partitions(spec):
+            d = partition_to_diagonal(spec, p)
+            dense = tuple(sum(a * x for a, x in zip(row, d)) + m
+                          for row, m in zip(P.entries, P.shift))
+            assert _apply_p(spec, d) == dense
+            assert apply_p(spec, d) == dense
 
 
 class TestDecompose:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from dominolattice.domino import is_legal_domino_move
 from dominolattice.isomorphism import move_census, phi_inverse
-from dominolattice.lattice import ColoredLattice, path_stats, product
+from dominolattice.lattice import ColoredLattice, path_stats, product, sort_key
 from dominolattice.oracle import (bfs_all_pairs, cell_census, check_constructed_iso,
                                   enumerate_shortest_paths, ideal_greedy_solve,
                                   is_diamond_colored,
@@ -225,3 +225,33 @@ def test_domino_walk_matches_the_ideal_oracle_beyond_the_small_boxes(game):
     verts = got.path.vertices
     assert all(is_legal_domino_move(spec, v, w) for v, w in zip(verts, verts[1:]))
     assert list(got.per_color) == sorted(got.per_color)
+
+
+def isinstance_sort_key(v):
+    """sort_key as one isinstance chain, the definition its type dispatch keeps."""
+    if isinstance(v, frozenset):
+        return (2, tuple(sorted(isinstance_sort_key(x) for x in v)))
+    if isinstance(v, tuple):
+        return (1, tuple(isinstance_sort_key(x) for x in v))
+    if type(v) is int:
+        return (0, "int", v)
+    return (0, type(v).__name__, repr(v))
+
+
+class Small(int):
+    pass
+
+
+MIXED_LABELS = st.recursive(
+    st.one_of(st.booleans(), st.integers(-20, 20),
+              st.integers(-20, 20).map(Small), st.text(max_size=3)),
+    lambda inner: st.one_of(st.lists(inner, max_size=3).map(tuple),
+                            st.frozensets(inner, max_size=3)),
+    max_leaves=12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(MIXED_LABELS, max_size=12))
+def test_sort_key_orders_mixed_labels_as_the_isinstance_chain(labels):
+    assert [sort_key(v) for v in labels] == [isinstance_sort_key(v) for v in labels]
+    assert sorted(labels, key=sort_key) == sorted(labels, key=isinstance_sort_key)

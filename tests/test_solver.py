@@ -9,9 +9,10 @@ import sys
 from dominolattice.cli import main
 from dominolattice.domino import build_d_a, d_max, d_min, is_legal_domino_move
 from dominolattice.isomorphism import phi_inverse
-from dominolattice.lattice import DOWN, path_stats
+from dominolattice.lattice import DOWN, UP, PathRecord, path_stats
 from dominolattice.oracle import (bfs_all_pairs, enumerate_shortest_paths,
-                                  ideal_greedy_solve)
+                                  ideal_greedy_solve, random_colored_poset)
+from dominolattice.poset import j_lattice
 from dominolattice.solver import (GameSolution, _walk_tables, color_census,
                                   solve_distributive, solve_domino)
 from dominolattice.typea import (BoxSpec, all_partitions, build_l_a,
@@ -133,6 +134,80 @@ class TestSolveDistributive:
         P = build_p_a(BOX24)
         with pytest.raises(ValueError, match="order ideal"):
             solve_distributive(P, frozenset({"1,2"}), frozenset())
+
+
+def frozenset_leg(P, start, target):
+    """A greedy leg on frozensets: one extreme of the difference a step.
+
+    Going up it adjoins a minimal element of target - current, going down
+    it removes a maximal element of current - target, smallest color
+    first, then the poset's vertex order.
+    """
+    extremes = P.minimal_of if start <= target else P.maximal_of
+    chain = [start]
+    current = start
+    while current != target:
+        pick = min(extremes(current ^ target),
+                   key=lambda v: (P.color(v), P.index(v)))
+        current = current ^ {pick}
+        chain.append(current)
+    return chain
+
+
+def frozenset_solve(P, s, t, via):
+    """solve_distributive's play, composed from frozenset legs."""
+    union = s | t
+    per_color = color_census(P, union - s) + color_census(P, union - t)
+    if via == "join":
+        waypoint = union
+        up, down = frozenset_leg(P, s, union), frozenset_leg(P, t, union)
+        verts = up + down[-2::-1]
+        dirs = [UP] * (len(up) - 1) + [DOWN] * (len(down) - 1)
+    else:
+        waypoint = s & t
+        down, up = frozenset_leg(P, s, waypoint), frozenset_leg(P, waypoint, t)
+        verts = down + up[1:]
+        dirs = [DOWN] * (len(down) - 1) + [UP] * (len(up) - 1)
+    steps = tuple((P.color(next(iter(a ^ b))), d)
+                  for a, b, d in zip(verts, verts[1:], dirs))
+    return GameSolution(len(union - s) + len(union - t), per_color,
+                        PathRecord(tuple(verts), steps), waypoint)
+
+
+class TestMaskGreedyPlay:
+    """The mask legs of solve_distributive make the frozenset legs' play."""
+
+    @staticmethod
+    def assert_same_play(P, L):
+        for s in L.vertices:
+            for t in L.vertices:
+                for via in ("join", "meet"):
+                    got = solve_distributive(P, s, t, via=via)
+                    assert got == frozenset_solve(P, s, t, via)
+                    got.path.validate(L)
+
+    def test_random_posets(self):
+        rng = random.Random(23)
+        for _ in range(30):
+            P = random_colored_poset(rng, 6, 3)
+            self.assert_same_play(P, j_lattice(P))
+
+    @pytest.mark.parametrize("k, N", [(2, 5), (3, 6)])
+    def test_every_pair_of_the_box(self, k, N):
+        spec = BoxSpec(k, N)
+        self.assert_same_play(build_p_a(spec), build_l_a(spec))
+
+    @pytest.mark.parametrize("s, t, name", [
+        (frozenset({"1,2"}), frozenset(), "s"),
+        (frozenset(), frozenset({"2,1"}), "t"),
+        (frozenset({"1,1", "9,9"}), frozenset(), "s"),
+        (frozenset(), frozenset({"foreign"}), "t"),
+    ], ids=["s-not-closed", "t-not-closed", "s-foreign", "t-foreign"])
+    def test_rejects_non_ideals_and_non_vertices(self, s, t, name):
+        P = build_p_a(BOX24)
+        with pytest.raises(ValueError,
+                           match=f"^{name} is not an order ideal of the poset$"):
+            solve_distributive(P, s, t)
 
 
 class TestSolveDomino:

@@ -1,10 +1,15 @@
+import sys
+from collections import Counter
+from math import comb
+
 import pytest
 
 from dominolattice import verify
 from dominolattice.domino import build_d_a
-from dominolattice.isomorphism import phi
+from dominolattice.isomorphism import _phi, move_matrix
 from dominolattice.lattice import ColoredLattice
-from dominolattice.typea import BoxSpec, build_l_graph
+from dominolattice.typea import (BoxSpec, build_l_graph, validate_diagonal,
+                                 validate_entries, validate_partition)
 from dominolattice.verify import SUITES, run_suite
 
 
@@ -51,9 +56,33 @@ def test_iso_suite_maps_each_vertex_through_phi_once(monkeypatch):
 
     def counting_phi(spec, sigma):
         calls.append(sigma)
-        return phi(spec, sigma)
+        return _phi(spec, sigma)
 
-    monkeypatch.setattr(verify, "phi", counting_phi)
+    monkeypatch.setattr(verify, "_phi", counting_phi)
     result = run_suite("iso", k=3, N=7)
     assert result["passed"]
     assert sorted(calls) == sorted(build_l_graph(BoxSpec(3, 7)).vertices)
+
+
+def test_iso_suite_validates_each_shape_at_most_once():
+    # the suite's shapes are vertices of the lattices it builds, so its
+    # checks run on unchecked cores; a validator called per check and
+    # shape would run several times C(N, k)
+    watched = {f.__code__: f.__name__ for f in (validate_partition,
+                                                validate_diagonal,
+                                                validate_entries)}
+    calls = Counter()
+
+    def count(frame, event, arg):
+        if event == "call" and frame.f_code in watched:
+            calls[watched[frame.f_code]] += 1
+
+    for cached in (build_l_graph, build_d_a, move_matrix):
+        cached.cache_clear()
+    sys.setprofile(count)
+    try:
+        result = verify.suite_iso(4, 10)
+    finally:
+        sys.setprofile(None)
+    assert result["passed"]
+    assert all(n <= comb(10, 4) for n in calls.values()), calls
