@@ -3,8 +3,11 @@
 Subcommands: lattice (build/export), convert (coordinates and phi),
 solve (domino game with ASCII playback), verify (named suites).
 Exit codes: 0 success, 1 usage, 2 domain violation, 3 verification failure.
-Each subcommand imports what only it needs (serialization, the ideal
-lattices, the suites) when it runs, so a solve loads none of it.
+Parsing needs only the box, the shapes and the coordinate tables.  Each
+subcommand imports what it runs when it runs: the lattice builders and
+serialization, phi, the solver, the suites.  A solve loads the solver but
+no lattice, poset or isomorphism module; a convert loads no lattice,
+poset or solver module.
 """
 
 import argparse
@@ -12,12 +15,9 @@ import json
 import re
 import sys
 
-from .domino import D_COORDINATES, build_d_a
-from .isomorphism import phi, phi_inverse
-from .solver import solve_domino
+from .domino import D_COORDINATES
 from .suites import SUITES
-from .typea import (L_COORDINATES, BoxSpec, CircleState, build_l_graph,
-                    validate_partition)
+from .typea import L_COORDINATES, BoxSpec, CircleState, validate_partition
 
 USAGE_ERROR, DOMAIN_ERROR, VERIFY_ERROR = 1, 2, 3
 
@@ -135,7 +135,9 @@ def render_partition(spec, parts):
 
 def cmd_lattice(args):
     from . import io as serial
+    from .domino import build_d_a
     from .poset import j_lattice, m_lattice
+    from .typea import build_l_graph
     if args.poset is not None:
         try:
             with open(args.poset, encoding="utf-8") as handle:
@@ -173,6 +175,7 @@ def cmd_lattice(args):
 def cmd_convert(args):
     spec = _spec_from(args)
     if args.map:
+        from .isomorphism import phi, phi_inverse
         parts = parse_partition(spec, args.value)
         out = phi(spec, parts) if args.map == "phi" else phi_inverse(spec, parts)
         print(fmt_partition(out))
@@ -187,6 +190,7 @@ def cmd_convert(args):
 
 
 def cmd_solve(args):
+    from .solver import solve_domino
     spec = _spec_from(args)
     sigma = parse_partition(spec, args.src)
     tau = parse_partition(spec, args.dest)

@@ -8,12 +8,12 @@ digraph and drives the solver.  The paper's partition branch table
 it is checked against.  The board is checkered with the upper-right cell
 red.  The extremes come in closed form, as the images of the empty and
 the full box under the isomorphism, so nothing that needs them builds
-the digraph.
+the digraph, and only `build_d_a` imports the lattice module.
 """
 
 from functools import lru_cache
 
-from .lattice import ColoredLattice, Record, _set_field, birkhoff_failure, is_int
+from .records import Record, _set_field, is_int
 from .typea import (all_partitions, diagonal_to_partition, hop_up_moves,
                     is_valid_diagonal, is_valid_partition,
                     partition_to_diagonal, tableau_to_circle, validate_circle,
@@ -145,6 +145,7 @@ def build_d_a(spec):
     build asserts Birkhoff's certificate (`birkhoff_failure`), which implies
     unique extremes; a failure raises AssertionError with its witness.
     """
+    from .lattice import ColoredLattice, birkhoff_failure
     vertices = all_partitions(spec)
     pairs = _move_pairs(spec.N)
     L = ColoredLattice(vertices, [

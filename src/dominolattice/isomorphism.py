@@ -41,8 +41,8 @@ from functools import lru_cache
 # BoxPermutation and pi live in domino, whose closed-form extremes need pi;
 # they are re-exported here, next to phi.
 from .domino import (BoxPermutation, _gamma_pt, _gamma_tp, _pi_pair, beta_diag,
-                     gamma_pt, m_diag, pi)
-from .lattice import Record, _set_field
+                     m_diag, pi)
+from .records import Record, _set_field
 from .typea import (CircleState, _partition_to_tableau_L,
                     _tableau_to_diagonal_L, _tableau_to_partition_L,
                     diagonal_to_partition, validate_diagonal,
@@ -130,7 +130,11 @@ def integer_determinant(matrix):
 
 
 class MoveMatrix(Record):
-    """Columns are the diagonal move-vectors; shift is the Domino minimum."""
+    """Columns are the diagonal move-vectors; shift is the Domino minimum.
+
+    The determinant is eliminated once per matrix, `_determinant`, so the
+    singularity check of `move_matrix` and `is_unimodular` share one run.
+    """
 
     __slots__ = ("entries", "shift")
 
@@ -147,11 +151,17 @@ class MoveMatrix(Record):
 
     @property
     def determinant(self):
-        return integer_determinant(self.entries)
+        return _determinant(self.entries)
 
     @property
     def is_unimodular(self):
         return self.determinant in (1, -1)
+
+
+@lru_cache(maxsize=None)
+def _determinant(entries):
+    """integer_determinant of a move matrix's entries, computed once per matrix."""
+    return integer_determinant(entries)
 
 
 @lru_cache(maxsize=None)
@@ -204,8 +214,13 @@ def move_census(spec, sigma):
     coordinates.  Entry l - 1 counts the moves of color l; the sum is the
     rank of sigma in D.
     """
+    return _move_census(spec, validate_partition(spec, sigma))
+
+
+def _move_census(spec, sigma):
+    """move_census on a shape already validated."""
     q = _pi_pair(spec.N)[1].mapping
-    return _tableau_to_diagonal_L(spec, [q[t - 1] for t in gamma_pt(spec, sigma)])
+    return _tableau_to_diagonal_L(spec, [q[t - 1] for t in _gamma_pt(spec, sigma)])
 
 
 def decompose(spec, diag):
@@ -215,4 +230,4 @@ def decompose(spec, diag):
     unique solution of P c = d - m, read off the cell census instead of
     solved for (`oracle.bareiss_decompose` solves it).
     """
-    return move_census(spec, diagonal_to_partition(spec, diag))
+    return _move_census(spec, diagonal_to_partition(spec, diag))

@@ -10,61 +10,15 @@ pass over its covers, `birkhoff_failure`: Birkhoff's theorem says it is
 exactly when it is the ideal lattice of its colored join irreducibles.
 Its slow reference, the definitional checks (`is_diamond_colored` and
 the lattice laws), lives in `oracle` and reads a lattice only through its
-public methods.
+public methods.  The walks and records it shares with the solve path
+live in `records`; they are bound here too.
 """
 
 from collections import Counter
 from functools import cached_property
 from itertools import product as iproduct
 
-
-class LatticeError(ValueError):
-    pass
-
-
-def is_int(value):
-    """True for an int that is not a bool (bool subclasses int)."""
-    return type(value) is int or (isinstance(value, int) and not isinstance(value, bool))
-
-
-_set_field = object.__setattr__
-
-
-class Record:
-    """Immutable record whose fields are its `__slots__`.
-
-    A subclass names its fields in `__slots__` and sets each once, in its
-    own `__init__`, with `_set_field`; any later assignment or deletion
-    raises AttributeError.  Equality holds only between records of the
-    same class with equal fields; hash and repr are read off the fields,
-    and a record pickles and copies by calling its class on them.
-    """
-
-    __slots__ = ()
-
-    def _fields(self):
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__qualname__}({fields})"
-
-    def __reduce__(self):
-        return type(self), self._fields()
+from .records import DOWN, UP, LatticeError, PathRecord, is_int
 
 
 def sort_key(v):
@@ -76,16 +30,40 @@ def sort_key(v):
     int, str, tuple and frozenset are tested first, by identity; bools,
     subclasses and other types are then told apart by isinstance.
     """
+    return _label_key(v, sort_key)
+
+
+def _label_key(v, key):
+    """sort_key of v, with key giving the sort keys of v's members."""
     t = type(v)
     if t is int:
         return (0, "int", v)
     if t is str:
         return (0, "str", repr(v))
     if t is tuple or isinstance(v, tuple):
-        return (1, tuple(map(sort_key, v)))
+        return (1, tuple(map(key, v)))
     if t is frozenset or isinstance(v, frozenset):
-        return (2, tuple(sorted(map(sort_key, v))))
+        return (2, tuple(sorted(map(key, v))))
     return (0, t.__name__, repr(v))
+
+
+def _memo_sort_key():
+    """sort_key for one sort, computed once per label and member object.
+
+    Labels often share members (the ideals of a poset share its vertex
+    ids), so each key is kept by the id of its object.  An id is reused
+    only after its object dies, and the labels being sorted keep every
+    member alive; so the key function must not outlive the sort.
+    """
+    memo = {}
+
+    def key(v):
+        k = memo.get(id(v))
+        if k is None:
+            k = memo[id(v)] = _label_key(v, key)
+        return k
+
+    return key
 
 
 class CoverDigraph:
@@ -102,7 +80,7 @@ class CoverDigraph:
     error = ValueError
 
     def __init__(self, vertices):
-        self.vertices = tuple(sorted(set(vertices), key=sort_key))
+        self.vertices = tuple(sorted(set(vertices), key=_memo_sort_key()))
         self._index = {v: i for i, v in enumerate(self.vertices)}
 
     def _pair(self, a, b):
@@ -429,65 +407,7 @@ def birkhoff_failure(L):
 
 
 # -- paths --------------------------------------------------------------------
-
-UP = "up"
-DOWN = "down"
-
-
-class PathRecord(Record):
-    """A walk in a cover graph: vertex sequence plus (color, direction) steps."""
-
-    __slots__ = ("vertices", "steps")
-
-    def __init__(self, vertices, steps):
-        _set_field(self, "vertices", vertices)
-        _set_field(self, "steps", steps)
-
-    def __len__(self):
-        return len(self.steps)
-
-    @property
-    def is_simple(self):
-        return len(set(self.vertices)) == len(self.vertices)
-
-    @property
-    def is_mountain(self):
-        dirs = [d for _, d in self.steps]
-        return DOWN not in dirs or UP not in dirs[dirs.index(DOWN):]
-
-    @property
-    def is_valley(self):
-        dirs = [d for _, d in self.steps]
-        return UP not in dirs or DOWN not in dirs[dirs.index(UP):]
-
-    @property
-    def apex(self):
-        if not self.is_mountain:
-            raise LatticeError("not a mountain path")
-        k = sum(1 for _, d in self.steps if d == UP)
-        return self.vertices[k]
-
-    @property
-    def nadir(self):
-        if not self.is_valley:
-            raise LatticeError("not a valley path")
-        k = sum(1 for _, d in self.steps if d == DOWN)
-        return self.vertices[k]
-
-    def validate(self, L):
-        if len(self.vertices) != len(self.steps) + 1:
-            raise LatticeError("vertex/step count mismatch")
-        for (a, b), (color, direction) in zip(
-                zip(self.vertices, self.vertices[1:]), self.steps):
-            if direction not in (UP, DOWN):
-                raise LatticeError(
-                    f"step {a!r} -> {b!r} has direction {direction!r}, "
-                    f"not {UP!r} or {DOWN!r}")
-            x, y = (a, b) if direction == UP else (b, a)
-            if not L.has_edge(x, y) or L.edge_color(x, y) != color:
-                raise LatticeError(
-                    f"step {a!r} -> {b!r} ({direction}, color {color}) is not an edge")
-        return self
+# A walk is a `records.PathRecord`: vertices plus (color, UP or DOWN) steps.
 
 
 def path_from_vertices(L, vertices):

@@ -14,6 +14,7 @@ read a lattice only through its public methods.
 
 from collections import deque
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 from .domino import build_d_a
@@ -148,14 +149,19 @@ def bareiss_decompose(spec, diag):
     nonnegative integers.
     """
     diag = validate_diagonal(spec, diag)
-    shift = cell_census(spec, build_d_a(spec).minimum)
     sol = bareiss_solve(move_matrix(spec).entries,
-                        [d - s for d, s in zip(diag, shift)])
+                        [d - s for d, s in zip(diag, _minimum_census(spec))])
     for i, value in enumerate(sol, start=1):
         if value.denominator != 1 or value < 0:
             raise ValueError(
                 f"coefficient {i} is not a nonnegative integer: {value}")
     return tuple(int(value) for value in sol)
+
+
+@lru_cache(maxsize=None)
+def _minimum_census(spec):
+    """cell_census of the minimum of the built Domino lattice, once per box."""
+    return cell_census(spec, build_d_a(spec).minimum)
 
 
 def ideal_greedy_solve(spec, sigma, tau, via="join"):

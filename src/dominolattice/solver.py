@@ -21,16 +21,15 @@ one row of the shape, or two when the dot passes the entry between its
 ends.  The walk never builds the lattice; its slow reference is the
 generic route on the ideals of J(P_A), read through phi,
 `oracle.ideal_greedy_solve`.  The per-color answer of either route is
-a Counter.
+a Counter.  Only the generic route imports the poset module, when it
+runs, so a Domino solve loads no lattice code.
 """
 
 from collections import Counter
 from functools import lru_cache
-from operator import itemgetter
 
-from .lattice import DOWN, UP, PathRecord, Record, _set_field
 from .domino import _move_pairs, _pi_pair
-from .poset import _colors_of, _greedy_flips, _ideal_mask
+from .records import DOWN, UP, PathRecord, Record, _set_field
 from .typea import validate_partition
 
 
@@ -54,13 +53,17 @@ class GameSolution(Record):
         if len(path.steps) != distance:
             raise ValueError(f"the path has {len(path.steps)} steps "
                              f"but the distance is {distance}")
-        made = Counter(map(itemgetter(0), path.steps))
+        # counted in a plain dict: a Counter runs pure-Python __init__ and
+        # update code, which the first solve after a cache flush pays for
+        made = {}
+        for c, _ in path.steps:
+            made[c] = made.get(c, 0) + 1
         # equal dicts are equal Counters; only a mismatch, or a zero entry,
         # pays for the color-by-color comparison
         if dict.__eq__(made, per_color) is not True:
             for c in sorted(made.keys() | per_color.keys()):
-                if made[c] != per_color.get(c, 0):
-                    raise ValueError(f"color {c}: the path makes {made[c]} "
+                if made.get(c, 0) != per_color.get(c, 0):
+                    raise ValueError(f"color {c}: the path makes {made.get(c, 0)} "
                                      f"moves, per_color counts {per_color.get(c, 0)}")
         _set_field(self, "distance", distance)
         _set_field(self, "per_color", per_color)
@@ -86,6 +89,7 @@ def solve_distributive(P, s, t, via="join"):
     the difference s ^ t and the waypoint's mask are computed on them;
     frozensets are made only for the path's vertices and the waypoint.
     """
+    from .poset import _colors_of, _greedy_flips, _ideal_mask
     s, t = frozenset(s), frozenset(t)
     masks = []
     for name, x in (("s", s), ("t", t)):
@@ -197,8 +201,12 @@ def solve_domino(spec, sigma, tau, via="join"):
     down moves of the play, and per_color holds their sums, colors in
     ascending order.
     """
-    sigma = validate_partition(spec, sigma)
-    tau = validate_partition(spec, tau)
+    return _solve_domino(spec, validate_partition(spec, sigma),
+                         validate_partition(spec, tau), via)
+
+
+def _solve_domino(spec, sigma, tau, via):
+    """solve_domino on two shapes already validated, as tuples."""
     k, N = spec.k, spec.N
     qinv = _pi_pair(N)[1].mapping
     masks = []
@@ -210,7 +218,9 @@ def solve_domino(spec, sigma, tau, via="join"):
             q |= 1 << qinv[t - 1]
         masks += (mask, q)
     ms, qs, mt, qt = masks
-    rise, fall, per_color = [0] * N, [0] * N, Counter()
+    # the empty Counter that Counter() makes, without its __init__, which
+    # only runs update(None)
+    rise, fall, per_color = [0] * N, [0] * N, Counter.__new__(Counter)
     rising = falling = diff = 0
     for l in range(1, N):
         diff += (qt >> l & 1) - (qs >> l & 1)

@@ -5,7 +5,8 @@ partitions, as k-subsets of [N] (tableaux), as length-N bitstrings over a
 physical two-row box layout (circle diagrams), or as the census of shaded
 boxes along the northwest-southeast diagonals (diagonal coordinates).
 Partitions are the default view; every map here is a pure function on
-plain tuples.
+plain tuples.  The lattice builders import the lattice and poset modules
+when they run, so that the maps, and a solve, load neither.
 
 Diagonal coordinates are a cell census, read in O(N) off the L tableau
 by `_tableau_to_diagonal_L`:
@@ -27,10 +28,7 @@ move counts (`isomorphism.move_census`).
 from functools import lru_cache
 from itertools import accumulate
 
-from .lattice import (ColoredLattice, Record, _set_field,
-                      check_full_length_sublattice, induced_sublattice, is_int,
-                      product)
-from .poset import VertexColoredPoset, j_lattice
+from .records import Record, _set_field, is_int
 
 
 class BoxSpec(Record):
@@ -92,6 +90,7 @@ def cell_color(spec, r, c):
 @lru_cache(maxsize=None)
 def build_p_a(spec):
     """Grid poset on (r, c) cells with color N-k+r-c at (r, c)."""
+    from .poset import VertexColoredPoset
     vertices = []
     covers = []
     colors = {}
@@ -110,6 +109,7 @@ def build_p_a(spec):
 @lru_cache(maxsize=None)
 def build_l_a(spec):
     """The fundamental lattice: ideal lattice of the grid poset."""
+    from .poset import j_lattice
     return j_lattice(build_p_a(spec))
 
 
@@ -118,11 +118,12 @@ def build_l_a(spec):
 
 def validate_partition(spec, parts):
     parts = tuple(parts)
-    if len(parts) != spec.k:
-        raise ValueError(f"expected {spec.k} parts, got {len(parts)}")
-    prev = cols = spec.cols
+    k = spec.k
+    if len(parts) != k:
+        raise ValueError(f"expected {k} parts, got {len(parts)}")
+    prev = cols = spec.N - k
     for i, p in enumerate(parts):
-        if not is_int(p):
+        if type(p) is not int and not is_int(p):   # exact ints skip the call
             raise ValueError(f"part {i + 1} is not an integer")
         if p < 0 or p > cols:
             raise ValueError(f"part {i + 1} out of range [0, {cols}]: {p}")
@@ -165,7 +166,11 @@ def ideal_to_partition(spec, ideal):
 
 
 def partition_to_ideal(spec, parts):
-    parts = validate_partition(spec, parts)
+    return _partition_to_ideal(validate_partition(spec, parts))
+
+
+def _partition_to_ideal(parts):
+    """partition_to_ideal on a shape already validated."""
     return frozenset(vertex_id(r + 1, c + 1)
                      for r, p in enumerate(parts) for c in range(p))
 
@@ -409,6 +414,7 @@ def build_l_graph(spec):
 
     It is `build_l_a(spec)` with each ideal relabeled as its partition.
     """
+    from .lattice import ColoredLattice
     vertices = all_partitions(spec)
     return ColoredLattice(vertices, [(v, w, color) for v in vertices
                                      for w, color in _l_part_up_edges(spec, v)])
@@ -424,6 +430,7 @@ def build_l_tilde(spec):
     Chain r runs from the numeric label N-k+r (bottom) up to r, the edge
     into label v carrying color v.
     """
+    from .lattice import ColoredLattice, product
     chains = []
     for r in range(1, spec.k + 1):
         labels = list(range(r, spec.cols + r + 1))
@@ -434,6 +441,7 @@ def build_l_tilde(spec):
 
 @lru_cache(maxsize=None)
 def build_l_tab(spec):
+    from .lattice import check_full_length_sublattice, induced_sublattice
     big = build_l_tilde(spec)
     K = [v for v in big.vertices if all(a < b for a, b in zip(v, v[1:]))]
     if not check_full_length_sublattice(big, K):

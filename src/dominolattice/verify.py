@@ -14,17 +14,16 @@ from .poset import (canonical_iso_to_filters, canonical_iso_to_ideals,
                     check_poset_iso, disjoint_sum, dual, j_lattice,
                     join_irreducibles, m_lattice, meet_irreducibles,
                     principal_filter, principal_ideal, recolor)
-from .typea import (L_COORDINATES, BoxSpec, _partition_to_tableau_L,
-                    _tableau_to_diagonal_L, all_partitions, build_l_a,
-                    build_l_graph, build_l_tab, build_l_tilde, build_p_a,
-                    ideal_to_partition, l_up_edges, partition_to_diagonal,
-                    partition_to_ideal)
+from .typea import (L_COORDINATES, BoxSpec, _partition_to_ideal,
+                    _partition_to_tableau_L, _tableau_to_diagonal_L,
+                    all_partitions, build_l_a, build_l_graph, build_l_tab,
+                    build_l_tilde, build_p_a, ideal_to_partition, l_up_edges)
 from .domino import (D_COORDINATES, build_d_a, d_up_edges,
                      is_legal_domino_move)
 from .isomorphism import _apply_p, _phi, _phi_inverse, decompose, move_matrix
 from .oracle import (bareiss_decompose, bfs_all_pairs, check_constructed_iso,
                      enumerate_shortest_paths, random_colored_poset)
-from .solver import solve_distributive, solve_domino
+from .solver import _solve_domino, solve_distributive
 from .suites import SUITES
 
 
@@ -124,6 +123,11 @@ def suite_coordinates(k, N):
     return _result(checks)
 
 
+def _diagonal(spec, parts):
+    """Diagonal coordinates of a shape already validated."""
+    return _tableau_to_diagonal_L(spec, _partition_to_tableau_L(spec, parts))
+
+
 def suite_iso(k, N):
     """Phi as a colored digraph isomorphism, plus the matrix transport.
 
@@ -135,16 +139,13 @@ def suite_iso(k, N):
     L = build_l_graph(spec)
     D = build_d_a(spec)
     image = {p: _phi(spec, p) for p in L.vertices}
-
-    def diagonal(p):
-        return _tableau_to_diagonal_L(spec, _partition_to_tableau_L(spec, p))
-
     checks = [
         ("phi is a color-preserving isomorphism", check_constructed_iso(L, D, image)),
         ("phi_inverse inverts phi",
          all(_phi_inverse(spec, q) == p for p, q in image.items())),
         ("matrix transport agrees with phi",
-         all(_apply_p(spec, diagonal(p)) == diagonal(q) for p, q in image.items())),
+         all(_apply_p(spec, _diagonal(spec, p)) == _diagonal(spec, q)
+             for p, q in image.items())),
         ("move matrix is invertible over the integers",
          move_matrix(spec).is_unimodular),
     ]
@@ -156,6 +157,8 @@ def suite_solver(k, N, seed=0):
 
     Distances against BFS, the cell-census move counts against the Bareiss
     solve, path legality and the per-color census of every shortest path.
+    The shapes are the vertices of D, so the solves and conversions call
+    the unchecked cores; each returned path is still checked against D.
     """
     spec = BoxSpec(k, N)
     P = build_p_a(spec)
@@ -163,19 +166,19 @@ def suite_solver(k, N, seed=0):
     D = build_d_a(spec)
     distL = bfs_all_pairs(L)
     distD = bfs_all_pairs(D)
-    ideal = {a: partition_to_ideal(spec, a) for a in D.vertices}
+    ideal = {a: _partition_to_ideal(a) for a in D.vertices}
     okL = okD = okPath = True
     for a in D.vertices:
         for b in D.vertices:
             ga = solve_distributive(P, ideal[a], ideal[b])
             okL &= ga.distance == distL[(a, b)]
-            gd = solve_domino(spec, a, b)
+            gd = _solve_domino(spec, a, b, "join")
             okD &= gd.distance == distD[(a, b)]
             try:
                 gd.path.validate(D)
             except Exception:
                 okPath = False
-    diags = [partition_to_diagonal(spec, a) for a in D.vertices]
+    diags = [_diagonal(spec, a) for a in D.vertices]
     checks = [("ideal-counting distance equals BFS on L", okL),
               ("multiset distance equals BFS on D", okD),
               ("returned domino paths are legal colored edges", okPath),
@@ -186,7 +189,7 @@ def suite_solver(k, N, seed=0):
     okColors = True
     for _ in range(10):
         a, b = rng.choice(verts), rng.choice(verts)
-        expected = solve_domino(spec, a, b).per_color
+        expected = _solve_domino(spec, a, b, "join").per_color
         for p in enumerate_shortest_paths(D, a, b):
             _, asc, desc = path_stats(p)
             okColors &= (asc + desc) == expected

@@ -51,6 +51,15 @@ RE_EXPORTS = {("isomorphism", "BoxPermutation"), ("isomorphism", "pi")}
 NOT_ON_THE_SOLVE_PATH = ("dominolattice.verify", "dominolattice.oracle",
                          "dominolattice.io", "fractions", "dataclasses", "inspect")
 
+# What each command runs (it must load that module) and the package modules
+# it does not run, beyond NOT_ON_THE_SOLVE_PATH: a solve walks tableaux and
+# builds no lattice, a convert maps coordinates or applies phi.
+LATTICE_LAYERS = ("dominolattice.lattice", "dominolattice.poset")
+COMMAND_IMPORTS = {
+    "solve": ("dominolattice.solver", LATTICE_LAYERS + ("dominolattice.isomorphism",)),
+    "convert": ("dominolattice.isomorphism", LATTICE_LAYERS + ("dominolattice.solver",)),
+}
+
 # The modules that know the order core's internals (its masks and index
 # tables): the core itself and the poset subclass built on it.
 KNOW_THE_CORE = ("lattice.py", "poset.py")
@@ -98,9 +107,19 @@ class TestImportBudget:
         assert done.returncode == 0, done.stderr
         imported = {line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines()
                     if line.startswith("import time:")}
-        assert "dominolattice.solver" in imported
-        assert imported.isdisjoint(NOT_ON_THE_SOLVE_PATH), \
-            sorted(imported & set(NOT_ON_THE_SOLVE_PATH))
+        runs, skipped = COMMAND_IMPORTS[argv.split()[0]]
+        assert runs in imported
+        unused = set(NOT_ON_THE_SOLVE_PATH + skipped)
+        assert imported.isdisjoint(unused), sorted(imported & unused)
+
+    def test_importing_the_cli_loads_no_lattice_phi_or_solver(self):
+        done = run_python("-c", "import sys, dominolattice.cli; "
+                          "print(sorted(m for m in sys.modules if m.startswith('dominolattice')))")
+        assert done.returncode == 0, done.stderr
+        loaded = set(ast.literal_eval(done.stdout))
+        assert "dominolattice.cli" in loaded
+        unused = set(LATTICE_LAYERS) | {"dominolattice.isomorphism", "dominolattice.solver"}
+        assert loaded.isdisjoint(unused), sorted(loaded & unused)
 
     def test_bare_import_loads_no_submodule(self):
         done = run_python("-c", "import sys, dominolattice; "

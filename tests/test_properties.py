@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from dominolattice.domino import is_legal_domino_move
 from dominolattice.isomorphism import move_census, phi_inverse
-from dominolattice.lattice import ColoredLattice, path_stats, product, sort_key
+from dominolattice.lattice import (ColoredLattice, _memo_sort_key, path_stats,
+                                   product, sort_key)
 from dominolattice.oracle import (bfs_all_pairs, cell_census, check_constructed_iso,
                                   enumerate_shortest_paths, ideal_greedy_solve,
                                   is_diamond_colored,
@@ -250,8 +251,19 @@ MIXED_LABELS = st.recursive(
     max_leaves=12)
 
 
+def sharing_members(labels):
+    """labels, then tuples and frozensets built from the very same objects."""
+    return labels + [tuple(labels), frozenset(labels),
+                     (tuple(labels[:2]), tuple(labels[:1])),
+                     frozenset({tuple(labels[1:3]), frozenset(labels[:2])})]
+
+
 @settings(max_examples=100, deadline=None)
-@given(st.lists(MIXED_LABELS, max_size=12))
+@given(st.lists(MIXED_LABELS, max_size=12).map(sharing_members))
 def test_sort_key_orders_mixed_labels_as_the_isinstance_chain(labels):
-    assert [sort_key(v) for v in labels] == [isinstance_sort_key(v) for v in labels]
+    want = [isinstance_sort_key(v) for v in labels]
+    assert [sort_key(v) for v in labels] == want
+    memo = _memo_sort_key()
+    assert [memo(v) for v in labels] == want
     assert sorted(labels, key=sort_key) == sorted(labels, key=isinstance_sort_key)
+    assert sorted(labels, key=_memo_sort_key()) == sorted(labels, key=isinstance_sort_key)

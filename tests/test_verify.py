@@ -6,7 +6,8 @@ import pytest
 
 from dominolattice import verify
 from dominolattice.domino import build_d_a
-from dominolattice.isomorphism import _phi, move_matrix
+from dominolattice.isomorphism import (_bareiss_forward, _determinant, _phi,
+                                       move_matrix)
 from dominolattice.lattice import ColoredLattice
 from dominolattice.typea import (BoxSpec, build_l_graph, validate_diagonal,
                                  validate_entries, validate_partition)
@@ -64,25 +65,50 @@ def test_iso_suite_maps_each_vertex_through_phi_once(monkeypatch):
     assert sorted(calls) == sorted(build_l_graph(BoxSpec(3, 7)).vertices)
 
 
-def test_iso_suite_validates_each_shape_at_most_once():
-    # the suite's shapes are vertices of the lattices it builds, so its
-    # checks run on unchecked cores; a validator called per check and
-    # shape would run several times C(N, k)
-    watched = {f.__code__: f.__name__ for f in (validate_partition,
-                                                validate_diagonal,
-                                                validate_entries)}
+def count_calls(functions, run):
+    """run(), and the number of calls it makes to each of functions, by name."""
+    watched = {f.__code__: f.__name__ for f in functions}
     calls = Counter()
 
     def count(frame, event, arg):
         if event == "call" and frame.f_code in watched:
             calls[watched[frame.f_code]] += 1
 
-    for cached in (build_l_graph, build_d_a, move_matrix):
-        cached.cache_clear()
     sys.setprofile(count)
     try:
-        result = verify.suite_iso(4, 10)
+        result = run()
     finally:
         sys.setprofile(None)
+    return result, calls
+
+
+def test_iso_suite_validates_each_shape_at_most_once():
+    # the suite's shapes are vertices of the lattices it builds, so its
+    # checks run on unchecked cores; a validator called per check and
+    # shape would run several times C(N, k)
+    for cached in (build_l_graph, build_d_a, move_matrix):
+        cached.cache_clear()
+    result, calls = count_calls([validate_partition, validate_diagonal, validate_entries],
+                                lambda: verify.suite_iso(4, 10))
     assert result["passed"]
     assert all(n <= comb(10, 4) for n in calls.values()), calls
+
+
+def test_solver_suite_validates_each_shape_at_most_once():
+    # the all-pairs loop and the census pairs solve on D's vertices, so
+    # they call the unchecked Domino core; the checked solve validated
+    # both shapes of every pair, twice C(N, k) squared times
+    result, calls = count_calls([validate_partition],
+                                lambda: verify.suite_solver(3, 8))
+    assert result["passed"]
+    assert calls["validate_partition"] <= comb(8, 3), calls
+
+
+def test_iso_suite_eliminates_the_move_matrix_once():
+    # move_matrix rejects a singular P by its determinant, and the suite
+    # asks whether P is unimodular: one Bareiss elimination serves both
+    for cached in (move_matrix, _determinant):
+        cached.cache_clear()
+    result, calls = count_calls([_bareiss_forward], lambda: verify.suite_iso(3, 8))
+    assert result["passed"]
+    assert calls["_bareiss_forward"] == 1, calls
