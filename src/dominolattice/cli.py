@@ -4,10 +4,11 @@ Subcommands: lattice (build/export), convert (coordinates and phi),
 solve (domino game with ASCII playback), verify (named suites).
 Exit codes: 0 success, 1 usage, 2 domain violation, 3 verification failure.
 Parsing needs only the box, the shapes and the coordinate tables.  Each
-subcommand imports what it runs when it runs: the lattice builders and
+subcommand imports what it runs when it runs: the lattice module,
 serialization, phi, the solver, the suites.  A solve loads the solver but
 no lattice, poset or isomorphism module; a convert loads no lattice,
-poset or solver module.
+poset or solver module; a family's JSON export loads no poset or
+serialization module.
 """
 
 import argparse
@@ -15,9 +16,10 @@ import json
 import re
 import sys
 
-from .domino import D_COORDINATES
+from .domino import D_COORDINATES, build_d_a
 from .suites import SUITES
-from .typea import L_COORDINATES, BoxSpec, CircleState, validate_partition
+from .typea import (L_COORDINATES, BoxSpec, CircleState, build_l_graph,
+                    validate_partition)
 
 USAGE_ERROR, DOMAIN_ERROR, VERIFY_ERROR = 1, 2, 3
 
@@ -134,11 +136,9 @@ def render_partition(spec, parts):
 
 
 def cmd_lattice(args):
-    from . import io as serial
-    from .domino import build_d_a
-    from .poset import j_lattice, m_lattice
-    from .typea import build_l_graph
     if args.poset is not None:
+        from . import io as serial
+        from .poset import j_lattice, m_lattice
         try:
             with open(args.poset, encoding="utf-8") as handle:
                 text = handle.read()
@@ -155,6 +155,7 @@ def cmd_lattice(args):
     spec = _spec_from(args)
     L = build_l_graph(spec) if args.family == "A" else build_d_a(spec)
     if args.format == "dot":
+        from . import io as serial
         sys.stdout.write(serial.lattice_to_dot(L, name=f"{args.family}_{spec.k}_{spec.N}"))
         return 0
     ranks = L.ranks

@@ -2,10 +2,11 @@
 
 Vertices are k x (N-k) partitions; directed edges are the legal domino
 moves, colored by [N-1].  A color-l up-move hops a tableau entry from
-pi(l+1) to pi(l), the L move renumbered; this pair table builds the
-digraph and drives the solver.  The paper's partition branch table
-`beta_part`, whose offsets shift by N % 2, is the independent definition
-it is checked against.  The board is checkered with the upper-right cell
+pi(l+1) to pi(l), the L move renumbered, and adds beta_l to the diagonal
+coordinates; this move table (`_move_table`) builds the digraph, drives
+the solver and gives the tableau, circle and diagonal edges.  The paper's
+partition branch table `beta_part`, whose offsets shift by N % 2, is the
+independent definition they are checked against.  The board is checkered with the upper-right cell
 red.  The extremes come in closed form, as the images of the empty and
 the full box under the isomorphism, so nothing that needs them builds
 the digraph, and only `build_d_a` imports the lattice module.
@@ -14,10 +15,10 @@ the digraph, and only `build_d_a` imports the lattice module.
 from functools import lru_cache
 
 from .records import Record, _set_field, is_int
-from .typea import (all_partitions, diagonal_to_partition, hop_up_moves,
-                    is_valid_diagonal, is_valid_partition,
-                    partition_to_diagonal, tableau_to_circle, validate_circle,
-                    validate_diagonal, validate_entries, validate_partition)
+from .typea import (_up_edges, all_partitions, diagonal_to_partition,
+                    hop_up_moves, is_valid_partition, partition_to_diagonal,
+                    tableau_to_circle, validate_circle, validate_entries,
+                    validate_partition)
 
 
 def is_red(spec, r, c):
@@ -120,21 +121,7 @@ def d_up_edges(spec, x, system="part"):
             if hit is not None:
                 out.append((hit[0], l))
         return out
-    if system == "tab":
-        return [(tuple(sorted(t, reverse=True)), l) for t, l in
-                hop_up_moves(validate_entries(spec, x), _move_pairs(spec.N))]
-    if system == "circ":
-        ones = frozenset(validate_circle(spec, x, "D").ones)
-        return [(gamma_tc(spec, t), l) for t, l in hop_up_moves(ones, _move_pairs(spec.N))]
-    if system == "diag":
-        diag = validate_diagonal(spec, x)
-        out = []
-        for l in spec.colors:
-            t = tuple(d + e for d, e in zip(diag, beta_diag(spec, l)))
-            if is_valid_diagonal(spec, t):
-                out.append((t, l))
-        return out
-    raise ValueError(f"unknown coordinatization {system!r}")
+    return _up_edges(spec, x, system, "D", _move_table(spec.N))
 
 
 @lru_cache(maxsize=None)
@@ -307,14 +294,23 @@ def beta_circ(spec, l):
 
 def beta_diag(spec, l):
     """Diagonal-space delta of the color-l up-move."""
-    n = spec.N
-    _check_color(n, l)
-    p = n % 2
-    delta = [0] * (n - 1)
-    if l < n // 2:
-        delta[n - 2 * l - 1 - p] = delta[n - 2 * l - p] = -1
-    elif l == n // 2:
-        delta[0] = -1
-    else:
-        delta[2 * l - n - 2 + p] = delta[2 * l - n - 1 + p] = 1
+    _check_color(spec.N, l)
+    delta = [0] * (spec.N - 1)
+    for i, a in _move_table(spec.N)[1][l - 1]:
+        delta[i] = a
     return tuple(delta)
+
+
+@lru_cache(maxsize=None)
+def _move_table(N):
+    """The Domino move table of `typea._up_edges`, built once per valid N.
+
+    It holds `_move_pairs(N)` and, for each color l, the nonzero entries
+    (i, a) of its diagonal move, column l of the move matrix: low colors
+    remove a domino, the middle one the red corner, high colors add one.
+    """
+    p, mid = N % 2, N // 2
+    columns = [((N - 2 * l - 1 - p, -1), (N - 2 * l - p, -1)) for l in range(1, mid)]
+    columns.append(((0, -1),))
+    columns += [((2 * l - N - 2 + p, 1), (2 * l - N - 1 + p, 1)) for l in range(mid + 1, N)]
+    return _move_pairs(N), tuple(columns)

@@ -30,9 +30,10 @@ those of Q & ~(Q >> 1), the legal up colors of the complement ~Q.
 
 The matrix P of diagonal move-vectors is the paper's route to the same
 counts: `apply_p` transports coordinates by it, in O(N), since each of
-its columns, a `beta_diag`, has at most two nonzero entries; the oracle
-`oracle.bareiss_decompose` solves P c = d - m exactly, by fraction-free
-(Bareiss) forward elimination, `_bareiss_forward` below, and rational
+its columns, read from `domino._move_table`, has at most two nonzero
+entries; the oracle `oracle.bareiss_decompose` solves P c = d - m
+exactly, by the inverse of P from one fraction-free (Bareiss) forward
+elimination per box, `_bareiss_forward` below, and rational
 back-substitution.  No floating point anywhere.
 """
 
@@ -40,8 +41,8 @@ from functools import lru_cache
 
 # BoxPermutation and pi live in domino, whose closed-form extremes need pi;
 # they are re-exported here, next to phi.
-from .domino import (BoxPermutation, _gamma_pt, _gamma_tp, _pi_pair, beta_diag,
-                     m_diag, pi)
+from .domino import (BoxPermutation, _gamma_pt, _gamma_tp, _move_table, _pi_pair,
+                     beta_diag, m_diag, pi)
 from .records import Record, _set_field
 from .typea import (CircleState, _partition_to_tableau_L,
                     _tableau_to_diagonal_L, _tableau_to_partition_L,
@@ -51,13 +52,13 @@ from .typea import (CircleState, _partition_to_tableau_L,
 
 def phi_circ(state):
     """Move each dot to its renumbered box: output bit pi(i) = input bit i."""
-    if state.scheme != "L":
+    if not isinstance(state, CircleState) or state.scheme != "L":
         raise ValueError("phi_circ expects an L-scheme circle state")
     return _renumber(state, pi(len(state.bits)).inverse(), "D")
 
 
 def phi_circ_inverse(state):
-    if state.scheme != "D":
+    if not isinstance(state, CircleState) or state.scheme != "D":
         raise ValueError("phi_circ_inverse expects a D-scheme circle state")
     return _renumber(state, pi(len(state.bits)), "L")
 
@@ -176,17 +177,6 @@ def move_matrix(spec):
     return m
 
 
-@lru_cache(maxsize=None)
-def _sparse_columns(spec):
-    """The nonzero entries (row, value) of each column of P, in column order.
-
-    Column l is `beta_diag(spec, l)`, which has at most two of them.
-    """
-    entries = move_matrix(spec).entries
-    return tuple(tuple((i, row[j]) for i, row in enumerate(entries) if row[j])
-                 for j in range(len(entries)))
-
-
 def apply_p(spec, diag):
     """Transport L-diagonal coordinates to D-diagonal ones: P d + m."""
     return validate_diagonal(spec, _apply_p(spec, validate_diagonal(spec, diag)))
@@ -195,11 +185,11 @@ def apply_p(spec, diag):
 def _apply_p(spec, diag):
     """P d + m on diagonal coordinates already validated, in O(N).
 
-    Each column of P has at most two nonzero entries, so each d_l adds
-    to at most two entries of m.
+    Each column of P, read from the Domino move table, has at most two
+    nonzero entries, so each d_l adds to at most two entries of m.
     """
     out = list(move_matrix(spec).shift)
-    for d, column in zip(diag, _sparse_columns(spec)):
+    for d, column in zip(diag, _move_table(spec.N)[1]):
         if d:
             for i, a in column:
                 out[i] += a * d

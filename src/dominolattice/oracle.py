@@ -106,28 +106,38 @@ def bareiss_solve(matrix, rhs):
     Fraction-free forward elimination, then rational back-substitution.
     Raises ValueError on a singular matrix.
     """
+    return _bareiss_solve_columns(matrix, [rhs])[0]
+
+
+def _bareiss_solve_columns(matrix, columns):
+    """bareiss_solve for each right-hand side in columns, by one elimination.
+
+    The forward pass runs once over [matrix | columns]; each column is
+    then back-substituted on its own.
+    """
     n = len(matrix)
-    a = [list(row) + [b] for row, b in zip(matrix, rhs)]
-    if any(len(row) != n + 1 for row in a):
+    if any(len(v) != n for v in (*matrix, *columns)):
         raise ValueError("matrix must be square and match the right-hand side")
+    a = [list(row) + [b[i] for b in columns] for i, row in enumerate(matrix)]
     if not _bareiss_forward(a):
         raise ValueError("matrix is singular")
-    x = [Fraction(0)] * n
-    for r in range(n - 1, -1, -1):
-        acc = Fraction(a[r][n])
-        for c in range(r + 1, n):
-            acc -= a[r][c] * x[c]
-        x[r] = acc / a[r][r]
-    return x
+    solutions = []
+    for j in range(n, n + len(columns)):
+        x = [Fraction(0)] * n
+        for r in range(n - 1, -1, -1):
+            acc = Fraction(a[r][j])
+            for c in range(r + 1, n):
+                acc -= a[r][c] * x[c]
+            x[r] = acc / a[r][r]
+        solutions.append(x)
+    return solutions
 
 
 def exact_inverse(matrix):
-    """Inverse as a matrix of Fractions (column-by-column exact solves)."""
+    """Inverse as a matrix of Fractions, its columns solved by one elimination."""
     n = len(matrix)
-    cols = []
-    for j in range(n):
-        e = [1 if i == j else 0 for i in range(n)]
-        cols.append(bareiss_solve(matrix, e))
+    cols = _bareiss_solve_columns(matrix, [[int(i == j) for i in range(n)]
+                                           for j in range(n)])
     return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
 
 
@@ -143,19 +153,27 @@ def cell_census(spec, parts):
 def bareiss_decompose(spec, diag):
     """Per-color move counts by solving P c = d - m exactly.
 
-    The shift m is the cell-by-cell `cell_census` of the minimum of the
-    built Domino lattice, not the closed form, so this route shares
-    nothing with the prefix count.  The solution must be a vector of
-    nonnegative integers.
+    P is inverted once per box (`_move_matrix_inverse`), so a solve is
+    one exact matrix-vector product.  The shift m is the cell-by-cell
+    `cell_census` of the minimum of the built Domino lattice, not the
+    closed form, so this route shares nothing with the prefix count.
+    The solution must be a vector of nonnegative integers.
     """
     diag = validate_diagonal(spec, diag)
-    sol = bareiss_solve(move_matrix(spec).entries,
-                        [d - s for d, s in zip(diag, _minimum_census(spec))])
+    rhs = [d - s for d, s in zip(diag, _minimum_census(spec))]
+    sol = [sum((a * b for a, b in zip(row, rhs)), Fraction(0))
+           for row in _move_matrix_inverse(spec)]
     for i, value in enumerate(sol, start=1):
         if value.denominator != 1 or value < 0:
             raise ValueError(
                 f"coefficient {i} is not a nonnegative integer: {value}")
     return tuple(int(value) for value in sol)
+
+
+@lru_cache(maxsize=None)
+def _move_matrix_inverse(spec):
+    """exact_inverse of the move matrix P, one elimination per box."""
+    return exact_inverse(move_matrix(spec).entries)
 
 
 @lru_cache(maxsize=None)

@@ -157,12 +157,46 @@ def all_partitions(spec):
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def _box_cells(spec):
+    """{vertex_id(r, c): (r, c)} for every cell of the box."""
+    return {vertex_id(r, c): (r, c)
+            for r in range(1, spec.k + 1) for c in range(1, spec.cols + 1)}
+
+
 def ideal_to_partition(spec, ideal):
+    """The shape whose cells are the order ideal `ideal` of P_A.
+
+    A set that is not one raises ValueError naming a member that is not a
+    cell of the box, else a cell outside the shape its rows count, else
+    the cell past the first row longer than the row above.
+    """
+    ideal = frozenset(ideal)
+    cells = _box_cells(spec)
     counts = [0] * spec.k
+    weight = 0
+    outside = []
     for v in ideal:
-        r, _ = vertex_rc(v)
-        counts[r - 1] += 1
-    return validate_partition(spec, counts)
+        rc = cells.get(v)
+        if rc is None:
+            outside.append(v)
+        else:
+            counts[rc[0] - 1] += 1
+            weight += rc[1]
+    # The columns of a row of n cells sum to at least n(n + 1)/2, with
+    # equality exactly when they are 1, ..., n.
+    if (not outside and weight == sum(n * (n + 1) // 2 for n in counts)
+            and all(a >= b for a, b in zip(counts, counts[1:]))):
+        return tuple(counts)
+    if outside:
+        bad = min(outside, key=str)
+    else:
+        bad = min(ideal - _partition_to_ideal(counts), key=vertex_rc, default=None)
+    if bad is None:
+        r = next(r for r in range(1, spec.k) if counts[r] > counts[r - 1])
+        bad = vertex_id(r + 1, counts[r - 1] + 1)
+    raise ValueError(f"not an order ideal of the {spec.k}x{spec.cols} grid: cell {bad} "
+                     f"lies outside the box or past a missing cell")
 
 
 def partition_to_ideal(spec, parts):
@@ -236,6 +270,8 @@ def validate_entries(spec, entries):
 
 def validate_circle(spec, state, scheme):
     """A circle state of the given scheme with N bits and k dots."""
+    if not isinstance(state, CircleState):
+        raise ValueError(f"expected a CircleState, got {type(state).__name__}")
     if state.scheme != scheme:
         raise ValueError(f"expected a circle state in the {scheme}-scheme numbering")
     if len(state.bits) != spec.N:
@@ -253,10 +289,9 @@ def tableau_to_circle(spec, entries, scheme="L"):
 
 def circle_to_tableau(spec, state):
     """Dot positions, increasing in the L scheme and decreasing in the D scheme."""
-    ones = validate_circle(spec, state, state.scheme).ones
-    if state.scheme == "L":
-        return ones
-    return ones[::-1]
+    if isinstance(state, CircleState) and state.scheme == "D":
+        return validate_circle(spec, state, "D").ones[::-1]
+    return validate_circle(spec, state, "L").ones
 
 
 def partition_to_circle_L(spec, parts):
@@ -365,31 +400,44 @@ def hop_up_moves(entries, pairs):
 
 
 @lru_cache(maxsize=None)
-def _l_move_pairs(N):
-    """The L move pairs {l: (l, l+1)}."""
-    return {l: (l, l + 1) for l in range(1, N)}
+def _l_move_table(N):
+    """The L move table: the pairs (l, l+1), and e_l as color l's diagonal move."""
+    return {l: (l, l + 1) for l in range(1, N)}, tuple(((l - 1, 1),) for l in range(1, N))
+
+
+def _up_edges(spec, x, system, scheme, moves):
+    """The tableau, circle and diagonal up-edge rules of both lattices.
+
+    `scheme` ("L" or "D") is the family's circle numbering and tableau
+    order.  `moves` = (pairs, columns) is its move table: color l hops a
+    tableau entry by `hop_up_moves` over pairs, and adds a to diagonal
+    entry i for each (i, a) in columns[l - 1].
+    """
+    pairs, columns = moves
+    if system == "tab":
+        return [(tuple(sorted(t, reverse=scheme == "D")), l)
+                for t, l in hop_up_moves(validate_entries(spec, x), pairs)]
+    if system == "circ":
+        ones = frozenset(validate_circle(spec, x, scheme).ones)
+        return [(tableau_to_circle(spec, t, scheme), l) for t, l in hop_up_moves(ones, pairs)]
+    if system == "diag":
+        diag = validate_diagonal(spec, x)
+        out = []
+        for l, column in enumerate(columns, start=1):
+            cand = list(diag)
+            for i, a in column:
+                cand[i] += a
+            if is_valid_diagonal(spec, cand):
+                out.append((tuple(cand), l))
+        return out
+    raise ValueError(f"unknown coordinatization {system!r}")
 
 
 def l_up_edges(spec, x, system="part"):
     """Up-neighbors of x with edge colors, computed natively per system."""
     if system == "part":
         return _l_part_up_edges(spec, validate_partition(spec, x))
-    if system == "tab":
-        return [(tuple(sorted(t)), l) for t, l in
-                hop_up_moves(validate_entries(spec, x), _l_move_pairs(spec.N))]
-    if system == "circ":
-        ones = frozenset(validate_circle(spec, x, "L").ones)
-        return [(tableau_to_circle(spec, t, "L"), l)
-                for t, l in hop_up_moves(ones, _l_move_pairs(spec.N))]
-    if system == "diag":
-        diag = validate_diagonal(spec, x)
-        out = []
-        for l in range(1, spec.N):
-            cand = diag[:l - 1] + (diag[l - 1] + 1,) + diag[l:]
-            if is_valid_diagonal(spec, cand):
-                out.append((cand, l))
-        return out
-    raise ValueError(f"unknown coordinatization {system!r}")
+    return _up_edges(spec, x, system, "L", _l_move_table(spec.N))
 
 
 def _l_part_up_edges(spec, parts):

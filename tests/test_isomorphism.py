@@ -2,8 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from dominolattice.domino import (build_d_a, d_up_edges, gamma_ct, gamma_pt,
-                                  gamma_tc, gamma_tp)
+from dominolattice.domino import (build_d_a, circle_to_partition_D, d_up_edges,
+                                  gamma_ct, gamma_pt, gamma_tc, gamma_tp)
 from dominolattice.isomorphism import (BoxPermutation, _apply_p, apply_p,
                                        decompose, integer_determinant,
                                        move_census, move_matrix, phi, phi_circ,
@@ -12,6 +12,7 @@ from dominolattice.oracle import (bareiss_solve, bfs_all_pairs, cell_census,
                                   check_constructed_iso, exact_inverse)
 from dominolattice.typea import (BoxSpec, CircleState, all_partitions,
                                  build_l_graph, circle_to_partition_L,
+                                 circle_to_tableau, l_up_edges,
                                  partition_to_circle_L, partition_to_diagonal,
                                  partition_to_tableau_L)
 
@@ -67,6 +68,21 @@ class TestPhiCirc:
         with pytest.raises(ValueError):
             phi_circ_inverse(CircleState((1, 0), "L"))
 
+    @pytest.mark.parametrize("call", [
+        lambda x: l_up_edges(BOX24, x, "circ"),
+        lambda x: d_up_edges(BOX24, x, "circ"),
+        lambda x: circle_to_partition_L(BOX24, x),
+        lambda x: circle_to_partition_D(BOX24, x),
+        lambda x: circle_to_tableau(BOX24, x),
+        lambda x: gamma_ct(BOX24, x),
+        phi_circ,
+        phi_circ_inverse,
+    ], ids=["l_up_edges", "d_up_edges", "circle_to_partition_L", "circle_to_partition_D",
+            "circle_to_tableau", "gamma_ct", "phi_circ", "phi_circ_inverse"])
+    def test_a_circle_that_is_not_a_circle_state_is_rejected(self, call):
+        with pytest.raises(ValueError, match="CircleState|circle state"):
+            call((1, 0, 1, 0, 0, 0))
+
     def test_round_trip(self):
         s = CircleState((0, 1, 1, 0, 0, 0), "L")
         assert phi_circ_inverse(phi_circ(s)) == s
@@ -114,6 +130,12 @@ class TestExactAlgebra:
     def test_singular_rejected(self):
         with pytest.raises(ValueError, match="singular"):
             bareiss_solve([[1, 2], [2, 4]], [1, 2])
+
+    @pytest.mark.parametrize("matrix,rhs", [([[2]], [2, 99]), ([[1, 0], [0, 1]], [1]),
+                                            ([[1, 0]], [1])])
+    def test_shapes_that_do_not_match_are_rejected(self, matrix, rhs):
+        with pytest.raises(ValueError, match="square"):
+            bareiss_solve(matrix, rhs)
 
     def test_determinant(self):
         assert integer_determinant([[2, 0], [0, 3]]) == 6

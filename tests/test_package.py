@@ -53,11 +53,14 @@ NOT_ON_THE_SOLVE_PATH = ("dominolattice.verify", "dominolattice.oracle",
 
 # What each command runs (it must load that module) and the package modules
 # it does not run, beyond NOT_ON_THE_SOLVE_PATH: a solve walks tableaux and
-# builds no lattice, a convert maps coordinates or applies phi.
+# builds no lattice, a convert maps coordinates or applies phi, a family
+# export builds a lattice from its edge rule and writes JSON itself.
 LATTICE_LAYERS = ("dominolattice.lattice", "dominolattice.poset")
 COMMAND_IMPORTS = {
     "solve": ("dominolattice.solver", LATTICE_LAYERS + ("dominolattice.isomorphism",)),
     "convert": ("dominolattice.isomorphism", LATTICE_LAYERS + ("dominolattice.solver",)),
+    "lattice": ("dominolattice.lattice", ("dominolattice.poset", "dominolattice.isomorphism",
+                                          "dominolattice.solver")),
 }
 
 # The modules that know the order core's internals (its masks and index
@@ -101,8 +104,9 @@ class TestImportBudget:
     @pytest.mark.parametrize("argv", [
         "solve -k 3 -N 7 --from 0 --to 4,4,4 --format json",
         "convert -k 3 -N 7 --map phi 4,2,1",
+        "lattice --family A -k 2 -N 5",
     ])
-    def test_solve_and_convert_import_only_what_they_run(self, argv):
+    def test_commands_import_only_what_they_run(self, argv):
         done = run_python("-X", "importtime", "-m", "dominolattice.cli", *argv.split())
         assert done.returncode == 0, done.stderr
         imported = {line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines()

@@ -27,12 +27,12 @@ DESK_SPECS = tuple(BoxSpec(k, N) for k in range(1, 13)
 
 @pytest.fixture
 def forbid_lattice_build(monkeypatch):
-    """Make every module's build_d_a and bareiss_solve raise when called."""
+    """Make every module's build_d_a, bareiss_solve and exact_inverse raise when called."""
     def forbidden(*args, **kwargs):
         raise AssertionError("the solve path built the lattice or ran Bareiss")
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "dominolattice":
-            for attr in ("build_d_a", "bareiss_solve"):
+            for attr in ("build_d_a", "bareiss_solve", "exact_inverse"):
                 if hasattr(module, attr):
                     monkeypatch.setattr(module, attr, forbidden)
 

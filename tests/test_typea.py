@@ -1,3 +1,4 @@
+import re
 from math import comb
 
 import pytest
@@ -18,6 +19,9 @@ from dominolattice.typea import (BoxSpec, CircleState, all_partitions,
                                  validate_partition)
 
 BOX24 = BoxSpec(2, 6)
+
+DESK_SPECS = tuple(BoxSpec(k, N) for k in range(1, 13)
+                   for N in range(k + 1, 15) if k * (N - k) <= 12)
 
 # Frozen reference data: the complete colored edge list of L(2,4)
 # in partition coordinates.
@@ -160,6 +164,14 @@ class TestPartitionConversions:
         assert len(full) == 8
         assert ideal_to_partition(spec, full) == (4, 4)
 
+    @pytest.mark.parametrize("cells,named", [
+        ({"1,2"}, "1,2"), ({"9,9"}, "9,9"), ({"1,1", "0,1"}, "0,1"), ({"2,1"}, "2,1"),
+        ({"1,1", "1,2", "1,3", "1,4", "1,5"}, "1,5"), ({"1,1", "1,01"}, "1,01"),
+        ({"1,1", "1,3", "2,1", "2,2"}, "1,3"), ({(1, 1)}, "(1, 1)")])
+    def test_a_set_that_is_not_an_ideal_names_its_cell(self, cells, named):
+        with pytest.raises(ValueError, match=re.escape(f"cell {named} lies outside")):
+            ideal_to_partition(BOX24, cells)
+
     def test_tableau_examples(self):
         assert partition_to_tableau_L(BOX24, (4, 3)) == (1, 3)
         assert partition_to_tableau_L(BoxSpec(3, 9), (5, 2, 2)) == (2, 6, 7)
@@ -278,8 +290,9 @@ class TestUpEdges:
 
     def test_all_systems_agree(self):
         # each system's native up-edges at encode(p) are the encoded
-        # partition-rule edges at p, and encode is one to one
-        for spec in (BOX24, BoxSpec(3, 7), BoxSpec(2, 5), BoxSpec(1, 6)):
+        # partition-rule edges at p, and encode is one to one, on every
+        # box with k(N-k) <= 12, as the Domino rules are compared
+        for spec in DESK_SPECS:
             parts = all_partitions(spec)
             for system, encode in (("tab", partition_to_tableau_L),
                                    ("circ", partition_to_circle_L),

@@ -4,7 +4,7 @@ from math import comb
 
 import pytest
 
-from dominolattice import verify
+from dominolattice import oracle, verify
 from dominolattice.domino import build_d_a
 from dominolattice.isomorphism import (_bareiss_forward, _determinant, _phi,
                                        move_matrix)
@@ -112,3 +112,13 @@ def test_iso_suite_eliminates_the_move_matrix_once():
     result, calls = count_calls([_bareiss_forward], lambda: verify.suite_iso(3, 8))
     assert result["passed"]
     assert calls["_bareiss_forward"] == 1, calls
+
+
+def test_solver_suite_eliminates_the_move_matrix_at_most_twice():
+    # the Bareiss oracle inverts P once per box and multiplies for each
+    # shape; with the determinant that move_matrix checks, two eliminations
+    for cached in (move_matrix, _determinant, oracle._move_matrix_inverse):
+        cached.cache_clear()
+    result, calls = count_calls([_bareiss_forward], lambda: verify.suite_solver(3, 8))
+    assert result["passed"]
+    assert 1 <= calls["_bareiss_forward"] <= 2, calls
