@@ -160,6 +160,10 @@ class BoxPermutation(Record):
         _set_field(self, "mapping", mapping)
 
     def __call__(self, i):
+        """The image of position i, an int (bool excluded) in [1, N]."""
+        n = len(self.mapping)
+        if not (is_int(i) and 1 <= i <= n):
+            raise ValueError(f"position {i!r} outside [1, {n}]")
         return self.mapping[i - 1]
 
     def inverse(self):

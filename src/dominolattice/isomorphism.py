@@ -41,8 +41,8 @@ from functools import lru_cache
 
 # BoxPermutation and pi live in domino, whose closed-form extremes need pi;
 # they are re-exported here, next to phi.
-from .domino import (BoxPermutation, _gamma_pt, _gamma_tp, _move_table, _pi_pair,
-                     beta_diag, m_diag, pi)
+from .domino import (BoxPermutation, _check_color, _gamma_pt, _gamma_tp, _move_table,
+                     _pi_pair, beta_diag, m_diag, pi)
 from .records import Record, _set_field
 from .typea import (CircleState, _partition_to_tableau_L,
                     _tableau_to_diagonal_L, _tableau_to_partition_L,
@@ -148,6 +148,7 @@ class MoveMatrix(Record):
         return len(self.entries)
 
     def column(self, l):
+        _check_color(self.size + 1, l)
         return tuple(row[l - 1] for row in self.entries)
 
     @property

@@ -263,31 +263,29 @@ class ColoredLattice(CoverDigraph):
         return len(seen) == len(self.vertices)
 
     def meet(self, x, y):
-        common = self._downsets[self._index[x]] & self._downsets[self._index[y]]
-        i = self._down_lookup.get(common)
-        if i is None:
-            raise LatticeError(f"no meet for {x!r}, {y!r}")
-        return self.vertices[i]
+        return self._bound(x, y, self._downsets, self._down_lookup, "meet")
 
     def join(self, x, y):
-        common = self._upsets[self._index[x]] & self._upsets[self._index[y]]
-        i = self._up_lookup.get(common)
+        return self._bound(x, y, self._upsets, self._up_lookup, "join")
+
+    def _bound(self, x, y, closures, lookup, name):
+        """The vertex whose closure mask is x's and y's in common, if any."""
+        i = lookup.get(closures[self._index[x]] & closures[self._index[y]])
         if i is None:
-            raise LatticeError(f"no join for {x!r}, {y!r}")
+            raise LatticeError(f"no {name} for {x!r}, {y!r}")
         return self.vertices[i]
 
     @cached_property
     def is_lattice(self):
-        down, up = self._downsets, self._upsets
-        dl, ul = self._down_lookup, self._up_lookup
-        n = len(self.vertices)
-        for i in range(n):
-            for j in range(i + 1, n):
-                if (down[i] & down[j]) not in dl:
-                    return False
-                if (up[i] & up[j]) not in ul:
-                    return False
-        return True
+        """Whether every pair of vertices has a meet and a join.
+
+        Only joins are checked: a finite join-semilattice with a least
+        element is a lattice (Stanley, EC1, dual of Prop. 3.3.1).
+        """
+        if self.minimum is None:
+            return False
+        up, lookup = self._upsets, self._up_lookup
+        return all((a & b) in lookup for i, a in enumerate(up) for b in up[i + 1:])
 
     def _sole_end(self, adj):
         # Acyclic, so walking along adj from any vertex ends at a vertex with

@@ -35,7 +35,15 @@ def _adjacency(L):
             for v in L.vertices}
 
 
+def _require_vertices(L, *vertices):
+    """Reject, naming it, the first of vertices that is not a vertex of L."""
+    for v in vertices:
+        if v not in L:
+            raise LatticeError(f"{v!r} is not a vertex of the lattice")
+
+
 def bfs_distances(L, source):
+    _require_vertices(L, source)
     return _bfs(_adjacency(L), source)
 
 
@@ -70,7 +78,8 @@ def enumerate_shortest_paths(L, s, t, cap=100_000):
     every emitted path is simple and shortest.  Raises PathCapExceeded
     rather than silently truncating.
     """
-    dist_t = bfs_distances(L, t)
+    _require_vertices(L, s, t)
+    dist_t = _bfs(_adjacency(L), t)
     if s not in dist_t:
         raise LatticeError(f"{s!r} and {t!r} are not connected")
     paths = []

@@ -74,17 +74,17 @@ class VertexColoredPoset(CoverDigraph):
                 {v: b for b, v in enumerate(labels)},
                 renumbered(self._down), renumbered(self._up))
 
-    def _members(self, mask):
-        vs = self.vertices
-        return frozenset(vs[i] for i in range(mask.bit_length()) if mask >> i & 1)
-
     def strict_up(self, v):
-        i = self._index[v]
-        return self._members(self._upsets[i] & ~(1 << i))
+        return self._strictly_within(v, self._upsets)
 
     def strict_down(self, v):
-        i = self._index[v]
-        return self._members(self._downsets[i] & ~(1 << i))
+        return self._strictly_within(v, self._downsets)
+
+    def _strictly_within(self, v, closures):
+        """The vertices other than v in v's closure mask."""
+        i, vs = self._index[v], self.vertices
+        mask = closures[i] & ~(1 << i)
+        return frozenset(vs[b] for b in range(mask.bit_length()) if mask >> b & 1)
 
     def color(self, v):
         return self.colors[v]
@@ -246,20 +246,21 @@ def join_irreducibles(L):
     Join irreducibles are the vertices covering exactly one element; each
     keeps the color of its unique lower edge.
     """
-    if not L.is_lattice:
-        raise PosetError("input is not a lattice")
-    members = [v for v in L.vertices if len(L.down_neighbors(v)) == 1]
-    return VertexColoredPoset(members, induced_covers(L, members),
-                              {v: L.down_neighbors(v)[0][1] for v in members})
+    return _irreducibles_poset(L, L._join_masks[0], L.down_neighbors)
 
 
 def meet_irreducibles(L):
     """Dual of join_irreducibles: vertices covered by exactly one element."""
+    return _irreducibles_poset(L, L._meet_masks[0], L.up_neighbors)
+
+
+def _irreducibles_poset(L, members, neighbors):
+    """The poset of the irreducibles at those indices, colored by their one neighbor edge."""
     if not L.is_lattice:
         raise PosetError("input is not a lattice")
-    members = [v for v in L.vertices if len(L.up_neighbors(v)) == 1]
+    members = [L.vertices[i] for i in members]
     return VertexColoredPoset(members, induced_covers(L, members),
-                              {v: L.up_neighbors(v)[0][1] for v in members})
+                              {v: neighbors(v)[0][1] for v in members})
 
 
 def dual(P):

@@ -77,27 +77,30 @@ class PathRecord(Record):
 
     @property
     def is_mountain(self):
-        dirs = [d for _, d in self.steps]
-        return DOWN not in dirs or UP not in dirs[dirs.index(DOWN):]
+        return self._turns_once(UP, DOWN)
 
     @property
     def is_valley(self):
-        dirs = [d for _, d in self.steps]
-        return UP not in dirs or DOWN not in dirs[dirs.index(UP):]
+        return self._turns_once(DOWN, UP)
 
     @property
     def apex(self):
-        if not self.is_mountain:
-            raise LatticeError("not a mountain path")
-        k = sum(1 for _, d in self.steps if d == UP)
-        return self.vertices[k]
+        return self._turning_vertex(UP, DOWN, "mountain")
 
     @property
     def nadir(self):
-        if not self.is_valley:
-            raise LatticeError("not a valley path")
-        k = sum(1 for _, d in self.steps if d == DOWN)
-        return self.vertices[k]
+        return self._turning_vertex(DOWN, UP, "valley")
+
+    def _turns_once(self, first, then):
+        """True when no `first` step follows a `then` step."""
+        dirs = [d for _, d in self.steps]
+        return then not in dirs or first not in dirs[dirs.index(then):]
+
+    def _turning_vertex(self, first, then, shape):
+        """The vertex after the last `first` step of a walk that turns at most once."""
+        if not self._turns_once(first, then):
+            raise LatticeError(f"not a {shape} path")
+        return self.vertices[sum(1 for _, d in self.steps if d == first)]
 
     def validate(self, L):
         if len(self.vertices) != len(self.steps) + 1:

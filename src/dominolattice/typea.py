@@ -214,13 +214,16 @@ def partition_rank(spec, parts):
 
 
 def partition_meet(spec, a, b):
-    a, b = validate_partition(spec, a), validate_partition(spec, b)
-    return tuple(min(x, y) for x, y in zip(a, b))
+    return _partwise(min, spec, a, b)
 
 
 def partition_join(spec, a, b):
-    a, b = validate_partition(spec, a), validate_partition(spec, b)
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return _partwise(max, spec, a, b)
+
+
+def _partwise(pick, spec, a, b):
+    """The parts picked pairwise from two validated shapes."""
+    return tuple(map(pick, validate_partition(spec, a), validate_partition(spec, b)))
 
 
 # -- tableaux (L convention: entries increasing) ----------------------------------

@@ -47,49 +47,42 @@ def _result(checks):
 def suite_fundamental(seed=0):
     """Birkhoff round trips and the J/M/j/m identity families."""
     rng = random.Random(seed)
-    checks = []
-    jj = mm = True
+    theorems = (("j(J(P)) = P and J(j(L)) = L", j_lattice, join_irreducibles,
+                 principal_ideal, canonical_iso_to_ideals),
+                ("m(M(P)) = P and M(m(L)) = L", m_lattice, meet_irreducibles,
+                 principal_filter, canonical_iso_to_filters))
+    held = [True] * len(theorems)
     for _ in range(50):
         P = random_colored_poset(rng, 8, 4)
-        L = j_lattice(P)
-        jj &= check_poset_iso(P, join_irreducibles(L),
-                              {v: principal_ideal(P, v) for v in P.vertices})
-        jj &= check_constructed_iso(
-            L, j_lattice(join_irreducibles(L)),
-            {x: canonical_iso_to_ideals(L, x) for x in L.vertices})
-        M = m_lattice(P)
-        mm &= check_poset_iso(P, meet_irreducibles(M),
-                              {v: principal_filter(P, v) for v in P.vertices})
-        mm &= check_constructed_iso(
-            M, m_lattice(meet_irreducibles(M)),
-            {x: canonical_iso_to_filters(M, x) for x in M.vertices})
-    checks.append(("j(J(P)) = P and J(j(L)) = L", jj))
-    checks.append(("m(M(P)) = P and M(m(L)) = L", mm))
+        for t, (_, build, irreducibles, principal, canonical) in enumerate(theorems):
+            L = build(P)
+            irr = irreducibles(L)
+            held[t] &= check_poset_iso(P, irr, {v: principal(P, v) for v in P.vertices})
+            held[t] &= check_constructed_iso(L, build(irr),
+                                             {x: canonical(L, x) for x in L.vertices})
+    checks = [(theorem[0], ok) for theorem, ok in zip(theorems, held)]
 
-    fam = {"dual": True, "recolor": True, "sum": True}
+    fam = dict.fromkeys(("duality family", "recoloring family", "sum/product family"), True)
+    sigma = {c: c + 7 for c in range(1, 4)}
     for _ in range(25):
         P = random_colored_poset(rng, 6, 3)
         Q = random_colored_poset(rng, 6, 3)
-        sigma = {c: c + 7 for c in range(1, 4)}
+        flipped, tinted_P, summed_PQ = dual(P), recolor(P, sigma), disjoint_sum(P, Q)
         for build in (j_lattice, m_lattice):
-            built = build(P)
-            comp = {x: frozenset(set(P.vertices) - x)
-                    for x in build(dual(P)).vertices}
-            fam["dual"] &= check_constructed_iso(build(dual(P)), built.dual(), comp)
+            built, reverse = build(P), build(flipped)
+            comp = {x: frozenset(set(P.vertices) - x) for x in reverse.vertices}
+            fam["duality family"] &= check_constructed_iso(reverse, built.dual(), comp)
             tinted = ColoredLattice(built.vertices,
                                     [(a, b, sigma[c]) for a, b, c in built.edges])
-            fam["recolor"] &= check_constructed_iso(
-                build(recolor(P, sigma)), tinted,
-                {x: x for x in built.vertices})
-            summed = build(disjoint_sum(P, Q))
+            fam["recoloring family"] &= check_constructed_iso(
+                build(tinted_P), tinted, {x: x for x in built.vertices})
+            summed = build(summed_PQ)
             split = {x: (frozenset(v for t, v in x if t == 0),
                          frozenset(v for t, v in x if t == 1))
                      for x in summed.vertices}
-            fam["sum"] &= check_constructed_iso(summed,
-                                                product(build(P), build(Q)), split)
-    checks.append(("duality family", fam["dual"]))
-    checks.append(("recoloring family", fam["recolor"]))
-    checks.append(("sum/product family", fam["sum"]))
+            fam["sum/product family"] &= check_constructed_iso(
+                summed, product(built, build(Q)), split)
+    checks += fam.items()
     return _result(checks)
 
 

@@ -29,14 +29,10 @@ from dominolattice.typea import (BoxSpec, all_partitions, build_l_a,
                                  partition_to_tableau_L)
 from dominolattice.verify import suite_fundamental
 
+from conftest import DESK_SPECS, PRODUCT_SPECS
+
 BOX24 = BoxSpec(2, 6)
 BOX23 = BoxSpec(2, 5)
-
-DESK_SPECS = tuple(BoxSpec(k, N) for k in range(1, 13)
-                   for N in range(k + 1, 15) if k * (N - k) <= 12)
-
-# chain products are exercised where the cubic law checks stay quick
-PRODUCT_SPECS = tuple(s for s in DESK_SPECS if (s.cols + 1) ** s.k <= 130)
 
 
 def report(n, text):

@@ -15,10 +15,9 @@ from dominolattice.typea import (BoxSpec, CircleState, all_partitions,
                                  diagonal_to_partition, is_valid_partition,
                                  partition_to_diagonal)
 
-BOX24 = BoxSpec(2, 6)
+from conftest import DESK_SPECS
 
-DESK_SPECS = tuple(BoxSpec(k, N) for k in range(1, 13)
-                   for N in range(k + 1, 15) if k * (N - k) <= 12)
+BOX24 = BoxSpec(2, 6)
 
 
 def cell_set_legal_move(spec, sigma, tau):
@@ -154,10 +153,8 @@ class TestBuild:
         assert build_d_a(BoxSpec(1, 12)).vertices == tuple((i,) for i in range(12))
 
     def test_cardinalities(self):
-        for k in range(1, 13):
-            for N in range(k + 1, 15):
-                if k * (N - k) <= 12:
-                    assert len(build_d_a(BoxSpec(k, N))) == comb(N, k)
+        for spec in DESK_SPECS:
+            assert len(build_d_a(spec)) == comb(spec.N, spec.k)
 
     def test_structure(self):
         D = build_d_a(BOX24)

@@ -16,10 +16,9 @@ from dominolattice.typea import (BoxSpec, CircleState, all_partitions,
                                  partition_to_circle_L, partition_to_diagonal,
                                  partition_to_tableau_L)
 
-BOX24 = BoxSpec(2, 6)
+from conftest import DESK_SPECS
 
-DESK_SPECS = tuple(BoxSpec(k, N) for k in range(1, 13)
-                   for N in range(k + 1, 15) if k * (N - k) <= 12)
+BOX24 = BoxSpec(2, 6)
 
 
 class TestPi:
@@ -46,6 +45,13 @@ class TestPi:
     def test_rejects_non_permutation(self):
         with pytest.raises(ValueError):
             BoxPermutation((1, 1))
+
+    @pytest.mark.parametrize("i", [0, -1, 7, True, 2.0, "1"])
+    def test_call_rejects_a_position_outside_1_to_n(self, i):
+        # indexing the mapping would wrap 0 and -1 round to the end
+        with pytest.raises(ValueError) as exc:
+            pi(6)(i)
+        assert str(exc.value) == f"position {i!r} outside [1, 6]"
 
 
 class TestPhiCirc:
@@ -156,6 +162,13 @@ class TestMoveMatrix:
         assert P.column(4) == (1, 1, 0, 0, 0)
         assert P.column(5) == (0, 0, 1, 1, 0)
         assert P.shift == (0, 0, 1, 1, 1)
+
+    @pytest.mark.parametrize("l", [0, -2, 6, True, 1.0])
+    def test_column_rejects_a_color_outside_1_to_n_minus_1(self, l):
+        # indexing the rows would wrap 0 and -2 round to the last columns
+        with pytest.raises(ValueError) as exc:
+            move_matrix(BOX24).column(l)
+        assert str(exc.value) == f"color {l!r} outside [1, 5]"
 
     def test_matrix_times_unit_vector_is_column(self):
         P = move_matrix(BOX24)

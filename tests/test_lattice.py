@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from dominolattice.lattice import (ColoredLattice, LatticeError,
+from dominolattice.lattice import (DOWN, UP, ColoredLattice, LatticeError,
                                    PathRecord, birkhoff_failure,
                                    check_full_length_sublattice,
                                    full_length_witness, mountainize, path_from_vertices,
@@ -21,6 +21,8 @@ from dominolattice.oracle import (check_lattice_laws, enumerate_shortest_paths,
 from dominolattice.solver import solve_domino
 from dominolattice.typea import (BoxSpec, CircleState, build_l_a, build_l_graph,
                                  build_l_tab, build_l_tilde, build_p_a)
+
+from conftest import DESK_SPECS, PRODUCT_SPECS
 
 
 def two_chain(color):
@@ -43,13 +45,13 @@ def hexagon():
                                      ("0", "b", 2), ("b", "d", 1), ("d", "1", 3)])
 
 
+def bowtie():
+    return ColoredLattice("abcd", [("a", "c", 1), ("a", "d", 2),
+                                   ("b", "c", 2), ("b", "d", 1)])
+
+
 def l24():
     return build_l_graph(BoxSpec(2, 6))
-
-
-DESK_SPECS = tuple(BoxSpec(k, N) for k in range(1, 13)
-                   for N in range(k + 1, 15) if k * (N - k) <= 12)
-PRODUCT_SPECS = tuple(s for s in DESK_SPECS if (s.cols + 1) ** s.k <= 130)
 
 
 class TestConstruction:
@@ -219,6 +221,12 @@ class TestMeetJoin:
         two_tops = ColoredLattice("abc", [("a", "b", 1), ("a", "c", 2)])
         with pytest.raises(LatticeError):
             two_tops.join("b", "c")
+        with pytest.raises(LatticeError) as exc:
+            bowtie().meet("c", "d")
+        assert str(exc.value) == "no meet for 'c', 'd'"
+        with pytest.raises(LatticeError) as exc:
+            bowtie().join("a", "b")
+        assert str(exc.value) == "no join for 'a', 'b'"
 
 
 class TestLaws:
@@ -339,7 +347,67 @@ class TestBirkhoffCertificate:
         assert not definitional_verdict(D)
 
 
+def greatest(bounds, le):
+    """The member of bounds that every member is le to, or None."""
+    top = [m for m in bounds if all(le(z, m) for z in bounds)]
+    return top[0] if top else None
+
+
+def definitional_bounds(L, x, y):
+    """(meet, join) of x and y read off le alone; None where there is none."""
+    vs = L.vertices
+    return (greatest([z for z in vs if L.le(z, x) and L.le(z, y)], L.le),
+            greatest([z for z in vs if L.le(x, z) and L.le(y, z)],
+                     lambda a, b: L.le(b, a)))
+
+
+class TestIsLattice:
+    """is_lattice checks joins only; the definition checks both, pair by pair."""
+
+    def check_against_the_definition(self, L):
+        bounds = {(x, y): definitional_bounds(L, x, y)
+                  for x in L.vertices for y in L.vertices}
+        verdict = all(None not in pair for pair in bounds.values())
+        assert L.is_lattice == verdict
+        if verdict:
+            for (x, y), (meet, join) in bounds.items():
+                assert (L.meet(x, y), L.join(x, y)) == (meet, join)
+        return verdict
+
+    @pytest.mark.parametrize("L, verdict", [
+        (ColoredLattice("0", []), True),
+        (ColoredLattice("0ab", [("0", "a", 1), ("0", "b", 2)]), False),
+        (ColoredLattice("abt", [("a", "t", 1), ("b", "t", 2)]), False),
+        (bowtie(), False),
+        (n5(), True),
+        (m3(), True),
+    ], ids=["one-element", "V", "Lambda", "bowtie", "N5", "M3"])
+    def test_small_orders(self, L, verdict):
+        assert self.check_against_the_definition(L) == verdict
+        assert self.check_against_the_definition(L.dual()) == verdict
+
+    def test_random_posets_and_their_ideal_lattices(self):
+        rng = random.Random(10)
+        verdicts = set()
+        for _ in range(60):
+            P = random_colored_poset(rng, 7, 3)
+            L = _cover_digraph(ColoredLattice, P.vertices, P.covers)
+            verdicts.add(self.check_against_the_definition(L))
+            assert self.check_against_the_definition(j_lattice(P))
+        assert verdicts == {True, False}
+
+
 class TestPaths:
+    @pytest.mark.parametrize("turns", [(UP, DOWN, UP), (DOWN, UP, DOWN)],
+                             ids=["up-down-up", "down-up-down"])
+    def test_apex_and_nadir_need_a_single_turn(self, turns):
+        p = PathRecord(tuple(range(len(turns) + 1)), tuple((1, d) for d in turns))
+        assert not p.is_mountain and not p.is_valley
+        with pytest.raises(LatticeError, match="^not a mountain path$"):
+            p.apex
+        with pytest.raises(LatticeError, match="^not a valley path$"):
+            p.nadir
+
     def test_empty_path_stats(self):
         p = PathRecord(((0, 0),), ())
         assert path_stats(p) == (0, {}, {})

@@ -4,17 +4,16 @@ from dominolattice.domino import build_d_a, d_max, d_min, m_diag
 from dominolattice.isomorphism import decompose, phi
 from dominolattice.lattice import ColoredLattice, LatticeError, path_stats
 from dominolattice.oracle import (PathCapExceeded, bareiss_decompose,
-                                  bfs_all_pairs, check_constructed_iso,
+                                  bfs_all_pairs, bfs_distances, check_constructed_iso,
                                   check_lattice_laws, enumerate_shortest_paths,
                                   random_colored_poset)
 from dominolattice.poset import j_lattice
 from dominolattice.typea import (BoxSpec, build_l_a, build_l_graph,
                                  partition_to_diagonal)
 
-BOX24 = BoxSpec(2, 6)
+from conftest import DESK_SPECS
 
-DESK_SPECS = tuple(BoxSpec(k, N) for k in range(1, 13)
-                   for N in range(k + 1, 15) if k * (N - k) <= 12)
+BOX24 = BoxSpec(2, 6)
 
 
 def chain_lattice(n):
@@ -46,7 +45,20 @@ class TestBfs:
             bfs_all_pairs(L)
 
 
+    def test_missing_source_is_named(self):
+        with pytest.raises(LatticeError) as exc:
+            bfs_distances(chain_lattice(3), (9, 9))
+        assert str(exc.value) == "(9, 9) is not a vertex of the lattice"
+
+
 class TestShortestPaths:
+    @pytest.mark.parametrize("s, t", [((9, 9), 0), (0, (9, 9))], ids=["source", "target"])
+    def test_missing_endpoint_is_named(self, s, t):
+        # a missing source was reported as "not connected" to the target
+        with pytest.raises(LatticeError) as exc:
+            enumerate_shortest_paths(chain_lattice(3), s, t)
+        assert str(exc.value) == "(9, 9) is not a vertex of the lattice"
+
     def test_adjacent_vertices(self):
         L = chain_lattice(3)
         paths = enumerate_shortest_paths(L, 0, 1)

@@ -201,8 +201,14 @@ class TestIrreducibles:
 
     def test_rejects_non_lattice(self):
         two_tops = ColoredLattice("abc", [("a", "b", 1), ("a", "c", 2)])
-        with pytest.raises(PosetError):
-            join_irreducibles(two_tops)
+        two_bottoms = ColoredLattice("abc", [("a", "c", 1), ("b", "c", 2)])
+        bowtie = ColoredLattice("abcd", [("a", "c", 1), ("a", "d", 2),
+                                         ("b", "c", 2), ("b", "d", 1)])
+        for L in (two_tops, two_bottoms, bowtie):
+            for irreducibles in (join_irreducibles, meet_irreducibles):
+                with pytest.raises(PosetError) as exc:
+                    irreducibles(L)
+                assert str(exc.value) == "input is not a lattice"
 
     def test_join_meet_irreducible_pairing(self):
         spec = BoxSpec(2, 6)

@@ -19,10 +19,9 @@ from dominolattice.typea import (BoxSpec, all_partitions, build_l_a,
                                  build_p_a, ideal_to_partition,
                                  partition_to_ideal)
 
-BOX24 = BoxSpec(2, 6)
+from conftest import DESK_SPECS
 
-DESK_SPECS = tuple(BoxSpec(k, N) for k in range(1, 13)
-                   for N in range(k + 1, 15) if k * (N - k) <= 12)
+BOX24 = BoxSpec(2, 6)
 
 
 @pytest.fixture

@@ -18,10 +18,9 @@ from dominolattice.typea import (BoxSpec, CircleState, all_partitions,
                                  tableau_to_partition_L, validate_diagonal,
                                  validate_partition)
 
-BOX24 = BoxSpec(2, 6)
+from conftest import DESK_SPECS
 
-DESK_SPECS = tuple(BoxSpec(k, N) for k in range(1, 13)
-                   for N in range(k + 1, 15) if k * (N - k) <= 12)
+BOX24 = BoxSpec(2, 6)
 
 # Frozen reference data: the complete colored edge list of L(2,4)
 # in partition coordinates.
@@ -127,25 +126,18 @@ class TestFundamentalLattice:
         assert set(L.edges) == L24_EDGES
 
     def test_partition_edge_rule_is_the_relabeled_ideal_lattice(self):
-        for k in range(1, 13):
-            for N in range(k + 1, 15):
-                if k * (N - k) <= 12:
-                    spec = BoxSpec(k, N)
-                    assert build_l_graph(spec) == build_l_a(spec).relabel(
-                        lambda i: ideal_to_partition(spec, i))
+        for spec in DESK_SPECS:
+            assert build_l_graph(spec) == build_l_a(spec).relabel(
+                lambda i: ideal_to_partition(spec, i))
 
     def test_cardinality_is_binomial(self):
-        for k in range(1, 13):
-            for N in range(k + 1, 15):
-                if k * (N - k) <= 12:
-                    assert len(all_partitions(BoxSpec(k, N))) == comb(N, k)
+        for spec in DESK_SPECS:
+            assert len(all_partitions(spec)) == comb(spec.N, spec.k)
 
     def test_partitions_come_in_strictly_increasing_order(self):
-        for k in range(1, 13):
-            for N in range(k + 1, 15):
-                if k * (N - k) <= 12:
-                    parts = all_partitions(BoxSpec(k, N))
-                    assert all(a < b for a, b in zip(parts, parts[1:]))
+        for spec in DESK_SPECS:
+            parts = all_partitions(spec)
+            assert all(a < b for a, b in zip(parts, parts[1:]))
 
     def test_l24_reference_table(self):
         for part, tab, diag in L24_TABLE:
@@ -348,9 +340,7 @@ class TestConversionSquare:
         from dominolattice.domino import (circle_to_partition_D, gamma_pt,
                                           gamma_tp, partition_to_circle_D)
         from dominolattice.typea import circle_to_partition_L, partition_to_circle_L
-        specs = [BoxSpec(k, N) for k in range(1, 13)
-                 for N in range(k + 1, 15) if k * (N - k) <= 12]
-        for spec in specs:
+        for spec in DESK_SPECS:
             for p in all_partitions(spec):
                 tab = partition_to_tableau_L(spec, p)
                 assert tableau_to_partition_L(spec, tab) == p

@@ -9,6 +9,7 @@ from dominolattice.domino import build_d_a
 from dominolattice.isomorphism import (_bareiss_forward, _determinant, _phi,
                                        move_matrix)
 from dominolattice.lattice import ColoredLattice
+from dominolattice.poset import VertexColoredPoset
 from dominolattice.typea import (BoxSpec, build_l_graph, validate_diagonal,
                                  validate_entries, validate_partition)
 from dominolattice.verify import SUITES, run_suite
@@ -66,8 +67,8 @@ def test_iso_suite_maps_each_vertex_through_phi_once(monkeypatch):
 
 
 def count_calls(functions, run):
-    """run(), and the number of calls it makes to each of functions, by name."""
-    watched = {f.__code__: f.__name__ for f in functions}
+    """run(), and the number of calls it makes to each of functions, by qualified name."""
+    watched = {f.__code__: f.__qualname__ for f in functions}
     calls = Counter()
 
     def count(frame, event, arg):
@@ -122,3 +123,16 @@ def test_solver_suite_eliminates_the_move_matrix_at_most_twice():
     result, calls = count_calls([_bareiss_forward], lambda: verify.suite_solver(3, 8))
     assert result["passed"]
     assert 1 <= calls["_bareiss_forward"] <= 2, calls
+
+
+def test_fundamental_suite_builds_each_lattice_and_poset_once():
+    # per theorem round: J(P) or M(P), its irreducibles' poset and that
+    # poset's lattice; per family round: dual(P), recolor(P) and P + Q
+    # once, and J(P) reused in the product.  Building the irreducibles'
+    # posets, dual(P), J(dual(P)) and J(P) twice made 700 lattices and
+    # 500 posets.
+    result, calls = count_calls([ColoredLattice.__init__, VertexColoredPoset.__init__],
+                                lambda: verify.suite_fundamental(0))
+    assert result["passed"]
+    assert calls["ColoredLattice.__init__"] <= 600, calls
+    assert calls["VertexColoredPoset.__init__"] <= 275, calls
