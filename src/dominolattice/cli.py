@@ -294,6 +294,9 @@ def main(argv=None):
     if args.command == "lattice" and args.poset is None \
             and (args.k is None or args.N is None):
         usage_error("lattice needs -k and -N (or --poset FILE)")
+    if args.command == "lattice" and args.poset is not None \
+            and (args.k is not None or args.N is not None):
+        usage_error("lattice takes --poset FILE or -k and -N, not both")
     try:
         return args.func(args)
     except ValueError as exc:

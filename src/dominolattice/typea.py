@@ -18,11 +18,12 @@ of each color t_r, ..., N-k+r-1 (a color-l move swaps entry l+1 for l,
 so it adds the row's cell of color l).  A row whose colors stop short of
 l, N-k+r <= l, also has t_r <= l, so the cells of color l are the rows
 with t_r <= l less those max(0, l - (N-k)) rows: one prefix count, +1
-from each entry on and -1 from each row end N-k+r on.  Read backwards,
-c_l = d_l + max(0, l - (N-k)) counts the entries up to l, so the entries
-are the l where c rises, plus N when c_{N-1} < k.  Because phi preserves
-colors, the same count over the preimage's L tableau gives the Domino
-move counts (`isomorphism.move_census`).
+from each entry on and -1 from each row end N-k+r on.  So the census's
+differences are the circle word: with d_0 = d_N = 0 the step
+b_l = d_l - d_{l-1} + [l > N-k] is 1 exactly at the entries, and a
+sequence is a diagonal exactly when each step is 0 or 1.  Because phi
+preserves colors, the same count over the preimage's L tableau gives
+the Domino move counts (`isomorphism.move_census`).
 """
 
 from functools import lru_cache
@@ -169,8 +170,10 @@ def ideal_to_partition(spec, ideal):
 
     A set that is not one raises ValueError naming a member that is not a
     cell of the box, else a cell outside the shape its rows count, else
-    the cell past the first row longer than the row above.
+    the cell past the first row longer than the row above; so does a str.
     """
+    if isinstance(ideal, str):
+        raise ValueError("an ideal is a set of cell ids such as '1,1', not a str")
     ideal = frozenset(ideal)
     cells = _box_cells(spec)
     counts = [0] * spec.k
@@ -240,17 +243,22 @@ def _partition_to_tableau_L(spec, parts):
 
 
 def tableau_to_partition_L(spec, entries):
+    return _tableau_to_partition_L(spec, _validate_tableau_L(spec, entries))
+
+
+def _validate_tableau_L(spec, entries):
+    """An L tableau: k strictly increasing ints in [1, N], as a tuple."""
     entries = tuple(entries)
     if len(entries) != spec.k:
         raise ValueError(f"expected {spec.k} tableau entries")
     prev = 0
     for i, t in enumerate(entries):
         if not is_int(t) or not 1 <= t <= spec.N:
-            raise ValueError(f"entry {i + 1} out of range [1, {spec.N}]")
+            raise ValueError(f"entries must lie in [1, {spec.N}]: entry {i + 1} out of range")
         if t <= prev:
             raise ValueError(f"entries must strictly increase at position {i + 1}")
         prev = t
-    return _tableau_to_partition_L(spec, entries)
+    return entries
 
 
 def _tableau_to_partition_L(spec, entries):
@@ -262,7 +270,7 @@ def _tableau_to_partition_L(spec, entries):
 
 
 def validate_entries(spec, entries):
-    """A tableau in either convention: k distinct ints in [1, N], as a set."""
+    """A D tableau, in any order: k distinct ints in [1, N], as a set."""
     entries = tuple(entries)
     if len(entries) != spec.k or len(set(entries)) != spec.k:
         raise ValueError(f"expected {spec.k} distinct tableau entries")
@@ -329,53 +337,45 @@ def _tableau_to_diagonal_L(spec, entries):
     return tuple(accumulate(steps[1:-1]))
 
 
+def _diagonal_to_tableau_L(spec, diag):
+    """The L tableau of a diagonal tuple: the l whose step is 1.
+
+    The one diagonal check: every entry is an int and every step
+    b_l = d_l - d_{l-1} + [l > N-k], l = 1..N with d_0 = d_N = 0, is 0 or 1.
+    """
+    cols = spec.cols
+    if len(diag) != spec.N - 1:
+        raise ValueError(f"expected {spec.N - 1} diagonal entries")
+    entries, prev = [], 0
+    for l, d in enumerate(diag + (0,), start=1):
+        if type(d) is not int and not is_int(d):   # exact ints skip the call
+            raise ValueError(f"diagonal entry {l} must be a nonnegative integer")
+        b = d - prev + (l > cols)
+        if b == 1:
+            entries.append(l)
+        elif b:
+            raise ValueError(f"diagonal step between entries {l - 1} and {l} is {b}, not 0 or 1")
+        prev = d
+    return entries
+
+
 def validate_diagonal(spec, diag):
     diag = tuple(diag)
-    n, k = spec.N, spec.k
-    if len(diag) != n - 1:
-        raise ValueError(f"expected {n - 1} diagonal entries")
-    for i, d in enumerate(diag, start=1):
-        if not is_int(d) or d < 0:
-            raise ValueError(f"diagonal entry {i} must be a nonnegative integer")
-        if i <= n - k and d > min(i, k):
-            raise ValueError(f"diagonal entry {i} exceeds {min(i, k)}")
-        if i >= n - k and d > min(n - i, n - k):
-            raise ValueError(f"diagonal entry {i} exceeds {min(n - i, n - k)}")
-    for i in range(1, n - k):
-        if diag[i] not in (diag[i - 1], diag[i - 1] + 1):
-            raise ValueError(f"rising step violated between entries {i} and {i + 1}")
-    for i in range(n - k, n - 1):
-        if diag[i] not in (diag[i - 1], diag[i - 1] - 1):
-            raise ValueError(f"falling step violated between entries {i} and {i + 1}")
+    _diagonal_to_tableau_L(spec, diag)
     return diag
 
 
 def is_valid_diagonal(spec, diag):
     try:
-        validate_diagonal(spec, diag)
+        _diagonal_to_tableau_L(spec, tuple(diag))
     except ValueError:
         return False
     return True
 
 
 def diagonal_to_partition(spec, diag):
-    """The census read backwards, as in the module docstring.
-
-    The L tableau holds each l where c_l = d_l + max(0, l - (N-k)) rises,
-    and N when c_{N-1} < k.
-    """
-    diag = validate_diagonal(spec, diag)
-    cols = spec.cols
-    entries = []
-    prev = 0
-    for l, d in enumerate(diag, start=1):
-        c = d + max(0, l - cols)
-        if c > prev:
-            entries.append(l)
-        prev = c
-    if prev < spec.k:
-        entries.append(spec.N)
-    return _tableau_to_partition_L(spec, entries)
+    """The shape whose L tableau is the circle word read off diag's steps."""
+    return _tableau_to_partition_L(spec, _diagonal_to_tableau_L(spec, tuple(diag)))
 
 
 # -- the coordinate table ---------------------------------------------------------
@@ -411,15 +411,16 @@ def _l_move_table(N):
 def _up_edges(spec, x, system, scheme, moves):
     """The tableau, circle and diagonal up-edge rules of both lattices.
 
-    `scheme` ("L" or "D") is the family's circle numbering and tableau
-    order.  `moves` = (pairs, columns) is its move table: color l hops a
-    tableau entry by `hop_up_moves` over pairs, and adds a to diagonal
-    entry i for each (i, a) in columns[l - 1].
+    `scheme` ("L" or "D") is the family's circle numbering, tableau order
+    and tableau check.  `moves` = (pairs, columns) is its move table:
+    color l hops a tableau entry by `hop_up_moves` over pairs, and adds a
+    to diagonal entry i for each (i, a) in columns[l - 1].
     """
     pairs, columns = moves
     if system == "tab":
+        entries = _validate_tableau_L(spec, x) if scheme == "L" else validate_entries(spec, x)
         return [(tuple(sorted(t, reverse=scheme == "D")), l)
-                for t, l in hop_up_moves(validate_entries(spec, x), pairs)]
+                for t, l in hop_up_moves(frozenset(entries), pairs)]
     if system == "circ":
         ones = frozenset(validate_circle(spec, x, scheme).ones)
         return [(tableau_to_circle(spec, t, scheme), l) for t, l in hop_up_moves(ones, pairs)]

@@ -295,6 +295,10 @@ class TestPostParseUsageErrors:
         (["convert", "-k", "2", "-N", "6", "--map", "phi", "--to", "tab", "4,3"],
          "convert takes --map or --from/--to, not both"),
         (["lattice", "-k", "2"], "lattice needs -k and -N (or --poset FILE)"),
+        (["lattice", "--poset", "p.json", "-k", "2", "-N", "5"],
+         "lattice takes --poset FILE or -k and -N, not both"),
+        (["lattice", "--poset", "p.json", "-N", "5"],
+         "lattice takes --poset FILE or -k and -N, not both"),
     ])
     def test_usage_names_the_subcommand(self, capsys, argv, error):
         with pytest.raises(SystemExit) as exc:

@@ -1,23 +1,33 @@
+from itertools import product
 from math import comb
 
 import pytest
 
 from dominolattice import domino
-from dominolattice.domino import (beta_circ, beta_diag, beta_part, build_d_a,
-                                  circle_to_partition_D, d_max, d_min,
+from dominolattice.domino import (D_COORDINATES, beta_circ, beta_diag, beta_part,
+                                  build_d_a, circle_to_partition_D, d_max, d_min,
                                   d_up_edges, dtab_move_pair, gamma_ct,
                                   gamma_pt, gamma_tc, gamma_tp,
                                   is_legal_domino_move, is_red, m_diag,
                                   partition_to_circle_D, render_board)
 from dominolattice.oracle import (check_constructed_iso, is_diamond_colored,
                                   is_topographically_balanced)
-from dominolattice.typea import (BoxSpec, CircleState, all_partitions,
+from dominolattice.typea import (L_COORDINATES, BoxSpec, CircleState, all_partitions,
                                  diagonal_to_partition, is_valid_partition,
-                                 partition_to_diagonal)
+                                 l_up_edges, partition_to_diagonal)
 
 from conftest import DESK_SPECS
 
 BOX24 = BoxSpec(2, 6)
+
+
+def raises(f, *args):
+    """Whether f(*args) raises ValueError."""
+    try:
+        f(*args)
+    except ValueError:
+        return True
+    return False
 
 
 def cell_set_legal_move(spec, sigma, tau):
@@ -341,6 +351,26 @@ class TestMoveVectors:
                         for t, l in d_up_edges(
                             spec, partition_to_diagonal(spec, sigma), "diag")}
                 assert part == tab == circ == diag
+
+    @pytest.mark.parametrize("N", range(2, 7))
+    def test_decoder_and_edge_rule_share_one_boundary(self, N):
+        # each family's decoder raises ValueError exactly when its native
+        # up-edge rule does, for every system, over in- and out-of-box input
+        families = (("L", L_COORDINATES, l_up_edges), ("D", D_COORDINATES, d_up_edges))
+        for k in range(1, N):
+            spec = BoxSpec(k, N)
+            inputs = {
+                "part": [*product(range(-1, N - k + 2), repeat=k), (0,) * (k + 1)],
+                "tab": [*product(range(N + 2), repeat=k), tuple(range(1, k + 2))],
+                "circ": [CircleState(bits, scheme) for scheme in "LD"
+                         for n in (N - 1, N, N + 1) for bits in product((0, 1), repeat=n)],
+                "diag": [*product(range(-1, 4), repeat=N - 1), (0,) * N],
+            }
+            for side, coordinates, up_edges in families:
+                for system, (_, decode) in coordinates.items():
+                    for x in inputs[system]:
+                        assert raises(decode, spec, x) == raises(up_edges, spec, x, system), \
+                            (side, system, spec, x)
 
     def test_four_move_game_on_the_5x3_board(self):
         spec = BoxSpec(5, 8)

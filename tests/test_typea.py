@@ -1,4 +1,5 @@
 import re
+from itertools import product
 from math import comb
 
 import pytest
@@ -164,6 +165,11 @@ class TestPartitionConversions:
         with pytest.raises(ValueError, match=re.escape(f"cell {named} lies outside")):
             ideal_to_partition(BOX24, cells)
 
+    @pytest.mark.parametrize("text", ["1,1", "", "1,1 2,1"])
+    def test_a_string_is_not_a_set_of_cell_ids(self, text):
+        with pytest.raises(ValueError, match="an ideal is a set of cell ids"):
+            ideal_to_partition(BoxSpec(2, 5), text)
+
     def test_tableau_examples(self):
         assert partition_to_tableau_L(BOX24, (4, 3)) == (1, 3)
         assert partition_to_tableau_L(BoxSpec(3, 9), (5, 2, 2)) == (2, 6, 7)
@@ -244,6 +250,29 @@ class TestDiagonals:
             return True
         walk([])
         assert count == len(images) == comb(spec.N, spec.k)
+
+    @pytest.mark.parametrize("N", range(2, 8))
+    def test_validity_is_exactly_the_census_image(self, N):
+        # every sequence with entries in [-1, min(k, N-k) + 1], and one of
+        # the wrong length, against the cell-by-cell census of every shape
+        for k in range(1, N):
+            spec = BoxSpec(k, N)
+            images = {cell_census(spec, p) for p in all_partitions(spec)}
+            top = min(k, N - k) + 1
+            accepted = {d for d in product(range(-1, top + 1), repeat=N - 1)
+                        if is_valid_diagonal(spec, d)}
+            assert accepted == images
+            assert not is_valid_diagonal(spec, (0,) * N)
+
+    @pytest.mark.parametrize("diag,first,second", [
+        ((-1, 0, 0, 0, 0), 0, 1), ((1, 0, 0, 0, 0), 1, 2), ((0, 0, 1, 3, 1), 3, 4),
+        ((0, 0, 0, 0, 2), 4, 5), ((0, 0, 1, 2, 2), 5, 6)])
+    def test_a_rejected_diagonal_names_its_two_entries(self, diag, first, second):
+        named = f"between entries {first} and {second}"
+        with pytest.raises(ValueError, match=named):
+            validate_diagonal(BOX24, diag)
+        with pytest.raises(ValueError, match=named):
+            diagonal_to_partition(BOX24, diag)
 
     def test_invalid_sequences_rejected(self):
         assert not is_valid_diagonal(BOX24, (1, 0, 0, 0, 0))
