@@ -146,22 +146,23 @@ def cmd_lattice(args):
             print(f"error: cannot read {args.poset}: {exc.strerror}", file=sys.stderr)
             return USAGE_ERROR
         P = serial.poset_from_json(text)
-        L = j_lattice(P) if args.construction == "J" else m_lattice(P)
+        L = m_lattice(P) if args.construction == "M" else j_lattice(P)
         if args.format == "dot":
             sys.stdout.write(serial.lattice_to_dot(L, name="ideals"))
         else:
             sys.stdout.write(serial.lattice_to_json(L))
         return 0
     spec = _spec_from(args)
-    L = build_l_graph(spec) if args.family == "A" else build_d_a(spec)
+    family = args.family or "A"
+    L = build_l_graph(spec) if family == "A" else build_d_a(spec)
     if args.format == "dot":
         from . import io as serial
-        sys.stdout.write(serial.lattice_to_dot(L, name=f"{args.family}_{spec.k}_{spec.N}"))
+        sys.stdout.write(serial.lattice_to_dot(L, name=f"{family}_{spec.k}_{spec.N}"))
         return 0
     ranks = L.ranks
-    side = "L" if args.family == "A" else "D"
+    side = "L" if family == "A" else "D"
     doc = {
-        "family": args.family,
+        "family": family,
         "k": spec.k,
         "N": spec.N,
         "vertices": [dict({s: _from_partition(spec, s, side, p) for s in _TEXT},
@@ -246,12 +247,14 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("lattice", help="build and export a lattice")
-    p.add_argument("--family", choices=("A", "D"), default="A")
+    p.add_argument("--family", choices=("A", "D"),
+                   help="the fundamental (A, default) or Domino (D) lattice of the box")
     p.add_argument("-k", type=_int_flag)
     p.add_argument("-N", type=_int_flag)
     p.add_argument("--poset", metavar="FILE",
                    help="build the ideal/filter lattice of a poset JSON file")
-    p.add_argument("--construction", choices=("J", "M"), default="J")
+    p.add_argument("--construction", choices=("J", "M"),
+                   help="the poset's ideal (J, default) or filter (M) lattice")
     p.add_argument("--format", choices=("json", "dot"), default="json")
     p.set_defaults(func=cmd_lattice, parser=p)
 
@@ -297,6 +300,10 @@ def main(argv=None):
     if args.command == "lattice" and args.poset is not None \
             and (args.k is not None or args.N is not None):
         usage_error("lattice takes --poset FILE or -k and -N, not both")
+    if args.command == "lattice" and args.poset is None and args.construction is not None:
+        usage_error("lattice takes --construction only with --poset FILE")
+    if args.command == "lattice" and args.poset is not None and args.family is not None:
+        usage_error("lattice takes --family only with -k and -N")
     try:
         return args.func(args)
     except ValueError as exc:

@@ -15,10 +15,10 @@ the digraph, and only `build_d_a` imports the lattice module.
 from functools import lru_cache
 
 from .records import Record, _set_field, is_int
-from .typea import (_up_edges, all_partitions, diagonal_to_partition,
-                    hop_up_moves, is_valid_partition, partition_to_diagonal,
-                    tableau_to_circle, validate_circle, validate_entries,
-                    validate_partition)
+from .typea import (_circle, _partition_to_tableau_L, _tableau_to_diagonal_L, _up_edges,
+                    all_partitions, diagonal_to_partition, hop_up_moves,
+                    is_valid_partition, partition_to_diagonal, tableau_to_circle,
+                    validate_circle, validate_entries, validate_partition)
 
 
 def is_red(spec, r, c):
@@ -196,19 +196,17 @@ def d_min(spec):
     phi sends the L bottom, whose L tableau is {N-k+1, ..., N}, to the D
     shape whose dots sit in the renumbered cells pi(N-k+1), ..., pi(N).
     """
-    p = pi(spec.N)
-    return gamma_tp(spec, [p(i) for i in range(spec.cols + 1, spec.N + 1)])
+    return _gamma_tp(spec, _pi_pair(spec.N)[0].mapping[spec.cols:])
 
 
 def d_max(spec):
     """Top shape of the Domino lattice: the image of the full box, {1, ..., k}."""
-    p = pi(spec.N)
-    return gamma_tp(spec, [p(i) for i in range(1, spec.k + 1)])
+    return _gamma_tp(spec, _pi_pair(spec.N)[0].mapping[:spec.k])
 
 
 def m_diag(spec):
     """Diagonal coordinates of the Domino minimum."""
-    return partition_to_diagonal(spec, d_min(spec))
+    return _tableau_to_diagonal_L(spec, _partition_to_tableau_L(spec, d_min(spec)))
 
 
 # -- the gamma conversion maps (Domino conventions) -----------------------------
@@ -241,15 +239,15 @@ def gamma_tc(spec, entries):
 
 
 def gamma_ct(spec, state):
-    return validate_circle(spec, state, "D").ones[::-1]
+    return validate_circle(spec, state, "D")[::-1]
 
 
 def partition_to_circle_D(spec, sigma):
-    return gamma_tc(spec, gamma_pt(spec, sigma))
+    return _circle(spec, gamma_pt(spec, sigma), "D")
 
 
 def circle_to_partition_D(spec, state):
-    return gamma_tp(spec, gamma_ct(spec, state))
+    return _gamma_tp(spec, validate_circle(spec, state, "D"))
 
 
 # Each system maps to its (partition -> coordinates, coordinates -> partition)
@@ -272,14 +270,15 @@ def dtab_move_pair(N, l):
     the entries l and l+1, and phi renumbers them through pi.
     """
     _check_color(N, l)
-    p = pi(N)
-    return p(l), p(l + 1)
+    pi(N)                   # rejects an N that is not an int
+    return _move_pairs(N)[l]
 
 
 @lru_cache(maxsize=None)
 def _move_pairs(N):
-    """{l: dtab_move_pair(N, l)} for every color, built once per valid N."""
-    return {l: dtab_move_pair(N, l) for l in range(1, N)}
+    """{l: (pi(l), pi(l+1))} for every color, built once per valid N."""
+    p = _pi_pair(N)[0].mapping
+    return {l: (p[l - 1], p[l]) for l in range(1, N)}
 
 
 def beta_circ(spec, l):

@@ -35,9 +35,11 @@ def poset_to_json(P):
 
 
 def _load(text, kind, error):
-    """json.loads, with nesting too deep to parse raised as a schema error."""
+    """json.loads, with text that is not JSON or nests too deeply raised as a schema error."""
     try:
         return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise error(f"{kind} JSON does not match the schema (not JSON: {exc})") from None
     except RecursionError:
         raise error(f"{kind} JSON does not match the schema (nested too deeply)") from None
 

@@ -42,7 +42,7 @@ from functools import lru_cache
 # BoxPermutation and pi live in domino, whose closed-form extremes need pi;
 # they are re-exported here, next to phi.
 from .domino import (BoxPermutation, _check_color, _gamma_pt, _gamma_tp, _move_table,
-                     _pi_pair, beta_diag, m_diag, pi)
+                     _pi_pair, m_diag, pi)
 from .records import Record, _set_field
 from .typea import (CircleState, _partition_to_tableau_L,
                     _tableau_to_diagonal_L, _tableau_to_partition_L,
@@ -54,7 +54,8 @@ def phi_circ(state):
     """Move each dot to its renumbered box: output bit pi(i) = input bit i."""
     if not isinstance(state, CircleState) or state.scheme != "L":
         raise ValueError("phi_circ expects an L-scheme circle state")
-    return _renumber(state, pi(len(state.bits)).inverse(), "D")
+    pi(len(state.bits))     # rejects fewer than two bits
+    return _renumber(state, _pi_pair(len(state.bits))[1], "D")
 
 
 def phi_circ_inverse(state):
@@ -169,10 +170,11 @@ def _determinant(entries):
 @lru_cache(maxsize=None)
 def move_matrix(spec):
     n = spec.N
-    betas = [beta_diag(spec, l) for l in range(1, n)]
-    entries = tuple(tuple(betas[l][i] for l in range(n - 1))
-                    for i in range(n - 1))
-    m = MoveMatrix(entries, m_diag(spec))
+    entries = [[0] * (n - 1) for _ in range(n - 1)]
+    for l, column in enumerate(_move_table(n)[1]):     # column l + 1 is beta_{l+1}
+        for i, a in column:
+            entries[i][l] = a
+    m = MoveMatrix(tuple(map(tuple, entries)), m_diag(spec))
     if m.determinant == 0:
         raise AssertionError(f"move matrix for N={n} is singular")
     return m

@@ -63,7 +63,7 @@ class CircleState(Record):
         if scheme not in ("L", "D"):
             raise ValueError(f"unknown circle scheme {scheme!r}")
         bits = tuple(bits)
-        if not all(is_int(b) and b in (0, 1) for b in bits):
+        if not all((type(b) is int or is_int(b)) and b in (0, 1) for b in bits):
             raise ValueError("circle bits must be 0/1")
         _set_field(self, "bits", bits)
         _set_field(self, "scheme", scheme)
@@ -280,37 +280,41 @@ def validate_entries(spec, entries):
 
 
 def validate_circle(spec, state, scheme):
-    """A circle state of the given scheme with N bits and k dots."""
+    """The increasing dots of a circle state of this scheme with N bits and k dots."""
     if not isinstance(state, CircleState):
         raise ValueError(f"expected a CircleState, got {type(state).__name__}")
     if state.scheme != scheme:
         raise ValueError(f"expected a circle state in the {scheme}-scheme numbering")
     if len(state.bits) != spec.N:
         raise ValueError(f"expected {spec.N} bits")
-    if len(state.ones) != spec.k:
-        raise ValueError(f"expected {spec.k} dots, got {len(state.ones)}")
-    return state
+    ones = state.ones
+    if len(ones) != spec.k:
+        raise ValueError(f"expected {spec.k} dots, got {len(ones)}")
+    return ones
 
 
 def tableau_to_circle(spec, entries, scheme="L"):
-    entries = validate_entries(spec, entries)
-    return CircleState(tuple(1 if i in entries else 0
-                             for i in range(1, spec.N + 1)), scheme)
+    return _circle(spec, validate_entries(spec, entries), scheme)
+
+
+def _circle(spec, entries, scheme):
+    """The circle state whose dots are entries, a k-subset of [N] already checked."""
+    return CircleState([1 if i in entries else 0 for i in range(1, spec.N + 1)], scheme)
 
 
 def circle_to_tableau(spec, state):
     """Dot positions, increasing in the L scheme and decreasing in the D scheme."""
     if isinstance(state, CircleState) and state.scheme == "D":
-        return validate_circle(spec, state, "D").ones[::-1]
-    return validate_circle(spec, state, "L").ones
+        return validate_circle(spec, state, "D")[::-1]
+    return validate_circle(spec, state, "L")
 
 
 def partition_to_circle_L(spec, parts):
-    return tableau_to_circle(spec, partition_to_tableau_L(spec, parts), "L")
+    return _circle(spec, partition_to_tableau_L(spec, parts), "L")
 
 
 def circle_to_partition_L(spec, state):
-    return tableau_to_partition_L(spec, validate_circle(spec, state, "L").ones)
+    return _tableau_to_partition_L(spec, validate_circle(spec, state, "L"))
 
 
 # -- diagonal coordinates ------------------------------------------------------------
@@ -422,8 +426,8 @@ def _up_edges(spec, x, system, scheme, moves):
         return [(tuple(sorted(t, reverse=scheme == "D")), l)
                 for t, l in hop_up_moves(frozenset(entries), pairs)]
     if system == "circ":
-        ones = frozenset(validate_circle(spec, x, scheme).ones)
-        return [(tableau_to_circle(spec, t, scheme), l) for t, l in hop_up_moves(ones, pairs)]
+        ones = frozenset(validate_circle(spec, x, scheme))
+        return [(_circle(spec, t, scheme), l) for t, l in hop_up_moves(ones, pairs)]
     if system == "diag":
         diag = validate_diagonal(spec, x)
         out = []

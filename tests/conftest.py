@@ -1,4 +1,7 @@
-"""Shared test data."""
+"""Shared test data and helpers."""
+
+import sys
+from collections import Counter
 
 from dominolattice.typea import BoxSpec
 
@@ -7,3 +10,20 @@ DESK_SPECS = tuple(BoxSpec(k, N) for k in range(1, 13)
                    for N in range(k + 1, 15) if k * (N - k) <= 12)
 # the desk boxes whose chain products L_tilde and L_tab stay small
 PRODUCT_SPECS = tuple(s for s in DESK_SPECS if (s.cols + 1) ** s.k <= 130)
+
+
+def count_calls(functions, run):
+    """run(), and the number of calls it makes to each of functions, by qualified name."""
+    watched = {f.__code__: f.__qualname__ for f in functions}
+    calls = Counter()
+
+    def count(frame, event, arg):
+        if event == "call" and frame.f_code in watched:
+            calls[watched[frame.f_code]] += 1
+
+    sys.setprofile(count)
+    try:
+        result = run()
+    finally:
+        sys.setprofile(None)
+    return result, calls

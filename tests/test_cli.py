@@ -96,6 +96,7 @@ class TestLatticeCommand:
         '{"vertices": [], "covers": {"ab": 1}}',
         '{"vertices": [{"id": "c\\\\d", "color": 1}], "covers": []}',
         pytest.param("[" * 100_000, id="nested-too-deeply"),
+        pytest.param('{"vertices": [', id="not-json"),
     ])
     def test_poset_of_wrong_schema_is_domain_error(self, capsys, tmp_path, text):
         target = tmp_path / "poset.json"
@@ -131,6 +132,19 @@ class TestLatticeCommand:
         with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
             code = main(["lattice", "--poset", str(target)])
         assert code in (0, 2)
+
+    @pytest.mark.parametrize("family, side", [("A", "L"), ("D", "D")])
+    def test_exported_coordinates_convert_back(self, capsys, family, side):
+        # the export and convert share the coordinate tables and the text
+        # formats: each column of a vertex must parse back to its part
+        _, out, _ = run_cli(capsys, "lattice", "--family", family, "-k", "3", "-N", "7")
+        vertices = json.loads(out)["vertices"]
+        assert len(vertices) == 35
+        for vertex in vertices:
+            for system in ("tab", "circ", "diag"):
+                result = run_cli(capsys, "convert", "-k", "3", "-N", "7", "--from",
+                                 f"{system}:{side}", "--to", "part", vertex[system])
+                assert result == (0, vertex["part"] + "\n", ""), (system, vertex)
 
     def test_parts_listed_in_numeric_order(self, capsys):
         code, out, _ = run_cli(capsys, "lattice", "--family", "A", "-k", "1", "-N", "12")
@@ -299,6 +313,10 @@ class TestPostParseUsageErrors:
          "lattice takes --poset FILE or -k and -N, not both"),
         (["lattice", "--poset", "p.json", "-N", "5"],
          "lattice takes --poset FILE or -k and -N, not both"),
+        (["lattice", "-k", "2", "-N", "4", "--construction", "M"],
+         "lattice takes --construction only with --poset FILE"),
+        (["lattice", "--poset", "p.json", "--family", "D"],
+         "lattice takes --family only with -k and -N"),
     ])
     def test_usage_names_the_subcommand(self, capsys, argv, error):
         with pytest.raises(SystemExit) as exc:
@@ -429,6 +447,7 @@ class TestSerialization:
         '{"vertices": 5, "edges": []}',
         '{"vertices": [[1]], "edges": []}',
         pytest.param("[" * 100_000, id="nested-too-deeply"),
+        pytest.param('{"vertices": [', id="not-json"),
     ])
     def test_lattice_of_wrong_schema_raises_lattice_error(self, text):
         with pytest.raises(LatticeError, match="schema"):

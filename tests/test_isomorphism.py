@@ -1,22 +1,27 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
-from dominolattice.domino import (build_d_a, circle_to_partition_D, d_up_edges,
-                                  gamma_ct, gamma_pt, gamma_tc, gamma_tp)
+from dominolattice.domino import (build_d_a, circle_to_partition_D, d_max, d_min,
+                                  d_up_edges, gamma_ct, gamma_pt, gamma_tc, gamma_tp,
+                                  m_diag, partition_to_circle_D)
 from dominolattice.isomorphism import (BoxPermutation, _apply_p, apply_p,
                                        decompose, integer_determinant,
                                        move_census, move_matrix, phi, phi_circ,
                                        phi_circ_inverse, phi_inverse, pi)
 from dominolattice.oracle import (bareiss_solve, bfs_all_pairs, cell_census,
                                   check_constructed_iso, exact_inverse)
-from dominolattice.typea import (BoxSpec, CircleState, all_partitions,
+from dominolattice.typea import (BoxSpec, CircleState, _diagonal_to_tableau_L,
+                                 _validate_tableau_L, all_partitions,
                                  build_l_graph, circle_to_partition_L,
                                  circle_to_tableau, l_up_edges,
                                  partition_to_circle_L, partition_to_diagonal,
-                                 partition_to_tableau_L)
+                                 partition_to_tableau_L, tableau_to_circle,
+                                 validate_circle, validate_entries,
+                                 validate_partition)
 
-from conftest import DESK_SPECS
+from conftest import DESK_SPECS, count_calls
 
 BOX24 = BoxSpec(2, 6)
 
@@ -92,6 +97,50 @@ class TestPhiCirc:
     def test_round_trip(self):
         s = CircleState((0, 1, 1, 0, 0, 0), "L")
         assert phi_circ_inverse(phi_circ(s)) == s
+
+
+class TestOneCheckPerCall:
+    """On valid input each map checks it once and re-checks nothing it builds from it."""
+
+    # the shape checks of the four coordinate systems, and pi's record
+    WATCHED = (validate_partition, _validate_tableau_L, validate_entries, validate_circle,
+               _diagonal_to_tableau_L, BoxPermutation.__init__)
+
+    @staticmethod
+    def cases(spec):
+        """(map, its valid inputs, the calls it makes) for one box."""
+        parts = all_partitions(spec)
+        L, D = ([CircleState(bits, scheme) for bits in product((0, 1), repeat=spec.N)
+                 if sum(bits) == spec.k] for scheme in "LD")
+        tab_L = [partition_to_tableau_L(spec, p) for p in parts]
+        tab_D = [gamma_pt(spec, p) for p in parts]
+        return [
+            (tableau_to_circle, tab_L, {"validate_entries": 1}),
+            (gamma_tc, tab_D, {"validate_entries": 1}),
+            (circle_to_tableau, L + D, {"validate_circle": 1}),
+            (gamma_ct, D, {"validate_circle": 1}),
+            (partition_to_circle_L, parts, {"validate_partition": 1}),
+            (partition_to_circle_D, parts, {"validate_partition": 1}),
+            (circle_to_partition_L, L, {"validate_circle": 1}),
+            (circle_to_partition_D, D, {"validate_circle": 1}),
+            (lambda spec, x: l_up_edges(spec, x, "circ"), L, {"validate_circle": 1}),
+            (lambda spec, x: d_up_edges(spec, x, "circ"), D, {"validate_circle": 1}),
+            (lambda spec, x: d_min(spec), [None], {}),
+            (lambda spec, x: d_max(spec), [None], {}),
+            (lambda spec, x: m_diag(spec), [None], {}),
+            (lambda spec, x: phi_circ(x), L, {}),
+            (lambda spec, x: phi_circ_inverse(x), D, {}),
+        ]
+
+    @pytest.mark.parametrize("N", range(2, 7))
+    def test_each_map_checks_its_input_once(self, N):
+        for k in range(1, N):
+            spec = BoxSpec(k, N)
+            for f, inputs, expected in self.cases(spec):
+                f(spec, inputs[0])      # warm-up: the per-N tables are cached
+                for x in inputs:
+                    _, calls = count_calls(self.WATCHED, lambda: f(spec, x))
+                    assert calls == expected, (f, spec, x)
 
 
 class TestPhi:

@@ -85,6 +85,19 @@ class TestRejectsBool:
         with pytest.raises(ValueError, match="0/1"):
             CircleState((True, False, True, False, False), "L")
 
+    def test_circle_bits_of_an_int_subclass_are_ints(self):
+        # the exact-int fast path must keep is_int's meaning for subclasses
+        class Small(int):
+            pass
+
+        state = CircleState((0, Small(1), Small(0), 1, 0), "L")
+        assert state.ones == (2, 4)
+
+    @pytest.mark.parametrize("bit", [1.0, 2])
+    def test_circle_bits_that_are_not_0_or_1_ints(self, bit):
+        with pytest.raises(ValueError, match="circle bits must be 0/1"):
+            CircleState((0, bit, 0, 1, 0), "L")
+
     def test_circle_bits_are_stored_as_a_tuple(self):
         state = CircleState([0, 1, 1, 0, 0], "L")
         assert state.bits == (0, 1, 1, 0, 0)

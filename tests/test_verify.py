@@ -1,5 +1,3 @@
-import sys
-from collections import Counter
 from math import comb
 
 import pytest
@@ -13,6 +11,8 @@ from dominolattice.poset import VertexColoredPoset
 from dominolattice.typea import (BoxSpec, build_l_graph, validate_diagonal,
                                  validate_entries, validate_partition)
 from dominolattice.verify import SUITES, run_suite
+
+from conftest import count_calls
 
 
 @pytest.mark.parametrize("suite", SUITES)
@@ -64,23 +64,6 @@ def test_iso_suite_maps_each_vertex_through_phi_once(monkeypatch):
     result = run_suite("iso", k=3, N=7)
     assert result["passed"]
     assert sorted(calls) == sorted(build_l_graph(BoxSpec(3, 7)).vertices)
-
-
-def count_calls(functions, run):
-    """run(), and the number of calls it makes to each of functions, by qualified name."""
-    watched = {f.__code__: f.__qualname__ for f in functions}
-    calls = Counter()
-
-    def count(frame, event, arg):
-        if event == "call" and frame.f_code in watched:
-            calls[watched[frame.f_code]] += 1
-
-    sys.setprofile(count)
-    try:
-        result = run()
-    finally:
-        sys.setprofile(None)
-    return result, calls
 
 
 def test_iso_suite_validates_each_shape_at_most_once():
