@@ -8,18 +8,21 @@ subcommand imports what it runs when it runs: the lattice module,
 serialization, phi, the solver, the suites.  A solve loads the solver but
 no lattice, poset or isomorphism module; a convert loads no lattice,
 poset or solver module; a family's JSON export loads no poset or
-serialization module.
+serialization module.  The solve and family JSON documents are written
+directly, byte for byte as json.dumps(doc, indent=2, sort_keys=True)
+prints them, so only `verify` loads json; a verify run loads the layers
+of the suites it runs, and a flag its suite does not read is a usage error.
 """
 
 import argparse
-import json
 import re
 import sys
+from operator import itemgetter
 
-from .domino import D_COORDINATES, build_d_a
-from .suites import SUITES
-from .typea import (L_COORDINATES, BoxSpec, CircleState, build_l_graph,
-                    validate_partition)
+from .domino import D_COORDINATES, _gamma_pt, build_d_a
+from .suites import SUITE_FLAGS, SUITES
+from .typea import (L_COORDINATES, BoxSpec, CircleState, _partition_to_tableau_L,
+                    _tableau_to_diagonal_L, build_l_graph, validate_partition)
 
 USAGE_ERROR, DOMAIN_ERROR, VERIFY_ERROR = 1, 2, 3
 
@@ -135,6 +138,33 @@ def render_partition(spec, parts):
     return "\n".join(rows)
 
 
+def _digits(spec):
+    """str(i) for each i up to N and the box's area k(N-k): every int the JSON holds."""
+    return tuple(map(str, range(max(spec.N, spec.k * spec.cols) + 1)))
+
+
+def _joined(digits, ints):
+    """A nonempty int tuple as comma-separated digit strings.
+
+    itemgetter looks up all of them in C, about three times as fast as
+    mapping digits.__getitem__; given one index it returns the item alone.
+    """
+    return ",".join(itemgetter(*ints)(digits)) if len(ints) > 1 else digits[ints[0]]
+
+
+def _json_block(items, brackets, depth):
+    """A list or object as json.dumps(..., indent=2) writes it at this depth.
+
+    items are the list's values, or the object's "key": value members in
+    key order, each already written or a %s field of a template; with
+    none, it is the bare brackets.
+    """
+    if not items:
+        return brackets
+    pad = "\n" + "  " * (depth + 1)
+    return brackets[0] + pad + ("," + pad).join(items) + pad[:-2] + brackets[1]
+
+
 def cmd_lattice(args):
     if args.poset is not None:
         from . import io as serial
@@ -159,18 +189,30 @@ def cmd_lattice(args):
         from . import io as serial
         sys.stdout.write(serial.lattice_to_dot(L, name=f"{family}_{spec.k}_{spec.N}"))
         return 0
+    # The vertices come from the build, which validated them, so their
+    # coordinates are read through the unchecked cores; the circle's dots
+    # are the family's tableau entries.
+    digits = _digits(spec)
+    name = {p: _joined(digits, p) for p in L.vertices}
     ranks = L.ranks
-    side = "L" if family == "A" else "D"
-    doc = {
-        "family": family,
-        "k": spec.k,
-        "N": spec.N,
-        "vertices": [dict({s: _from_partition(spec, s, side, p) for s in _TEXT},
-                          rank=ranks[p]) for p in L.vertices],
-        "edges": [{"from": fmt_partition(a), "to": fmt_partition(b), "color": c}
-                  for a, b, c in L.edges],
-    }
-    sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    vertex = _json_block(['"circ": "%s"', '"diag": "(%s)"', '"part": "%s"', '"rank": %s',
+                          '"tab": "{%s}"'], "{}", 2)
+    vertices = []
+    for p in L.vertices:
+        ltab = _partition_to_tableau_L(spec, p)
+        tab = ltab if family == "A" else _gamma_pt(spec, p)
+        bits = ["0"] * spec.N
+        for t in tab:
+            bits[t - 1] = "1"
+        diag = _tableau_to_diagonal_L(spec, ltab)
+        vertices.append(vertex % ("".join(bits), _joined(digits, diag), name[p],
+                                  digits[ranks[p]], _joined(digits, tab)))
+    edge = _json_block(['"color": %s', '"from": "%s"', '"to": "%s"'], "{}", 2)
+    edges = [edge % (digits[c], name[a], name[b]) for a, b, c in L.edges]
+    doc = _json_block(['"N": %s', '"edges": %s', '"family": "%s"', '"k": %s', '"vertices": %s'],
+                      "{}", 0)
+    sys.stdout.write(doc % (digits[spec.N], _json_block(edges, "[]", 1), family, digits[spec.k],
+                            _json_block(vertices, "[]", 1)) + "\n")
     return 0
 
 
@@ -198,14 +240,17 @@ def cmd_solve(args):
     tau = parse_partition(spec, args.dest)
     sol = solve_domino(spec, sigma, tau, via=args.via)
     if args.format == "json":
-        doc = {
-            "distance": sol.distance,
-            "per_color": {str(c): n for c, n in sorted(sol.per_color.items())},
-            "waypoint": fmt_partition(sol.waypoint),
-            "path": [fmt_partition(p) for p in sol.path.vertices],
-            "steps": [{"color": c, "direction": d} for c, d in sol.path.steps],
-        }
-        sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        digits = _digits(spec)
+        path = [f'"{_joined(digits, p)}"' for p in sol.path.vertices]
+        census = sorted((digits[c], digits[n]) for c, n in sol.per_color.items())
+        step = _json_block(['"color": %s', '"direction": "%s"'], "{}", 2)
+        steps = [step % (digits[c], d) for c, d in sol.path.steps]
+        doc = _json_block(['"distance": %s', '"path": %s', '"per_color": %s', '"steps": %s',
+                           '"waypoint": "%s"'], "{}", 0)
+        sys.stdout.write(doc % (
+            digits[sol.distance], _json_block(path, "[]", 1),
+            _json_block([f'"{c}": {n}' for c, n in census], "{}", 1),
+            _json_block(steps, "[]", 1), _joined(digits, sol.waypoint)) + "\n")
         return 0
     print(f"distance: {sol.distance}")
     census = " ".join(f"{c}:{n}" for c, n in sorted(sol.per_color.items())) or "-"
@@ -223,6 +268,7 @@ def cmd_solve(args):
 
 
 def cmd_verify(args):
+    import json
     from .verify import run_suite
     spec = _spec_from(args)
     names = SUITES if args.suite == "all" else (args.suite,)
@@ -239,6 +285,9 @@ def _spec_from(args):
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         raise SystemExit(USAGE_ERROR) from None
+
+
+_VERIFY_DEFAULTS = {"-k": 2, "-N": 5, "--seed": 0}
 
 
 def build_parser():
@@ -279,9 +328,9 @@ def build_parser():
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", default="all", choices=SUITES + ("all",))
-    p.add_argument("-k", type=_int_flag, default=2)
-    p.add_argument("-N", type=_int_flag, default=5)
-    p.add_argument("--seed", type=_int_flag, default=0)
+    # -k, -N and --seed default to 2, 5 and 0 after parsing, when the suite reads them
+    for flag in _VERIFY_DEFAULTS:
+        p.add_argument(flag, type=_int_flag)
     p.set_defaults(func=cmd_verify, parser=p)
     return parser
 
@@ -304,6 +353,14 @@ def main(argv=None):
         usage_error("lattice takes --construction only with --poset FILE")
     if args.command == "lattice" and args.poset is not None and args.family is not None:
         usage_error("lattice takes --family only with -k and -N")
+    if args.command == "verify":
+        reads = SUITE_FLAGS.get(args.suite, _VERIFY_DEFAULTS)
+        for flag, default in _VERIFY_DEFAULTS.items():
+            dest = flag.lstrip("-")
+            if getattr(args, dest) is None:
+                setattr(args, dest, default)
+            elif flag not in reads:
+                usage_error(f"verify --suite {args.suite} does not read {flag}")
     try:
         return args.func(args)
     except ValueError as exc:

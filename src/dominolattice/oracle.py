@@ -9,21 +9,16 @@ Nothing here reuses the closed-form machinery it is meant to check: the
 matrix route's shift is counted cell by cell, not by the prefix count,
 and the ideal route counts moves by the colors of ideal differences and
 never walks a tableau.  The diamond and law checks
-read a lattice only through its public methods.
+read a lattice only through its public methods.  Beyond the lattice
+module, each function imports the layers it uses when it runs, so that a
+process that calls one oracle loads only what that oracle reads.
 """
 
 from collections import deque
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
-from .domino import build_d_a
-from .isomorphism import _bareiss_forward, move_matrix, phi, phi_inverse
 from .lattice import LatticeError, PathRecord, path_from_vertices, sort_key
-from .poset import VertexColoredPoset
-from .solver import GameSolution, solve_distributive
-from .typea import (build_p_a, cell_color, ideal_to_partition,
-                    partition_to_ideal, validate_diagonal, validate_partition)
 
 
 class PathCapExceeded(RuntimeError):
@@ -124,6 +119,8 @@ def _bareiss_solve_columns(matrix, columns):
     The forward pass runs once over [matrix | columns]; each column is
     then back-substituted on its own.
     """
+    from fractions import Fraction
+    from .isomorphism import _bareiss_forward
     n = len(matrix)
     if any(len(v) != n for v in (*matrix, *columns)):
         raise ValueError("matrix must be square and match the right-hand side")
@@ -152,6 +149,7 @@ def exact_inverse(matrix):
 
 def cell_census(spec, parts):
     """Diagonal coordinates by definition: entry l counts the cells of color l."""
+    from .typea import cell_color, validate_partition
     diag = [0] * (spec.N - 1)
     for r, p in enumerate(validate_partition(spec, parts), start=1):
         for c in range(1, p + 1):
@@ -168,6 +166,8 @@ def bareiss_decompose(spec, diag):
     closed form, so this route shares nothing with the prefix count.
     The solution must be a vector of nonnegative integers.
     """
+    from fractions import Fraction
+    from .typea import validate_diagonal
     diag = validate_diagonal(spec, diag)
     rhs = [d - s for d, s in zip(diag, _minimum_census(spec))]
     sol = [sum((a * b for a, b in zip(row, rhs)), Fraction(0))
@@ -182,12 +182,14 @@ def bareiss_decompose(spec, diag):
 @lru_cache(maxsize=None)
 def _move_matrix_inverse(spec):
     """exact_inverse of the move matrix P, one elimination per box."""
+    from .isomorphism import move_matrix
     return exact_inverse(move_matrix(spec).entries)
 
 
 @lru_cache(maxsize=None)
 def _minimum_census(spec):
     """cell_census of the minimum of the built Domino lattice, once per box."""
+    from .domino import build_d_a
     return cell_census(spec, build_d_a(spec).minimum)
 
 
@@ -199,6 +201,10 @@ def ideal_greedy_solve(spec, sigma, tau, via="join"):
     two preimages name, with every vertex and the waypoint carried back
     through phi.  It shares no code with the tableau walk.
     """
+    from .isomorphism import phi, phi_inverse
+    from .solver import GameSolution, solve_distributive
+    from .typea import build_p_a, ideal_to_partition, partition_to_ideal
+
     def ideal(shape):
         return partition_to_ideal(spec, phi_inverse(spec, shape))
 
@@ -334,6 +340,7 @@ def check_lattice_laws(L):
 
 def random_colored_poset(rng, max_vertices=8, max_colors=3, min_vertices=1):
     """A random vertex-colored poset, reproducible from the given rng."""
+    from .poset import VertexColoredPoset
     n = rng.randint(min_vertices, max_vertices)
     names = [f"v{i}" for i in range(n)]
     less = {name: set() for name in names}

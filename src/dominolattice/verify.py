@@ -3,17 +3,15 @@
 Each suite returns a report dict with a boolean "passed" plus per-check
 entries, so failures say what broke; a failing check that knows where it
 broke also carries a "witness" message.  The pytest acceptance module
-covers the same ground; these suites make it scriptable.
+covers the same ground; these suites make it scriptable.  A suite imports
+the poset, oracle and solver modules it calls when it runs, so that a
+`verify` process loads only the layers of the suites it runs.
 """
 
 import random
 from math import comb
 
 from .lattice import ColoredLattice, birkhoff_failure, path_stats, product
-from .poset import (canonical_iso_to_filters, canonical_iso_to_ideals,
-                    check_poset_iso, disjoint_sum, dual, j_lattice,
-                    join_irreducibles, m_lattice, meet_irreducibles,
-                    principal_filter, principal_ideal, recolor)
 from .typea import (L_COORDINATES, BoxSpec, _partition_to_ideal,
                     _partition_to_tableau_L, _tableau_to_diagonal_L,
                     all_partitions, build_l_a, build_l_graph, build_l_tab,
@@ -21,9 +19,6 @@ from .typea import (L_COORDINATES, BoxSpec, _partition_to_ideal,
 from .domino import (D_COORDINATES, build_d_a, d_up_edges,
                      is_legal_domino_move)
 from .isomorphism import _apply_p, _phi, _phi_inverse, decompose, move_matrix
-from .oracle import (bareiss_decompose, bfs_all_pairs, check_constructed_iso,
-                     enumerate_shortest_paths, random_colored_poset)
-from .solver import _solve_domino, solve_distributive
 from .suites import SUITES
 
 
@@ -46,6 +41,11 @@ def _result(checks):
 
 def suite_fundamental(seed=0):
     """Birkhoff round trips and the J/M/j/m identity families."""
+    from .oracle import check_constructed_iso, random_colored_poset
+    from .poset import (canonical_iso_to_filters, canonical_iso_to_ideals,
+                        check_poset_iso, disjoint_sum, dual, j_lattice,
+                        join_irreducibles, m_lattice, meet_irreducibles,
+                        principal_filter, principal_ideal, recolor)
     rng = random.Random(seed)
     theorems = (("j(J(P)) = P and J(j(L)) = L", j_lattice, join_irreducibles,
                  principal_ideal, canonical_iso_to_ideals),
@@ -95,6 +95,7 @@ def _native_up_edges(spec, coordinates, up_edges, sigma):
 
 def suite_coordinates(k, N):
     """Conversion square and edge agreement for one box."""
+    from .oracle import check_constructed_iso
     spec = BoxSpec(k, N)
     checks = []
     parts = all_partitions(spec)
@@ -128,6 +129,7 @@ def suite_iso(k, N):
     valid and the checks call the unchecked cores: each result is still
     compared with a vertex of D, or with the diagonal of one.
     """
+    from .oracle import check_constructed_iso
     spec = BoxSpec(k, N)
     L = build_l_graph(spec)
     D = build_d_a(spec)
@@ -153,6 +155,8 @@ def suite_solver(k, N, seed=0):
     The shapes are the vertices of D, so the solves and conversions call
     the unchecked cores; each returned path is still checked against D.
     """
+    from .oracle import bareiss_decompose, bfs_all_pairs, enumerate_shortest_paths
+    from .solver import _solve_domino, solve_distributive
     spec = BoxSpec(k, N)
     P = build_p_a(spec)
     L = build_l_graph(spec)

@@ -2,17 +2,24 @@ import contextlib
 import hashlib
 import io
 import json
+import random
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from dominolattice import io as serial
-from dominolattice.cli import main, parse_partition, render_partition
+from dominolattice.cli import (_TEXT, _from_partition, fmt_partition, main, parse_partition,
+                               render_partition)
+from dominolattice.domino import build_d_a, d_max, d_min
 from dominolattice.oracle import random_colored_poset
+from dominolattice.solver import solve_domino
+from dominolattice.suites import SUITES
 from dominolattice.typea import BoxSpec, all_partitions, build_l_graph, build_p_a
 from dominolattice.lattice import LatticeError
 from dominolattice.poset import PosetError, j_lattice
+
+from conftest import DESK_SPECS
 
 
 # Any JSON value, and documents near the poset schema: few vertices, so
@@ -287,6 +294,13 @@ class TestVerifyCommand:
         assert code == 0 and report["passed"]
         assert [c["passed"] for c in report["checks"]] == [True, True]
 
+    def test_all_suites_read_every_flag(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--suite", "all",
+                               "-k", "2", "-N", "4", "--seed", "1")
+        report = json.loads(out)
+        assert code == 0 and sorted(report) == sorted(SUITES)
+        assert all(report[name]["passed"] for name in SUITES)
+
     def test_unknown_suite_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run_cli(capsys, "verify", "--suite", "nonsense")
@@ -317,6 +331,18 @@ class TestPostParseUsageErrors:
          "lattice takes --construction only with --poset FILE"),
         (["lattice", "--poset", "p.json", "--family", "D"],
          "lattice takes --family only with -k and -N"),
+        # a verify flag its suite does not read, even a box it would reject
+        (["verify", "--suite", "fundamental", "-k", "0", "-N", "3"],
+         "verify --suite fundamental does not read -k"),
+        (["verify", "--suite", "fundamental", "-N", "9"],
+         "verify --suite fundamental does not read -N"),
+        (["verify", "--suite", "coordinates", "-k", "2", "-N", "6", "--seed", "5"],
+         "verify --suite coordinates does not read --seed"),
+        (["verify", "--suite", "iso", "--seed", "5"], "verify --suite iso does not read --seed"),
+        (["verify", "--suite", "structure", "-k", "4", "-N", "10", "--seed", "0"],
+         "verify --suite structure does not read --seed"),
+        (["verify", "--suite", "transport", "--seed", "1"],
+         "verify --suite transport does not read --seed"),
     ])
     def test_usage_names_the_subcommand(self, capsys, argv, error):
         with pytest.raises(SystemExit) as exc:
@@ -467,6 +493,73 @@ class TestSerialization:
         assert 'label="4"' in dot and "rank=same" in dot
 
 
+def old_solve_json(spec, a, b, via):
+    """The solve document as the dict that json.dumps printed, through the checked solve."""
+    sol = solve_domino(spec, a, b, via)
+    doc = {
+        "distance": sol.distance,
+        "per_color": {str(c): n for c, n in sorted(sol.per_color.items())},
+        "waypoint": fmt_partition(sol.waypoint),
+        "path": [fmt_partition(p) for p in sol.path.vertices],
+        "steps": [{"color": c, "direction": d} for c, d in sol.path.steps],
+    }
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def old_family_json(spec, family):
+    """The family export as the dict that json.dumps printed, through the checked codecs."""
+    L = build_l_graph(spec) if family == "A" else build_d_a(spec)
+    side = "L" if family == "A" else "D"
+    ranks = L.ranks
+    doc = {
+        "family": family,
+        "k": spec.k,
+        "N": spec.N,
+        "vertices": [dict({s: _from_partition(spec, s, side, p) for s in _TEXT},
+                          rank=ranks[p]) for p in L.vertices],
+        "edges": [{"from": fmt_partition(a), "to": fmt_partition(b), "color": c}
+                  for a, b, c in L.edges],
+    }
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def solve_cases():
+    """Seeded (box, from, to, via) cases up to (5,12): random pairs, equal
+    endpoints, and the Domino extremes as endpoints, each by join and meet."""
+    rng = random.Random(23)
+    cases = []
+    for k, N in [(1, 2), (1, 5), (2, 6), (3, 7), (3, 8), (4, 9), (4, 10), (5, 12)]:
+        spec = BoxSpec(k, N)
+        shapes = all_partitions(spec)
+        pairs = [(rng.choice(shapes), rng.choice(shapes)) for _ in range(4)]
+        same = rng.choice(shapes)
+        pairs += [(same, same), (d_min(spec), rng.choice(shapes)),
+                  (rng.choice(shapes), d_max(spec)), (d_max(spec), d_min(spec))]
+        cases += [(spec, a, b, via) for a, b in pairs for via in ("join", "meet")]
+    return cases
+
+
+class TestJsonWriters:
+    """The direct JSON writers print what json.dumps(doc, indent=2, sort_keys=True)
+    printed of the documents the commands used to build."""
+
+    @pytest.mark.parametrize("family", ["A", "D"])
+    @pytest.mark.parametrize("spec", DESK_SPECS, ids=str)
+    def test_family_export_on_every_desk_box(self, capsys, spec, family):
+        code, out, err = run_cli(capsys, "lattice", "--family", family,
+                                 "-k", str(spec.k), "-N", str(spec.N))
+        assert (code, err) == (0, "")
+        assert out == old_family_json(spec, family)
+
+    @pytest.mark.parametrize("spec, a, b, via", solve_cases(), ids=str)
+    def test_solve_on_seeded_pairs(self, capsys, spec, a, b, via):
+        code, out, err = run_cli(capsys, "solve", "-k", str(spec.k), "-N", str(spec.N),
+                                 "--from", fmt_partition(a), "--to", fmt_partition(b),
+                                 "--via", via, "--format", "json")
+        assert (code, err) == (0, "")
+        assert out == old_solve_json(spec, a, b, via)
+
+
 GOLDEN_POSET = ('{"vertices": [{"id": "a", "color": 1}, {"id": "b", "color": 2}, '
                 '{"id": "c", "color": 1}, {"id": "d", "color": 3}], '
                 '"covers": [["a", "b"], ["a", "c"], ["b", "d"]]}')
@@ -506,6 +599,17 @@ class TestGoldenOutput:
          "f9f7a05d631ee0e4aec811029004be3d566df90f05b574e3ff8af7495a2ef550"),
         ("solve -k 3 -N 14 --from 11,5,2 --to 0,0,0 --via meet",
          "4ca3888c518937200380ea8a1f0dbf73c5a3ee4784ac1f023cc747f05423d96e"),
+        # colors up to 13, whose keys sort as strings: "1", "10", ..., "2"
+        ("solve -k 3 -N 14 --from 11,5,2 --to 0,0,0 --via meet --format json",
+         "2df2d3b3d9ead9d9183b657b803c835e6eb8b24baf6b590bc87f54b68215d2a0"),
+        # an empty census and no steps
+        ("solve -k 3 -N 7 --from 2,1 --to 2,1 --format json",
+         "82e5b023aef35cbc8897bd4582579d7f0dc7424d8451791528c744b4d2a2d63f"),
+        # the benchmark's export
+        ("lattice --family A -k 5 -N 12",
+         "487c5b606f59f3ef85c8b66b7d6f1ae5269b00ed297964f016921b3ea4d7008a"),
+        ("lattice --family D -k 4 -N 11",
+         "8bec6628f6924534ee34f338142586dcbe08771dbb6c7b7c4cb181c5de512c52"),
     ])
     def test_stdout_is_unchanged(self, capsys, tmp_path, argv, digest):
         poset = tmp_path / "poset.json"

@@ -63,6 +63,18 @@ COMMAND_IMPORTS = {
                                           "dominolattice.solver")),
 }
 
+# What each verify suite runs (it must load that module) and the layers
+# it does not call: the structure certificate reads only the lattice
+# module, phi's check the oracle's isomorphism test, the fundamental
+# theorems the poset builders and the oracle's random posets.
+SUITE_IMPORTS = {
+    "structure": ("dominolattice.lattice", ("dominolattice.oracle", "dominolattice.poset",
+                                            "dominolattice.solver", "fractions")),
+    "iso": ("dominolattice.oracle", ("dominolattice.poset", "dominolattice.solver",
+                                     "fractions")),
+    "fundamental": ("dominolattice.poset", ("dominolattice.solver", "fractions")),
+}
+
 # The modules that know the order core's internals (its masks and index
 # tables): the core itself and the poset subclass built on it.
 KNOW_THE_CORE = ("lattice.py", "poset.py")
@@ -72,6 +84,14 @@ def run_python(*args):
     env = dict(os.environ, PYTHONPATH=SRC)
     return subprocess.run([sys.executable, *args], env=env, capture_output=True,
                           text=True, timeout=120)
+
+
+def imported_by(argv):
+    """The modules a CLI run of argv imports, as `-X importtime` names them."""
+    done = run_python("-X", "importtime", "-m", "dominolattice.cli", *argv.split())
+    assert done.returncode == 0, done.stderr
+    return {line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines()
+            if line.startswith("import time:")}
 
 
 class TestExports:
@@ -115,6 +135,26 @@ class TestImportBudget:
         assert runs in imported
         unused = set(NOT_ON_THE_SOLVE_PATH + skipped)
         assert imported.isdisjoint(unused), sorted(imported & unused)
+
+    @pytest.mark.parametrize("argv", [
+        "verify --suite structure -k 2 -N 5",
+        "verify --suite iso -k 2 -N 5",
+        "verify --suite fundamental --seed 1",
+    ])
+    def test_verify_loads_only_what_its_suite_runs(self, argv):
+        imported = imported_by(argv)
+        runs, skipped = SUITE_IMPORTS[argv.split()[2]]
+        assert {"dominolattice.verify", runs} <= imported
+        assert imported.isdisjoint(skipped), sorted(imported & set(skipped))
+
+    @pytest.mark.parametrize("argv", [
+        "solve -k 3 -N 7 --from 0 --to 4,4,4 --format json",
+        "lattice --family A -k 2 -N 5",
+        "lattice --family D -k 3 -N 7",
+    ])
+    def test_json_writers_load_no_json(self, argv):
+        # the solve and family documents are written directly
+        assert "json" not in imported_by(argv)
 
     def test_importing_the_cli_loads_no_lattice_phi_or_solver(self):
         done = run_python("-c", "import sys, dominolattice.cli; "
