@@ -15,8 +15,8 @@ the digraph, and only `build_d_a` imports the lattice module.
 from functools import lru_cache
 
 from .records import Record, _set_field, is_int
-from .typea import (_circle, _partition_to_tableau_L, _tableau_to_diagonal_L, _up_edges,
-                    all_partitions, diagonal_to_partition, hop_up_moves,
+from .typea import (_circle, _partition_to_tableau_L, _tableau_mask, _tableau_to_diagonal_L,
+                    _up_edges, all_partitions, diagonal_to_partition, hop_up_moves,
                     is_valid_partition, partition_to_diagonal, tableau_to_circle,
                     validate_circle, validate_entries, validate_partition)
 
@@ -128,16 +128,19 @@ def d_up_edges(spec, x, system="part"):
 def build_d_a(spec):
     """The Domino Game lattice on all k x (N-k) partitions.
 
-    Edges hop tableau entries (`gamma_pt`, then back by `gamma_tp`).  The
-    build asserts Birkhoff's certificate (`birkhoff_failure`), which implies
-    unique extremes; a failure raises AssertionError with its witness.
+    Each shape is read once, into the int mask of its D tableau (`gamma_pt`),
+    and its edges hop tableau entries on the mask; a move's target is the
+    shape with that mask.  The build asserts Birkhoff's certificate
+    (`birkhoff_failure`), which implies unique extremes; a failure raises
+    AssertionError with its witness.
     """
-    from .lattice import ColoredLattice, birkhoff_failure
+    from .lattice import _indexed_lattice, birkhoff_failure
     vertices = all_partitions(spec)
     pairs = _move_pairs(spec.N)
-    L = ColoredLattice(vertices, [
-        (sigma, _gamma_tp(spec, t), l) for sigma in vertices
-        for t, l in hop_up_moves(frozenset(_gamma_pt(spec, sigma)), pairs)])
+    masks = [_tableau_mask(_gamma_pt(spec, sigma)) for sigma in vertices]
+    at = {m: i for i, m in enumerate(masks)}
+    L = _indexed_lattice(vertices, {(i, at[t]): l for i, m in enumerate(masks)
+                                    for t, l in hop_up_moves(m, pairs)})
     failure = birkhoff_failure(L)
     if failure is not None:
         raise AssertionError(failure)

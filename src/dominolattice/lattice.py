@@ -73,15 +73,20 @@ class CoverDigraph:
     label to its number; labels are translated only at the public boundary.
     A cover (i, j) means j covers i.  `_up[i]` and `_down[i]` list the
     indices covering and covered by i, in index order.  `_upsets[i]` and
-    `_downsets[i]` are the inclusive up-set and down-set of i as bitmasks.
-    Subclasses set `error` to the exception class they raise.
+    `_downsets[i]` are the inclusive up-set and down-set of i as bitmasks,
+    built when first read.  Subclasses set `error` to the exception class
+    they raise.
     """
 
     error = ValueError
 
     def __init__(self, vertices):
-        self.vertices = tuple(sorted(set(vertices), key=_memo_sort_key()))
-        self._index = {v: i for i, v in enumerate(self.vertices)}
+        self._number(tuple(sorted(set(vertices), key=_memo_sort_key())))
+
+    def _number(self, vertices):
+        """Number the vertices, a tuple of distinct labels in sort_key order."""
+        self.vertices = vertices
+        self._index = {v: i for i, v in enumerate(vertices)}
 
     def _pair(self, a, b):
         """Index pair of the cover (a, b); unknown endpoints and loops raise."""
@@ -93,7 +98,13 @@ class CoverDigraph:
         return i, j
 
     def _link(self, pairs):
-        """Store the covers, given as index pairs; reject cycles and non-covers."""
+        """Store the covers, given as index pairs; reject cycles and non-covers.
+
+        A pair (i, j) is not a cover when another upper cover of i lies
+        below j, and then no rank rises by exactly 1 along every pair.  So
+        when the depth below the maximal elements falls by exactly 1 along
+        every pair, all are covers; only otherwise are the up-sets built.
+        """
         pairs = sorted(pairs)
         n = len(self.vertices)
         up, down = [[] for _ in range(n)], [[] for _ in range(n)]
@@ -113,14 +124,19 @@ class CoverDigraph:
         if len(order) != n:
             raise self.error("cover relation contains a cycle")
         self._topo = order
-        self._upsets = ups = _closure(order, self._up, _self_bit)
-        vs = self.vertices
+        if _graded_from_top(order, up):
+            return
+        ups, vs = self._upsets, self.vertices
         for i, j in pairs:
             bit = 1 << j
             for z in up[i]:
                 if z != j and ups[z] & bit:
                     raise self.error(
                         f"({vs[i]!r}, {vs[j]!r}) is not a cover: {vs[z]!r} lies between")
+
+    @cached_property
+    def _upsets(self):
+        return _closure(self._topo, self._up, _self_bit)
 
     @cached_property
     def _downsets(self):
@@ -138,6 +154,26 @@ class CoverDigraph:
 
     def le(self, x, y):
         return x == y or bool(self._upsets[self._index[x]] >> self._index[y] & 1)
+
+
+def _graded_from_top(order, up):
+    """Whether each vertex's upper covers all lie at one depth below the top.
+
+    The depth of a maximal element is 0 and that of any other vertex one
+    more than its upper covers'; order lists every vertex after all of its
+    upper covers (the Kahn order of `CoverDigraph._link`).  True certifies
+    that the depth falls by exactly 1 along every cover.
+    """
+    depth = [0] * len(up)
+    for i in order:
+        ws = up[i]
+        if ws:
+            d = depth[ws[0]]
+            for w in ws:
+                if depth[w] != d:
+                    return False
+            depth[i] = d + 1
+    return True
 
 
 def _irreducible_masks(order, adj):
@@ -336,8 +372,8 @@ class ColoredLattice(CoverDigraph):
 
     def dual(self):
         """Order-reversed lattice; edge colors are kept."""
-        return ColoredLattice(self.vertices,
-                              [(b, a, c) for a, b, c in self.edges])
+        return _indexed_lattice(self.vertices,
+                                {(j, i): c for (i, j), c in self._color.items()})
 
     def relabel(self, f):
         """Rename vertices through an injective map (dict or callable)."""
@@ -347,6 +383,21 @@ class ColoredLattice(CoverDigraph):
             raise LatticeError("relabeling is not injective")
         return ColoredLattice(images.values(),
                               [(images[a], images[b], c) for a, b, c in self.edges])
+
+
+def _indexed_lattice(vertices, covers):
+    """The lattice a builder already holds in index space.
+
+    vertices is a nonempty tuple of distinct labels in sort_key order and
+    covers is {(i, j): color} over their indices, colors ints.  No label is
+    sorted or looked up and no color is checked: the caller vouches for
+    them.  Cycles and non-covers are still rejected, as by ColoredLattice.
+    """
+    L = ColoredLattice.__new__(ColoredLattice)
+    L._number(vertices)
+    L._color = covers
+    L._link(covers)
+    return L
 
 
 # -- structural predicates ----------------------------------------------------
@@ -487,13 +538,18 @@ def product(*lattices):
     """Componentwise product; vertices are tuples, one slot per factor."""
     if not lattices:
         raise LatticeError("empty product")
-    vertices = list(iproduct(*[L.vertices for L in lattices]))
-    edges = []
-    for vt in vertices:
-        for q, Lq in enumerate(lattices):
-            for w, c in Lq.up_neighbors(vt[q]):
-                edges.append((vt, vt[:q] + (w,) + vt[q + 1:], c))
-    return ColoredLattice(vertices, edges)
+    # The tuples come in sort_key order, numbered in mixed radix: a step in
+    # a slot moves by the stride, the size of the product of later factors.
+    vertices = tuple(iproduct(*[L.vertices for L in lattices]))
+    covers = {}
+    stride = len(vertices)
+    for Lq in lattices:
+        block, stride = stride, stride // len(Lq)
+        for (i, j), c in Lq._color.items():
+            for v in range(i * stride, len(vertices), block):
+                for x in range(v, v + stride):
+                    covers[x, x + (j - i) * stride] = c
+    return _indexed_lattice(vertices, covers)
 
 
 def check_full_length_sublattice(L, K):

@@ -14,8 +14,7 @@ only for the vertices a caller receives.
 
 from functools import cached_property
 
-from .lattice import (ColoredLattice, CoverDigraph, LatticeError, induced_covers,
-                      is_int, sort_key)
+from .lattice import CoverDigraph, LatticeError, _indexed_lattice, induced_covers, is_int
 
 
 class PosetError(ValueError):
@@ -209,14 +208,27 @@ def _ideal_covers(P):
 
 def enumerate_order_ideals(P):
     """All order ideals of P, in vertex order (by sorted member ids)."""
-    return sorted(_ideal_covers(P)[0].values(), key=sort_key)
+    labels = _ideal_covers(P)[0]
+    return [labels[x] for x in _in_label_order(P, labels)]
+
+
+def _in_label_order(P, labels):
+    """The masks of {mask: frozenset label}, their labels in sort_key order.
+
+    P's vertices are numbered in sort_key order, so that is the order of
+    the sorted tuples of the label members' indices in P.
+    """
+    index = P._index
+    return sorted(labels, key=lambda x: sorted(map(index.__getitem__, labels[x])))
 
 
 def _mask_lattice(P, labels, covers):
     """The lattice on the labels of the ideal masks, covers colored by vertex."""
     hues = P._by_color[1]
-    return ColoredLattice(labels.values(), [(labels[x], labels[x | 1 << b], hues[b])
-                                            for x, b in covers])
+    order = _in_label_order(P, labels)
+    at = {x: i for i, x in enumerate(order)}
+    return _indexed_lattice(tuple(map(labels.__getitem__, order)),
+                            {(at[x], at[x | 1 << b]): hues[b] for x, b in covers})
 
 
 def j_lattice(P):

@@ -144,7 +144,10 @@ def is_valid_partition(spec, parts):
 
 @lru_cache(maxsize=None)
 def all_partitions(spec):
-    """Every k x (N-k) partition, in lexicographic order, the order fill makes."""
+    """Every k x (N-k) partition, in lexicographic order, the order fill makes.
+
+    That is sort_key order, in which the lattice builders hand them over.
+    """
     out = []
 
     def fill(prefix, bound):
@@ -400,10 +403,22 @@ L_COORDINATES = {
 def hop_up_moves(entries, pairs):
     """The one move rule: color l hops a tableau entry from y to x.
 
-    `pairs` is {l: (x, y)}: (l, l+1) for L, through pi for the Domino game.
+    `entries` is a tableau as an int mask, bit t set for each entry t, and
+    the moves come back as masks.  `pairs` is {l: (x, y)}: (l, l+1) for L,
+    through pi for the Domino game.
     """
-    return [((entries - {y}) | {x}, l) for l, (x, y) in pairs.items()
-            if y in entries and x not in entries]
+    return [(entries ^ (1 << x | 1 << y), l) for l, (x, y) in pairs.items()
+            if entries >> y & 1 and not entries >> x & 1]
+
+
+def _tableau_mask(entries):
+    """The int mask of distinct tableau entries: bit t set for each entry t."""
+    return sum(1 << t for t in entries)
+
+
+def _mask_entries(spec, mask):
+    """The entries of a tableau mask, increasing."""
+    return [t for t in range(1, spec.N + 1) if mask >> t & 1]
 
 
 @lru_cache(maxsize=None)
@@ -423,11 +438,13 @@ def _up_edges(spec, x, system, scheme, moves):
     pairs, columns = moves
     if system == "tab":
         entries = _validate_tableau_L(spec, x) if scheme == "L" else validate_entries(spec, x)
-        return [(tuple(sorted(t, reverse=scheme == "D")), l)
-                for t, l in hop_up_moves(frozenset(entries), pairs)]
+        step = 1 if scheme == "L" else -1
+        return [(tuple(_mask_entries(spec, t)[::step]), l)
+                for t, l in hop_up_moves(_tableau_mask(entries), pairs)]
     if system == "circ":
-        ones = frozenset(validate_circle(spec, x, scheme))
-        return [(_circle(spec, t, scheme), l) for t, l in hop_up_moves(ones, pairs)]
+        ones = _tableau_mask(validate_circle(spec, x, scheme))
+        return [(_circle(spec, _mask_entries(spec, t), scheme), l)
+                for t, l in hop_up_moves(ones, pairs)]
     if system == "diag":
         diag = validate_diagonal(spec, x)
         out = []
@@ -470,10 +487,11 @@ def build_l_graph(spec):
 
     It is `build_l_a(spec)` with each ideal relabeled as its partition.
     """
-    from .lattice import ColoredLattice
+    from .lattice import _indexed_lattice
     vertices = all_partitions(spec)
-    return ColoredLattice(vertices, [(v, w, color) for v in vertices
-                                     for w, color in _l_part_up_edges(spec, v)])
+    at = {v: i for i, v in enumerate(vertices)}
+    return _indexed_lattice(vertices, {(i, at[w]): color for i, v in enumerate(vertices)
+                                       for w, color in _l_part_up_edges(spec, v)})
 
 
 # -- product-of-chains lattice and its tableau sublattice ---------------------------
@@ -486,13 +504,11 @@ def build_l_tilde(spec):
     Chain r runs from the numeric label N-k+r (bottom) up to r, the edge
     into label v carrying color v.
     """
-    from .lattice import ColoredLattice, product
-    chains = []
-    for r in range(1, spec.k + 1):
-        labels = list(range(r, spec.cols + r + 1))
-        edges = [(v + 1, v, v) for v in labels[:-1]]
-        chains.append(ColoredLattice(labels, edges))
-    return product(*chains)
+    from .lattice import _indexed_lattice, product
+    # chain r's labels r, ..., N-k+r in numeric order: label v has index v - r
+    return product(*[_indexed_lattice(tuple(range(r, spec.cols + r + 1)),
+                                      {(i + 1, i): i + r for i in range(spec.cols)})
+                     for r in range(1, spec.k + 1)])
 
 
 @lru_cache(maxsize=None)

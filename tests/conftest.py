@@ -12,14 +12,21 @@ DESK_SPECS = tuple(BoxSpec(k, N) for k in range(1, 13)
 PRODUCT_SPECS = tuple(s for s in DESK_SPECS if (s.cols + 1) ** s.k <= 130)
 
 
-def count_calls(functions, run):
-    """run(), and the number of calls it makes to each of functions, by qualified name."""
+def count_calls(functions, run, by_class=False):
+    """run(), and the number of calls it makes to each of functions, by qualified name.
+
+    With by_class, the functions are methods, and a call is counted under
+    the class of its `self` instead, as "Class.method".
+    """
     watched = {f.__code__: f.__qualname__ for f in functions}
     calls = Counter()
 
     def count(frame, event, arg):
         if event == "call" and frame.f_code in watched:
-            calls[watched[frame.f_code]] += 1
+            name = watched[frame.f_code]
+            if by_class:
+                name = f"{type(frame.f_locals['self']).__name__}.{frame.f_code.co_name}"
+            calls[name] += 1
 
     sys.setprofile(count)
     try:

@@ -176,7 +176,7 @@ class TestBuild:
         # recolor one of the two up-moves of (1, 1, 0): the certificate names
         # the cover or join irreducible where the coloring breaks
         spec = BoxSpec(3, 7)
-        target = frozenset(gamma_pt(spec, (1, 1, 0)))
+        target = sum(1 << t for t in gamma_pt(spec, (1, 1, 0)))
         hop = domino.hop_up_moves
 
         def recolored(entries, pairs):

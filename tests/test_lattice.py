@@ -1,6 +1,7 @@
 import copy
 import pickle
 import random
+from itertools import combinations, product as iproduct
 
 import pytest
 
@@ -11,8 +12,8 @@ from dominolattice.lattice import (DOWN, UP, ColoredLattice, LatticeError,
                                    path_stats, product, valleyize)
 from dominolattice.domino import build_d_a, pi
 from dominolattice.isomorphism import MoveMatrix, move_matrix
-from dominolattice.poset import (PosetError, VertexColoredPoset, j_lattice,
-                                 join_irreducibles, check_poset_iso, m_lattice)
+from dominolattice.poset import (PosetError, VertexColoredPoset, enumerate_order_ideals,
+                                 j_lattice, join_irreducibles, check_poset_iso, m_lattice)
 from dominolattice.oracle import (check_lattice_laws, enumerate_shortest_paths,
                                   is_diamond_colored, is_distributive, is_modular,
                                   is_topographically_balanced,
@@ -127,6 +128,82 @@ class TestCoverDigraph:
                                {"a": 1, "b": 2, "c": 1, "d": 3})
         assert ["".join(sorted(x)) for x in j_lattice(P).vertices] == [
             "", "a", "ab", "abc", "abcd", "abd", "ac"]
+
+    def test_an_ungraded_order_builds_and_orders(self):
+        # N5 has no rank, so its covers are checked on the up-sets
+        L = n5()
+        above = {"0": "0abct", "a": "at", "b": "bct", "c": "ct", "t": "t"}
+        for x in L.vertices:
+            for y in L.vertices:
+                assert L.le(x, y) == (y in above[x]), (x, y)
+
+    @pytest.mark.parametrize("query", [
+        lambda D: D.le((0, 0, 0, 0), (1, 0, 0, 0)),
+        lambda D: D.join((0, 0, 0, 0), (1, 0, 0, 0)),
+        lambda D: D.is_lattice,
+    ], ids=["le", "join", "is_lattice"])
+    def test_up_sets_are_built_when_first_read(self, query):
+        D = build_d_a.__wrapped__(BoxSpec(4, 10))
+        assert "_upsets" not in D.__dict__
+        query(D)
+        assert "_upsets" in D.__dict__
+
+
+def _public_copy(L):
+    """L rebuilt by the public constructor, which sorts and looks up every label."""
+    return ColoredLattice(L.vertices, L.edges)
+
+
+def _defined_ideal_lattice(P, filters):
+    """J(P), or M(P) with filters, from the definition, by the public constructor.
+
+    The ideals are the subsets closed under going down; a cover adds one
+    vertex v to an ideal and takes v's color.  A filter is the complement
+    of an ideal, and M(P) orders them by reverse containment.
+    """
+    vs, full = P.vertices, frozenset(P.vertices)
+    ideals = {frozenset(S) for r in range(len(vs) + 1) for S in combinations(vs, r)
+              if all(P.strict_down(v) <= set(S) for v in S)}
+    label = (lambda x: full - x) if filters else (lambda x: x)
+    return ColoredLattice([label(x) for x in ideals],
+                          [(label(x), label(x | {v}), P.color(v))
+                           for x in ideals for v in full - x if x | {v} in ideals])
+
+
+def _defined_product(*lattices):
+    """The componentwise product, by the public constructor on its labels."""
+    vertices = list(iproduct(*[L.vertices for L in lattices]))
+    return ColoredLattice(vertices, [(t, t[:q] + (w,) + t[q + 1:], c)
+                                     for t in vertices for q, L in enumerate(lattices)
+                                     for w, c in L.up_neighbors(t[q])])
+
+
+class TestIndexSpaceBuilders:
+    # the builders hand the order core vertices in sort_key order and covers
+    # by index; the public constructor is their oracle
+    @pytest.mark.parametrize("build", [build_l_graph, build_d_a, build_l_a, build_l_tilde])
+    def test_box_builders_match_the_public_constructor(self, build):
+        for spec in DESK_SPECS:
+            L = build(spec)
+            assert L == _public_copy(L), spec
+
+    def test_ideal_builders_match_the_public_constructor(self):
+        rng = random.Random(24)
+        for n in range(50):
+            P, Q = random_colored_poset(rng, 7, 3), random_colored_poset(rng, 4, 2)
+            if n % 2:
+                # int labels, numbered out of their string order
+                names = dict(zip(P.vertices, rng.sample(range(100), len(P))))
+                P = VertexColoredPoset(names.values(),
+                                       [(names[a], names[b]) for a, b in P.covers],
+                                       {names[v]: c for v, c in P.colors.items()})
+            J, M, JQ, MQ = j_lattice(P), m_lattice(P), j_lattice(Q), m_lattice(Q)
+            assert J == _defined_ideal_lattice(P, False), n
+            assert M == _defined_ideal_lattice(P, True), n
+            assert J.dual() == ColoredLattice(J.vertices, [(b, a, c) for a, b, c in J.edges]), n
+            assert product(J, JQ) == _defined_product(J, JQ), n
+            assert product(JQ, M, MQ) == _defined_product(JQ, M, MQ), n
+            assert enumerate_order_ideals(P) == list(J.vertices), n
 
 
 class TestDiamondColoring:
