@@ -33,8 +33,8 @@ counts: `apply_p` transports coordinates by it, in O(N), since each of
 its columns, read from `domino._move_table`, has at most two nonzero
 entries; the oracle `oracle.bareiss_decompose` solves P c = d - m
 exactly, by the inverse of P from one fraction-free (Bareiss) forward
-elimination per box, `_bareiss_forward` below, and rational
-back-substitution.  No floating point anywhere.
+elimination per box, `_bareiss_forward` below, and integer
+back-substitution over the determinant.  No floating point anywhere.
 """
 
 from functools import lru_cache

@@ -74,7 +74,8 @@ def enumerate_shortest_paths(L, s, t, cap=100_000):
     rather than silently truncating.
     """
     _require_vertices(L, s, t)
-    dist_t = _bfs(_adjacency(L), t)
+    adj = _adjacency(L)
+    dist_t = _bfs(adj, t)
     if s not in dist_t:
         raise LatticeError(f"{s!r} and {t!r} are not connected")
     paths = []
@@ -86,7 +87,7 @@ def enumerate_shortest_paths(L, s, t, cap=100_000):
             if len(paths) > cap:
                 raise PathCapExceeded(f"more than {cap} shortest paths")
             continue
-        for w, _ in L.up_neighbors(v) + L.down_neighbors(v):
+        for w in adj[v]:
             if dist_t.get(w, -1) == dist_t[v] - 1:
                 stack.append((w, trail + [w]))
     return paths
@@ -107,19 +108,22 @@ def check_constructed_iso(G, H, f):
 def bareiss_solve(matrix, rhs):
     """Solve an integer square system exactly.
 
-    Fraction-free forward elimination, then rational back-substitution.
-    Raises ValueError on a singular matrix.
-    """
-    return _bareiss_solve_columns(matrix, [rhs])[0]
-
-
-def _bareiss_solve_columns(matrix, columns):
-    """bareiss_solve for each right-hand side in columns, by one elimination.
-
-    The forward pass runs once over [matrix | columns]; each column is
-    then back-substituted on its own.
+    Fraction-free forward elimination, then integer back-substitution
+    over the determinant; one Fraction per entry.  Raises ValueError on
+    a singular matrix.
     """
     from fractions import Fraction
+    det, (x,) = _bareiss_scaled_columns(matrix, [rhs])
+    return [Fraction(v, det) for v in x]
+
+
+def _bareiss_scaled_columns(matrix, columns):
+    """(d, xs): d > 0 is |det(matrix)| and each x in xs solves matrix x = d b.
+
+    The forward pass runs once over [matrix | columns]; each column is
+    then back-substituted on its own, in integers: by Cramer's rule d
+    times a solution is an integer vector, so every division is exact.
+    """
     from .isomorphism import _bareiss_forward
     n = len(matrix)
     if any(len(v) != n for v in (*matrix, *columns)):
@@ -127,24 +131,35 @@ def _bareiss_solve_columns(matrix, columns):
     a = [list(row) + [b[i] for b in columns] for i, row in enumerate(matrix)]
     if not _bareiss_forward(a):
         raise ValueError("matrix is singular")
+    # the last pivot is the determinant of the row-permuted matrix
+    det = a[n - 1][n - 1] if n else 1
     solutions = []
     for j in range(n, n + len(columns)):
-        x = [Fraction(0)] * n
+        x = [0] * n
         for r in range(n - 1, -1, -1):
-            acc = Fraction(a[r][j])
+            acc = det * a[r][j]
             for c in range(r + 1, n):
                 acc -= a[r][c] * x[c]
-            x[r] = acc / a[r][r]
-        solutions.append(x)
-    return solutions
+            x[r], rest = divmod(acc, a[r][r])
+            if rest:
+                raise AssertionError(f"row {r} does not divide exactly")
+        solutions.append(x if det > 0 else [-v for v in x])
+    return abs(det), solutions
 
 
 def exact_inverse(matrix):
     """Inverse as a matrix of Fractions, its columns solved by one elimination."""
+    from fractions import Fraction
+    det, rows = _scaled_inverse(matrix)
+    return tuple(tuple(Fraction(v, det) for v in row) for row in rows)
+
+
+def _scaled_inverse(matrix):
+    """(d, rows): d > 0 is |det(matrix)| and rows the integer rows of d matrix^-1."""
     n = len(matrix)
-    cols = _bareiss_solve_columns(matrix, [[int(i == j) for i in range(n)]
-                                           for j in range(n)])
-    return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
+    det, cols = _bareiss_scaled_columns(matrix, [[int(i == j) for i in range(n)]
+                                                 for j in range(n)])
+    return det, tuple(zip(*cols))
 
 
 def cell_census(spec, parts):
@@ -160,8 +175,9 @@ def cell_census(spec, parts):
 def bareiss_decompose(spec, diag):
     """Per-color move counts by solving P c = d - m exactly.
 
-    P is inverted once per box (`_move_matrix_inverse`), so a solve is
-    one exact matrix-vector product.  The shift m is the cell-by-cell
+    P is inverted once per box (`_move_matrix_inverse`), as integer rows
+    over one common denominator, so a solve is one integer matrix-vector
+    product and one Fraction per entry.  The shift m is the cell-by-cell
     `cell_census` of the minimum of the built Domino lattice, not the
     closed form, so this route shares nothing with the prefix count.
     The solution must be a vector of nonnegative integers.
@@ -170,8 +186,8 @@ def bareiss_decompose(spec, diag):
     from .typea import validate_diagonal
     diag = validate_diagonal(spec, diag)
     rhs = [d - s for d, s in zip(diag, _minimum_census(spec))]
-    sol = [sum((a * b for a, b in zip(row, rhs)), Fraction(0))
-           for row in _move_matrix_inverse(spec)]
+    det, rows = _move_matrix_inverse(spec)
+    sol = [Fraction(sum(a * b for a, b in zip(row, rhs)), det) for row in rows]
     for i, value in enumerate(sol, start=1):
         if value.denominator != 1 or value < 0:
             raise ValueError(
@@ -181,9 +197,9 @@ def bareiss_decompose(spec, diag):
 
 @lru_cache(maxsize=None)
 def _move_matrix_inverse(spec):
-    """exact_inverse of the move matrix P, one elimination per box."""
+    """_scaled_inverse of the move matrix P, one elimination per box."""
     from .isomorphism import move_matrix
-    return exact_inverse(move_matrix(spec).entries)
+    return _scaled_inverse(move_matrix(spec).entries)
 
 
 @lru_cache(maxsize=None)

@@ -12,6 +12,7 @@ member's lower covers, as a mask, lie inside it.  Frozensets are made
 only for the vertices a caller receives.
 """
 
+from collections import Counter
 from functools import cached_property
 
 from .lattice import CoverDigraph, LatticeError, _indexed_lattice, induced_covers, is_int
@@ -172,10 +173,19 @@ def _greedy_flips(P, start, target):
     return flips
 
 
-def _colors_of(P, mask):
-    """The colors of the members of an ideal mask, ascending."""
-    hues = P._by_color[1]
-    return [hues[b] for b in range(mask.bit_length()) if mask >> b & 1]
+def _color_census(P, mask):
+    """Counter of the colors of the members of a mask, in one pass over its bits.
+
+    The bits run in (color, index) order, so the colors enter ascending.
+    The Counter is made without `Counter.__init__`, which only runs
+    update(None).
+    """
+    hues, census = P._by_color[1], Counter.__new__(Counter)
+    while mask:
+        low = mask & -mask
+        census[hues[low.bit_length() - 1]] += 1
+        mask ^= low
+    return census
 
 
 def _ideal_covers(P):

@@ -112,7 +112,11 @@ class PathRecord(Record):
                     f"step {a!r} -> {b!r} has direction {direction!r}, "
                     f"not {UP!r} or {DOWN!r}")
             x, y = (a, b) if direction == UP else (b, a)
-            if not L.has_edge(x, y) or L.edge_color(x, y) != color:
+            try:
+                ok = L.edge_color(x, y) == color
+            except LatticeError:
+                ok = False
+            if not ok:
                 raise LatticeError(
                     f"step {a!r} -> {b!r} ({direction}, color {color}) is not an edge")
         return self

@@ -11,7 +11,7 @@ the poset, oracle and solver modules it calls when it runs, so that a
 import random
 from math import comb
 
-from .lattice import ColoredLattice, birkhoff_failure, path_stats, product
+from .lattice import ColoredLattice, birkhoff_failure, product
 from .typea import (L_COORDINATES, BoxSpec, _partition_to_ideal,
                     _partition_to_tableau_L, _tableau_to_diagonal_L,
                     all_partitions, build_l_a, build_l_graph, build_l_tab,
@@ -153,21 +153,31 @@ def suite_solver(k, N, seed=0):
     Distances against BFS, the cell-census move counts against the Bareiss
     solve, path legality and the per-color census of every shortest path.
     The shapes are the vertices of D, so the solves and conversions call
-    the unchecked cores; each returned path is still checked against D.
+    the unchecked cores: each of D's ideals is read into its mask once,
+    and each returned path is still checked against D.
     """
     from .oracle import bareiss_decompose, bfs_all_pairs, enumerate_shortest_paths
-    from .solver import _solve_domino, solve_distributive
+    from .poset import _ideal_mask
+    from .solver import _solve_distributive, _solve_domino
     spec = BoxSpec(k, N)
     P = build_p_a(spec)
     L = build_l_graph(spec)
     D = build_d_a(spec)
     distL = bfs_all_pairs(L)
     distD = bfs_all_pairs(D)
-    ideal = {a: _partition_to_ideal(a) for a in D.vertices}
+    ideal = {}
+    for a in D.vertices:
+        x = _partition_to_ideal(a)
+        mask = _ideal_mask(P, x)
+        if mask is None:
+            raise AssertionError(f"the ideal of {a} is not an order ideal of P_A")
+        ideal[a] = x, mask
     okL = okD = okPath = True
     for a in D.vertices:
+        sa, ma = ideal[a]
         for b in D.vertices:
-            ga = solve_distributive(P, ideal[a], ideal[b])
+            sb, mb = ideal[b]
+            ga = _solve_distributive(P, sa, sb, ma, mb, "join")
             okL &= ga.distance == distL[(a, b)]
             gd = _solve_domino(spec, a, b, "join")
             okD &= gd.distance == distD[(a, b)]
@@ -188,8 +198,10 @@ def suite_solver(k, N, seed=0):
         a, b = rng.choice(verts), rng.choice(verts)
         expected = _solve_domino(spec, a, b, "join").per_color
         for p in enumerate_shortest_paths(D, a, b):
-            _, asc, desc = path_stats(p)
-            okColors &= (asc + desc) == expected
+            made = {}
+            for c, _ in p.steps:
+                made[c] = made.get(c, 0) + 1
+            okColors &= made == expected
     checks.append(("all shortest paths share the per-color census", okColors))
     return _result(checks)
 

@@ -610,6 +610,11 @@ class TestGoldenOutput:
          "487c5b606f59f3ef85c8b66b7d6f1ae5269b00ed297964f016921b3ea4d7008a"),
         ("lattice --family D -k 4 -N 11",
          "8bec6628f6924534ee34f338142586dcbe08771dbb6c7b7c4cb181c5de512c52"),
+        # the benchmark's solver and fundamental suites
+        ("verify --suite solver -k 3 -N 8 --seed 5",
+         "8dcd058e75e8b6233ae50db9e3631c5cddbab696ad4d9a552190ca8256ac1e9b"),
+        ("verify --suite fundamental --seed 0",
+         "25f7ba3dae073b048f713c3cfafae01a26b9d5414543efb92b33ead0b247b900"),
     ])
     def test_stdout_is_unchanged(self, capsys, tmp_path, argv, digest):
         poset = tmp_path / "poset.json"

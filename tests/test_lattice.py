@@ -5,8 +5,8 @@ from itertools import combinations, product as iproduct
 
 import pytest
 
-from dominolattice.lattice import (DOWN, UP, ColoredLattice, LatticeError,
-                                   PathRecord, birkhoff_failure,
+from dominolattice.lattice import (DOWN, UP, ColoredLattice, CoverDigraph, LatticeError,
+                                   PathRecord, _takeable, _takeable_at, birkhoff_failure,
                                    check_full_length_sublattice,
                                    full_length_witness, mountainize, path_from_vertices,
                                    path_stats, product, valleyize)
@@ -23,7 +23,7 @@ from dominolattice.solver import solve_domino
 from dominolattice.typea import (BoxSpec, CircleState, build_l_a, build_l_graph,
                                  build_l_tab, build_l_tilde, build_p_a)
 
-from conftest import DESK_SPECS, PRODUCT_SPECS
+from conftest import DESK_SPECS, PRODUCT_SPECS, count_calls
 
 
 def two_chain(color):
@@ -128,6 +128,17 @@ class TestCoverDigraph:
                                {"a": 1, "b": 2, "c": 1, "d": 3})
         assert ["".join(sorted(x)) for x in j_lattice(P).vertices] == [
             "", "a", "ab", "abc", "abcd", "abd", "ac"]
+
+    def test_only_an_order_without_a_rank_reads_its_up_sets(self):
+        # the maximal elements b and d lie at different heights, but each
+        # component has a rank; N5 has none
+        def poset():
+            return VertexColoredPoset("abcdef", [("a", "b"), ("a", "c"), ("c", "d"),
+                                                 ("e", "f")], dict.fromkeys("abcdef", 1))
+
+        for build, fallbacks in ((poset, 0), (n5, 1)):
+            _, calls = count_calls([CoverDigraph._reject_non_covers], build)
+            assert calls["CoverDigraph._reject_non_covers"] == fallbacks
 
     def test_an_ungraded_order_builds_and_orders(self):
         # N5 has no rank, so its covers are checked on the up-sets
@@ -362,6 +373,41 @@ def d37_mutant(kind):
         u = D.join(s, t)
         color[x, s], color[t, u], color[x, t], color[s, u] = ct, ct, cs, cs
     return ColoredLattice(D.vertices, [(a, b, c) for (a, b), c in color.items()])
+
+
+def defined_takeable(L):
+    """T(x) for each vertex x by its definition, read through L.le only.
+
+    Bit b stands for the b-th join irreducible in vertex order; it is set
+    when that j is not below x but every other join irreducible below j is.
+    """
+    irr = [v for v in L.vertices if len(L.down_neighbors(v)) == 1]
+    return [sum(1 << b for b, j in enumerate(irr)
+                if not L.le(j, x)
+                and all(L.le(i, x) for i in irr if i != j and L.le(i, j)))
+            for x in L.vertices]
+
+
+class TestTakeable:
+    """The incremental T(x) of the certificate against its definition."""
+
+    def lattices(self):
+        rng = random.Random(10)
+        built = [build_d_a(spec) for spec in DESK_SPECS]
+        for _ in range(50):
+            P = random_colored_poset(rng, 7, 3)
+            built += [j_lattice(P), m_lattice(P)]
+        built += [L.dual() for L in built]
+        return built + [K for L in built for K in mutants(L, rng)[:1] if L.edges]
+
+    def test_matches_the_definition(self):
+        for L in self.lattices():
+            assert _takeable(L) == defined_takeable(L), L
+
+    @pytest.mark.parametrize("spec", DESK_SPECS, ids=lambda s: f"k{s.k}N{s.N}")
+    def test_scans_every_irreducible_only_at_the_bottom(self, spec):
+        _, calls = count_calls([_takeable_at], lambda: build_d_a.__wrapped__(spec))
+        assert calls == {"_takeable_at": 1}, calls
 
 
 class TestBirkhoffCertificate:

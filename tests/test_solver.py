@@ -12,14 +12,14 @@ from dominolattice.isomorphism import phi_inverse
 from dominolattice.lattice import DOWN, UP, PathRecord, path_stats
 from dominolattice.oracle import (bfs_all_pairs, enumerate_shortest_paths,
                                   ideal_greedy_solve, random_colored_poset)
-from dominolattice.poset import j_lattice
-from dominolattice.solver import (GameSolution, _walk_tables, color_census,
-                                  solve_distributive, solve_domino)
+from dominolattice.poset import _ideal_mask, enumerate_order_ideals, j_lattice
+from dominolattice.solver import (GameSolution, _solve_distributive, _walk_tables,
+                                  color_census, solve_distributive, solve_domino)
 from dominolattice.typea import (BoxSpec, all_partitions, build_l_a,
                                  build_p_a, ideal_to_partition,
                                  partition_to_ideal)
 
-from conftest import DESK_SPECS
+from conftest import DESK_SPECS, count_calls
 
 BOX24 = BoxSpec(2, 6)
 
@@ -207,6 +207,29 @@ class TestMaskGreedyPlay:
         with pytest.raises(ValueError,
                            match=f"^{name} is not an order ideal of the poset$"):
             solve_distributive(P, s, t)
+
+
+class TestUncheckedGenericCore:
+    """_solve_distributive plays as solve_distributive, given the masks it checks."""
+
+    @pytest.mark.parametrize("spec", DESK_SPECS, ids=str)
+    def test_every_ordered_pair_both_routes(self, spec):
+        P = build_p_a(spec)
+        ideals = [(x, _ideal_mask(P, x)) for x in enumerate_order_ideals(P)]
+        for s, ms in ideals:
+            for t, mt in ideals:
+                for via in ("join", "meet"):
+                    assert (_solve_distributive(P, s, t, ms, mt, via)
+                            == solve_distributive(P, s, t, via)), (s, t, via)
+
+    def test_reads_no_ideal(self):
+        P = build_p_a(BOX24)
+        s, t = partition_to_ideal(BOX24, (4, 4)), partition_to_ideal(BOX24, (1, 0))
+        masks = _ideal_mask(P, s), _ideal_mask(P, t)
+        sol, calls = count_calls([_ideal_mask],
+                                 lambda: _solve_distributive(P, s, t, *masks, "meet"))
+        assert sol == solve_distributive(P, s, t, "meet")
+        assert calls == {}
 
 
 class TestSolveDomino:

@@ -2,13 +2,13 @@ from math import comb
 
 import pytest
 
-from dominolattice import oracle, verify
+from dominolattice import oracle, poset, verify
 from dominolattice.domino import build_d_a
 from dominolattice.isomorphism import (_bareiss_forward, _determinant, _phi,
                                        move_matrix)
 from dominolattice.lattice import ColoredLattice, CoverDigraph
-from dominolattice.typea import (BoxSpec, build_l_graph, validate_diagonal,
-                                 validate_entries, validate_partition)
+from dominolattice.typea import (BoxSpec, _partition_to_ideal, build_l_graph,
+                                 validate_diagonal, validate_entries, validate_partition)
 from dominolattice.verify import SUITES, run_suite
 
 from conftest import count_calls
@@ -87,6 +87,28 @@ def test_solver_suite_validates_each_shape_at_most_once():
     assert calls["validate_partition"] <= comb(8, 3), calls
 
 
+def test_solver_suite_reads_each_ideal_at_most_once():
+    # the all-pairs loop reads D's ideals into masks once and calls the
+    # unchecked generic core; the checked solve read both ideals of every
+    # pair, twice C(N, k) squared times
+    result, calls = count_calls([poset._ideal_mask], lambda: verify.suite_solver(3, 8))
+    assert result["passed"]
+    assert calls["_ideal_mask"] <= comb(8, 3), calls
+
+
+def test_solver_suite_names_a_shape_whose_ideal_is_rejected(monkeypatch):
+    ideal_mask = poset._ideal_mask
+    rejected = _partition_to_ideal((2, 1))
+
+    def rejecting(P, members):
+        return None if members == rejected else ideal_mask(P, members)
+
+    monkeypatch.setattr(poset, "_ideal_mask", rejecting)
+    with pytest.raises(AssertionError,
+                       match=r"^the ideal of \(2, 1\) is not an order ideal of P_A$"):
+        verify.suite_solver(2, 5)
+
+
 def test_iso_suite_eliminates_the_move_matrix_once():
     # move_matrix rejects a singular P by its determinant, and the suite
     # asks whether P is unimodular: one Bareiss elimination serves both
@@ -119,3 +141,12 @@ def test_fundamental_suite_builds_each_lattice_and_poset_once():
     assert result["passed"]
     assert 0 < calls["ColoredLattice._link"] <= 600, calls
     assert 0 < calls["VertexColoredPoset._link"] <= 275, calls
+
+
+def test_fundamental_suite_reads_up_sets_only_for_orders_without_a_rank():
+    # a rank per connected component certifies the covers; depth below the
+    # maximal elements alone left 53 of the 275 posets to the up-sets
+    result, calls = count_calls([CoverDigraph._reject_non_covers],
+                                lambda: verify.suite_fundamental(0), by_class=True)
+    assert result["passed"]
+    assert calls == {"VertexColoredPoset._reject_non_covers": 12}, calls
