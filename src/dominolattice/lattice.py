@@ -102,8 +102,9 @@ class CoverDigraph:
 
         A pair (i, j) is not a cover when another upper cover of i lies
         below j, and then no rank rises by exactly 1 along every pair.  So
-        when such a rank exists (`_has_rank`), all are covers; only
-        otherwise are the up-sets built, by `_reject_non_covers`.
+        when each connected component has such a rank (`_ranks_from`), all
+        are covers; only otherwise are the up-sets built, by
+        `_reject_non_covers`.
         """
         pairs = sorted(pairs)
         n = len(self.vertices)
@@ -124,7 +125,7 @@ class CoverDigraph:
         if len(order) != n:
             raise self.error("cover relation contains a cycle")
         self._topo = order
-        if not _has_rank(order, up, down):
+        if _ranks_from(range(n), up, down) is None:
             self._reject_non_covers(pairs)
 
     def _reject_non_covers(self, pairs):
@@ -159,35 +160,18 @@ class CoverDigraph:
         return x == y or bool(self._upsets[self._index[x]] >> self._index[y] & 1)
 
 
-def _has_rank(order, up, down):
-    """Whether some integer rank rises by exactly 1 along every cover.
+def _ranks_from(roots, up, down):
+    """A rank that rises by exactly 1 along every cover, as a list, or None.
 
-    Such a rank rules out a transitive cover, which would have to rise by
-    1 and by at least 2.  First the depth below the maximal elements is
-    tried, in one pass over order, which lists every vertex after all of
-    its upper covers (the Kahn order of `CoverDigraph._link`): the depth
-    of a maximal element is 0 and that of any other vertex one more than
-    its upper covers', which must agree.  On a lattice this decides.  Only
-    when it fails, as when a poset's maximal elements lie at different
-    heights, is a rank sought per connected component of the cover graph,
-    spreading from the component's first vertex.
+    The rank spreads from each root not yet reached, which gets 0, over
+    its connected component of the cover graph; a vertex in no root's
+    component stays None.  None is returned when two covers disagree,
+    as in N5.  Spread from every vertex, a rank per component rules out
+    a transitive cover, which would have to rise by 1 and by at least 2
+    (`CoverDigraph._link`).
     """
-    depth = [0] * len(up)
-    for i in order:
-        ws = up[i]
-        if ws:
-            d = depth[ws[0]]
-            for w in ws:
-                if depth[w] != d:
-                    return _has_component_ranks(up, down)
-            depth[i] = d + 1
-    return True
-
-
-def _has_component_ranks(up, down):
-    """Whether each connected component of the cover graph has a rank."""
     rank = [None] * len(up)
-    for root in range(len(up)):
+    for root in roots:
         if rank[root] is not None:
             continue
         rank[root] = 0
@@ -199,8 +183,8 @@ def _has_component_ranks(up, down):
                         rank[w] = r
                         reached.append(w)
                     elif rank[w] != r:
-                        return False
-    return True
+                        return None
+    return rank
 
 
 def _irreducible_masks(order, adj):
@@ -373,18 +357,8 @@ class ColoredLattice(CoverDigraph):
         None means no consistent assignment exists (e.g. an odd cycle of
         covers) or the search from vertex 0 leaves a vertex unreached.
         """
-        val = [None] * len(self.vertices)
-        val[0] = 0
-        order = [0]
-        for i in order:
-            for adj, step in ((self._up, 1), (self._down, -1)):
-                for w in adj[i]:
-                    if val[w] is None:
-                        val[w] = val[i] + step
-                        order.append(w)
-                    elif val[w] != val[i] + step:
-                        return None
-        if len(order) != len(val):
+        val = _ranks_from((0,), self._up, self._down)
+        if val is None or None in val:
             return None
         low = min(val)
         return {v: r - low for v, r in zip(self.vertices, val)}
@@ -441,8 +415,7 @@ def birkhoff_failure(L):
     injective, that each cover adds one join irreducible j and carries
     j's color, and that the covers out of each x add exactly the j that
     f(x) can take (those not in f(x) whose lower join irreducibles all
-    are, `_takeable`).  The message names the vertex or cover where a
-    check broke.
+    are).  The message names the vertex or cover where a check broke.
     """
     vs, down, color = L.vertices, L._down, L._color
     bottoms = [v for v, ws in zip(vs, down) if not ws]
@@ -456,7 +429,7 @@ def birkhoff_failure(L):
         if j != i:
             return f"{vs[j]!r} and {vs[i]!r} lie above the same join irreducibles"
     hue = [color[down[j][0], j] for j in members]
-    takeable = _takeable(L)
+    bits = [(masks[j], 1 << b) for b, j in enumerate(members)]
     for x, ys in enumerate(L._up):
         fx = masks[x]
         added = 0
@@ -473,68 +446,14 @@ def birkhoff_failure(L):
             added |= d
         # A cover's j always qualifies (what lies below j lies below y), so
         # the covers match the takeable j one to one when none is missing.
-        missing = takeable[x] & ~added
+        rest = ~fx
+        missing = sum(bit for m, bit in bits if m & rest == bit) & ~added
         if missing:
             j = members[(missing & -missing).bit_length() - 1]
             return (f"no cover out of {vs[x]!r} adds the join irreducible "
                     f"{vs[j]!r}, though every join irreducible below it lies "
                     f"below {vs[x]!r}")
     return None
-
-
-def _takeable(L):
-    """For each vertex x, the mask of join irreducibles that f(x) can take.
-
-    T(x) holds each join irreducible j outside f(x) whose lower join
-    irreducibles all lie in f(x); masks are as in `_join_masks`.  It is
-    worked out bottom up.  When a lower cover x of y adds the single
-    irreducible j, T(y) is T(x) minus j plus each upper cover j' of j in
-    the irreducible poset whose lower irreducibles all lie in f(y): an
-    irreducible that f(y) can take and f(x) cannot has j below it, and
-    covers j, since f(x) is a down-set.  Only a vertex without such a
-    lower cover, on a distributive lattice only the bottom, scans every
-    irreducible (`_takeable_at`).
-    """
-    members, masks = L._join_masks
-    own = [masks[j] for j in members]
-    above = [0] * len(own)
-    for b, m in enumerate(own):
-        # the irreducibles j' covers are the maximal ones strictly below it
-        lower, below = m ^ 1 << b, 0
-        rest = lower
-        while rest:
-            low = rest & -rest
-            below |= own[low.bit_length() - 1] ^ low
-            rest ^= low
-        covered = lower & ~below
-        while covered:
-            low = covered & -covered
-            above[low.bit_length() - 1] |= 1 << b
-            covered ^= low
-    takeable = [0] * len(masks)
-    for y in reversed(L._topo):
-        fy = masks[y]
-        for x in L._down[y]:
-            d = fy ^ masks[x]
-            if d and not d & (d - 1):
-                t = takeable[x] & ~d
-                rest = above[d.bit_length() - 1]
-                while rest:
-                    low = rest & -rest
-                    if own[low.bit_length() - 1] & ~fy == low:
-                        t |= low
-                    rest ^= low
-                break
-        else:
-            t = _takeable_at(fy, own)
-        takeable[y] = t
-    return takeable
-
-
-def _takeable_at(fx, own):
-    """T(x) by its definition: each j whose mask meets the complement of f(x) in j alone."""
-    rest = ~fx
-    return sum(1 << b for b, m in enumerate(own) if m & rest == 1 << b)
 
 
 # -- paths --------------------------------------------------------------------

@@ -100,29 +100,22 @@ def solve_distributive(P, s, t, via="join"):
     return _solve_distributive(P, s, t, *masks, via)
 
 
-@lru_cache(maxsize=None)
-def _mask_helpers():
-    """The poset module's greedy legs and census, imported by the first generic solve."""
-    from .poset import _color_census, _greedy_flips
-    return _color_census, _greedy_flips
-
-
 def _solve_distributive(P, s, t, ms, mt, via):
     """solve_distributive on two ideals, frozensets, already read into their masks ms and mt."""
-    census, flips = _mask_helpers()
+    from .poset import _color_census, _greedy_flips
     diff = ms ^ mt
     distance = diff.bit_count()
-    per_color = census(P, diff)
+    per_color = _color_census(P, diff)
     if via == "join":
         waypoint = s | t
-        up = flips(P, ms, ms | mt)
-        down = flips(P, mt, ms | mt)[::-1]
+        up = _greedy_flips(P, ms, ms | mt)
+        down = _greedy_flips(P, mt, ms | mt)[::-1]
         verts = _chain(s, up) + _chain(waypoint, down)[1:]
         steps = [(c, UP) for _, c in up] + [(c, DOWN) for _, c in down]
     elif via == "meet":
         waypoint = s & t
-        down = flips(P, ms, ms & mt)
-        up = flips(P, ms & mt, mt)
+        down = _greedy_flips(P, ms, ms & mt)
+        up = _greedy_flips(P, ms & mt, mt)
         verts = _chain(s, down) + _chain(waypoint, up)[1:]
         steps = [(c, DOWN) for _, c in down] + [(c, UP) for _, c in up]
     else:

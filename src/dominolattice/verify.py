@@ -9,6 +9,7 @@ the poset, oracle and solver modules it calls when it runs, so that a
 """
 
 import random
+from collections import Counter
 from math import comb
 
 from .lattice import ColoredLattice, birkhoff_failure, product
@@ -198,10 +199,7 @@ def suite_solver(k, N, seed=0):
         a, b = rng.choice(verts), rng.choice(verts)
         expected = _solve_domino(spec, a, b, "join").per_color
         for p in enumerate_shortest_paths(D, a, b):
-            made = {}
-            for c, _ in p.steps:
-                made[c] = made.get(c, 0) + 1
-            okColors &= made == expected
+            okColors &= Counter(c for c, _ in p.steps) == expected
     checks.append(("all shortest paths share the per-color census", okColors))
     return _result(checks)
 

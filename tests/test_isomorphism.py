@@ -3,6 +3,7 @@ from itertools import product
 
 import pytest
 
+from dominolattice import isomorphism
 from dominolattice.domino import (build_d_a, circle_to_partition_D, d_max, d_min,
                                   d_up_edges, gamma_ct, gamma_pt, gamma_tc, gamma_tp,
                                   m_diag, partition_to_circle_D)
@@ -200,6 +201,24 @@ class TestExactAlgebra:
         m = [[3, 1], [5, 2]]
         inv = exact_inverse(m)
         assert inv == ((2, -1), (-5, 3))
+
+    # [[0, 2], [3, 1]] needs a row swap and has determinant -6; after the
+    # swap of [[0, 2], [-3, 1]] (determinant 6) the last pivot is -6
+    @pytest.mark.parametrize("matrix,x,inverse", [
+        ([[0, 2], [3, 1]], (Fraction(1, 6), Fraction(1, 2)),
+         ((Fraction(-1, 6), Fraction(1, 3)), (Fraction(1, 2), 0))),
+        ([[0, 2], [-3, 1]], (Fraction(-1, 6), Fraction(1, 2)),
+         ((Fraction(1, 6), Fraction(-1, 3)), (Fraction(1, 2), 0))),
+    ])
+    def test_swapped_rows_and_a_non_unit_determinant(self, matrix, x, inverse):
+        assert bareiss_solve(matrix, [1, 1]) == list(x)
+        assert exact_inverse(matrix) == inverse
+
+    def test_back_substitution_that_does_not_divide_raises(self, monkeypatch):
+        # a forward pass that eliminates nothing leaves no Cramer quotients
+        monkeypatch.setattr(isomorphism, "_bareiss_forward", lambda a: 1)
+        with pytest.raises(AssertionError, match="row 0 does not divide exactly"):
+            bareiss_solve([[2, 1], [1, 2]], [0, 1])
 
 
 class TestMoveMatrix:

@@ -6,7 +6,7 @@ from itertools import combinations, product as iproduct
 import pytest
 
 from dominolattice.lattice import (DOWN, UP, ColoredLattice, CoverDigraph, LatticeError,
-                                   PathRecord, _takeable, _takeable_at, birkhoff_failure,
+                                   PathRecord, birkhoff_failure,
                                    check_full_length_sublattice,
                                    full_length_witness, mountainize, path_from_vertices,
                                    path_stats, product, valleyize)
@@ -93,10 +93,14 @@ class TestCoverDigraph:
         ([("a", "b"), ("b", "a")], "cover relation contains a cycle"),
         ([("a", "b"), ("b", "c"), ("a", "c")],
          "('a', 'c') is not a cover: 'b' lies between"),
-    ], ids=["unknown", "loop", "cycle", "transitive"])
+        # the rank is sought in every component, not only in the first
+        # vertex's: a lies apart from the transitive cover
+        ([("b", "c"), ("c", "d"), ("b", "d")],
+         "('b', 'd') is not a cover: 'c' lies between"),
+    ], ids=["unknown", "loop", "cycle", "transitive", "transitive-apart"])
     def test_rejects_with_shared_message(self, cls, error, covers, message):
         with pytest.raises(error) as exc:
-            _cover_digraph(cls, "abc", covers)
+            _cover_digraph(cls, "abcd", covers)
         assert str(exc.value) == message
 
     def test_both_classes_share_the_order(self):
@@ -373,41 +377,6 @@ def d37_mutant(kind):
         u = D.join(s, t)
         color[x, s], color[t, u], color[x, t], color[s, u] = ct, ct, cs, cs
     return ColoredLattice(D.vertices, [(a, b, c) for (a, b), c in color.items()])
-
-
-def defined_takeable(L):
-    """T(x) for each vertex x by its definition, read through L.le only.
-
-    Bit b stands for the b-th join irreducible in vertex order; it is set
-    when that j is not below x but every other join irreducible below j is.
-    """
-    irr = [v for v in L.vertices if len(L.down_neighbors(v)) == 1]
-    return [sum(1 << b for b, j in enumerate(irr)
-                if not L.le(j, x)
-                and all(L.le(i, x) for i in irr if i != j and L.le(i, j)))
-            for x in L.vertices]
-
-
-class TestTakeable:
-    """The incremental T(x) of the certificate against its definition."""
-
-    def lattices(self):
-        rng = random.Random(10)
-        built = [build_d_a(spec) for spec in DESK_SPECS]
-        for _ in range(50):
-            P = random_colored_poset(rng, 7, 3)
-            built += [j_lattice(P), m_lattice(P)]
-        built += [L.dual() for L in built]
-        return built + [K for L in built for K in mutants(L, rng)[:1] if L.edges]
-
-    def test_matches_the_definition(self):
-        for L in self.lattices():
-            assert _takeable(L) == defined_takeable(L), L
-
-    @pytest.mark.parametrize("spec", DESK_SPECS, ids=lambda s: f"k{s.k}N{s.N}")
-    def test_scans_every_irreducible_only_at_the_bottom(self, spec):
-        _, calls = count_calls([_takeable_at], lambda: build_d_a.__wrapped__(spec))
-        assert calls == {"_takeable_at": 1}, calls
 
 
 class TestBirkhoffCertificate:

@@ -144,8 +144,9 @@ def test_fundamental_suite_builds_each_lattice_and_poset_once():
 
 
 def test_fundamental_suite_reads_up_sets_only_for_orders_without_a_rank():
-    # a rank per connected component certifies the covers; depth below the
-    # maximal elements alone left 53 of the 275 posets to the up-sets
+    # a rank per connected component certifies the covers; the depth
+    # below the maximal elements alone left 53 of the 275 posets to the
+    # up-sets
     result, calls = count_calls([CoverDigraph._reject_non_covers],
                                 lambda: verify.suite_fundamental(0), by_class=True)
     assert result["passed"]
