@@ -30,40 +30,16 @@ def sort_key(v):
     int, str, tuple and frozenset are tested first, by identity; bools,
     subclasses and other types are then told apart by isinstance.
     """
-    return _label_key(v, sort_key)
-
-
-def _label_key(v, key):
-    """sort_key of v, with key giving the sort keys of v's members."""
     t = type(v)
     if t is int:
         return (0, "int", v)
     if t is str:
         return (0, "str", repr(v))
     if t is tuple or isinstance(v, tuple):
-        return (1, tuple(map(key, v)))
+        return (1, tuple(map(sort_key, v)))
     if t is frozenset or isinstance(v, frozenset):
-        return (2, tuple(sorted(map(key, v))))
+        return (2, tuple(sorted(map(sort_key, v))))
     return (0, t.__name__, repr(v))
-
-
-def _memo_sort_key():
-    """sort_key for one sort, computed once per label and member object.
-
-    Labels often share members (the ideals of a poset share its vertex
-    ids), so each key is kept by the id of its object.  An id is reused
-    only after its object dies, and the labels being sorted keep every
-    member alive; so the key function must not outlive the sort.
-    """
-    memo = {}
-
-    def key(v):
-        k = memo.get(id(v))
-        if k is None:
-            k = memo[id(v)] = _label_key(v, key)
-        return k
-
-    return key
 
 
 class CoverDigraph:
@@ -81,7 +57,7 @@ class CoverDigraph:
     error = ValueError
 
     def __init__(self, vertices):
-        self._number(tuple(sorted(set(vertices), key=_memo_sort_key())))
+        self._number(tuple(sorted(set(vertices), key=sort_key)))
 
     def _number(self, vertices):
         """Number the vertices, a tuple of distinct labels in sort_key order."""
@@ -603,19 +579,3 @@ def induced_covers(L, members):
             if x != y and L.le(x, y)
             and not any(z != x and z != y and L.le(x, z) and L.le(z, y)
                         for z in members)]
-
-
-def induced_sublattice(L, K):
-    """Sublattice on K with the order induced from L.
-
-    Covers of the induced order must be edges of L (true for full-length
-    sublattices); otherwise there is no color to inherit and this raises.
-    """
-    members = sorted(set(K), key=sort_key)
-    edges = []
-    for x, y in induced_covers(L, members):
-        if not L.has_edge(x, y):
-            raise LatticeError(
-                f"induced cover ({x!r}, {y!r}) is not an edge of the host")
-        edges.append((x, y, L.edge_color(x, y)))
-    return ColoredLattice(members, edges)

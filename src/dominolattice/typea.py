@@ -513,9 +513,18 @@ def build_l_tilde(spec):
 
 @lru_cache(maxsize=None)
 def build_l_tab(spec):
-    from .lattice import check_full_length_sublattice, induced_sublattice
+    """The strictly increasing k-tuples, a full-length sublattice of L_tilde.
+
+    Once that is checked, its covers are L_tilde's edges between its
+    members: in a modular lattice, such as the distributive L_tilde, every
+    cover of a full-length sublattice is a cover of the host (Stanley, EC1
+    Section 3.3).
+    """
+    from .lattice import _indexed_lattice, check_full_length_sublattice
     big = build_l_tilde(spec)
-    K = [v for v in big.vertices if all(a < b for a, b in zip(v, v[1:]))]
+    K = tuple(v for v in big.vertices if all(a < b for a, b in zip(v, v[1:])))
     if not check_full_length_sublattice(big, K):
         raise ValueError("tableau subset is not a full-length sublattice")
-    return induced_sublattice(big, K)
+    at = {v: i for i, v in enumerate(K)}
+    return _indexed_lattice(K, {(at[x], at[y]): c for x, y, c in big.edges
+                                if x in at and y in at})

@@ -204,6 +204,15 @@ def suite_solver(k, N, seed=0):
     return _result(checks)
 
 
+def _small_product(spec):
+    """Whether the box's chain product L_tilde, with L_tab, is small enough to check.
+
+    L_tilde has (cols+1)^k vertices, and the host lattice check that
+    `build_l_tab` runs is quadratic in that number, so the cap is 130.
+    """
+    return (spec.cols + 1) ** spec.k <= 130
+
+
 def suite_structure(k, N):
     """Diamond coloring, balance, lattice laws, and the rank identity.
 
@@ -215,7 +224,7 @@ def suite_structure(k, N):
     """
     spec = BoxSpec(k, N)
     built = [("L_A", build_l_graph(spec)), ("D_A", build_d_a(spec))]
-    if (spec.cols + 1) ** spec.k <= 130:
+    if _small_product(spec):
         built.append(("L_tilde", build_l_tilde(spec)))
         built.append(("L_tab", build_l_tab(spec)))
     checks = []

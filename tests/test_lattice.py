@@ -8,7 +8,8 @@ import pytest
 from dominolattice.lattice import (DOWN, UP, ColoredLattice, CoverDigraph, LatticeError,
                                    PathRecord, birkhoff_failure,
                                    check_full_length_sublattice,
-                                   full_length_witness, mountainize, path_from_vertices,
+                                   full_length_witness, induced_covers, mountainize,
+                                   path_from_vertices,
                                    path_stats, product, valleyize)
 from dominolattice.domino import build_d_a, pi
 from dominolattice.isomorphism import MoveMatrix, move_matrix
@@ -509,6 +510,18 @@ class TestPaths:
         with pytest.raises(LatticeError, match="sideways"):
             p.validate(build_d_a(BoxSpec(2, 5)))
 
+    @pytest.mark.parametrize("vertices, steps, message", [
+        (((0, 0), (1, 1)), (), r"^vertex/step count mismatch$"),
+        (((0, 0), (1, 0)), ((4, UP),),
+         r"^step \(0, 0\) -> \(1, 0\) \(up, color 4\) is not an edge$"),
+        (((0, 0), (1, 1)), ((3, UP),),
+         r"^step \(0, 0\) -> \(1, 1\) \(up, color 3\) is not an edge$"),
+    ], ids=["count-mismatch", "no-edge", "wrong-color"])
+    def test_validate_rejects_a_walk_off_the_lattice(self, vertices, steps, message):
+        # in D(2,5), (1, 1) covers (0, 0) with color 4 and (1, 0) is not adjacent
+        with pytest.raises(LatticeError, match=message):
+            PathRecord(vertices, steps).validate(build_d_a(BoxSpec(2, 5)))
+
     def test_worked_three_step_path(self):
         L = l24()
         p = path_from_vertices(L, [(1, 1), (2, 1), (3, 1), (3, 0)])
@@ -691,6 +704,48 @@ class TestFullLength:
         L = l24()
         K = set(L.vertices) - {L.maximum}
         assert not check_full_length_sublattice(L, K)
+
+    def test_rejects_a_k_outside_the_host(self):
+        with pytest.raises(LatticeError, match="^K is not a vertex subset of L$"):
+            check_full_length_sublattice(l24(), [(9, 9)])
+
+    def test_rejects_a_host_that_is_not_a_lattice(self):
+        L = bowtie()
+        with pytest.raises(LatticeError, match="^host is not a lattice$"):
+            check_full_length_sublattice(L, L.vertices)
+
+    def test_k_without_a_join_fails(self):
+        # the 3x3 grid L_tilde(2,4) without the join of its two atoms: a
+        # bottom-to-top chain still runs inside K
+        big = build_l_tilde(BoxSpec(2, 4))
+        atoms = [w for w, _ in big.up_neighbors(big.minimum)]
+        K = set(big.vertices) - {big.join(*atoms)}
+        assert check_full_length_sublattice(big, K) is False
+
+    def test_the_guard_rejects_a_cover_the_host_edges_miss(self):
+        # {bottom, top} of L_tilde(2,5) is closed under meet and join and
+        # top covers bottom in its induced order, but that cover is no edge
+        # of the host: only a full-length K has the host's edges as covers
+        big = build_l_tilde(BoxSpec(2, 5))
+        K = [big.minimum, big.maximum]
+        assert all(big.meet(x, y) in K and big.join(x, y) in K for x in K for y in K)
+        assert induced_covers(big, K) == [tuple(K)]
+        assert not big.has_edge(*K)
+        assert check_full_length_sublattice(big, K) is False
+
+    @pytest.mark.parametrize("spec", PRODUCT_SPECS + (BoxSpec(4, 8),),
+                             ids=lambda s: f"k{s.k}N{s.N}")
+    def test_l_tab_is_the_induced_order_on_the_tableaux(self, spec):
+        big = build_l_tilde(spec)
+        K = [v for v in big.vertices if all(a < b for a, b in zip(v, v[1:]))]
+        assert build_l_tab(spec) == ColoredLattice(
+            K, [(x, y, big.edge_color(x, y)) for x, y in induced_covers(big, K)])
+
+    def test_l_tab_runs_no_induced_cover_search(self):
+        tab, calls = count_calls([induced_covers],
+                                 lambda: build_l_tab.__wrapped__(BoxSpec(3, 7)))
+        assert calls == {}
+        assert tab == build_l_tab(BoxSpec(3, 7))
 
     def test_sublattice_edges_and_ranks_agree_with_host(self):
         spec = BoxSpec(2, 6)

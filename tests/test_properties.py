@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from dominolattice.domino import is_legal_domino_move
 from dominolattice.isomorphism import move_census, phi_inverse
-from dominolattice.lattice import (ColoredLattice, _memo_sort_key, path_stats,
-                                   product, sort_key)
+from dominolattice.lattice import ColoredLattice, path_stats, product, sort_key
 from dominolattice.oracle import (bfs_all_pairs, cell_census, check_constructed_iso,
                                   enumerate_shortest_paths, ideal_greedy_solve,
                                   is_diamond_colored,
@@ -263,7 +262,4 @@ def sharing_members(labels):
 def test_sort_key_orders_mixed_labels_as_the_isinstance_chain(labels):
     want = [isinstance_sort_key(v) for v in labels]
     assert [sort_key(v) for v in labels] == want
-    memo = _memo_sort_key()
-    assert [memo(v) for v in labels] == want
     assert sorted(labels, key=sort_key) == sorted(labels, key=isinstance_sort_key)
-    assert sorted(labels, key=_memo_sort_key()) == sorted(labels, key=isinstance_sort_key)

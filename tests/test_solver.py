@@ -110,6 +110,12 @@ class TestSolveDistributive:
                     assert sol.distance == dist[(s, t)]
                     sol.path.validate(L)
 
+    def test_rejects_a_via_other_than_join_or_meet(self):
+        P = build_p_a(BOX24)
+        s, t = partition_to_ideal(BOX24, (1, 1)), partition_to_ideal(BOX24, (3, 0))
+        with pytest.raises(ValueError, match="^via must be 'join' or 'meet', got 'up'$"):
+            solve_distributive(P, s, t, via="up")
+
     def test_meet_route_waypoint(self):
         P = build_p_a(BOX24)
         s = partition_to_ideal(BOX24, (1, 1))
@@ -295,6 +301,10 @@ class TestSolveDomino:
     def test_rejects_invalid_shape(self):
         with pytest.raises(ValueError):
             solve_domino(BOX24, (5, 0), (1, 1))
+
+    def test_rejects_a_via_other_than_join_or_meet(self):
+        with pytest.raises(ValueError, match="^via must be 'join' or 'meet', got 'up'$"):
+            solve_domino(BOX24, (4, 3), (1, 1), via="up")
 
 
 class TestClosedFormSolve:
