@@ -392,6 +392,15 @@ def birkhoff_failure(L):
     j's color, and that the covers out of each x add exactly the j that
     f(x) can take (those not in f(x) whose lower join irreducibles all
     are).  The message names the vertex or cover where a check broke.
+
+    The takeable sets are built bottom-up, in O(E) set operations plus
+    one pass over the comparable pairs of join irreducibles: when a lower
+    cover y of x adds the one join irreducible j0, x can take what y can,
+    less j0, and the upper covers of j0 among the join irreducibles whose
+    lower join irreducibles all lie in f(x).  (Nothing else: the takeable
+    j above j0 covers it, since f(y) is a down-set without j0.)  A vertex
+    whose first lower cover adds more or less than one is scanned over
+    every join irreducible instead.
     """
     vs, down, color = L.vertices, L._down, L._color
     bottoms = [v for v, ws in zip(vs, down) if not ws]
@@ -406,6 +415,20 @@ def birkhoff_failure(L):
             return f"{vs[j]!r} and {vs[i]!r} lie above the same join irreducibles"
     hue = [color[down[j][0], j] for j in members]
     bits = [(masks[j], 1 << b) for b, j in enumerate(members)]
+    uppers = _upper_covers(bits)
+    takeable = [0] * len(vs)
+    for x in reversed(L._topo):
+        fx, ys = masks[x], down[x]
+        d = fx ^ masks[ys[0]] if ys else 0
+        if d and not d & (d - 1):
+            t = takeable[ys[0]] & ~d
+            for m, bit in uppers[d.bit_length() - 1]:
+                if m & ~fx == bit:
+                    t |= bit
+        else:
+            rest = ~fx
+            t = sum(bit for m, bit in bits if m & rest == bit)
+        takeable[x] = t
     for x, ys in enumerate(L._up):
         fx = masks[x]
         added = 0
@@ -422,14 +445,78 @@ def birkhoff_failure(L):
             added |= d
         # A cover's j always qualifies (what lies below j lies below y), so
         # the covers match the takeable j one to one when none is missing.
-        rest = ~fx
-        missing = sum(bit for m, bit in bits if m & rest == bit) & ~added
+        missing = takeable[x] & ~added
         if missing:
             j = members[(missing & -missing).bit_length() - 1]
             return (f"no cover out of {vs[x]!r} adds the join irreducible "
                     f"{vs[j]!r}, though every join irreducible below it lies "
                     f"below {vs[x]!r}")
     return None
+
+
+def _upper_covers(elements):
+    """Each element's upper covers, given and listed as (down-set, own bit) pairs.
+
+    Bit c of a down-set stands for element c of a finite order, and an
+    element's down-set holds its own bit.  The lower covers of an element
+    are the elements below it that lie below no other element below it.
+    """
+    below = [m ^ bit for m, bit in elements]
+    uppers = [[] for _ in elements]
+    for entry, under in zip(elements, below):
+        lower, rest = 0, under
+        while rest:
+            low = rest & -rest
+            lower |= below[low.bit_length() - 1]
+            rest ^= low
+        rest = under & ~lower
+        while rest:
+            low = rest & -rest
+            uppers[low.bit_length() - 1].append(entry)
+            rest ^= low
+    return uppers
+
+
+def iso_failure(G, H, f):
+    """Why the explicit map f is not a color-preserving isomorphism G -> H, or None.
+
+    f, a dict or a callable, is read once at each vertex of G, and the map
+    is checked on vertex indices: it must be a bijection onto H's vertices,
+    and G's covers, mapped through it, must be H's covers with their
+    colors.  The message names the first vertex of G, in vertex order,
+    where the map fails, or else the first cover.  Its definitional
+    reference is `oracle.check_constructed_iso`.
+    """
+    g = f.__getitem__ if isinstance(f, dict) else f
+    gv, hv, at = G.vertices, H.vertices, H._index
+    image, hit = [], [None] * len(hv)
+    for n, v in enumerate(gv):
+        w = g(v)
+        i = at.get(w)
+        if i is None:
+            return f"{v!r} maps to {w!r}, which is not a vertex of the target"
+        if hit[i] is not None:
+            return f"{gv[hit[i]]!r} and {v!r} both map to {w!r}"
+        hit[i] = n
+        image.append(i)
+    if len(gv) != len(hv):
+        return f"no vertex maps to {hv[hit.index(None)]!r}"
+    hc = H._color
+    mapped = {(image[i], image[j]): c for (i, j), c in G._color.items()}
+    if mapped == hc:
+        return None
+    for (i, j), c in sorted(G._color.items()):
+        a, b = image[i], image[j]
+        d = hc.get((a, b))
+        if d != c:
+            cover = f"cover ({gv[i]!r}, {gv[j]!r})"
+            if d is None:
+                return f"{cover} maps to ({hv[a]!r}, {hv[b]!r}), which is not a cover"
+            return (f"{cover} has color {c}, but its image "
+                    f"({hv[a]!r}, {hv[b]!r}) has color {d}")
+    a, b = min(hc.keys() - mapped.keys())
+    return (f"({gv[hit[a]]!r}, {gv[hit[b]]!r}) is not a cover, "
+            f"but its image ({hv[a]!r}, {hv[b]!r}) is")
 
 
 # -- paths --------------------------------------------------------------------

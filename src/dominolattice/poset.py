@@ -15,7 +15,8 @@ only for the vertices a caller receives.
 from collections import Counter
 from functools import cached_property
 
-from .lattice import CoverDigraph, LatticeError, _indexed_lattice, induced_covers, is_int
+from .lattice import (CoverDigraph, LatticeError, _indexed_lattice, birkhoff_failure,
+                      induced_covers, is_int)
 
 
 class PosetError(ValueError):
@@ -277,8 +278,13 @@ def meet_irreducibles(L):
 
 
 def _irreducibles_poset(L, members, neighbors):
-    """The poset of the irreducibles at those indices, colored by their one neighbor edge."""
-    if not L.is_lattice:
+    """The poset of the irreducibles at those indices, colored by their one neighbor edge.
+
+    L must be a lattice.  Birkhoff's certificate, one pass over the covers,
+    settles that for every distributive lattice; only where it fails is
+    every pair of vertices asked for its join (`is_lattice`).
+    """
+    if birkhoff_failure(L) is not None and not L.is_lattice:
         raise PosetError("input is not a lattice")
     members = [L.vertices[i] for i in members]
     return VertexColoredPoset(members, induced_covers(L, members),

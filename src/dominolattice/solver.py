@@ -10,7 +10,8 @@ once into a mask in (color, index) order, so a greedy step flips the
 lowest set bit among the free extremes, and the census is read off the
 mask of the difference.  The Domino procedure reads each shape once,
 into an int mask of its D tableau (bit t set for entry t) and one of
-its preimage's L tableau, Q (bit pi^-1(t)).  The per-color move counts
+its preimage's L tableau, Q (bit pi^-1(t)) (`_shape_masks`), and plays
+on the masks (`_solve_domino`).  The per-color move counts
 are one running count over the two Q masks, and the walk runs on plain
 integers, with no Counter in it: the moves still to make are count
 lists indexed by color, the legal up colors are the set bits of
@@ -21,8 +22,11 @@ one row of the shape, or two when the dot passes the entry between its
 ends.  The walk never builds the lattice; its slow reference is the
 generic route on the ideals of J(P_A), read through phi,
 `oracle.ideal_greedy_solve`.  The per-color answer of either route is
-a Counter.  Only the generic route imports the poset module, when it
-runs, so a Domino solve loads no lattice code.
+a Counter.  Only the generic route imports the poset module, on its first
+run, so a Domino solve loads no lattice code.  Both routes derive their
+counts with their paths, so they record their answers as they are
+(`_trusted_solution`); a GameSolution built by its constructor is
+checked against its path.
 """
 
 from collections import Counter
@@ -65,10 +69,25 @@ class GameSolution(Record):
                 if made.get(c, 0) != per_color.get(c, 0):
                     raise ValueError(f"color {c}: the path makes {made.get(c, 0)} "
                                      f"moves, per_color counts {per_color.get(c, 0)}")
-        _set_field(self, "distance", distance)
-        _set_field(self, "per_color", per_color)
-        _set_field(self, "path", path)
-        _set_field(self, "waypoint", waypoint)
+        _fill(self, distance, per_color, path, waypoint)
+
+
+def _fill(solution, distance, per_color, path, waypoint):
+    _set_field(solution, "distance", distance)
+    _set_field(solution, "per_color", per_color)
+    _set_field(solution, "path", path)
+    _set_field(solution, "waypoint", waypoint)
+    return solution
+
+
+def _trusted_solution(distance, per_color, path, waypoint):
+    """A GameSolution from a solve core, which made per_color and the path together.
+
+    Each core counts its moves per color and then makes exactly those
+    moves, so the constructor's recount would find what the core counted;
+    the tests rebuild the cores' solutions through the constructor.
+    """
+    return _fill(GameSolution.__new__(GameSolution), distance, per_color, path, waypoint)
 
 
 def _chain(start, flips):
@@ -100,9 +119,16 @@ def solve_distributive(P, s, t, via="join"):
     return _solve_distributive(P, s, t, *masks, via)
 
 
+@lru_cache(maxsize=None)
+def _poset_walks():
+    """The poset module's census and greedy walk, imported on the first generic solve."""
+    from .poset import _color_census, _greedy_flips
+    return _color_census, _greedy_flips
+
+
 def _solve_distributive(P, s, t, ms, mt, via):
     """solve_distributive on two ideals, frozensets, already read into their masks ms and mt."""
-    from .poset import _color_census, _greedy_flips
+    _color_census, _greedy_flips = _poset_walks()
     diff = ms ^ mt
     distance = diff.bit_count()
     per_color = _color_census(P, diff)
@@ -121,7 +147,7 @@ def _solve_distributive(P, s, t, ms, mt, via):
     else:
         raise ValueError(f"via must be 'join' or 'meet', got {via!r}")
     path = PathRecord(tuple(verts), tuple(steps))
-    return GameSolution(distance, per_color, path, waypoint)
+    return _trusted_solution(distance, per_color, path, waypoint)
 
 
 @lru_cache(maxsize=None)
@@ -207,23 +233,26 @@ def solve_domino(spec, sigma, tau, via="join"):
     down moves of the play, and per_color holds their sums, colors in
     ascending order.
     """
-    return _solve_domino(spec, validate_partition(spec, sigma),
-                         validate_partition(spec, tau), via)
+    sigma, tau = validate_partition(spec, sigma), validate_partition(spec, tau)
+    return _solve_domino(spec, sigma, tau, _shape_masks(spec, sigma),
+                         _shape_masks(spec, tau), via)
 
 
-def _solve_domino(spec, sigma, tau, via):
-    """solve_domino on two shapes already validated, as tuples."""
-    k, N = spec.k, spec.N
-    qinv = _pi_pair(N)[1].mapping
-    masks = []
-    for shape in (sigma, tau):
-        mask = q = 0
-        for j, s in enumerate(shape):
-            t = s + k - j
-            mask |= 1 << t
-            q |= 1 << qinv[t - 1]
-        masks += (mask, q)
-    ms, qs, mt, qt = masks
+def _shape_masks(spec, shape):
+    """The D-tableau mask of a shape already validated, and the L-tableau mask Q of its preimage."""
+    k, qinv = spec.k, _pi_pair(spec.N)[1].mapping
+    mask = q = 0
+    for j, s in enumerate(shape):
+        t = s + k - j
+        mask |= 1 << t
+        q |= 1 << qinv[t - 1]
+    return mask, q
+
+
+def _solve_domino(spec, sigma, tau, sigma_masks, tau_masks, via):
+    """solve_domino on two shapes already validated, as tuples, and read by `_shape_masks`."""
+    N = spec.N
+    (ms, qs), (mt, qt) = sigma_masks, tau_masks
     # the empty Counter that Counter() makes, without its __init__, which
     # only runs update(None)
     rise, fall, per_color = [0] * N, [0] * N, Counter.__new__(Counter)
@@ -257,4 +286,4 @@ def _solve_domino(spec, sigma, tau, via):
     else:
         raise ValueError(f"via must be 'join' or 'meet', got {via!r}")
     path = PathRecord(tuple(verts), tuple(steps))
-    return GameSolution(distance, per_color, path, waypoint)
+    return _trusted_solution(distance, per_color, path, waypoint)

@@ -3,16 +3,18 @@
 Each suite returns a report dict with a boolean "passed" plus per-check
 entries, so failures say what broke; a failing check that knows where it
 broke also carries a "witness" message.  The pytest acceptance module
-covers the same ground; these suites make it scriptable.  A suite imports
-the poset, oracle and solver modules it calls when it runs, so that a
-`verify` process loads only the layers of the suites it runs.
+covers the same ground; these suites make it scriptable.  An isomorphism
+check is `lattice.iso_failure`, on cover indices, whose message is the
+witness; `oracle.check_constructed_iso` is its reference in the tests.  A
+suite imports the poset, oracle and solver modules it calls when it runs,
+so that a `verify` process loads only the layers of the suites it runs.
 """
 
 import random
 from collections import Counter
 from math import comb
 
-from .lattice import ColoredLattice, birkhoff_failure, product
+from .lattice import ColoredLattice, birkhoff_failure, iso_failure, product
 from .typea import (L_COORDINATES, BoxSpec, _partition_to_ideal,
                     _partition_to_tableau_L, _tableau_to_diagonal_L,
                     all_partitions, build_l_a, build_l_graph, build_l_tab,
@@ -42,7 +44,7 @@ def _result(checks):
 
 def suite_fundamental(seed=0):
     """Birkhoff round trips and the J/M/j/m identity families."""
-    from .oracle import check_constructed_iso, random_colored_poset
+    from .oracle import random_colored_poset
     from .poset import (canonical_iso_to_filters, canonical_iso_to_ideals,
                         check_poset_iso, disjoint_sum, dual, j_lattice,
                         join_irreducibles, m_lattice, meet_irreducibles,
@@ -53,17 +55,19 @@ def suite_fundamental(seed=0):
                 ("m(M(P)) = P and M(m(L)) = L", m_lattice, meet_irreducibles,
                  principal_filter, canonical_iso_to_filters))
     held = [True] * len(theorems)
+    broke = [None] * len(theorems)      # the first isomorphism failure
     for _ in range(50):
         P = random_colored_poset(rng, 8, 4)
         for t, (_, build, irreducibles, principal, canonical) in enumerate(theorems):
             L = build(P)
             irr = irreducibles(L)
             held[t] &= check_poset_iso(P, irr, {v: principal(P, v) for v in P.vertices})
-            held[t] &= check_constructed_iso(L, build(irr),
-                                             {x: canonical(L, x) for x in L.vertices})
-    checks = [(theorem[0], ok) for theorem, ok in zip(theorems, held)]
+            broke[t] = broke[t] or iso_failure(L, build(irr),
+                                               {x: canonical(L, x) for x in L.vertices})
+    checks = [(theorem[0], ok and failure is None, failure)
+              for theorem, ok, failure in zip(theorems, held, broke)]
 
-    fam = dict.fromkeys(("duality family", "recoloring family", "sum/product family"), True)
+    fam = dict.fromkeys(("duality family", "recoloring family", "sum/product family"))
     sigma = {c: c + 7 for c in range(1, 4)}
     for _ in range(25):
         P = random_colored_poset(rng, 6, 3)
@@ -72,18 +76,19 @@ def suite_fundamental(seed=0):
         for build in (j_lattice, m_lattice):
             built, reverse = build(P), build(flipped)
             comp = {x: frozenset(set(P.vertices) - x) for x in reverse.vertices}
-            fam["duality family"] &= check_constructed_iso(reverse, built.dual(), comp)
+            fam["duality family"] = (fam["duality family"]
+                                     or iso_failure(reverse, built.dual(), comp))
             tinted = ColoredLattice(built.vertices,
                                     [(a, b, sigma[c]) for a, b, c in built.edges])
-            fam["recoloring family"] &= check_constructed_iso(
+            fam["recoloring family"] = fam["recoloring family"] or iso_failure(
                 build(tinted_P), tinted, {x: x for x in built.vertices})
             summed = build(summed_PQ)
             split = {x: (frozenset(v for t, v in x if t == 0),
                          frozenset(v for t, v in x if t == 1))
                      for x in summed.vertices}
-            fam["sum/product family"] &= check_constructed_iso(
+            fam["sum/product family"] = fam["sum/product family"] or iso_failure(
                 summed, product(built, build(Q)), split)
-    checks += fam.items()
+    checks += [(name, failure is None, failure) for name, failure in fam.items()]
     return _result(checks)
 
 
@@ -96,7 +101,6 @@ def _native_up_edges(spec, coordinates, up_edges, sigma):
 
 def suite_coordinates(k, N):
     """Conversion square and edge agreement for one box."""
-    from .oracle import check_constructed_iso
     spec = BoxSpec(k, N)
     checks = []
     parts = all_partitions(spec)
@@ -111,9 +115,9 @@ def suite_coordinates(k, N):
             agree[system] &= edges[system] == edges["part"]
     for system, ok in agree.items():
         checks.append((f"edge agreement part vs {system}", ok))
-    checks.append(("ideal lattice matches the partition edge rule",
-                   check_constructed_iso(build_l_a(spec), build_l_graph(spec),
-                                         lambda i: ideal_to_partition(spec, i))))
+    failure = iso_failure(build_l_a(spec), build_l_graph(spec),
+                          lambda i: ideal_to_partition(spec, i))
+    checks.append(("ideal lattice matches the partition edge rule", failure is None, failure))
     checks.append(("cardinality C(N, k)", len(parts) == comb(N, k)))
     return _result(checks)
 
@@ -128,20 +132,23 @@ def suite_iso(k, N):
 
     The shapes are the vertices of the lattices just built, so they are
     valid and the checks call the unchecked cores: each result is still
-    compared with a vertex of D, or with the diagonal of one.
+    compared with a vertex of D, or with the diagonal of one.  L and D
+    have the box's shapes as vertices, so each shape's diagonal is taken
+    once and serves as the image's too; an image that is not a shape
+    matches no diagonal.
     """
-    from .oracle import check_constructed_iso
     spec = BoxSpec(k, N)
     L = build_l_graph(spec)
     D = build_d_a(spec)
     image = {p: _phi(spec, p) for p in L.vertices}
+    failure = iso_failure(L, D, image)
+    diagonal = {p: _diagonal(spec, p) for p in L.vertices}
     checks = [
-        ("phi is a color-preserving isomorphism", check_constructed_iso(L, D, image)),
+        ("phi is a color-preserving isomorphism", failure is None, failure),
         ("phi_inverse inverts phi",
          all(_phi_inverse(spec, q) == p for p, q in image.items())),
         ("matrix transport agrees with phi",
-         all(_apply_p(spec, _diagonal(spec, p)) == _diagonal(spec, q)
-             for p, q in image.items())),
+         all(_apply_p(spec, diagonal[p]) == diagonal.get(q) for p, q in image.items())),
         ("move matrix is invertible over the integers",
          move_matrix(spec).is_unimodular),
     ]
@@ -154,12 +161,13 @@ def suite_solver(k, N, seed=0):
     Distances against BFS, the cell-census move counts against the Bareiss
     solve, path legality and the per-color census of every shortest path.
     The shapes are the vertices of D, so the solves and conversions call
-    the unchecked cores: each of D's ideals is read into its mask once,
-    and each returned path is still checked against D.
+    the unchecked cores: each of D's shapes is read once, into its ideal's
+    mask and its two tableau masks, and each returned path is still
+    checked against D.
     """
     from .oracle import bareiss_decompose, bfs_all_pairs, enumerate_shortest_paths
     from .poset import _ideal_mask
-    from .solver import _solve_distributive, _solve_domino
+    from .solver import _shape_masks, _solve_distributive, _solve_domino
     spec = BoxSpec(k, N)
     P = build_p_a(spec)
     L = build_l_graph(spec)
@@ -172,15 +180,15 @@ def suite_solver(k, N, seed=0):
         mask = _ideal_mask(P, x)
         if mask is None:
             raise AssertionError(f"the ideal of {a} is not an order ideal of P_A")
-        ideal[a] = x, mask
+        ideal[a] = x, mask, _shape_masks(spec, a)
     okL = okD = okPath = True
     for a in D.vertices:
-        sa, ma = ideal[a]
+        sa, ma, da = ideal[a]
         for b in D.vertices:
-            sb, mb = ideal[b]
+            sb, mb, db = ideal[b]
             ga = _solve_distributive(P, sa, sb, ma, mb, "join")
             okL &= ga.distance == distL[(a, b)]
-            gd = _solve_domino(spec, a, b, "join")
+            gd = _solve_domino(spec, a, b, da, db, "join")
             okD &= gd.distance == distD[(a, b)]
             try:
                 gd.path.validate(D)
@@ -197,7 +205,7 @@ def suite_solver(k, N, seed=0):
     okColors = True
     for _ in range(10):
         a, b = rng.choice(verts), rng.choice(verts)
-        expected = _solve_domino(spec, a, b, "join").per_color
+        expected = _solve_domino(spec, a, b, ideal[a][2], ideal[b][2], "join").per_color
         for p in enumerate_shortest_paths(D, a, b):
             okColors &= Counter(c for c, _ in p.steps) == expected
     checks.append(("all shortest paths share the per-color census", okColors))

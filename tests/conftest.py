@@ -3,6 +3,8 @@
 import sys
 from collections import Counter
 
+from dominolattice.lattice import iso_failure
+from dominolattice.oracle import check_constructed_iso
 from dominolattice.typea import BoxSpec
 from dominolattice.verify import _small_product
 
@@ -35,3 +37,11 @@ def count_calls(functions, run, by_class=False):
     finally:
         sys.setprofile(None)
     return result, calls
+
+
+def iso_verdict(G, H, f):
+    """check_constructed_iso(G, H, f), after checking that iso_failure agrees with it."""
+    failure = iso_failure(G, H, f)
+    verdict = check_constructed_iso(G, H, f)
+    assert (failure is None) == verdict, failure
+    return verdict

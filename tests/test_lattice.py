@@ -8,10 +8,12 @@ import pytest
 from dominolattice.lattice import (DOWN, UP, ColoredLattice, CoverDigraph, LatticeError,
                                    PathRecord, birkhoff_failure,
                                    check_full_length_sublattice,
-                                   full_length_witness, induced_covers, mountainize,
+                                   full_length_witness, induced_covers, iso_failure,
+                                   mountainize,
                                    path_from_vertices,
                                    path_stats, product, valleyize)
 from dominolattice.domino import build_d_a, pi
+from dominolattice.isomorphism import phi
 from dominolattice.isomorphism import MoveMatrix, move_matrix
 from dominolattice.poset import (PosetError, VertexColoredPoset, enumerate_order_ideals,
                                  j_lattice, join_irreducibles, check_poset_iso, m_lattice)
@@ -24,7 +26,7 @@ from dominolattice.solver import solve_domino
 from dominolattice.typea import (BoxSpec, CircleState, build_l_a, build_l_graph,
                                  build_l_tab, build_l_tilde, build_p_a)
 
-from conftest import DESK_SPECS, PRODUCT_SPECS, count_calls
+from conftest import DESK_SPECS, PRODUCT_SPECS, count_calls, iso_verdict
 
 
 def two_chain(color):
@@ -346,9 +348,54 @@ def definitional_verdict(L):
                               "modular", "distributive", "rank_identity"))
 
 
+def birkhoff_scan(L):
+    """birkhoff_failure as one scan of every join irreducible at every vertex, O(V*J).
+
+    The reference for the certificate's bottom-up takeable sets: the same
+    checks in the same order, each vertex's takeable join irreducibles
+    found by testing every one of them.
+    """
+    vs, down, color = L.vertices, L._down, L._color
+    bottoms = [v for v, ws in zip(vs, down) if not ws]
+    if len(bottoms) != 1:
+        return (f"{len(bottoms)} minimal elements, among them "
+                f"{bottoms[0]!r} and {bottoms[1]!r}")
+    members, masks = L._join_masks
+    first = {}
+    for i, m in enumerate(masks):
+        j = first.setdefault(m, i)
+        if j != i:
+            return f"{vs[j]!r} and {vs[i]!r} lie above the same join irreducibles"
+    hue = [color[down[j][0], j] for j in members]
+    bits = [(masks[j], 1 << b) for b, j in enumerate(members)]
+    for x, ys in enumerate(L._up):
+        fx = masks[x]
+        added = 0
+        for y in ys:
+            d = masks[y] ^ fx
+            if d & (d - 1):
+                return (f"cover ({vs[x]!r}, {vs[y]!r}) adds {d.bit_count()} "
+                        "join irreducibles, not one")
+            b = d.bit_length() - 1
+            if color[x, y] != hue[b]:
+                return (f"cover ({vs[x]!r}, {vs[y]!r}) has color {color[x, y]}, "
+                        f"but the join irreducible {vs[members[b]]!r} it adds "
+                        f"has color {hue[b]}")
+            added |= d
+        rest = ~fx
+        missing = sum(bit for m, bit in bits if m & rest == bit) & ~added
+        if missing:
+            j = members[(missing & -missing).bit_length() - 1]
+            return (f"no cover out of {vs[x]!r} adds the join irreducible "
+                    f"{vs[j]!r}, though every join irreducible below it lies "
+                    f"below {vs[x]!r}")
+    return None
+
+
 def certify(L):
-    """birkhoff_failure(L), after checking it against the definitional verdict."""
+    """birkhoff_failure(L), after checking it against the scan and the definitional verdict."""
     failure = birkhoff_failure(L)
+    assert failure == birkhoff_scan(L)
     assert (failure is None) == definitional_verdict(L), failure
     if failure is not None:
         assert any(repr(v) in failure for v in L.vertices), failure
@@ -438,6 +485,103 @@ class TestBirkhoffCertificate:
         D = d37_mutant(kind)
         assert certify(D) is not None
         assert not definitional_verdict(D)
+
+
+class TestBirkhoffScanReference:
+    """The bottom-up takeable sets against the scan, where the law checks cost too much."""
+
+    @pytest.mark.parametrize("k, N", [(3, 9), (4, 9), (5, 11)])
+    def test_larger_boxes(self, k, N):
+        spec = BoxSpec(k, N)
+        for L in (build_l_graph(spec), build_d_a(spec)):
+            assert birkhoff_failure(L) is None is birkhoff_scan(L)
+            assert birkhoff_failure(L.dual()) is None is birkhoff_scan(L.dual())
+
+    def test_one_edge_mutants_of_ideal_and_filter_lattices(self):
+        rng = random.Random(10)
+        verdicts = set()
+        for _ in range(150):
+            P = random_colored_poset(rng, 7, 3, min_vertices=2)
+            for L in (j_lattice(P), m_lattice(P)):
+                for K in (*mutants(L, rng), *mutants(L.dual(), rng)):
+                    failure = birkhoff_failure(K)
+                    assert failure == birkhoff_scan(K)
+                    verdicts.add(failure is None)
+        assert verdicts == {True, False}
+
+
+class TestIsoCertificate:
+    """iso_failure on cover indices against the label-space check_constructed_iso."""
+
+    @pytest.mark.parametrize("spec", DESK_SPECS, ids=lambda s: f"k{s.k}N{s.N}")
+    def test_phi_on_every_box(self, spec):
+        L = build_l_graph(spec)
+        assert iso_verdict(L, build_d_a(spec), {p: phi(spec, p) for p in L.vertices})
+
+    @staticmethod
+    def phi_37():
+        spec = BoxSpec(3, 7)
+        L = build_l_graph(spec)
+        return L, build_d_a(spec), {p: phi(spec, p) for p in L.vertices}
+
+    @staticmethod
+    def failure(G, H, f):
+        assert not iso_verdict(G, H, f)
+        return iso_failure(G, H, f)
+
+    def test_two_swapped_images(self):
+        L, D, image = self.phi_37()
+        u, v = L.vertices[3], L.vertices[10]
+        image[u], image[v] = image[v], image[u]
+        failure = self.failure(L, D, image)
+        assert repr(u) in failure or repr(v) in failure, failure
+
+    def test_non_injective_map(self):
+        L, D, image = self.phi_37()
+        u, v = L.vertices[3], L.vertices[10]
+        image[v] = image[u]
+        assert self.failure(L, D, image) == f"{u!r} and {v!r} both map to {image[u]!r}"
+
+    def test_image_outside_the_target(self):
+        L, D, image = self.phi_37()
+        v = L.vertices[10]
+        image[v] = (9, 9, 9)
+        assert self.failure(L, D, image) == (f"{v!r} maps to (9, 9, 9), "
+                                             "which is not a vertex of the target")
+
+    def test_map_onto_part_of_the_target(self):
+        L, D, image = self.phi_37()
+        top = L.maximum
+        G = ColoredLattice([v for v in L.vertices if v != top],
+                           [e for e in L.edges if e[1] != top])
+        assert self.failure(G, D, image) == f"no vertex maps to {image[top]!r}"
+
+    def test_swapped_color(self):
+        L, D, image = self.phi_37()
+        (a, b, c), *rest = D.edges
+        H = ColoredLattice(D.vertices, [(a, b, c + 1)] + rest)
+        failure = self.failure(L, H, image)
+        assert f"its image ({a!r}, {b!r}) has color {c + 1}" in failure, failure
+
+    def test_dropped_cover_of_the_target(self):
+        L, D, image = self.phi_37()
+        edges = list(D.edges)
+        a, b, _ = edges.pop(7)
+        failure = self.failure(L, ColoredLattice(D.vertices, edges), image)
+        assert failure.endswith(f"maps to ({a!r}, {b!r}), which is not a cover"), failure
+
+    def test_dropped_cover_of_the_source(self):
+        L, D, image = self.phi_37()
+        edges = list(L.edges)
+        a, b, _ = edges.pop(7)
+        failure = self.failure(ColoredLattice(L.vertices, edges), D, image)
+        assert failure == (f"({a!r}, {b!r}) is not a cover, but its image "
+                           f"({image[a]!r}, {image[b]!r}) is")
+
+    def test_callable_map_and_identity(self):
+        L = l24()
+        assert iso_failure(L, L, lambda v: v) is None
+        assert iso_verdict(L, L, {v: v for v in L.vertices})
 
 
 def greatest(bounds, le):

@@ -70,8 +70,8 @@ COMMAND_IMPORTS = {
 SUITE_IMPORTS = {
     "structure": ("dominolattice.lattice", ("dominolattice.oracle", "dominolattice.poset",
                                             "dominolattice.solver", "fractions")),
-    "iso": ("dominolattice.oracle", ("dominolattice.poset", "dominolattice.solver",
-                                     "fractions")),
+    "iso": ("dominolattice.lattice", ("dominolattice.oracle", "dominolattice.poset",
+                                      "dominolattice.solver", "fractions")),
     "fundamental": ("dominolattice.poset", ("dominolattice.solver", "fractions")),
 }
 

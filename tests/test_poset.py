@@ -11,6 +11,7 @@ from dominolattice.poset import (PosetError, VertexColoredPoset,
                                  join_to_meet_irreducible, m_lattice,
                                  meet_irreducibles, principal_filter,
                                  principal_ideal, recolor)
+from dominolattice.domino import build_d_a
 from dominolattice.typea import BoxSpec, build_l_a, build_p_a
 from dominolattice.oracle import check_constructed_iso, random_colored_poset
 
@@ -209,6 +210,22 @@ class TestIrreducibles:
                 with pytest.raises(PosetError) as exc:
                     irreducibles(L)
                 assert str(exc.value) == "input is not a lattice"
+
+    def test_distributive_lattices_skip_the_pairwise_lattice_check(self):
+        # Birkhoff's certificate settles D(6,14) in one pass over its covers;
+        # is_lattice asks every one of its 4.5 million pairs for a join
+        D = build_d_a.__wrapped__(BoxSpec(6, 14))
+        assert len(join_irreducibles(D)) == len(meet_irreducibles(D)) == 6 * 8
+        assert "is_lattice" not in D.__dict__
+
+    def test_other_lattices_still_take_the_pairwise_check(self):
+        n5 = ColoredLattice("0abct", [("0", "a", 1), ("a", "t", 2),
+                                      ("0", "b", 1), ("b", "c", 2), ("c", "t", 3)])
+        m3 = ColoredLattice("0abct", [("0", "a", 1), ("0", "b", 2), ("0", "c", 3),
+                                      ("a", "t", 2), ("b", "t", 3), ("c", "t", 1)])
+        for L, n in ((n5, 3), (m3, 3)):
+            assert len(join_irreducibles(L)) == len(meet_irreducibles(L)) == n
+            assert L.__dict__["is_lattice"] is True
 
     def test_join_meet_irreducible_pairing(self):
         spec = BoxSpec(2, 6)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from dominolattice.domino import is_legal_domino_move
 from dominolattice.isomorphism import move_census, phi_inverse
 from dominolattice.lattice import ColoredLattice, path_stats, product, sort_key
-from dominolattice.oracle import (bfs_all_pairs, cell_census, check_constructed_iso,
+from dominolattice.oracle import (bfs_all_pairs, cell_census,
                                   enumerate_shortest_paths, ideal_greedy_solve,
                                   is_diamond_colored,
                                   is_distributive,
@@ -23,6 +23,8 @@ from dominolattice.typea import (BoxSpec, all_partitions,
                                  diagonal_to_partition, partition_to_diagonal,
                                  partition_to_tableau_L,
                                  tableau_to_partition_L)
+
+from conftest import iso_verdict
 
 SMALL_SPECS = st.sampled_from(
     [BoxSpec(k, N) for k in range(1, 7) for N in range(k + 1, 11)
@@ -83,9 +85,7 @@ def test_rank_equals_ideal_size(seed):
 def test_canonical_ideal_map_is_an_isomorphism(seed):
     L = j_lattice(poset_from_seed(seed, 6))
     H = j_lattice(join_irreducibles(L))
-    assert check_constructed_iso(L, H,
-                                 {x: canonical_iso_to_ideals(L, x)
-                                  for x in L.vertices})
+    assert iso_verdict(L, H, {x: canonical_iso_to_ideals(L, x) for x in L.vertices})
 
 
 @settings(max_examples=25, deadline=None)
@@ -97,7 +97,7 @@ def test_sum_goes_to_product_for_both_constructions(seed_a, seed_b):
         split = {x: (frozenset(v for t, v in x if t == 0),
                      frozenset(v for t, v in x if t == 1))
                  for x in S.vertices}
-        assert check_constructed_iso(S, product(build(P), build(Q)), split)
+        assert iso_verdict(S, product(build(P), build(Q)), split)
 
 
 @settings(max_examples=25, deadline=None)
@@ -109,11 +109,11 @@ def test_dual_and_recolor_families(seed):
         built = build(P)
         comp = {x: frozenset(set(P.vertices) - x)
                 for x in build(dual(P)).vertices}
-        assert check_constructed_iso(build(dual(P)), built.dual(), comp)
+        assert iso_verdict(build(dual(P)), built.dual(), comp)
         tinted = ColoredLattice(built.vertices,
                                 [(a, b, sigma[c]) for a, b, c in built.edges])
-        assert check_constructed_iso(build(recolor(P, sigma)), tinted,
-                                     {x: x for x in built.vertices})
+        assert iso_verdict(build(recolor(P, sigma)), tinted,
+                           {x: x for x in built.vertices})
 
 
 @settings(max_examples=30, deadline=None)

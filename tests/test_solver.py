@@ -1,11 +1,13 @@
 import random
 import tracemalloc
 from collections import Counter
+from math import comb
 
 import pytest
 
 import sys
 
+from dominolattice import solver, verify
 from dominolattice.cli import main
 from dominolattice.domino import build_d_a, d_max, d_min, is_legal_domino_move
 from dominolattice.isomorphism import phi_inverse
@@ -410,6 +412,26 @@ class TestGameSolution:
         sol = solve_domino(BOX24, (4, 4), (1, 1))   # colors 2, 4 and 5, once each
         with pytest.raises(ValueError, match=message):
             GameSolution(sol.distance, per_color, sol.path, sol.waypoint)
+
+    def test_the_cores_record_their_answers_without_the_recount(self):
+        P = build_p_a(BOX24)
+        s, t = partition_to_ideal(BOX24, (4, 4)), partition_to_ideal(BOX24, (1, 0))
+        _, calls = count_calls([GameSolution.__init__], lambda: (
+            solve_domino(BOX24, (4, 3), (1, 1)), solve_distributive(P, s, t)))
+        assert calls == {}
+
+    def test_every_solution_of_the_solver_suite_passes_the_constructor(self, monkeypatch):
+        # the cores skip the recount; the checking constructor must accept each record
+        built = []
+
+        def checked(*fields):
+            built.append(GameSolution(*fields))
+            return built[-1]
+
+        monkeypatch.setattr(solver, "_trusted_solution", checked)
+        assert verify.suite_solver(3, 8)["passed"]
+        # one generic and one Domino solve per ordered pair, ten more for the census
+        assert len(built) == 2 * comb(8, 3) ** 2 + 10
 
     def test_zero_entries_count_as_absent(self):
         sol = solve_domino(BOX24, (4, 4), (1, 1))

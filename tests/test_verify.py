@@ -2,11 +2,11 @@ from math import comb
 
 import pytest
 
-from dominolattice import oracle, poset, verify
+from dominolattice import oracle, poset, solver, verify
 from dominolattice.domino import build_d_a
 from dominolattice.isomorphism import (_bareiss_forward, _determinant, _phi,
                                        move_matrix)
-from dominolattice.lattice import ColoredLattice, CoverDigraph
+from dominolattice.lattice import ColoredLattice, CoverDigraph, product
 from dominolattice.typea import (BoxSpec, _partition_to_ideal, build_l_graph,
                                  validate_diagonal, validate_entries, validate_partition)
 from dominolattice.verify import SUITES, run_suite
@@ -48,6 +48,33 @@ def test_failing_structure_check_names_its_witness(monkeypatch):
     failed = by_name.pop("D_A structure and rank identity")
     assert failed["passed"] is False
     assert any(repr(v) in failed["witness"] for v in mutant.vertices)
+    assert all(check == {"name": check["name"], "passed": True}
+               for check in by_name.values())
+
+
+def test_failing_iso_check_names_its_witness(monkeypatch):
+    spec = BoxSpec(3, 7)
+    u, v = build_l_graph(spec).vertices[3:5]
+    swap = {u: v, v: u}
+    monkeypatch.setattr(verify, "_phi", lambda spec, p: _phi(spec, swap.get(p, p)))
+    result = run_suite("iso", k=3, N=7)
+    assert result["passed"] is False
+    failed = result["checks"][0]
+    assert failed["name"] == "phi is a color-preserving isomorphism"
+    assert failed["passed"] is False
+    assert repr(u) in failed["witness"] or repr(v) in failed["witness"], failed
+    assert set(failed) == {"name", "passed", "witness"}
+
+
+def test_failing_fundamental_family_names_its_witness(monkeypatch):
+    # the product with its factors swapped has the pairs of the sum's
+    # split map the other way round
+    monkeypatch.setattr(verify, "product", lambda A, B: product(B, A))
+    result = run_suite("fundamental", seed=0)
+    by_name = {check["name"]: check for check in result["checks"]}
+    failed = by_name.pop("sum/product family")
+    assert failed["passed"] is False
+    assert "which is not a vertex of the target" in failed["witness"], failed
     assert all(check == {"name": check["name"], "passed": True}
                for check in by_name.values())
 
@@ -94,6 +121,14 @@ def test_solver_suite_reads_each_ideal_at_most_once():
     result, calls = count_calls([poset._ideal_mask], lambda: verify.suite_solver(3, 8))
     assert result["passed"]
     assert calls["_ideal_mask"] <= comb(8, 3), calls
+
+
+def test_solver_suite_reads_each_shape_into_its_masks_once():
+    # the all-pairs loop and the census pairs play on tableau masks read
+    # once per shape, not twice per solve, 2 C(N, k)^2 + 20 reads
+    result, calls = count_calls([solver._shape_masks], lambda: verify.suite_solver(3, 8))
+    assert result["passed"]
+    assert calls["_shape_masks"] == comb(8, 3), calls
 
 
 def test_solver_suite_names_a_shape_whose_ideal_is_rejected(monkeypatch):
