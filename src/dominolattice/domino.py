@@ -15,10 +15,10 @@ the digraph, and only `build_d_a` imports the lattice module.
 from functools import lru_cache
 
 from .records import Record, _set_field, is_int
-from .typea import (_circle, _partition_to_tableau_L, _tableau_mask, _tableau_to_diagonal_L,
-                    _up_edges, all_partitions, diagonal_to_partition, hop_up_moves,
-                    is_valid_partition, partition_to_diagonal, tableau_to_circle,
-                    validate_circle, validate_entries, validate_partition)
+from .typea import (_circle, _hop_lattice, _partition_to_diagonal, _tableau_mask, _up_edges,
+                    all_partitions, diagonal_to_partition, is_valid_partition,
+                    partition_to_diagonal, tableau_to_circle, validate_circle,
+                    validate_entries, validate_partition)
 
 
 def is_red(spec, r, c):
@@ -134,13 +134,10 @@ def build_d_a(spec):
     (`birkhoff_failure`), which implies unique extremes; a failure raises
     AssertionError with its witness.
     """
-    from .lattice import _indexed_lattice, birkhoff_failure
+    from .lattice import birkhoff_failure
     vertices = all_partitions(spec)
-    pairs = _move_pairs(spec.N)
-    masks = [_tableau_mask(_gamma_pt(spec, sigma)) for sigma in vertices]
-    at = {m: i for i, m in enumerate(masks)}
-    L = _indexed_lattice(vertices, {(i, at[t]): l for i, m in enumerate(masks)
-                                    for t, l in hop_up_moves(m, pairs)})
+    L = _hop_lattice(vertices, [_tableau_mask(_gamma_pt(spec, sigma)) for sigma in vertices],
+                     _move_pairs(spec.N))
     failure = birkhoff_failure(L)
     if failure is not None:
         raise AssertionError(failure)
@@ -209,7 +206,7 @@ def d_max(spec):
 
 def m_diag(spec):
     """Diagonal coordinates of the Domino minimum."""
-    return _tableau_to_diagonal_L(spec, _partition_to_tableau_L(spec, d_min(spec)))
+    return _partition_to_diagonal(spec, d_min(spec))
 
 
 # -- the gamma conversion maps (Domino conventions) -----------------------------

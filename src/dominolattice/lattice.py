@@ -129,11 +129,15 @@ class CoverDigraph:
         return v in self._index
 
     def index(self, v):
-        """Position of v in the canonical vertex order (used for tie-breaks)."""
-        return self._index[v]
+        """Position of v in the canonical vertex order; an unknown v raises, naming it."""
+        i = self._index.get(v)
+        if i is None:
+            raise self.error(f"{v!r} is not a vertex")
+        return i
 
     def le(self, x, y):
-        return x == y or bool(self._upsets[self._index[x]] >> self._index[y] & 1)
+        i, j = self.index(x), self.index(y)
+        return i == j or bool(self._upsets[i] >> j & 1)
 
 
 def _ranks_from(roots, up, down):
@@ -257,11 +261,11 @@ class ColoredLattice(CoverDigraph):
         return f"ColoredLattice({len(self.vertices)} vertices, {len(self._color)} edges)"
 
     def up_neighbors(self, v):
-        i, vs = self._index[v], self.vertices
+        i, vs = self.index(v), self.vertices
         return tuple((vs[j], self._color[i, j]) for j in self._up[i])
 
     def down_neighbors(self, v):
-        i, vs = self._index[v], self.vertices
+        i, vs = self.index(v), self.vertices
         return tuple((vs[j], self._color[j, i]) for j in self._down[i])
 
     def edge_color(self, x, y):
@@ -293,7 +297,7 @@ class ColoredLattice(CoverDigraph):
 
     def _bound(self, x, y, closures, lookup, name):
         """The vertex whose closure mask is x's and y's in common, if any."""
-        i = lookup.get(closures[self._index[x]] & closures[self._index[y]])
+        i = lookup.get(closures[self.index(x)] & closures[self.index(y)])
         if i is None:
             raise LatticeError(f"no {name} for {x!r}, {y!r}")
         return self.vertices[i]
@@ -658,11 +662,3 @@ def full_length_witness(L, K, x):
         raise LatticeError(
             f"minimal element over {x!r} is not unique; K is not full length")
     return minimal[0]
-
-
-def induced_covers(L, members):
-    """Pairs (x, y) of members where y covers x in the order induced from L."""
-    return [(x, y) for x in members for y in members
-            if x != y and L.le(x, y)
-            and not any(z != x and z != y and L.le(x, z) and L.le(z, y)
-                        for z in members)]

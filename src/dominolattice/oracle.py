@@ -1,17 +1,18 @@
 """Independent brute-force ground truth.
 
 BFS distances, exhaustive shortest-path enumeration, explicit-map
-isomorphism checking, the diamond-coloring check, the definitional
-lattice laws and their report, the cell-by-cell color census, the
-paper's matrix route to the per-color move counts, and the Domino game
-played by the generic ideal solver on J(P_A) and read through phi.
-Nothing here reuses the closed-form machinery it is meant to check: the
-matrix route's shift is counted cell by cell, not by the prefix count,
-and the ideal route counts moves by the colors of ideal differences and
-never walks a tableau.  The diamond and law checks
-read a lattice only through its public methods.  Beyond the lattice
-module, each function imports the layers it uses when it runs, so that a
-process that calls one oracle loads only what that oracle reads.
+isomorphism checking, the covers of an induced order, the
+diamond-coloring check, the definitional lattice laws and their report,
+the cell-by-cell color census, the paper's matrix route to the
+per-color move counts, and the Domino game played by the generic ideal
+solver on J(P_A) and read through phi.  Nothing here reuses the
+closed-form machinery it is meant to check: the matrix route's shift is
+counted cell by cell, not by the prefix count, and the ideal route
+counts moves by the colors of ideal differences and never walks a
+tableau.  The induced covers, the diamond and law checks read a lattice
+only through its public methods.  Beyond the lattice module, each
+function imports the layers it uses when it runs, so that a process
+that calls one oracle loads only what that oracle reads.
 """
 
 from collections import deque
@@ -103,6 +104,14 @@ def check_constructed_iso(G, H, f):
         return False
     g_edges = {(images[a], images[b], c) for a, b, c in G.edges}
     return g_edges == set(H.edges)
+
+
+def induced_covers(L, members):
+    """Pairs (x, y) of members where y covers x in the order induced from L."""
+    return [(x, y) for x in members for y in members
+            if x != y and L.le(x, y)
+            and not any(z != x and z != y and L.le(x, z) and L.le(z, y)
+                        for z in members)]
 
 
 def bareiss_solve(matrix, rhs):

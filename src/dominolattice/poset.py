@@ -15,8 +15,8 @@ only for the vertices a caller receives.
 from collections import Counter
 from functools import cached_property
 
-from .lattice import (CoverDigraph, LatticeError, _indexed_lattice, birkhoff_failure,
-                      induced_covers, is_int)
+from .lattice import (CoverDigraph, LatticeError, _indexed_lattice, _upper_covers,
+                      birkhoff_failure, is_int)
 
 
 class PosetError(ValueError):
@@ -83,11 +83,12 @@ class VertexColoredPoset(CoverDigraph):
 
     def _strictly_within(self, v, closures):
         """The vertices other than v in v's closure mask."""
-        i, vs = self._index[v], self.vertices
+        i, vs = self.index(v), self.vertices
         mask = closures[i] & ~(1 << i)
         return frozenset(vs[b] for b in range(mask.bit_length()) if mask >> b & 1)
 
     def color(self, v):
+        self.index(v)           # an unknown v raises PosetError, naming it
         return self.colors[v]
 
     def minimal_of(self, subset):
@@ -269,26 +270,34 @@ def join_irreducibles(L):
     Join irreducibles are the vertices covering exactly one element; each
     keeps the color of its unique lower edge.
     """
-    return _irreducibles_poset(L, L._join_masks[0], L.down_neighbors)
+    return _irreducibles_poset(L, L._join_masks, L.down_neighbors, False)
 
 
 def meet_irreducibles(L):
     """Dual of join_irreducibles: vertices covered by exactly one element."""
-    return _irreducibles_poset(L, L._meet_masks[0], L.up_neighbors)
+    return _irreducibles_poset(L, L._meet_masks, L.up_neighbors, True)
 
 
-def _irreducibles_poset(L, members, neighbors):
-    """The poset of the irreducibles at those indices, colored by their one neighbor edge.
+def _irreducibles_poset(L, irreducible_masks, neighbors, above):
+    """The poset of the irreducibles (members, masks), colored by their one neighbor edge.
 
-    L must be a lattice.  Birkhoff's certificate, one pass over the covers,
+    An irreducible's mask holds its own bit and those of the irreducibles
+    below it, or above it when `above`, so the covers are read off the
+    masks by `_upper_covers`, each pair reversed when `above`.  L must
+    be a lattice.  Birkhoff's certificate, one pass over the covers,
     settles that for every distributive lattice; only where it fails is
     every pair of vertices asked for its join (`is_lattice`).
     """
     if birkhoff_failure(L) is not None and not L.is_lattice:
         raise PosetError("input is not a lattice")
-    members = [L.vertices[i] for i in members]
-    return VertexColoredPoset(members, induced_covers(L, members),
-                              {v: neighbors(v)[0][1] for v in members})
+    members, masks = irreducible_masks
+    labels = [L.vertices[i] for i in members]
+    uppers = _upper_covers([(masks[i], 1 << b) for b, i in enumerate(members)])
+    covers = [(labels[b], labels[bit.bit_length() - 1])
+              for b, over in enumerate(uppers) for _, bit in over]
+    if above:
+        covers = [(y, x) for x, y in covers]
+    return VertexColoredPoset(labels, covers, {v: neighbors(v)[0][1] for v in labels})
 
 
 def dual(P):
@@ -340,8 +349,6 @@ def canonical_iso_to_filters(L, x):
 
 def _irreducibles_of(L, x, irreducible_masks):
     """The irreducibles that x's mask in (members, masks) names; O(|members|)."""
-    if x not in L:
-        raise LatticeError(f"{x!r} is not an element of the lattice")
     members, masks = irreducible_masks
     m, vs = masks[L.index(x)], L.vertices
     return frozenset(vs[i] for b, i in enumerate(members) if m >> b & 1)

@@ -27,7 +27,7 @@ the Domino move counts (`isomorphism.move_census`).
 """
 
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, combinations
 
 from .records import Record, _set_field, is_int
 
@@ -329,7 +329,12 @@ def circle_to_partition_L(spec, state):
 
 def partition_to_diagonal(spec, parts):
     """Diagonal coordinates: entry i counts the shape's cells of color i."""
-    return _tableau_to_diagonal_L(spec, partition_to_tableau_L(spec, parts))
+    return _partition_to_diagonal(spec, validate_partition(spec, parts))
+
+
+def _partition_to_diagonal(spec, parts):
+    """partition_to_diagonal on a shape already validated."""
+    return _tableau_to_diagonal_L(spec, _partition_to_tableau_L(spec, parts))
 
 
 def _tableau_to_diagonal_L(spec, entries):
@@ -515,16 +520,25 @@ def build_l_tilde(spec):
 def build_l_tab(spec):
     """The strictly increasing k-tuples, a full-length sublattice of L_tilde.
 
-    Once that is checked, its covers are L_tilde's edges between its
-    members: in a modular lattice, such as the distributive L_tilde, every
-    cover of a full-length sublattice is a cover of the host (Stanley, EC1
-    Section 3.3).
+    They are the L tableaux, listed by `combinations` in sort_key order,
+    and a color-l move hops an entry from l+1 to l: the edge of L_tilde
+    into label l of one chain.  So the covers are the host's edges
+    between tableaux, and no host is built.  The tuples are closed under
+    the host's componentwise min and max, and each cover is a host edge,
+    so the sublattice is full length.
     """
-    from .lattice import _indexed_lattice, check_full_length_sublattice
-    big = build_l_tilde(spec)
-    K = tuple(v for v in big.vertices if all(a < b for a, b in zip(v, v[1:])))
-    if not check_full_length_sublattice(big, K):
-        raise ValueError("tableau subset is not a full-length sublattice")
-    at = {v: i for i, v in enumerate(K)}
-    return _indexed_lattice(K, {(at[x], at[y]): c for x, y, c in big.edges
-                                if x in at and y in at})
+    vertices = tuple(combinations(range(1, spec.N + 1), spec.k))
+    return _hop_lattice(vertices, list(map(_tableau_mask, vertices)),
+                        _l_move_table(spec.N)[0])
+
+
+def _hop_lattice(vertices, masks, pairs):
+    """The lattice whose covers hop tableau entries, by `hop_up_moves` over pairs.
+
+    vertices are distinct labels in sort_key order and masks their
+    distinct tableau masks; a move's target is the vertex with its mask.
+    """
+    from .lattice import _indexed_lattice
+    at = {m: i for i, m in enumerate(masks)}
+    return _indexed_lattice(vertices, {(i, at[t]): l for i, m in enumerate(masks)
+                                       for t, l in hop_up_moves(m, pairs)})

@@ -15,8 +15,7 @@ from collections import Counter
 from math import comb
 
 from .lattice import ColoredLattice, birkhoff_failure, iso_failure, product
-from .typea import (L_COORDINATES, BoxSpec, _partition_to_ideal,
-                    _partition_to_tableau_L, _tableau_to_diagonal_L,
+from .typea import (L_COORDINATES, BoxSpec, _partition_to_diagonal, _partition_to_ideal,
                     all_partitions, build_l_a, build_l_graph, build_l_tab,
                     build_l_tilde, build_p_a, ideal_to_partition, l_up_edges)
 from .domino import (D_COORDINATES, build_d_a, d_up_edges,
@@ -122,11 +121,6 @@ def suite_coordinates(k, N):
     return _result(checks)
 
 
-def _diagonal(spec, parts):
-    """Diagonal coordinates of a shape already validated."""
-    return _tableau_to_diagonal_L(spec, _partition_to_tableau_L(spec, parts))
-
-
 def suite_iso(k, N):
     """Phi as a colored digraph isomorphism, plus the matrix transport.
 
@@ -142,7 +136,7 @@ def suite_iso(k, N):
     D = build_d_a(spec)
     image = {p: _phi(spec, p) for p in L.vertices}
     failure = iso_failure(L, D, image)
-    diagonal = {p: _diagonal(spec, p) for p in L.vertices}
+    diagonal = {p: _partition_to_diagonal(spec, p) for p in L.vertices}
     checks = [
         ("phi is a color-preserving isomorphism", failure is None, failure),
         ("phi_inverse inverts phi",
@@ -194,7 +188,7 @@ def suite_solver(k, N, seed=0):
                 gd.path.validate(D)
             except Exception:
                 okPath = False
-    diags = [_diagonal(spec, a) for a in D.vertices]
+    diags = [_partition_to_diagonal(spec, a) for a in D.vertices]
     checks = [("ideal-counting distance equals BFS on L", okL),
               ("multiset distance equals BFS on D", okD),
               ("returned domino paths are legal colored edges", okPath),
@@ -213,10 +207,11 @@ def suite_solver(k, N, seed=0):
 
 
 def _small_product(spec):
-    """Whether the box's chain product L_tilde, with L_tab, is small enough to check.
+    """Whether the box's chain product L_tilde is small enough to check.
 
-    L_tilde has (cols+1)^k vertices, and the host lattice check that
-    `build_l_tab` runs is quadratic in that number, so the cap is 130.
+    L_tilde has (cols+1)^k vertices, against C(N, k) for L_A, D_A and
+    L_tab, which are checked at every box; so the cap, 130, gates L_tilde
+    alone.
     """
     return (spec.cols + 1) ** spec.k <= 130
 
@@ -234,7 +229,7 @@ def suite_structure(k, N):
     built = [("L_A", build_l_graph(spec)), ("D_A", build_d_a(spec))]
     if _small_product(spec):
         built.append(("L_tilde", build_l_tilde(spec)))
-        built.append(("L_tab", build_l_tab(spec)))
+    built.append(("L_tab", build_l_tab(spec)))
     checks = []
     for name, L in built:
         failure = birkhoff_failure(L)

@@ -11,7 +11,8 @@ from dominolattice.verify import _small_product
 # every box with k(N-k) <= 12: the boxes Tier-1 checks exhaustively
 DESK_SPECS = tuple(BoxSpec(k, N) for k in range(1, 13)
                    for N in range(k + 1, 15) if k * (N - k) <= 12)
-# the desk boxes whose chain products L_tilde and L_tab stay small
+# the desk boxes whose chain product L_tilde, with (cols+1)^k vertices, stays
+# small; L_tab, built by tableau hops, is checked at every box
 PRODUCT_SPECS = tuple(s for s in DESK_SPECS if _small_product(s))
 
 

@@ -149,9 +149,9 @@ def test_criterion_09_structure_suite():
     for spec in DESK_SPECS:
         built.append(build_l_graph(spec))
         built.append(build_d_a(spec))
+        built.append(build_l_tab(spec))
     for spec in PRODUCT_SPECS:
         built.append(build_l_tilde(spec))
-        built.append(build_l_tab(spec))
     for L in built:
         assert is_diamond_colored(L)
         assert check_lattice_laws(L) == {
@@ -162,15 +162,16 @@ def test_criterion_09_structure_suite():
 
 
 def test_criterion_10_fundamental_theorem_suite():
+    built = [build_l_tab(spec) for spec in DESK_SPECS]
     for spec in PRODUCT_SPECS:
-        for L in (build_l_a(spec), build_d_a(spec),
-                  build_l_tilde(spec), build_l_tab(spec)):
-            assert check_constructed_iso(
-                L, j_lattice(join_irreducibles(L)),
-                {x: canonical_iso_to_ideals(L, x) for x in L.vertices})
-            assert check_constructed_iso(
-                L, m_lattice(meet_irreducibles(L)),
-                {x: canonical_iso_to_filters(L, x) for x in L.vertices})
+        built += (build_l_a(spec), build_d_a(spec), build_l_tilde(spec))
+    for L in built:
+        assert check_constructed_iso(
+            L, j_lattice(join_irreducibles(L)),
+            {x: canonical_iso_to_ideals(L, x) for x in L.vertices})
+        assert check_constructed_iso(
+            L, m_lattice(meet_irreducibles(L)),
+            {x: canonical_iso_to_filters(L, x) for x in L.vertices})
     suite = suite_fundamental(seed=2024)
     assert suite["passed"], suite["checks"]
     report(10, "round trips and all six identity families")

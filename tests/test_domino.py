@@ -3,7 +3,7 @@ from math import comb
 
 import pytest
 
-from dominolattice import domino
+from dominolattice import typea
 from dominolattice.domino import (D_COORDINATES, beta_circ, beta_diag, beta_part,
                                   build_d_a, circle_to_partition_D, d_max, d_min,
                                   d_up_edges, dtab_move_pair, gamma_ct,
@@ -177,7 +177,7 @@ class TestBuild:
         # the cover or join irreducible where the coloring breaks
         spec = BoxSpec(3, 7)
         target = sum(1 << t for t in gamma_pt(spec, (1, 1, 0)))
-        hop = domino.hop_up_moves
+        hop = typea.hop_up_moves
 
         def recolored(entries, pairs):
             moves = hop(entries, pairs)
@@ -186,7 +186,7 @@ class TestBuild:
                 moves[0] = (moves[0][0], 99)
             return moves
 
-        monkeypatch.setattr(domino, "hop_up_moves", recolored)
+        monkeypatch.setattr(typea, "hop_up_moves", recolored)
         with pytest.raises(AssertionError, match=r"\(\d, \d, \d\)"):
             build_d_a.__wrapped__(spec)
 

@@ -8,17 +8,20 @@ import pytest
 from dominolattice.lattice import (DOWN, UP, ColoredLattice, CoverDigraph, LatticeError,
                                    PathRecord, birkhoff_failure,
                                    check_full_length_sublattice,
-                                   full_length_witness, induced_covers, iso_failure,
+                                   full_length_witness, iso_failure,
                                    mountainize,
                                    path_from_vertices,
                                    path_stats, product, valleyize)
 from dominolattice.domino import build_d_a, pi
 from dominolattice.isomorphism import phi
 from dominolattice.isomorphism import MoveMatrix, move_matrix
-from dominolattice.poset import (PosetError, VertexColoredPoset, enumerate_order_ideals,
-                                 j_lattice, join_irreducibles, check_poset_iso, m_lattice)
+from dominolattice.poset import (PosetError, VertexColoredPoset, canonical_iso_to_filters,
+                                 canonical_iso_to_ideals, enumerate_order_ideals,
+                                 j_lattice, join_irreducibles, join_to_meet_irreducible,
+                                 check_poset_iso, m_lattice)
 from dominolattice.oracle import (check_lattice_laws, enumerate_shortest_paths,
-                                  is_diamond_colored, is_distributive, is_modular,
+                                  induced_covers, is_diamond_colored, is_distributive,
+                                  is_modular,
                                   is_topographically_balanced,
                                   random_colored_poset, random_simple_path,
                                   rank_function, rank_identity_failure)
@@ -199,7 +202,8 @@ def _defined_product(*lattices):
 class TestIndexSpaceBuilders:
     # the builders hand the order core vertices in sort_key order and covers
     # by index; the public constructor is their oracle
-    @pytest.mark.parametrize("build", [build_l_graph, build_d_a, build_l_a, build_l_tilde])
+    @pytest.mark.parametrize("build", [build_l_graph, build_d_a, build_l_a, build_l_tilde,
+                                       build_l_tab])
     def test_box_builders_match_the_public_constructor(self, build):
         for spec in DESK_SPECS:
             L = build(spec)
@@ -322,6 +326,43 @@ class TestMeetJoin:
         with pytest.raises(LatticeError) as exc:
             bowtie().join("a", "b")
         assert str(exc.value) == "no join for 'a', 'b'"
+
+
+class TestUnknownVertex:
+    # every query of a vertex looks it up once, through CoverDigraph.index,
+    # and an unknown one raises the order's own error, naming it
+    @pytest.mark.parametrize("query", [
+        lambda L: L.index((9, 9)),
+        lambda L: L.le((9, 9), L.minimum),
+        lambda L: L.le(L.minimum, (9, 9)),
+        lambda L: L.le((9, 9), (9, 9)),
+        lambda L: L.meet((9, 9), L.minimum),
+        lambda L: L.join(L.minimum, (9, 9)),
+        lambda L: L.up_neighbors((9, 9)),
+        lambda L: L.down_neighbors((9, 9)),
+        lambda L: full_length_witness(L, L.vertices, (9, 9)),
+        lambda L: join_to_meet_irreducible(L, (9, 9)),
+        lambda L: canonical_iso_to_ideals(L, (9, 9)),
+        lambda L: canonical_iso_to_filters(L, (9, 9)),
+    ], ids=["index", "le-first", "le-second", "le-same", "meet", "join", "up_neighbors",
+            "down_neighbors", "full_length_witness", "join_to_meet_irreducible",
+            "canonical_iso_to_ideals", "canonical_iso_to_filters"])
+    def test_a_lattice_raises_its_error(self, query):
+        with pytest.raises(LatticeError) as exc:
+            query(build_l_tilde(BoxSpec(2, 5)))
+        assert str(exc.value) == "(9, 9) is not a vertex"
+
+    @pytest.mark.parametrize("query", [
+        lambda P: P.index("9,9"),
+        lambda P: P.le("9,9", "1,1"),
+        lambda P: P.strict_up("9,9"),
+        lambda P: P.strict_down("9,9"),
+        lambda P: P.color("9,9"),
+    ], ids=["index", "le", "strict_up", "strict_down", "color"])
+    def test_a_poset_raises_its_error(self, query):
+        with pytest.raises(PosetError) as exc:
+            query(build_p_a(BoxSpec(2, 5)))
+        assert str(exc.value) == "'9,9' is not a vertex"
 
 
 class TestLaws:
@@ -885,11 +926,29 @@ class TestFullLength:
         assert build_l_tab(spec) == ColoredLattice(
             K, [(x, y, big.edge_color(x, y)) for x, y in induced_covers(big, K)])
 
-    def test_l_tab_runs_no_induced_cover_search(self):
-        tab, calls = count_calls([induced_covers],
+    def test_l_tab_builds_no_host_and_runs_no_order_search(self):
+        # the host's cache is cleared so that building it would show
+        build_l_tilde.cache_clear()
+        tab, calls = count_calls([build_l_tilde.__wrapped__, product,
+                                  check_full_length_sublattice,
+                                  ColoredLattice.is_lattice.func, induced_covers],
                                  lambda: build_l_tab.__wrapped__(BoxSpec(3, 7)))
         assert calls == {}
         assert tab == build_l_tab(BoxSpec(3, 7))
+
+    @pytest.mark.parametrize("spec", DESK_SPECS, ids=lambda s: f"k{s.k}N{s.N}")
+    def test_l_tab_is_full_length_in_l_tilde_by_its_min_and_max(self, spec):
+        # the tableaux are cut out by v_r < v_(r+1), which L_tilde's
+        # componentwise min and max preserve, and each cover of L_tab
+        # lowers one entry by one, an edge of L_tilde colored by the new entry
+        tab = build_l_tab(spec)
+        for x, y in combinations(tab.vertices, 2):
+            assert tab.join(x, y) == tuple(map(min, x, y))
+            assert tab.meet(x, y) == tuple(map(max, x, y))
+        for x, y, c in tab.edges:
+            (r,) = [r for r in range(spec.k) if x[r] != y[r]]
+            assert x[r] - 1 == y[r] == c
+        assert tab.length == spec.k * spec.cols
 
     def test_sublattice_edges_and_ranks_agree_with_host(self):
         spec = BoxSpec(2, 6)

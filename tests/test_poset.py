@@ -12,8 +12,11 @@ from dominolattice.poset import (PosetError, VertexColoredPoset,
                                  meet_irreducibles, principal_filter,
                                  principal_ideal, recolor)
 from dominolattice.domino import build_d_a
-from dominolattice.typea import BoxSpec, build_l_a, build_p_a
-from dominolattice.oracle import check_constructed_iso, random_colored_poset
+from dominolattice.lattice import CoverDigraph
+from dominolattice.typea import BoxSpec, build_l_a, build_l_graph, build_p_a
+from dominolattice.oracle import check_constructed_iso, induced_covers, random_colored_poset
+
+from conftest import DESK_SPECS, count_calls
 
 
 def chain(colors):
@@ -27,6 +30,28 @@ def chain(colors):
 def antichain(colors):
     return VertexColoredPoset([f"a{i}" for i in range(len(colors))], [],
                               {f"a{i}": c for i, c in enumerate(colors)})
+
+
+def n5():
+    return ColoredLattice("0abct", [("0", "a", 1), ("a", "t", 2),
+                                    ("0", "b", 1), ("b", "c", 2), ("c", "t", 3)])
+
+
+def m3():
+    return ColoredLattice("0abct", [("0", "a", 1), ("0", "b", 2), ("0", "c", 3),
+                                    ("a", "t", 2), ("b", "t", 3), ("c", "t", 1)])
+
+
+def irreducibles_by_definition(L, neighbors):
+    """The vertices with one neighbor edge, ordered by `induced_covers` and colored by it."""
+    members = [v for v in L.vertices if len(neighbors(v)) == 1]
+    return VertexColoredPoset(members, induced_covers(L, members),
+                              {v: neighbors(v)[0][1] for v in members})
+
+
+def assert_irreducibles_by_definition(L):
+    assert join_irreducibles(L) == irreducibles_by_definition(L, L.down_neighbors)
+    assert meet_irreducibles(L) == irreducibles_by_definition(L, L.up_neighbors)
 
 
 class TestConstruction:
@@ -219,13 +244,32 @@ class TestIrreducibles:
         assert "is_lattice" not in D.__dict__
 
     def test_other_lattices_still_take_the_pairwise_check(self):
-        n5 = ColoredLattice("0abct", [("0", "a", 1), ("a", "t", 2),
-                                      ("0", "b", 1), ("b", "c", 2), ("c", "t", 3)])
-        m3 = ColoredLattice("0abct", [("0", "a", 1), ("0", "b", 2), ("0", "c", 3),
-                                      ("a", "t", 2), ("b", "t", 3), ("c", "t", 1)])
-        for L, n in ((n5, 3), (m3, 3)):
+        for L, n in ((n5(), 3), (m3(), 3)):
             assert len(join_irreducibles(L)) == len(meet_irreducibles(L)) == n
             assert L.__dict__["is_lattice"] is True
+
+    def test_random_ideal_and_filter_lattices_match_the_definition(self):
+        rng = random.Random(28)
+        for _ in range(40):
+            P = random_colored_poset(rng, 7, 3)
+            for L in (j_lattice(P), m_lattice(P)):
+                assert_irreducibles_by_definition(L)
+
+    @pytest.mark.parametrize("build", [m3, n5], ids=["M3", "N5"])
+    def test_lattices_that_fail_the_certificate_match_the_definition(self, build):
+        assert_irreducibles_by_definition(build())
+
+    @pytest.mark.parametrize("spec", DESK_SPECS, ids=lambda s: f"k{s.k}N{s.N}")
+    def test_every_box_matches_the_definition(self, spec):
+        for L in (build_l_graph(spec), build_d_a(spec)):
+            assert_irreducibles_by_definition(L)
+
+    def test_the_covers_come_from_the_masks_not_an_order_search(self):
+        D = build_d_a(BoxSpec(4, 9))
+        for irreducibles in (join_irreducibles, meet_irreducibles):
+            P, calls = count_calls([induced_covers, CoverDigraph.le], lambda: irreducibles(D))
+            assert calls == {}
+            assert len(P) == 4 * 5
 
     def test_join_meet_irreducible_pairing(self):
         spec = BoxSpec(2, 6)
