@@ -20,7 +20,7 @@ import sys
 from operator import itemgetter
 
 from .domino import D_COORDINATES, _gamma_pt, build_d_a
-from .suites import SUITE_FLAGS, SUITES
+from .suites import DEFAULTS, SUITE_FLAGS, SUITES
 from .typea import (L_COORDINATES, BoxSpec, CircleState, _partition_to_tableau_L,
                     _tableau_to_diagonal_L, build_l_graph, validate_partition)
 
@@ -287,9 +287,6 @@ def _spec_from(args):
         raise SystemExit(USAGE_ERROR) from None
 
 
-_VERIFY_DEFAULTS = {"-k": 2, "-N": 5, "--seed": 0}
-
-
 def build_parser():
     parser = _Parser(prog="dominolattice",
                      description="Type-A fundamental lattices and the Domino Game")
@@ -328,8 +325,8 @@ def build_parser():
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", default="all", choices=SUITES + ("all",))
-    # -k, -N and --seed default to 2, 5 and 0 after parsing, when the suite reads them
-    for flag in _VERIFY_DEFAULTS:
+    # -k, -N and --seed take their DEFAULTS after parsing, when the suite reads them
+    for flag in DEFAULTS:
         p.add_argument(flag, type=_int_flag)
     p.set_defaults(func=cmd_verify, parser=p)
     return parser
@@ -354,8 +351,8 @@ def main(argv=None):
     if args.command == "lattice" and args.poset is not None and args.family is not None:
         usage_error("lattice takes --family only with -k and -N")
     if args.command == "verify":
-        reads = SUITE_FLAGS.get(args.suite, _VERIFY_DEFAULTS)
-        for flag, default in _VERIFY_DEFAULTS.items():
+        reads = SUITE_FLAGS.get(args.suite, DEFAULTS)
+        for flag, default in DEFAULTS.items():
             dest = flag.lstrip("-")
             if getattr(args, dest) is None:
                 setattr(args, dest, default)

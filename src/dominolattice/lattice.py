@@ -240,6 +240,11 @@ class ColoredLattice(CoverDigraph):
         return _irreducible_masks(reversed(self._topo), self._down)
 
     @cached_property
+    def _birkhoff_verdict(self):
+        """`birkhoff_failure`'s verdict, from one `_birkhoff_pass` kept for every caller."""
+        return _birkhoff_pass(self)
+
+    @cached_property
     def _meet_masks(self):
         """(meet irreducibles, for each vertex the mask of those above it)."""
         return _irreducible_masks(self._topo, self._up)
@@ -396,6 +401,7 @@ def birkhoff_failure(L):
     j's color, and that the covers out of each x add exactly the j that
     f(x) can take (those not in f(x) whose lower join irreducibles all
     are).  The message names the vertex or cover where a check broke.
+    The verdict is kept on L, so each lattice runs the pass once.
 
     The takeable sets are built bottom-up, in O(E) set operations plus
     one pass over the comparable pairs of join irreducibles: when a lower
@@ -406,6 +412,11 @@ def birkhoff_failure(L):
     whose first lower cover adds more or less than one is scanned over
     every join irreducible instead.
     """
+    return L._birkhoff_verdict
+
+
+def _birkhoff_pass(L):
+    """The checks of `birkhoff_failure`, run on L's covers."""
     vs, down, color = L.vertices, L._down, L._color
     bottoms = [v for v, ws in zip(vs, down) if not ws]
     if len(bottoms) != 1:
@@ -530,7 +541,7 @@ def iso_failure(G, H, f):
 def path_from_vertices(L, vertices):
     """Build a PathRecord from a vertex sequence, reading off edge data."""
     vertices = tuple(vertices)
-    at, color = [L._index.get(v) for v in vertices], L._color
+    at, color = [L.index(v) for v in vertices], L._color
     steps = []
     for n, (i, j) in enumerate(zip(at, at[1:])):
         c = color.get((i, j))

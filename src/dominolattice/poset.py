@@ -284,9 +284,9 @@ def _irreducibles_poset(L, irreducible_masks, neighbors, above):
     An irreducible's mask holds its own bit and those of the irreducibles
     below it, or above it when `above`, so the covers are read off the
     masks by `_upper_covers`, each pair reversed when `above`.  L must
-    be a lattice.  Birkhoff's certificate, one pass over the covers,
-    settles that for every distributive lattice; only where it fails is
-    every pair of vertices asked for its join (`is_lattice`).
+    be a lattice.  Birkhoff's certificate, one pass over the covers kept
+    on L, settles that for every distributive lattice; only where it
+    fails is every pair of vertices asked for its join (`is_lattice`).
     """
     if birkhoff_failure(L) is not None and not L.is_lattice:
         raise PosetError("input is not a lattice")

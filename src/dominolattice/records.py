@@ -105,6 +105,7 @@ class PathRecord(Record):
     def validate(self, L):
         if len(self.vertices) != len(self.steps) + 1:
             raise LatticeError("vertex/step count mismatch")
+        L.index(self.vertices[0])   # names an unknown start; each later vertex ends an edge
         for (a, b), (color, direction) in zip(
                 zip(self.vertices, self.vertices[1:]), self.steps):
             if direction not in (UP, DOWN):

@@ -57,18 +57,11 @@ class GameSolution(Record):
         if len(path.steps) != distance:
             raise ValueError(f"the path has {len(path.steps)} steps "
                              f"but the distance is {distance}")
-        # counted in a plain dict: a Counter runs pure-Python __init__ and
-        # update code, which the first solve after a cache flush pays for
-        made = {}
-        for c, _ in path.steps:
-            made[c] = made.get(c, 0) + 1
-        # equal dicts are equal Counters; only a mismatch, or a zero entry,
-        # pays for the color-by-color comparison
-        if dict.__eq__(made, per_color) is not True:
-            for c in sorted(made.keys() | per_color.keys()):
-                if made.get(c, 0) != per_color.get(c, 0):
-                    raise ValueError(f"color {c}: the path makes {made.get(c, 0)} "
-                                     f"moves, per_color counts {per_color.get(c, 0)}")
+        made = Counter(c for c, _ in path.steps)
+        for c in sorted(made.keys() | per_color.keys()):
+            if made[c] != per_color.get(c, 0):
+                raise ValueError(f"color {c}: the path makes {made[c]} "
+                                 f"moves, per_color counts {per_color.get(c, 0)}")
         _fill(self, distance, per_color, path, waypoint)
 
 

@@ -1,12 +1,13 @@
-"""Names of the verification suites, in report order, and the flags each reads.
+"""The one declaration of the verification suites, their flags and defaults.
 
-They live apart from `verify` so that the CLI can list them in its parser
-without loading the suites themselves; `verify` runs them.
+It lives apart from `verify` so that the CLI can build its parser from it
+without loading the suites themselves; `verify.run_suite` runs them.
 """
 
-SUITES = ("fundamental", "coordinates", "iso", "solver", "structure", "transport")
-
-# The `verify` flags each suite reads; `--suite all` reads every one.
+# The `verify` flags each suite reads, in the order its function takes
+# them (-k as k, -N as N, --seed as seed); `--suite all` reads every one.
 SUITE_FLAGS = {"fundamental": ("--seed",), "coordinates": ("-k", "-N"), "iso": ("-k", "-N"),
                "solver": ("-k", "-N", "--seed"), "structure": ("-k", "-N"),
                "transport": ("-k", "-N")}
+SUITES = tuple(SUITE_FLAGS)
+DEFAULTS = {"-k": 2, "-N": 5, "--seed": 0}

@@ -21,7 +21,7 @@ from .typea import (L_COORDINATES, BoxSpec, _partition_to_diagonal, _partition_t
 from .domino import (D_COORDINATES, build_d_a, d_up_edges,
                      is_legal_domino_move)
 from .isomorphism import _apply_p, _phi, _phi_inverse, decompose, move_matrix
-from .suites import SUITES
+from .suites import DEFAULTS, SUITE_FLAGS, SUITES
 
 
 def _entry(name, ok, witness=None):
@@ -222,8 +222,9 @@ def suite_structure(k, N):
     All of them hold exactly when the lattice is diamond-colored and
     distributive, which Birkhoff's theorem turns into the one-pass
     certificate `lattice.birkhoff_failure`; its message is the witness of
-    a failing check.  The definitional checks, `oracle.is_diamond_colored`
-    and `oracle.check_lattice_laws`, are the oracle the tests compare it with.
+    a failing check, and D_A's verdict is the one its build asserted.  The
+    definitional checks, `oracle.is_diamond_colored` and
+    `oracle.check_lattice_laws`, are the oracle the tests compare it with.
     """
     spec = BoxSpec(k, N)
     built = [("L_A", build_l_graph(spec)), ("D_A", build_d_a(spec))]
@@ -251,17 +252,10 @@ def suite_transport(k, N):
     ])
 
 
-def run_suite(name, k=2, N=5, seed=0):
-    if name == "fundamental":
-        return suite_fundamental(seed=seed)
-    if name == "coordinates":
-        return suite_coordinates(k, N)
-    if name == "iso":
-        return suite_iso(k, N)
-    if name == "solver":
-        return suite_solver(k, N, seed=seed)
-    if name == "structure":
-        return suite_structure(k, N)
-    if name == "transport":
-        return suite_transport(k, N)
-    raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
+def run_suite(name, k=DEFAULTS["-k"], N=DEFAULTS["-N"], seed=DEFAULTS["--seed"]):
+    """Run `suite_<name>` on the values of the flags `suites.SUITE_FLAGS` lists for it."""
+    flags = SUITE_FLAGS.get(name)
+    if flags is None:
+        raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
+    values = {"-k": k, "-N": N, "--seed": seed}
+    return globals()[f"suite_{name}"](*(values[flag] for flag in flags))

@@ -352,6 +352,19 @@ class TestUnknownVertex:
             query(build_l_tilde(BoxSpec(2, 5)))
         assert str(exc.value) == "(9, 9) is not a vertex"
 
+    # a walk starting at an unknown vertex was accepted, and one stepping
+    # from it was reported as a missing edge
+    @pytest.mark.parametrize("walk", [
+        lambda D: PathRecord(((9, 9),), ()).validate(D),
+        lambda D: path_from_vertices(D, [(9, 9)]),
+        lambda D: path_from_vertices(D, [(9, 9), (0, 0)]),
+        lambda D: mountainize(D, PathRecord(((9, 9),), ())),
+    ], ids=["validate", "path_from_vertices", "path_from_vertices-step", "mountainize"])
+    def test_a_walk_names_its_unknown_vertex(self, walk):
+        with pytest.raises(LatticeError) as exc:
+            walk(build_d_a(BoxSpec(2, 5)))
+        assert str(exc.value) == "(9, 9) is not a vertex"
+
     @pytest.mark.parametrize("query", [
         lambda P: P.index("9,9"),
         lambda P: P.le("9,9", "1,1"),

@@ -1,14 +1,18 @@
+import inspect
 from math import comb
 
 import pytest
 
-from dominolattice import oracle, poset, solver, verify
+from dominolattice import lattice, oracle, poset, solver, verify
 from dominolattice.domino import build_d_a
 from dominolattice.isomorphism import (_bareiss_forward, _determinant, _phi,
                                        move_matrix)
 from dominolattice.lattice import ColoredLattice, CoverDigraph, product
-from dominolattice.typea import (BoxSpec, _partition_to_ideal, build_l_graph,
-                                 validate_diagonal, validate_entries, validate_partition)
+from dominolattice.poset import join_irreducibles, meet_irreducibles
+from dominolattice.suites import DEFAULTS, SUITE_FLAGS
+from dominolattice.typea import (BoxSpec, _partition_to_ideal, build_l_graph, build_l_tab,
+                                 build_l_tilde, validate_diagonal, validate_entries,
+                                 validate_partition)
 from dominolattice.verify import SUITES, run_suite
 
 from conftest import count_calls
@@ -29,6 +33,40 @@ def test_reports_carry_named_checks():
 def test_unknown_suite_rejected():
     with pytest.raises(ValueError, match="unknown suite"):
         run_suite("bogus")
+
+
+@pytest.mark.parametrize("suite", SUITES)
+def test_each_suite_takes_the_flags_the_table_lists(suite):
+    # run_suite passes the listed flags' values positionally, in table order
+    params = list(inspect.signature(getattr(verify, f"suite_{suite}")).parameters)
+    assert params == [flag.lstrip("-") for flag in SUITE_FLAGS[suite]]
+
+
+def test_a_suite_added_to_the_table_runs_with_exactly_its_flags(monkeypatch):
+    # adding a suite takes one table entry and its function, no dispatch branch
+    monkeypatch.setitem(SUITE_FLAGS, "probe", ("--seed", "-N"))
+    monkeypatch.setattr(verify, "suite_probe", lambda *values: {"passed": True, "got": values},
+                        raising=False)
+    assert run_suite("probe", k=3, N=7, seed=11)["got"] == (11, 7)
+    assert run_suite("probe")["got"] == (DEFAULTS["--seed"], DEFAULTS["-N"])
+
+
+def test_each_lattice_runs_the_birkhoff_pass_once():
+    # build_d_a asserts the certificate, and the structure suite and both
+    # irreducibles' posets read the verdict it left on D; each reran the pass
+    for cached in (build_l_graph, build_d_a, build_l_tilde, build_l_tab):
+        cached.cache_clear()
+    spec = BoxSpec(3, 7)
+
+    def run():
+        D = build_d_a(spec)
+        passed = verify.suite_structure(spec.k, spec.N)["passed"]
+        return passed, len(join_irreducibles(D)), len(meet_irreducibles(D))
+
+    result, calls = count_calls([lattice._birkhoff_pass], run)
+    assert result == (True, 12, 12)
+    # L_A, D_A, L_tilde and L_tab, one pass each
+    assert calls == {"_birkhoff_pass": 4}, calls
 
 
 def test_fundamental_is_seed_stable():
