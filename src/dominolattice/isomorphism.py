@@ -126,9 +126,12 @@ def _bareiss_forward(a):
 
 
 def integer_determinant(matrix):
-    """Exact determinant via Bareiss elimination."""
+    """Exact determinant via Bareiss elimination; the empty matrix's is 1."""
+    n = len(matrix)
+    if any(len(row) != n for row in matrix):
+        raise ValueError("matrix must be square")
     a = [list(row) for row in matrix]
-    return _bareiss_forward(a) * a[-1][-1]
+    return _bareiss_forward(a) * a[-1][-1] if n else 1
 
 
 class MoveMatrix(Record):

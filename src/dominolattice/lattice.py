@@ -80,7 +80,9 @@ class CoverDigraph:
         below j, and then no rank rises by exactly 1 along every pair.  So
         when each connected component has such a rank (`_ranks_from`), all
         are covers; only otherwise are the up-sets built, by
-        `_reject_non_covers`.
+        `_reject_non_covers`.  The rank, None when two covers disagree, is
+        kept as `_rank` and the number of connected components as
+        `_components`.
         """
         pairs = sorted(pairs)
         n = len(self.vertices)
@@ -101,7 +103,8 @@ class CoverDigraph:
         if len(order) != n:
             raise self.error("cover relation contains a cycle")
         self._topo = order
-        if _ranks_from(range(n), up, down) is None:
+        self._rank, self._components = _ranks_from(up, down)
+        if self._rank is None:
             self._reject_non_covers(pairs)
 
     def _reject_non_covers(self, pairs):
@@ -140,20 +143,22 @@ class CoverDigraph:
         return i == j or bool(self._upsets[i] >> j & 1)
 
 
-def _ranks_from(roots, up, down):
-    """A rank that rises by exactly 1 along every cover, as a list, or None.
+def _ranks_from(up, down):
+    """(a rank that rises by exactly 1 along every cover, the number of components).
 
-    The rank spreads from each root not yet reached, which gets 0, over
-    its connected component of the cover graph; a vertex in no root's
-    component stays None.  None is returned when two covers disagree,
-    as in N5.  Spread from every vertex, a rank per component rules out
+    The rank spreads from each vertex not yet reached, which gets 0, over
+    its connected component of the cover graph, and is a list, or None
+    when two covers disagree, as in N5.  A rank per component rules out
     a transitive cover, which would have to rise by 1 and by at least 2
     (`CoverDigraph._link`).
     """
     rank = [None] * len(up)
-    for root in roots:
+    components = 0
+    agree = True
+    for root in range(len(up)):
         if rank[root] is not None:
             continue
+        components += 1
         rank[root] = 0
         reached = [root]
         for i in reached:
@@ -163,8 +168,8 @@ def _ranks_from(roots, up, down):
                         rank[w] = r
                         reached.append(w)
                     elif rank[w] != r:
-                        return None
-    return rank
+                        agree = False
+    return (rank if agree else None), components
 
 
 def _irreducible_masks(order, adj):
@@ -282,17 +287,9 @@ class ColoredLattice(CoverDigraph):
     def has_edge(self, x, y):
         return (self._index.get(x), self._index.get(y)) in self._color
 
-    @cached_property
+    @property
     def is_connected(self):
-        seen = {0}
-        stack = [0]
-        while stack:
-            i = stack.pop()
-            for w in self._up[i] + self._down[i]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == len(self.vertices)
+        return self._components == 1
 
     def meet(self, x, y):
         return self._bound(x, y, self._downsets, self._down_lookup, "meet")
@@ -340,10 +337,11 @@ class ColoredLattice(CoverDigraph):
         """Edge-consistent rank map with smallest value 0, or None.
 
         None means no consistent assignment exists (e.g. an odd cycle of
-        covers) or the search from vertex 0 leaves a vertex unreached.
+        covers) or the cover graph is not connected.  It reads the rank
+        that `_link` kept.
         """
-        val = _ranks_from((0,), self._up, self._down)
-        if val is None or None in val:
+        val = self._rank
+        if val is None or not self.is_connected:
             return None
         low = min(val)
         return {v: r - low for v, r in zip(self.vertices, val)}

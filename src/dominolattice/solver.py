@@ -22,8 +22,8 @@ one row of the shape, or two when the dot passes the entry between its
 ends.  The walk never builds the lattice; its slow reference is the
 generic route on the ideals of J(P_A), read through phi,
 `oracle.ideal_greedy_solve`.  The per-color answer of either route is
-a Counter.  Only the generic route imports the poset module, on its first
-run, so a Domino solve loads no lattice code.  Both routes derive their
+a Counter.  Only the generic route imports the poset module, when it
+runs, so a Domino solve loads no lattice code.  Both routes derive their
 counts with their paths, so they record their answers as they are
 (`_trusted_solution`); a GameSolution built by its constructor is
 checked against its path.
@@ -101,7 +101,7 @@ def solve_distributive(P, s, t, via="join"):
     the difference s ^ t and the waypoint's mask are computed on them;
     frozensets are made only for the path's vertices and the waypoint.
     """
-    from .poset import _ideal_mask
+    from .poset import _color_census, _greedy_flips, _ideal_mask
     s, t = frozenset(s), frozenset(t)
     masks = []
     for name, x in (("s", s), ("t", t)):
@@ -109,19 +109,7 @@ def solve_distributive(P, s, t, via="join"):
         if mask is None:
             raise ValueError(f"{name} is not an order ideal of the poset")
         masks.append(mask)
-    return _solve_distributive(P, s, t, *masks, via)
-
-
-@lru_cache(maxsize=None)
-def _poset_walks():
-    """The poset module's census and greedy walk, imported on the first generic solve."""
-    from .poset import _color_census, _greedy_flips
-    return _color_census, _greedy_flips
-
-
-def _solve_distributive(P, s, t, ms, mt, via):
-    """solve_distributive on two ideals, frozensets, already read into their masks ms and mt."""
-    _color_census, _greedy_flips = _poset_walks()
+    ms, mt = masks
     diff = ms ^ mt
     distance = diff.bit_count()
     per_color = _color_census(P, diff)

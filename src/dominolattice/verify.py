@@ -15,9 +15,9 @@ from collections import Counter
 from math import comb
 
 from .lattice import ColoredLattice, birkhoff_failure, iso_failure, product
-from .typea import (L_COORDINATES, BoxSpec, _partition_to_diagonal, _partition_to_ideal,
-                    all_partitions, build_l_a, build_l_graph, build_l_tab,
-                    build_l_tilde, build_p_a, ideal_to_partition, l_up_edges)
+from .typea import (L_COORDINATES, BoxSpec, _partition_to_diagonal, all_partitions,
+                    build_l_a, build_l_graph, build_l_tab, build_l_tilde,
+                    ideal_to_partition, l_up_edges)
 from .domino import (D_COORDINATES, build_d_a, d_up_edges,
                      is_legal_domino_move)
 from .isomorphism import _apply_p, _phi, _phi_inverse, decompose, move_matrix
@@ -154,35 +154,29 @@ def suite_solver(k, N, seed=0):
 
     Distances against BFS, the cell-census move counts against the Bareiss
     solve, path legality and the per-color census of every shortest path.
-    The shapes are the vertices of D, so the solves and conversions call
-    the unchecked cores: each of D's shapes is read once, into its ideal's
-    mask and its two tableau masks, and each returned path is still
-    checked against D.
+    The distance between two ideals of J(P_A) is the size of their
+    symmetric difference; a shape's ideal is its set of cells, so row r
+    of the difference holds |a_r - b_r| cells, and L's distances are read
+    off the shapes.  The shapes are the vertices of D, so the Domino
+    solves call the unchecked core: each of D's shapes is read once, into
+    its two tableau masks, and each returned path is still checked
+    against D.  A census pair with more shortest paths than the
+    enumeration's cap is a ValueError that names the pair and the cap.
     """
-    from .oracle import bareiss_decompose, bfs_all_pairs, enumerate_shortest_paths
-    from .poset import _ideal_mask
-    from .solver import _shape_masks, _solve_distributive, _solve_domino
+    from .oracle import (PathCapExceeded, bareiss_decompose, bfs_all_pairs,
+                         enumerate_shortest_paths)
+    from .solver import _shape_masks, _solve_domino
     spec = BoxSpec(k, N)
-    P = build_p_a(spec)
     L = build_l_graph(spec)
     D = build_d_a(spec)
     distL = bfs_all_pairs(L)
     distD = bfs_all_pairs(D)
-    ideal = {}
-    for a in D.vertices:
-        x = _partition_to_ideal(a)
-        mask = _ideal_mask(P, x)
-        if mask is None:
-            raise AssertionError(f"the ideal of {a} is not an order ideal of P_A")
-        ideal[a] = x, mask, _shape_masks(spec, a)
+    masks = {a: _shape_masks(spec, a) for a in D.vertices}
     okL = okD = okPath = True
-    for a in D.vertices:
-        sa, ma, da = ideal[a]
-        for b in D.vertices:
-            sb, mb, db = ideal[b]
-            ga = _solve_distributive(P, sa, sb, ma, mb, "join")
-            okL &= ga.distance == distL[(a, b)]
-            gd = _solve_domino(spec, a, b, da, db, "join")
+    for a, ma in masks.items():
+        for b, mb in masks.items():
+            okL &= sum(abs(x - y) for x, y in zip(a, b)) == distL[(a, b)]
+            gd = _solve_domino(spec, a, b, ma, mb, "join")
             okD &= gd.distance == distD[(a, b)]
             try:
                 gd.path.validate(D)
@@ -199,8 +193,12 @@ def suite_solver(k, N, seed=0):
     okColors = True
     for _ in range(10):
         a, b = rng.choice(verts), rng.choice(verts)
-        expected = _solve_domino(spec, a, b, ideal[a][2], ideal[b][2], "join").per_color
-        for p in enumerate_shortest_paths(D, a, b):
+        expected = _solve_domino(spec, a, b, masks[a], masks[b], "join").per_color
+        try:
+            paths = enumerate_shortest_paths(D, a, b)
+        except PathCapExceeded as exc:
+            raise ValueError(f"census pair {a} -> {b}: {exc}") from None
+        for p in paths:
             okColors &= Counter(c for c, _ in p.steps) == expected
     checks.append(("all shortest paths share the per-color census", okColors))
     return _result(checks)

@@ -196,6 +196,13 @@ class TestExactAlgebra:
     def test_determinant(self):
         assert integer_determinant([[2, 0], [0, 3]]) == 6
         assert integer_determinant([[1, 2], [2, 4]]) == 0
+        assert integer_determinant([]) == 1     # as bareiss_solve takes n = 0
+
+    @pytest.mark.parametrize("matrix", [[[1, 2], [3]], [[1, 2]], [[1], [2]]],
+                             ids=["ragged", "wide", "tall"])
+    def test_determinant_of_a_matrix_that_is_not_square_is_rejected(self, matrix):
+        with pytest.raises(ValueError, match="^matrix must be square"):
+            integer_determinant(matrix)
 
     def test_inverse_is_exact(self):
         m = [[3, 1], [5, 2]]

@@ -6,7 +6,7 @@ from itertools import combinations, product as iproduct
 import pytest
 
 from dominolattice.lattice import (DOWN, UP, ColoredLattice, CoverDigraph, LatticeError,
-                                   PathRecord, birkhoff_failure,
+                                   PathRecord, _ranks_from, birkhoff_failure,
                                    check_full_length_sublattice,
                                    full_length_witness, iso_failure,
                                    mountainize,
@@ -274,6 +274,20 @@ class TestRank:
         assert L.ranks is None
         with pytest.raises(LatticeError, match="disconnected"):
             rank_function(L)
+
+    @pytest.mark.parametrize("build, connected, ranked", [
+        (n5, True, False), (hexagon, True, True),
+        (lambda: ColoredLattice("abcd", [("a", "b", 1), ("c", "d", 1)]), False, False),
+    ], ids=["N5", "hexagon", "two-chains"])
+    def test_one_traversal_gives_the_rank_and_the_components(self, build, connected, ranked):
+        # the traversal that certifies the covers keeps the rank and the
+        # component count; ranks and is_connected read them, searching no more
+        L, built = count_calls([_ranks_from], build)
+        (ranks, is_connected), read = count_calls([_ranks_from],
+                                                  lambda: (L.ranks, L.is_connected))
+        assert built["_ranks_from"] == 1 and read == {}
+        assert is_connected == connected
+        assert (ranks is not None) == ranked
 
     def test_hexagon_breaks_rank_identity(self):
         H = hexagon()

@@ -66,13 +66,15 @@ COMMAND_IMPORTS = {
 # What each verify suite runs (it must load that module) and the layers
 # it does not call: the structure certificate reads only the lattice
 # module, phi's check the oracle's isomorphism test, the fundamental
-# theorems the poset builders and the oracle's random posets.
+# theorems the poset builders and the oracle's random posets, and the
+# solver suite the Domino solver, reading L's distances off the shapes.
 SUITE_IMPORTS = {
     "structure": ("dominolattice.lattice", ("dominolattice.oracle", "dominolattice.poset",
                                             "dominolattice.solver", "fractions")),
     "iso": ("dominolattice.lattice", ("dominolattice.oracle", "dominolattice.poset",
                                       "dominolattice.solver", "fractions")),
     "fundamental": ("dominolattice.poset", ("dominolattice.solver", "fractions")),
+    "solver": ("dominolattice.solver", ("dominolattice.poset",)),
 }
 
 # The modules that know the order core's internals (its masks and index
@@ -140,6 +142,7 @@ class TestImportBudget:
         "verify --suite structure -k 2 -N 5",
         "verify --suite iso -k 2 -N 5",
         "verify --suite fundamental --seed 1",
+        "verify --suite solver -k 2 -N 5",
     ])
     def test_verify_loads_only_what_its_suite_runs(self, argv):
         imported = imported_by(argv)

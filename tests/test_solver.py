@@ -14,8 +14,8 @@ from dominolattice.isomorphism import phi_inverse
 from dominolattice.lattice import DOWN, UP, PathRecord, path_stats
 from dominolattice.oracle import (bfs_all_pairs, enumerate_shortest_paths,
                                   ideal_greedy_solve, random_colored_poset)
-from dominolattice.poset import _ideal_mask, enumerate_order_ideals, j_lattice
-from dominolattice.solver import (GameSolution, _solve_distributive, _walk_tables,
+from dominolattice.poset import enumerate_order_ideals, j_lattice
+from dominolattice.solver import (GameSolution, _walk_tables,
                                   color_census, solve_distributive, solve_domino)
 from dominolattice.typea import (BoxSpec, all_partitions, build_l_a,
                                  build_p_a, ideal_to_partition,
@@ -217,29 +217,6 @@ class TestMaskGreedyPlay:
             solve_distributive(P, s, t)
 
 
-class TestUncheckedGenericCore:
-    """_solve_distributive plays as solve_distributive, given the masks it checks."""
-
-    @pytest.mark.parametrize("spec", DESK_SPECS, ids=str)
-    def test_every_ordered_pair_both_routes(self, spec):
-        P = build_p_a(spec)
-        ideals = [(x, _ideal_mask(P, x)) for x in enumerate_order_ideals(P)]
-        for s, ms in ideals:
-            for t, mt in ideals:
-                for via in ("join", "meet"):
-                    assert (_solve_distributive(P, s, t, ms, mt, via)
-                            == solve_distributive(P, s, t, via)), (s, t, via)
-
-    def test_reads_no_ideal(self):
-        P = build_p_a(BOX24)
-        s, t = partition_to_ideal(BOX24, (4, 4)), partition_to_ideal(BOX24, (1, 0))
-        masks = _ideal_mask(P, s), _ideal_mask(P, t)
-        sol, calls = count_calls([_ideal_mask],
-                                 lambda: _solve_distributive(P, s, t, *masks, "meet"))
-        assert sol == solve_distributive(P, s, t, "meet")
-        assert calls == {}
-
-
 class TestSolveDomino:
     def test_worked_three_move_game(self):
         sol = solve_domino(BOX24, (4, 3), (1, 1))
@@ -420,8 +397,9 @@ class TestGameSolution:
             solve_domino(BOX24, (4, 3), (1, 1)), solve_distributive(P, s, t)))
         assert calls == {}
 
-    def test_every_solution_of_the_solver_suite_passes_the_constructor(self, monkeypatch):
-        # the cores skip the recount; the checking constructor must accept each record
+    @staticmethod
+    def _checked_records(monkeypatch):
+        """The records the cores make, each rebuilt through the checking constructor."""
         built = []
 
         def checked(*fields):
@@ -429,9 +407,27 @@ class TestGameSolution:
             return built[-1]
 
         monkeypatch.setattr(solver, "_trusted_solution", checked)
+        return built
+
+    def test_every_solution_of_the_solver_suite_passes_the_constructor(self, monkeypatch):
+        # the cores skip the recount; the checking constructor must accept each record
+        built = self._checked_records(monkeypatch)
         assert verify.suite_solver(3, 8)["passed"]
-        # one generic and one Domino solve per ordered pair, ten more for the census
-        assert len(built) == 2 * comb(8, 3) ** 2 + 10
+        # one Domino solve per ordered pair, ten more for the census
+        assert len(built) == comb(8, 3) ** 2 + 10
+
+    @pytest.mark.parametrize("spec", DESK_SPECS + (BoxSpec(3, 8),),
+                             ids=lambda s: f"k{s.k}N{s.N}")
+    def test_every_generic_solution_passes_the_constructor(self, monkeypatch, spec):
+        # every ordered pair of P_A's ideals, both routes
+        built = self._checked_records(monkeypatch)
+        P = build_p_a(spec)
+        ideals = enumerate_order_ideals(P)
+        for s in ideals:
+            for t in ideals:
+                for via in ("join", "meet"):
+                    solve_distributive(P, s, t, via)
+        assert len(built) == 2 * comb(spec.N, spec.k) ** 2
 
     def test_zero_entries_count_as_absent(self):
         sol = solve_domino(BOX24, (4, 4), (1, 1))

@@ -4,6 +4,7 @@ from math import comb
 import pytest
 
 from dominolattice import lattice, oracle, poset, solver, verify
+from dominolattice.cli import main
 from dominolattice.domino import build_d_a
 from dominolattice.isomorphism import (_bareiss_forward, _determinant, _phi,
                                        move_matrix)
@@ -152,13 +153,13 @@ def test_solver_suite_validates_each_shape_at_most_once():
     assert calls["validate_partition"] <= comb(8, 3), calls
 
 
-def test_solver_suite_reads_each_ideal_at_most_once():
-    # the all-pairs loop reads D's ideals into masks once and calls the
-    # unchecked generic core; the checked solve read both ideals of every
-    # pair, twice C(N, k) squared times
-    result, calls = count_calls([poset._ideal_mask], lambda: verify.suite_solver(3, 8))
+def test_solver_suite_reads_no_ideal():
+    # L's distances are read off the shapes, row by row, so the suite
+    # makes no ideal and reads none into a poset mask
+    result, calls = count_calls([poset._ideal_mask, _partition_to_ideal],
+                                lambda: verify.suite_solver(3, 8))
     assert result["passed"]
-    assert calls["_ideal_mask"] <= comb(8, 3), calls
+    assert calls == {}, calls
 
 
 def test_solver_suite_reads_each_shape_into_its_masks_once():
@@ -169,17 +170,20 @@ def test_solver_suite_reads_each_shape_into_its_masks_once():
     assert calls["_shape_masks"] == comb(8, 3), calls
 
 
-def test_solver_suite_names_a_shape_whose_ideal_is_rejected(monkeypatch):
-    ideal_mask = poset._ideal_mask
-    rejected = _partition_to_ideal((2, 1))
-
-    def rejecting(P, members):
-        return None if members == rejected else ideal_mask(P, members)
-
-    monkeypatch.setattr(poset, "_ideal_mask", rejecting)
-    with pytest.raises(AssertionError,
-                       match=r"^the ideal of \(2, 1\) is not an order ideal of P_A$"):
-        verify.suite_solver(2, 5)
+def test_solver_suite_reports_a_capped_census_pair_as_a_domain_error(monkeypatch, capsys):
+    # a census pair with more shortest paths than the cap is a ValueError
+    # naming the pair and the cap; the CLI prints one error line, exits 2
+    # and writes nothing to stdout
+    enumerate_shortest_paths = oracle.enumerate_shortest_paths
+    monkeypatch.setattr(oracle, "enumerate_shortest_paths",
+                        lambda L, s, t: enumerate_shortest_paths(L, s, t, cap=1))
+    with pytest.raises(ValueError,
+                       match=r"^census pair \(\d, \d\) -> \(\d, \d\): more than 1 shortest paths$"):
+        verify.suite_solver(2, 5, seed=0)
+    assert main(["verify", "--suite", "solver", "-k", "2", "-N", "5"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: census pair "), err
 
 
 def test_iso_suite_eliminates_the_move_matrix_once():
