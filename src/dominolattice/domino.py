@@ -28,14 +28,6 @@ def is_red(spec, r, c):
     return (r + c) % 2 == (1 + spec.cols) % 2
 
 
-def render_board(spec):
-    """ASCII board with R/W cell tags, row 1 on top."""
-    return "\n".join(
-        "".join("R" if is_red(spec, r, c) else "W"
-                for c in range(1, spec.cols + 1))
-        for r in range(1, spec.k + 1))
-
-
 def is_legal_domino_move(spec, sigma, tau):
     """Geometric move test, direction-agnostic.
 
@@ -124,7 +116,6 @@ def d_up_edges(spec, x, system="part"):
     return _up_edges(spec, x, system, "D", _move_table(spec.N))
 
 
-@lru_cache(maxsize=None)
 def build_d_a(spec):
     """The Domino Game lattice on all k x (N-k) partitions.
 

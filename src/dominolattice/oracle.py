@@ -72,26 +72,27 @@ def enumerate_shortest_paths(L, s, t, cap=100_000):
 
     Walks only along vertices whose distance-to-t strictly decreases, so
     every emitted path is simple and shortest.  Raises PathCapExceeded
-    rather than silently truncating.
+    rather than silently truncating.  The search collects vertex trails,
+    and the PathRecords are made only once it has finished under the cap.
     """
     _require_vertices(L, s, t)
     adj = _adjacency(L)
     dist_t = _bfs(adj, t)
     if s not in dist_t:
         raise LatticeError(f"{s!r} and {t!r} are not connected")
-    paths = []
+    trails = []
     stack = [(s, [s])]
     while stack:
         v, trail = stack.pop()
         if v == t:
-            paths.append(path_from_vertices(L, trail))
-            if len(paths) > cap:
+            trails.append(trail)
+            if len(trails) > cap:
                 raise PathCapExceeded(f"more than {cap} shortest paths")
             continue
         for w in adj[v]:
             if dist_t.get(w, -1) == dist_t[v] - 1:
                 stack.append((w, trail + [w]))
-    return paths
+    return [path_from_vertices(L, trail) for trail in trails]
 
 
 def check_constructed_iso(G, H, f):

@@ -107,7 +107,6 @@ def build_p_a(spec):
     return VertexColoredPoset(vertices, covers, colors)
 
 
-@lru_cache(maxsize=None)
 def build_l_a(spec):
     """The fundamental lattice: ideal lattice of the grid poset."""
     from .poset import j_lattice
@@ -486,11 +485,12 @@ def _l_part_up_edges(spec, parts):
     return out
 
 
-@lru_cache(maxsize=None)
 def build_l_graph(spec):
     """The fundamental lattice on partitions, from the partition edge rule.
 
     It is `build_l_a(spec)` with each ideal relabeled as its partition.
+    Like every lattice builder it keeps nothing: each call builds a new
+    lattice, which lives as long as its caller holds it.
     """
     from .lattice import _indexed_lattice
     vertices = all_partitions(spec)
@@ -502,7 +502,6 @@ def build_l_graph(spec):
 # -- product-of-chains lattice and its tableau sublattice ---------------------------
 
 
-@lru_cache(maxsize=None)
 def build_l_tilde(spec):
     """Product of k colored chains; vertices are tableau-valued k-tuples.
 
@@ -516,7 +515,6 @@ def build_l_tilde(spec):
                      for r in range(1, spec.k + 1)])
 
 
-@lru_cache(maxsize=None)
 def build_l_tab(spec):
     """The strictly increasing k-tuples, a full-length sublattice of L_tilde.
 

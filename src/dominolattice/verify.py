@@ -223,15 +223,17 @@ def suite_structure(k, N):
     a failing check, and D_A's verdict is the one its build asserted.  The
     definitional checks, `oracle.is_diamond_colored` and
     `oracle.check_lattice_laws`, are the oracle the tests compare it with.
+    The builders keep no lattice, so each is built, certified and dropped
+    before the next is built: the suite holds one lattice at a time.
     """
     spec = BoxSpec(k, N)
-    built = [("L_A", build_l_graph(spec)), ("D_A", build_d_a(spec))]
+    builders = [("L_A", build_l_graph), ("D_A", build_d_a)]
     if _small_product(spec):
-        built.append(("L_tilde", build_l_tilde(spec)))
-    built.append(("L_tab", build_l_tab(spec)))
+        builders.append(("L_tilde", build_l_tilde))
+    builders.append(("L_tab", build_l_tab))
     checks = []
-    for name, L in built:
-        failure = birkhoff_failure(L)
+    for name, build in builders:
+        failure = birkhoff_failure(build(spec))
         checks.append((f"{name} structure and rank identity", failure is None, failure))
     return _result(checks)
 

@@ -9,7 +9,7 @@ from dominolattice.domino import (D_COORDINATES, beta_circ, beta_diag, beta_part
                                   d_up_edges, dtab_move_pair, gamma_ct,
                                   gamma_pt, gamma_tc, gamma_tp,
                                   is_legal_domino_move, is_red, m_diag,
-                                  partition_to_circle_D, render_board)
+                                  partition_to_circle_D)
 from dominolattice.oracle import (check_constructed_iso, is_diamond_colored,
                                   is_topographically_balanced)
 from dominolattice.typea import (L_COORDINATES, BoxSpec, CircleState, all_partitions,
@@ -88,6 +88,11 @@ D24_TABLE = [
 class TestBoard:
     def test_upper_right_is_red(self):
         assert is_red(BOX24, 1, BOX24.cols)
+        # the whole checkerboard, row 1 on top, alternates from that corner
+        board = "\n".join("".join("R" if is_red(BOX24, r, c) else "W"
+                                   for c in range(1, BOX24.cols + 1))
+                           for r in range(1, BOX24.k + 1))
+        assert board == "WRWR\nRWRW"
 
     def test_neighbors_of_corner_are_white(self):
         assert not is_red(BOX24, 1, BOX24.cols - 1)
@@ -101,9 +106,6 @@ class TestBoard:
         # True would pass as row 1 and put (1, 4) on the red corner
         with pytest.raises(ValueError, match="outside"):
             is_red(BOX24, True, 4)
-
-    def test_render(self):
-        assert render_board(BOX24) == "WRWR\nRWRW"
 
 
 class TestBetaPart:
@@ -188,7 +190,7 @@ class TestBuild:
 
         monkeypatch.setattr(typea, "hop_up_moves", recolored)
         with pytest.raises(AssertionError, match=r"\(\d, \d, \d\)"):
-            build_d_a.__wrapped__(spec)
+            build_d_a(spec)
 
     def test_extremes(self):
         assert d_min(BOX24) == (2, 1)

@@ -2,7 +2,7 @@ import pytest
 
 from dominolattice.domino import build_d_a, d_max, d_min, m_diag
 from dominolattice.isomorphism import decompose, phi
-from dominolattice.lattice import ColoredLattice, LatticeError, path_stats
+from dominolattice.lattice import ColoredLattice, LatticeError, path_from_vertices, path_stats
 from dominolattice.oracle import (PathCapExceeded, bareiss_decompose,
                                   bfs_all_pairs, bfs_distances, check_constructed_iso,
                                   check_lattice_laws, enumerate_shortest_paths,
@@ -11,7 +11,7 @@ from dominolattice.poset import j_lattice
 from dominolattice.typea import (BoxSpec, build_l_a, build_l_graph,
                                  partition_to_diagonal)
 
-from conftest import DESK_SPECS
+from conftest import DESK_SPECS, count_calls
 
 BOX24 = BoxSpec(2, 6)
 
@@ -79,6 +79,31 @@ class TestShortestPaths:
         L = build_l_a(BoxSpec(3, 6))
         with pytest.raises(PathCapExceeded):
             enumerate_shortest_paths(L, L.minimum, L.maximum, cap=2)
+
+    def test_records_are_made_only_under_the_cap(self):
+        # bottom -> top of D(3,6) has 42 geodesics, its maximal chains; the
+        # search collects vertex trails and makes their records only once
+        # it has finished under the cap, so the 42nd path over a cap of 41
+        # raises before any record is made
+        D = build_d_a(BoxSpec(3, 6))
+        s, t = D.minimum, D.maximum
+
+        def chains(v):
+            if v == t:
+                return [(v,)]
+            return [(v,) + rest for w, _ in D.up_neighbors(v) for rest in chains(w)]
+
+        paths, calls = count_calls([path_from_vertices],
+                                   lambda: enumerate_shortest_paths(D, s, t, cap=42))
+        assert calls == {"path_from_vertices": 42}, calls
+        assert sorted(p.vertices for p in paths) == sorted(chains(s))
+
+        def over_the_cap():
+            with pytest.raises(PathCapExceeded, match="^more than 41 shortest paths$"):
+                enumerate_shortest_paths(D, s, t, cap=41)
+
+        _, calls = count_calls([path_from_vertices], over_the_cap)
+        assert calls == {}, calls
 
 
 class TestConstructedIso:

@@ -239,7 +239,7 @@ class TestIrreducibles:
     def test_distributive_lattices_skip_the_pairwise_lattice_check(self):
         # Birkhoff's certificate settles D(6,14) in one pass over its covers;
         # is_lattice asks every one of its 4.5 million pairs for a join
-        D = build_d_a.__wrapped__(BoxSpec(6, 14))
+        D = build_d_a(BoxSpec(6, 14))
         assert len(join_irreducibles(D)) == len(meet_irreducibles(D)) == 6 * 8
         assert "is_lattice" not in D.__dict__
 

@@ -17,7 +17,7 @@ from dominolattice.oracle import (bfs_all_pairs, enumerate_shortest_paths,
 from dominolattice.poset import enumerate_order_ideals, j_lattice
 from dominolattice.solver import (GameSolution, _walk_tables,
                                   color_census, solve_distributive, solve_domino)
-from dominolattice.typea import (BoxSpec, all_partitions, build_l_a,
+from dominolattice.typea import (BoxSpec, all_partitions, build_l_a, build_l_graph,
                                  build_p_a, ideal_to_partition,
                                  partition_to_ideal)
 
@@ -305,7 +305,6 @@ class TestClosedFormSolve:
         capsys.readouterr()
 
     def test_large_boxes_without_the_lattice(self):
-        build_d_a.cache_clear()
         rng = random.Random(2024)
         spec = BoxSpec(10, 20)
         games = [(spec, random_shape(rng, spec), random_shape(rng, spec), via)
@@ -320,8 +319,11 @@ class TestClosedFormSolve:
         games += [(vast, a, b, via) for a, b in ((d_min(vast), d_max(vast)),
                                                  (d_max(vast), d_min(vast)))
                   for via in ("join", "meet")]
-        for spec, a, b, via in games:
-            sol = solve_domino(spec, a, b, via=via)
+        sols, calls = count_calls([build_d_a, build_l_graph],
+                                  lambda: [solve_domino(spec, a, b, via=via)
+                                           for spec, a, b, via in games])
+        assert calls == {}, calls
+        for (spec, a, b, via), sol in zip(games, sols):
             lam, mu = phi_inverse(spec, a), phi_inverse(spec, b)
             assert sol.distance == sum(abs(x - y) for x, y in zip(lam, mu))
             if spec in (big, huge, vast):   # bottom <-> top crosses the whole box
@@ -330,7 +332,6 @@ class TestClosedFormSolve:
             assert verts[0] == a and verts[-1] == b
             assert all(is_legal_domino_move(spec, v, w)
                        for v, w in zip(verts, verts[1:]))
-        assert build_d_a.cache_info().currsize == 0
 
 
 class TestWalkMemory:

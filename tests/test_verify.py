@@ -1,4 +1,5 @@
 import inspect
+import weakref
 from math import comb
 
 import pytest
@@ -55,8 +56,6 @@ def test_a_suite_added_to_the_table_runs_with_exactly_its_flags(monkeypatch):
 def test_each_lattice_runs_the_birkhoff_pass_once():
     # build_d_a asserts the certificate, and the structure suite and both
     # irreducibles' posets read the verdict it left on D; each reran the pass
-    for cached in (build_l_graph, build_d_a, build_l_tilde, build_l_tab):
-        cached.cache_clear()
     spec = BoxSpec(3, 7)
 
     def run():
@@ -66,8 +65,31 @@ def test_each_lattice_runs_the_birkhoff_pass_once():
 
     result, calls = count_calls([lattice._birkhoff_pass], run)
     assert result == (True, 12, 12)
-    # L_A, D_A, L_tilde and L_tab, one pass each
-    assert calls == {"_birkhoff_pass": 4}, calls
+    # the D built here, and the suite's own L_A, D_A, L_tilde and L_tab,
+    # one pass each
+    assert calls == {"_birkhoff_pass": 5}, calls
+
+
+def test_structure_suite_holds_one_lattice_at_a_time(monkeypatch):
+    # the builders keep no lattice and the suite keeps none past its
+    # certificate, so every lattice built before is dead when the next
+    # build starts
+    built = []
+
+    def recording(build):
+        def build_and_record(spec):
+            alive = [name for name, ref in built if ref() is not None]
+            assert alive == [], f"{alive} alive when {build.__name__} starts"
+            L = build(spec)
+            built.append((build.__name__, weakref.ref(L)))
+            return L
+        return build_and_record
+
+    for name in ("build_l_graph", "build_d_a", "build_l_tilde", "build_l_tab"):
+        monkeypatch.setattr(verify, name, recording(getattr(verify, name)))
+    assert verify.suite_structure(3, 7)["passed"]
+    assert [name for name, _ in built] == ["build_l_graph", "build_d_a",
+                                           "build_l_tilde", "build_l_tab"]
 
 
 def test_fundamental_is_seed_stable():
@@ -135,8 +157,7 @@ def test_iso_suite_validates_each_shape_at_most_once():
     # the suite's shapes are vertices of the lattices it builds, so its
     # checks run on unchecked cores; a validator called per check and
     # shape would run several times C(N, k)
-    for cached in (build_l_graph, build_d_a, move_matrix):
-        cached.cache_clear()
+    move_matrix.cache_clear()
     result, calls = count_calls([validate_partition, validate_diagonal, validate_entries],
                                 lambda: verify.suite_iso(4, 10))
     assert result["passed"]
