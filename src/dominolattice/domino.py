@@ -1,24 +1,25 @@
 """The Domino Game digraph and its coordinatizations.
 
 Vertices are k x (N-k) partitions; directed edges are the legal domino
-moves, colored by [N-1].  A color-l up-move hops a tableau entry from
-pi(l+1) to pi(l), the L move renumbered, and adds beta_l to the diagonal
-coordinates; this move table (`_move_table`) builds the digraph, drives
-the solver and gives the tableau, circle and diagonal edges.  The paper's
-partition branch table `beta_part`, whose offsets shift by N % 2, is the
-independent definition they are checked against.  The board is checkered with the upper-right cell
-red.  The extremes come in closed form, as the images of the empty and
-the full box under the isomorphism, so nothing that needs them builds
-the digraph, and only `build_d_a` imports the lattice module.
+moves, colored by [N-1].  A color-l up-move is the L move renumbered by
+pi, legal by the one move rule (the typea module's docstring) on the
+masks that `_shape_masks`, the one reader of a shape, makes; with its
+diagonal move beta_l, this move table (`_move_table`) builds the
+digraph, drives the solver and gives the tableau, circle and diagonal
+edges.  The paper's partition branch table `beta_part`, whose offsets
+shift by N % 2, is the independent definition they are checked against.
+The board is checkered with the upper-right cell red.  The extremes come
+in closed form, as the images of the empty and the full box under the
+isomorphism, so nothing that needs them builds the digraph, and only
+`build_d_a` imports the lattice module.
 """
 
 from functools import lru_cache
 
 from .records import Record, _set_field, is_int
-from .typea import (_circle, _hop_lattice, _partition_to_diagonal, _tableau_mask, _up_edges,
-                    all_partitions, diagonal_to_partition, is_valid_partition,
-                    partition_to_diagonal, tableau_to_circle, validate_circle,
-                    validate_entries, validate_partition)
+from .typea import (_circle, _hop_lattice, _partition_to_diagonal, _up_edges, all_partitions,
+                    diagonal_to_partition, is_valid_partition, partition_to_diagonal,
+                    tableau_to_circle, validate_circle, validate_entries, validate_partition)
 
 
 def is_red(spec, r, c):
@@ -116,19 +117,29 @@ def d_up_edges(spec, x, system="part"):
     return _up_edges(spec, x, system, "D", _move_table(spec.N))
 
 
+def _shape_masks(spec, shape):
+    """A checked shape's D-tableau mask (`gamma_pt`) and its preimage's L-tableau mask Q."""
+    k, renumber = spec.k, _move_table(spec.N)[1]
+    mask = q = 0
+    for j, s in enumerate(shape):
+        t = s + k - j
+        mask |= 1 << t
+        q |= 1 << renumber[t]
+    return mask, q
+
+
 def build_d_a(spec):
     """The Domino Game lattice on all k x (N-k) partitions.
 
-    Each shape is read once, into the int mask of its D tableau (`gamma_pt`),
-    and its edges hop tableau entries on the mask; a move's target is the
-    shape with that mask.  The build asserts Birkhoff's certificate
+    Each shape is read once, by `_shape_masks`, and its edges hop tableau
+    entries on the masks.  The build asserts Birkhoff's certificate
     (`birkhoff_failure`), which implies unique extremes; a failure raises
     AssertionError with its witness.
     """
     from .lattice import birkhoff_failure
     vertices = all_partitions(spec)
-    L = _hop_lattice(vertices, [_tableau_mask(_gamma_pt(spec, sigma)) for sigma in vertices],
-                     _move_pairs(spec.N))
+    masks, qs = zip(*[_shape_masks(spec, sigma) for sigma in vertices])
+    L = _hop_lattice(vertices, masks, qs, _move_table(spec.N)[0])
     failure = birkhoff_failure(L)
     if failure is not None:
         raise AssertionError(failure)
@@ -290,7 +301,7 @@ def beta_diag(spec, l):
     """Diagonal-space delta of the color-l up-move."""
     _check_color(spec.N, l)
     delta = [0] * (spec.N - 1)
-    for i, a in _move_table(spec.N)[1][l - 1]:
+    for i, a in _move_table(spec.N)[2][l - 1]:
         delta[i] = a
     return tuple(delta)
 
@@ -299,12 +310,14 @@ def beta_diag(spec, l):
 def _move_table(N):
     """The Domino move table of `typea._up_edges`, built once per valid N.
 
-    It holds `_move_pairs(N)` and, for each color l, the nonzero entries
-    (i, a) of its diagonal move, column l of the move matrix: low colors
-    remove a domino, the middle one the red corner, high colors add one.
+    flips[l] holds the bits pi(l) and pi(l+1) of color l's move, renumber[t]
+    = pi^-1(t) is D entry t's bit of Q, and column l of the move matrix lists
+    the nonzero (i, a) of the diagonal move: low colors remove a domino,
+    the middle one the red corner, high colors add one.
     """
     p, mid = N % 2, N // 2
     columns = [((N - 2 * l - 1 - p, -1), (N - 2 * l - p, -1)) for l in range(1, mid)]
     columns.append(((0, -1),))
     columns += [((2 * l - N - 2 + p, 1), (2 * l - N - 1 + p, 1)) for l in range(mid + 1, N)]
-    return _move_pairs(N), tuple(columns)
+    flips = (0,) + tuple(1 << x | 1 << y for x, y in _move_pairs(N).values())
+    return flips, (0,) + _pi_pair(N)[1].mapping, tuple(columns)

@@ -1,15 +1,14 @@
-"""JSON and DOT serialization.
+"""JSON and DOT serialization: the CLI reads posets and writes lattices.
 
 Poset schema:   {"vertices": [{"id": str, "color": int}], "covers": [[id, id]]}
 Lattice schema: {"vertices": [str], "edges": [{"from": str, "to": str, "color": int}]}
 
-Output is deterministic (canonical ordering, fixed separators) so files
-round-trip byte for byte.
+Output is deterministic (canonical ordering, fixed separators).
 """
 
 import json
 
-from .lattice import ColoredLattice, LatticeError, sort_key
+from .lattice import sort_key
 from .poset import PosetError, VertexColoredPoset
 
 _DOT_PALETTE = ("red", "blue", "forestgreen", "purple", "orange", "cyan4",
@@ -26,27 +25,14 @@ def label(v):
     return str(v)
 
 
-def poset_to_json(P):
-    doc = {
-        "vertices": [{"id": str(v), "color": P.color(v)} for v in P.vertices],
-        "covers": sorted([str(a), str(b)] for a, b in P.covers),
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
-def _load(text, kind, error):
-    """json.loads, with text that is not JSON or nests too deeply raised as a schema error."""
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise error(f"{kind} JSON does not match the schema (not JSON: {exc})") from None
-    except RecursionError:
-        raise error(f"{kind} JSON does not match the schema (nested too deeply)") from None
-
-
 def poset_from_json(text):
     """Parse the poset schema; a document of another shape raises PosetError."""
-    doc = _load(text, "poset", PosetError)
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise PosetError(f"poset JSON does not match the schema (not JSON: {exc})") from None
+    except RecursionError:
+        raise PosetError("poset JSON does not match the schema (nested too deeply)") from None
     try:
         items, pairs = doc["vertices"], doc["covers"]
         vertices = [item["id"] for item in items]
@@ -79,24 +65,6 @@ def lattice_to_json(L):
                         key=lambda e: (e["from"], e["to"])),
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
-def lattice_from_json(text):
-    """Parse the lattice schema; a document of another shape raises LatticeError."""
-    doc = _load(text, "lattice", LatticeError)
-    try:
-        vertices = doc["vertices"]
-        edges = [(e["from"], e["to"], e["color"]) for e in doc["edges"]]
-    except (KeyError, TypeError) as exc:
-        raise LatticeError(
-            f"lattice JSON does not match the schema ({type(exc).__name__}: {exc})") from None
-    labels = [v for e in edges for v in e[:2]]
-    if not isinstance(vertices, list) or not all(
-            isinstance(v, str) for v in vertices + labels):
-        raise LatticeError("lattice JSON does not match the schema (vertex labels must be strings)")
-    if len(set(vertices)) != len(vertices):
-        raise LatticeError("lattice JSON does not match the schema (vertex labels must be unique)")
-    return ColoredLattice(vertices, edges)
 
 
 def lattice_to_dot(L, name="lattice"):

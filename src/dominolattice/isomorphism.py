@@ -20,13 +20,11 @@ over colors, which is how the solver reads its rise and fall counts:
     T_l - S_l = #{q in Q_tau : q <= l} - #{q in Q_sigma : q <= l}.
 
 The same Q decides which moves are legal: phi preserves colors and
-covers, so a color-l move of D is legal at sigma exactly when the
-color-l move of L is legal at the preimage.  That move swaps entry l+1
-for l going up, so it is legal when l+1 is in Q and l is not; going
-down, when l is in Q and l+1 is not.  Held as an int with bit q set for
-each q in Q (bit pi^-1(t) for each D-tableau entry t), the legal up
-colors are the set bits of (Q >> 1) & ~Q, and the legal down colors
-those of Q & ~(Q >> 1), the legal up colors of the complement ~Q.
+covers, so a color-l move of D is legal at sigma exactly when the L
+move is legal at the preimage, where it swaps the entry l+1 of Q for l.
+That is the one move rule of every type-A hop (the typea module's
+docstring): as an int mask, the legal up colors of Q are the set bits
+of (Q >> 1) & ~Q, and its legal down colors those of the complement ~Q.
 
 The matrix P of diagonal move-vectors is the paper's route to the same
 counts: `apply_p` transports coordinates by it, in O(N), since each of
@@ -174,7 +172,7 @@ def _determinant(entries):
 def move_matrix(spec):
     n = spec.N
     entries = [[0] * (n - 1) for _ in range(n - 1)]
-    for l, column in enumerate(_move_table(n)[1]):     # column l + 1 is beta_{l+1}
+    for l, column in enumerate(_move_table(n)[2]):     # column l + 1 is beta_{l+1}
         for i, a in column:
             entries[i][l] = a
     m = MoveMatrix(tuple(map(tuple, entries)), m_diag(spec))
@@ -195,7 +193,7 @@ def _apply_p(spec, diag):
     nonzero entries, so each d_l adds to at most two entries of m.
     """
     out = list(move_matrix(spec).shift)
-    for d, column in zip(diag, _move_table(spec.N)[1]):
+    for d, column in zip(diag, _move_table(spec.N)[2]):
         if d:
             for i, a in column:
                 out[i] += a * d

@@ -192,10 +192,14 @@ def bareiss_decompose(spec, diag):
     closed form, so this route shares nothing with the prefix count.
     The solution must be a vector of nonnegative integers.
     """
-    from fractions import Fraction
     from .typea import validate_diagonal
-    diag = validate_diagonal(spec, diag)
-    rhs = [d - s for d, s in zip(diag, _minimum_census(spec))]
+    return _bareiss_decompose(spec, validate_diagonal(spec, diag), _minimum_census(spec))
+
+
+def _bareiss_decompose(spec, diag, shift):
+    """bareiss_decompose of a checked diagonal, with the shift m of a D the caller holds."""
+    from fractions import Fraction
+    rhs = [d - s for d, s in zip(diag, shift)]
     det, rows = _move_matrix_inverse(spec)
     sol = [Fraction(sum(a * b for a, b in zip(row, rhs)), det) for row in rows]
     for i, value in enumerate(sol, start=1):

@@ -16,7 +16,7 @@ from collections import Counter
 from functools import cached_property
 
 from .lattice import (CoverDigraph, LatticeError, _indexed_lattice, _upper_covers,
-                      birkhoff_failure, is_int)
+                      birkhoff_failure, is_int, sort_key)
 
 
 class PosetError(ValueError):
@@ -371,15 +371,31 @@ def join_to_meet_irreducible(L, u):
     return m
 
 
-def check_poset_iso(P, Q, f):
-    """Is the explicit map f a color- and order-preserving bijection P -> Q?
+def poset_iso_failure(P, Q, f):
+    """Why the explicit map f is not a color- and order-preserving bijection P -> Q, or None.
 
-    A bijection that maps covers onto covers is an order isomorphism.
+    A bijection mapping covers onto covers is an order isomorphism.  Like
+    `lattice.iso_failure`, it names the first vertex or else cover where f fails.
     """
     g = f.__getitem__ if isinstance(f, dict) else f
-    images = {v: g(v) for v in P.vertices}
-    if set(images.values()) != set(Q.vertices) or len(images) != len(Q.vertices):
-        return False
-    if any(P.color(v) != Q.color(images[v]) for v in P.vertices):
-        return False
-    return {(images[a], images[b]) for a, b in P.covers} == Q.covers
+    image, hit = {}, {}
+    for v in P.vertices:
+        w = image[v] = g(v)
+        if w not in Q:
+            return f"{v!r} maps to {w!r}, which is not a vertex of the target"
+        if w in hit:
+            return f"{hit[w]!r} and {v!r} both map to {w!r}"
+        hit[w] = v
+        if P.colors[v] != Q.colors[w]:
+            return f"{v!r} has color {P.colors[v]}, but its image {w!r} has color {Q.colors[w]}"
+    if len(hit) != len(Q):
+        return f"no vertex maps to {next(w for w in Q.vertices if w not in hit)!r}"
+    mapped = {(image[a], image[b]): (a, b) for a, b in P.covers}
+    lost = [mapped[c] for c in mapped.keys() - Q.covers]
+    if lost:
+        a, b = min(lost, key=sort_key)      # sort_key order is vertex order
+        return f"cover ({a!r}, {b!r}) maps to ({image[a]!r}, {image[b]!r}), which is not a cover"
+    if Q.covers != mapped.keys():
+        a, b = min(Q.covers - mapped.keys(), key=sort_key)
+        return f"({hit[a]!r}, {hit[b]!r}) is not a cover, but its image ({a!r}, {b!r}) is"
+    return None

@@ -9,16 +9,16 @@ the poset's masks (the poset module's docstring): each ideal is read
 once into a mask in (color, index) order, so a greedy step flips the
 lowest set bit among the free extremes, and the census is read off the
 mask of the difference.  The Domino procedure reads each shape once,
-into an int mask of its D tableau (bit t set for entry t) and one of
-its preimage's L tableau, Q (bit pi^-1(t)) (`_shape_masks`), and plays
-on the masks (`_solve_domino`).  The per-color move counts
-are one running count over the two Q masks, and the walk runs on plain
-integers, with no Counter in it: the moves still to make are count
-lists indexed by color, the legal up colors are the set bits of
-(Q >> 1) & ~Q (the isomorphism module's docstring), and the smallest
-is the lowest set bit, so a step scans no colors.  A color-l move flips
-bits l and l+1 of Q and hops one dot of the D tableau, which changes
-one row of the shape, or two when the dot passes the entry between its
+by `domino._shape_masks`, into an int mask of its D tableau (bit t set
+for entry t) and one of its preimage's L tableau, Q (bit pi^-1(t)), and
+plays on the masks (`_solve_domino`).  The per-color move counts are one
+running count over the two Q masks, and the walk runs on plain integers,
+with no Counter in it: the moves still to make are count lists indexed
+by color, and by the one move rule (the typea module's docstring) the
+legal up colors are the set bits of (Q >> 1) & ~Q, the smallest the
+lowest, so a step scans no colors.  A color-l move flips bits l and l+1
+of Q and two bits of the D tableau (`domino._move_table`), changing one
+row of the shape, or two when its dot passes the entry between its
 ends.  The walk never builds the lattice; its slow reference is the
 generic route on the ideals of J(P_A), read through phi,
 `oracle.ideal_greedy_solve`.  The per-color answer of either route is
@@ -32,7 +32,7 @@ checked against its path.
 from collections import Counter
 from functools import lru_cache
 
-from .domino import _move_pairs, _pi_pair
+from .domino import _move_pairs, _move_table, _shape_masks
 from .records import DOWN, UP, PathRecord, Record, _set_field
 from .typea import validate_partition
 
@@ -136,26 +136,25 @@ def _walk_tables(N):
     """The up and down hop tables and the step labels, built once per valid N.
 
     A color-l move hops one dot of the D tableau: up from pi(l+1) to
-    pi(l), down the other way (`_move_pairs`).  For a dot hopping from
-    `old` to `old + delta`, a hop table holds five tuples indexed by
-    color, all of small ints, so that the tables take O(N) memory: low
-    (the lower end), ends (the two end bits shifted down to low, 3 or
-    5), shift (old + 1, so that mask >> shift counts the entries above
-    old), mid (the entry between the ends when |delta| == 2, else 0,
-    which no D tableau holds) and delta.  The labels are the steps
-    (l, UP) and (l, DOWN), shared by every path.
+    pi(l), down the other way (`_move_pairs`), both flipping the mask's
+    bits flips[l].  A hop table holds the move table's flips and, for a
+    dot hopping from `old` to `old + delta`, three O(N) tuples of small
+    ints indexed by color: shift (old + 1, so that mask >> shift counts
+    the entries above old), mid (the entry between the ends when
+    |delta| == 2, else 0, which no D tableau holds) and delta.  The
+    labels are the steps (l, UP) and (l, DOWN), shared by every path.
     """
+    flips = _move_table(N)[0]
     hops = []
     for up in (True, False):
-        rows = [(0, 0, 0, 0, 0)]
+        rows = [(0, 0, 0)]
         for l, (x, y) in _move_pairs(N).items():
             new, old = (x, y) if up else (y, x)
             delta = new - old
             if abs(delta) > 2:
                 raise AssertionError(f"color {l} hops over more than one entry")
-            mid = (old + new) // 2 if abs(delta) == 2 else 0
-            rows.append((min(old, new), 1 | 1 << abs(delta), old + 1, mid, delta))
-        hops.append(tuple(zip(*rows)))
+            rows.append((old + 1, (old + new) // 2 if abs(delta) == 2 else 0, delta))
+        hops.append((flips, *zip(*rows)))
     labels = [tuple((l, d) for l in range(N)) for d in (UP, DOWN)]
     return (*hops, *labels)
 
@@ -164,17 +163,17 @@ def _greedy_leg(hops, labels, mask, q, parts, need, active, verts, steps):
     """Apply the colored up moves counted in need greedily, smallest color first.
 
     mask has bit t set for each D-tableau entry t, and parts is the shape
-    it encodes, updated in place; q is the L-tableau mask of its preimage
-    (the isomorphism module's docstring), so the legal up colors are the
-    set bits of (q >> 1) & ~q.  A down leg passes ~q instead: a down move
-    is an up move of the complement.  need[l] counts the color-l moves
-    still to make and active has bit l set while need[l] is not 0.  The
-    dot keeps its row unless it passes the entry between its ends, a
+    it encodes, updated in place; q is the L-tableau mask of its preimage,
+    so a color-l move is legal at the set bits of (q >> 1) & ~q and flips
+    bits l and l+1 of q and flips[l] of mask.  A down leg passes ~q: a
+    down move is an up move of the complement.  need[l] counts the color-l
+    moves still to make and active has bit l set while need[l] is not 0.
+    The dot keeps its row unless it passes the entry between its ends, a
     vertical domino that moves two rows by one.  Appends each shape to
     verts and labels[l] to steps, and returns the final mask and q; the
     procedure is guaranteed to consume every move, which is asserted.
     """
-    lows, ends, shifts, mids, deltas = hops
+    flips, shifts, mids, deltas = hops
     while active:
         legal = (q >> 1) & ~q & active
         if not legal:
@@ -196,7 +195,7 @@ def _greedy_leg(hops, labels, mask, q, parts, need, active, verts, steps):
             parts[row + 1] += step
         else:
             parts[row] += delta
-        mask ^= ends[l] << lows[l]
+        mask ^= flips[l]
         q ^= 3 * low
         verts.append(tuple(parts))
         steps.append(labels[l])
@@ -217,17 +216,6 @@ def solve_domino(spec, sigma, tau, via="join"):
     sigma, tau = validate_partition(spec, sigma), validate_partition(spec, tau)
     return _solve_domino(spec, sigma, tau, _shape_masks(spec, sigma),
                          _shape_masks(spec, tau), via)
-
-
-def _shape_masks(spec, shape):
-    """The D-tableau mask of a shape already validated, and the L-tableau mask Q of its preimage."""
-    k, qinv = spec.k, _pi_pair(spec.N)[1].mapping
-    mask = q = 0
-    for j, s in enumerate(shape):
-        t = s + k - j
-        mask |= 1 << t
-        q |= 1 << qinv[t - 1]
-    return mask, q
 
 
 def _solve_domino(spec, sigma, tau, sigma_masks, tau_masks, via):

@@ -24,6 +24,14 @@ b_l = d_l - d_{l-1} + [l > N-k] is 1 exactly at the entries, and a
 sequence is a diagonal exactly when each step is 0 or 1.  Because phi
 preserves colors, the same count over the preimage's L tableau gives
 the Domino move counts (`isomorphism.move_census`).
+
+There is one move rule.  Q is the int mask of an L tableau, bit t per
+entry t: the shape's own on L, its preimage's on D (`domino._shape_masks`).
+The color-l up move swaps the entry l+1 of Q for l, so it is legal at the
+set bits l >= 1 of (Q >> 1) & ~Q, and it flips the color's two tableau
+bits, l and l+1 on L, pi(l) and pi(l+1) on D: the move tables
+`_l_move_table` and `domino._move_table` hold them and the Q renumbering.
+The partition rules and the diagonal rule are the independent definitions.
 """
 
 from functools import lru_cache
@@ -404,51 +412,39 @@ L_COORDINATES = {
 # -- colored up-edges in each coordinatization ------------------------------------
 
 
-def hop_up_moves(entries, pairs):
-    """The one move rule: color l hops a tableau entry from y to x.
-
-    `entries` is a tableau as an int mask, bit t set for each entry t, and
-    the moves come back as masks.  `pairs` is {l: (x, y)}: (l, l+1) for L,
-    through pi for the Domino game.
-    """
-    return [(entries ^ (1 << x | 1 << y), l) for l, (x, y) in pairs.items()
-            if entries >> y & 1 and not entries >> x & 1]
-
-
 def _tableau_mask(entries):
     """The int mask of distinct tableau entries: bit t set for each entry t."""
     return sum(1 << t for t in entries)
 
 
-def _mask_entries(spec, mask):
-    """The entries of a tableau mask, increasing."""
-    return [t for t in range(1, spec.N + 1) if mask >> t & 1]
-
-
 @lru_cache(maxsize=None)
 def _l_move_table(N):
-    """The L move table: the pairs (l, l+1), and e_l as color l's diagonal move."""
-    return {l: (l, l + 1) for l in range(1, N)}, tuple(((l - 1, 1),) for l in range(1, N))
+    """The L move table: color l flips entries l and l+1, Q is the tableau, e_l its diagonal."""
+    return ((0,) + tuple(3 << l for l in range(1, N)), range(N + 1),
+            tuple(((l - 1, 1),) for l in range(1, N)))
 
 
 def _up_edges(spec, x, system, scheme, moves):
     """The tableau, circle and diagonal up-edge rules of both lattices.
 
     `scheme` ("L" or "D") is the family's circle numbering, tableau order
-    and tableau check.  `moves` = (pairs, columns) is its move table:
-    color l hops a tableau entry by `hop_up_moves` over pairs, and adds a
-    to diagonal entry i for each (i, a) in columns[l - 1].
+    and tableau check.  `moves` = (flips, renumber, columns) is its move
+    table: color l flips the tableau bits flips[l] where the one move rule
+    finds it on Q, bit renumber[t] per entry t, and adds a to diagonal
+    entry i for each (i, a) in columns[l - 1], kept where that is one.
     """
-    pairs, columns = moves
-    if system == "tab":
-        entries = _validate_tableau_L(spec, x) if scheme == "L" else validate_entries(spec, x)
-        step = 1 if scheme == "L" else -1
-        return [(tuple(_mask_entries(spec, t)[::step]), l)
-                for t, l in hop_up_moves(_tableau_mask(entries), pairs)]
-    if system == "circ":
-        ones = _tableau_mask(validate_circle(spec, x, scheme))
-        return [(_circle(spec, _mask_entries(spec, t), scheme), l)
-                for t, l in hop_up_moves(ones, pairs)]
+    flips, renumber, columns = moves
+    if system in ("tab", "circ"):
+        entries = (validate_circle(spec, x, scheme) if system == "circ"
+                   else _validate_tableau_L(spec, x) if scheme == "L"
+                   else validate_entries(spec, x))
+        mask, q = _tableau_mask(entries), _tableau_mask(renumber[t] for t in entries)
+        legal = (q >> 1) & ~q
+        hops = [([t for t in range(1, spec.N + 1) if (mask ^ flips[l]) >> t & 1], l)
+                for l in range(1, spec.N) if legal >> l & 1]
+        if system == "circ":
+            return [(_circle(spec, t, scheme), l) for t, l in hops]
+        return [(tuple(t if scheme == "L" else t[::-1]), l) for t, l in hops]
     if system == "diag":
         diag = validate_diagonal(spec, x)
         out = []
@@ -526,17 +522,26 @@ def build_l_tab(spec):
     so the sublattice is full length.
     """
     vertices = tuple(combinations(range(1, spec.N + 1), spec.k))
-    return _hop_lattice(vertices, list(map(_tableau_mask, vertices)),
-                        _l_move_table(spec.N)[0])
+    masks = list(map(_tableau_mask, vertices))
+    return _hop_lattice(vertices, masks, masks, _l_move_table(spec.N)[0])
 
 
-def _hop_lattice(vertices, masks, pairs):
-    """The lattice whose covers hop tableau entries, by `hop_up_moves` over pairs.
+def _hop_lattice(vertices, masks, qs, flips):
+    """The lattice whose covers hop tableau entries by the one move rule.
 
-    vertices are distinct labels in sort_key order and masks their
-    distinct tableau masks; a move's target is the vertex with its mask.
+    vertices are distinct labels in sort_key order, masks their distinct
+    tableau masks and qs their masks Q; a legal color l, read inline, leads
+    from mask m to the vertex of mask m ^ flips[l].
     """
     from .lattice import _indexed_lattice
     at = {m: i for i, m in enumerate(masks)}
-    return _indexed_lattice(vertices, {(i, at[t]): l for i, m in enumerate(masks)
-                                       for t, l in hop_up_moves(m, pairs)})
+    covers = {}
+    for i, m in enumerate(masks):
+        q = qs[i]
+        legal = (q >> 1) & ~(q | 1)
+        while legal:
+            low = legal & -legal
+            legal ^= low
+            l = low.bit_length() - 1
+            covers[i, at[m ^ flips[l]]] = l
+    return _indexed_lattice(vertices, covers)

@@ -18,7 +18,7 @@ from .lattice import ColoredLattice, birkhoff_failure, iso_failure, product
 from .typea import (L_COORDINATES, BoxSpec, _partition_to_diagonal, all_partitions,
                     build_l_a, build_l_graph, build_l_tab, build_l_tilde,
                     ideal_to_partition, l_up_edges)
-from .domino import (D_COORDINATES, build_d_a, d_up_edges,
+from .domino import (D_COORDINATES, _shape_masks, build_d_a, d_up_edges,
                      is_legal_domino_move)
 from .isomorphism import _apply_p, _phi, _phi_inverse, decompose, move_matrix
 from .suites import DEFAULTS, SUITE_FLAGS, SUITES
@@ -45,26 +45,25 @@ def suite_fundamental(seed=0):
     """Birkhoff round trips and the J/M/j/m identity families."""
     from .oracle import random_colored_poset
     from .poset import (canonical_iso_to_filters, canonical_iso_to_ideals,
-                        check_poset_iso, disjoint_sum, dual, j_lattice,
-                        join_irreducibles, m_lattice, meet_irreducibles,
-                        principal_filter, principal_ideal, recolor)
+                        disjoint_sum, dual, j_lattice, join_irreducibles, m_lattice,
+                        meet_irreducibles, poset_iso_failure, principal_filter,
+                        principal_ideal, recolor)
     rng = random.Random(seed)
     theorems = (("j(J(P)) = P and J(j(L)) = L", j_lattice, join_irreducibles,
                  principal_ideal, canonical_iso_to_ideals),
                 ("m(M(P)) = P and M(m(L)) = L", m_lattice, meet_irreducibles,
                  principal_filter, canonical_iso_to_filters))
-    held = [True] * len(theorems)
-    broke = [None] * len(theorems)      # the first isomorphism failure
+    broke = [None] * len(theorems)      # each theorem's first failure, poset side first
     for _ in range(50):
         P = random_colored_poset(rng, 8, 4)
         for t, (_, build, irreducibles, principal, canonical) in enumerate(theorems):
             L = build(P)
             irr = irreducibles(L)
-            held[t] &= check_poset_iso(P, irr, {v: principal(P, v) for v in P.vertices})
-            broke[t] = broke[t] or iso_failure(L, build(irr),
-                                               {x: canonical(L, x) for x in L.vertices})
-    checks = [(theorem[0], ok and failure is None, failure)
-              for theorem, ok, failure in zip(theorems, held, broke)]
+            broke[t] = (broke[t]
+                        or poset_iso_failure(P, irr, {v: principal(P, v) for v in P.vertices})
+                        or iso_failure(L, build(irr), {x: canonical(L, x) for x in L.vertices}))
+    checks = [(theorem[0], failure is None, failure)
+              for theorem, failure in zip(theorems, broke)]
 
     fam = dict.fromkeys(("duality family", "recoloring family", "sum/product family"))
     sigma = {c: c + 7 for c in range(1, 4)}
@@ -157,15 +156,15 @@ def suite_solver(k, N, seed=0):
     The distance between two ideals of J(P_A) is the size of their
     symmetric difference; a shape's ideal is its set of cells, so row r
     of the difference holds |a_r - b_r| cells, and L's distances are read
-    off the shapes.  The shapes are the vertices of D, so the Domino
-    solves call the unchecked core: each of D's shapes is read once, into
-    its two tableau masks, and each returned path is still checked
-    against D.  A census pair with more shortest paths than the
-    enumeration's cap is a ValueError that names the pair and the cap.
+    off the shapes.  The Domino solves call the unchecked core on D's
+    shapes, each read once into its two tableau masks, and each returned
+    path is checked against D, whose minimum gives the Bareiss solve its
+    shift.  A census pair with more shortest paths than the enumeration's
+    cap is a ValueError that names the pair and the cap.
     """
-    from .oracle import (PathCapExceeded, bareiss_decompose, bfs_all_pairs,
+    from .oracle import (PathCapExceeded, _bareiss_decompose, bfs_all_pairs, cell_census,
                          enumerate_shortest_paths)
-    from .solver import _shape_masks, _solve_domino
+    from .solver import _solve_domino
     spec = BoxSpec(k, N)
     L = build_l_graph(spec)
     D = build_d_a(spec)
@@ -183,11 +182,12 @@ def suite_solver(k, N, seed=0):
             except Exception:
                 okPath = False
     diags = [_partition_to_diagonal(spec, a) for a in D.vertices]
+    shift = cell_census(spec, D.minimum)
     checks = [("ideal-counting distance equals BFS on L", okL),
               ("multiset distance equals BFS on D", okD),
               ("returned domino paths are legal colored edges", okPath),
               ("census move counts equal the Bareiss solve of P c = d - m",
-               all(decompose(spec, d) == bareiss_decompose(spec, d) for d in diags))]
+               all(decompose(spec, d) == _bareiss_decompose(spec, d, shift) for d in diags))]
     rng = random.Random(seed)
     verts = list(D.vertices)
     okColors = True

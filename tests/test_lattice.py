@@ -18,7 +18,7 @@ from dominolattice.isomorphism import MoveMatrix, move_matrix
 from dominolattice.poset import (PosetError, VertexColoredPoset, canonical_iso_to_filters,
                                  canonical_iso_to_ideals, enumerate_order_ideals,
                                  j_lattice, join_irreducibles, join_to_meet_irreducible,
-                                 check_poset_iso, m_lattice)
+                                 m_lattice, poset_iso_failure)
 from dominolattice.oracle import (check_lattice_laws, enumerate_shortest_paths,
                                   induced_covers, is_diamond_colored, is_distributive,
                                   is_modular,
@@ -97,13 +97,16 @@ class TestCoverDigraph:
         ([("a", "z")], "cover ('a', 'z') mentions unknown vertex"),
         ([("b", "b")], "reflexive cover at 'b'"),
         ([("a", "b"), ("b", "a")], "cover relation contains a cycle"),
+        ([("a", "b"), ("b", "c"), ("c", "a"), ("d", "a")], "cover relation contains a cycle"),
+        ([("a", "b"), ("b", "a"), ("c", "d")], "cover relation contains a cycle"),
         ([("a", "b"), ("b", "c"), ("a", "c")],
          "('a', 'c') is not a cover: 'b' lies between"),
         # the rank is sought in every component, not only in the first
         # vertex's: a lies apart from the transitive cover
         ([("b", "c"), ("c", "d"), ("b", "d")],
          "('b', 'd') is not a cover: 'c' lies between"),
-    ], ids=["unknown", "loop", "cycle", "transitive", "transitive-apart"])
+    ], ids=["unknown", "loop", "cycle", "three-cycle-with-tail", "cycle-beside-a-chain",
+            "transitive", "transitive-apart"])
     def test_rejects_with_shared_message(self, cls, error, covers, message):
         with pytest.raises(error) as exc:
             _cover_digraph(cls, "abcd", covers)
@@ -149,6 +152,21 @@ class TestCoverDigraph:
         for build, fallbacks in ((poset, 0), (n5, 1)):
             _, calls = count_calls([CoverDigraph._reject_non_covers], build)
             assert calls["CoverDigraph._reject_non_covers"] == fallbacks
+
+    def test_topo_puts_every_vertex_after_its_upper_covers(self):
+        # an order with a rank is listed by falling rank, and Kahn's pass
+        # lists the others, such as N5 and its dual
+        rng = random.Random(32)
+        orders = [build(spec) for spec in DESK_SPECS
+                  for build in (build_l_graph, build_d_a, build_l_tab)]
+        for _ in range(50):
+            P = random_colored_poset(rng, 7, 3)
+            orders += [P, j_lattice(P), m_lattice(P)]
+        orders += [n5(), n5().dual(), bowtie()]
+        for L in orders:
+            place = {i: n for n, i in enumerate(L._topo)}
+            assert sorted(place) == list(range(len(L))), L
+            assert all(place[i] > place[j] for i, ws in enumerate(L._up) for j in ws), L
 
     def test_an_ungraded_order_builds_and_orders(self):
         # N5 has no rank, so its covers are checked on the up-sets
@@ -1030,4 +1048,4 @@ class TestFullLength:
         for v in grid.vertices:
             r, c = (int(x) for x in v.split(","))
             f[v] = full_length_witness(big, K, jirr(r, c))
-        assert check_poset_iso(grid, jtab, f)
+        assert poset_iso_failure(grid, jtab, f) is None

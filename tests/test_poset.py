@@ -5,12 +5,12 @@ import pytest
 from dominolattice.lattice import ColoredLattice, product
 from dominolattice.poset import (PosetError, VertexColoredPoset,
                                  canonical_iso_to_filters,
-                                 canonical_iso_to_ideals, check_poset_iso,
+                                 canonical_iso_to_ideals,
                                  disjoint_sum, dual, enumerate_order_ideals,
                                  is_order_ideal, j_lattice, join_irreducibles,
                                  join_to_meet_irreducible, m_lattice,
-                                 meet_irreducibles, principal_filter,
-                                 principal_ideal, recolor)
+                                 meet_irreducibles, poset_iso_failure,
+                                 principal_filter, principal_ideal, recolor)
 from dominolattice.domino import build_d_a
 from dominolattice.lattice import CoverDigraph
 from dominolattice.typea import BoxSpec, build_l_a, build_l_graph, build_p_a
@@ -197,9 +197,30 @@ class TestPosetIso:
         P = chain([1, 2, 1])
         Q = VertexColoredPoset(P.vertices, [("c0", "c1"), ("c0", "c2")], P.colors)
         same = {v: v for v in P.vertices}
-        assert not check_poset_iso(P, Q, same)
-        assert not check_poset_iso(Q, P, same)
-        assert check_poset_iso(P, P, same) and check_poset_iso(Q, Q, same)
+        assert poset_iso_failure(P, P, same) is None and poset_iso_failure(Q, Q, same) is None
+        assert poset_iso_failure(P, Q, same) == (
+            "cover ('c1', 'c2') maps to ('c1', 'c2'), which is not a cover")
+        assert poset_iso_failure(Q, P, same) == (
+            "cover ('c0', 'c2') maps to ('c0', 'c2'), which is not a cover")
+        # c1 < c2 is missing from the source's covers, not added to them
+        R = VertexColoredPoset(P.vertices, [("c0", "c1")], P.colors)
+        assert poset_iso_failure(R, P, same) == (
+            "('c1', 'c2') is not a cover, but its image ('c1', 'c2') is")
+
+    @pytest.mark.parametrize("f, message", [
+        ({"c0": "c0", "c1": "c1", "c2": "x"},
+         "'c2' maps to 'x', which is not a vertex of the target"),
+        ({"c0": "c0", "c1": "c0", "c2": "c2"}, "'c0' and 'c1' both map to 'c0'"),
+        ({"c0": "c0", "c1": "c2", "c2": "c1"},
+         "'c1' has color 2, but its image 'c2' has color 1"),
+    ], ids=["outside", "two-to-one", "recolored"])
+    def test_the_witness_names_the_first_vertex_where_the_map_fails(self, f, message):
+        P = chain([1, 2, 1])
+        assert poset_iso_failure(P, P, f) == message
+
+    def test_the_witness_names_a_vertex_that_no_vertex_maps_to(self):
+        P, Q = antichain([1, 1]), antichain([1, 1, 1])
+        assert poset_iso_failure(P, Q, {"a0": "a0", "a1": "a1"}) == "no vertex maps to 'a2'"
 
 
 class TestIrreducibles:
@@ -220,7 +241,7 @@ class TestIrreducibles:
         assert len(P) == 8
         grid = build_p_a(spec)
         f = {v: principal_ideal(grid, v) for v in grid.vertices}
-        assert check_poset_iso(grid, P, f)
+        assert poset_iso_failure(grid, P, f) is None
 
     def test_l23_meet_irreducibles_count(self):
         assert len(meet_irreducibles(build_l_a(BoxSpec(2, 5)))) == 6
@@ -277,7 +298,7 @@ class TestIrreducibles:
         J = join_irreducibles(L)
         M = meet_irreducibles(L)
         f = {u: join_to_meet_irreducible(L, u) for u in J.vertices}
-        assert check_poset_iso(J, M, f)
+        assert poset_iso_failure(J, M, f) is None
 
 
 class TestRoundTrips:
@@ -286,14 +307,14 @@ class TestRoundTrips:
         for _ in range(50):
             P = random_colored_poset(rng, 8, 4)
             L = j_lattice(P)
-            assert check_poset_iso(P, join_irreducibles(L),
-                                   {v: principal_ideal(P, v) for v in P.vertices})
+            assert poset_iso_failure(P, join_irreducibles(L),
+                                     {v: principal_ideal(P, v) for v in P.vertices}) is None
             assert check_constructed_iso(
                 L, j_lattice(join_irreducibles(L)),
                 {x: canonical_iso_to_ideals(L, x) for x in L.vertices})
             M = m_lattice(P)
-            assert check_poset_iso(P, meet_irreducibles(M),
-                                   {v: principal_filter(P, v) for v in P.vertices})
+            assert poset_iso_failure(P, meet_irreducibles(M),
+                                     {v: principal_filter(P, v) for v in P.vertices}) is None
             assert check_constructed_iso(
                 M, m_lattice(meet_irreducibles(M)),
                 {x: canonical_iso_to_filters(M, x) for x in M.vertices})

@@ -336,8 +336,10 @@ class TestClosedFormSolve:
 
 class TestWalkMemory:
     def test_walk_tables_take_linear_memory(self):
-        # bottom -> top of (1, 10 000): tables of N-bit ints would take
-        # about 40 MB here; tables of positions, about 7 MB
+        # bottom -> top of (1, 10 000): the hop tables hold positions, and
+        # the one table of N-bit ints is the move table's flips, one mask per
+        # color (about 8 MB); the walk peaks at about 16 MB, and a table of
+        # N-bit ints per hop column would take about 40 MB
         spec = BoxSpec(1, 10_000)
         a, b = d_min(spec), d_max(spec)
         _walk_tables.cache_clear()

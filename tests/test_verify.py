@@ -4,7 +4,7 @@ from math import comb
 
 import pytest
 
-from dominolattice import lattice, oracle, poset, solver, verify
+from dominolattice import domino, lattice, oracle, poset, verify
 from dominolattice.cli import main
 from dominolattice.domino import build_d_a
 from dominolattice.isomorphism import (_bareiss_forward, _determinant, _phi,
@@ -140,6 +140,36 @@ def test_failing_fundamental_family_names_its_witness(monkeypatch):
                for check in by_name.values())
 
 
+def test_failing_fundamental_theorem_names_the_recolored_irreducible(monkeypatch):
+    # j(J(P)) = P fails on the poset side when one join irreducible has
+    # another color, and the witness names that irreducible
+    join_irreducibles, recolored = poset.join_irreducibles, []
+
+    def tinted(L):
+        irr = join_irreducibles(L)
+        v = irr.vertices[0]
+        recolored.append(v)
+        return poset.VertexColoredPoset(irr.vertices, irr.covers,
+                                        {**irr.colors, v: irr.colors[v] + 1})
+
+    monkeypatch.setattr(poset, "join_irreducibles", tinted)
+    result = run_suite("fundamental", seed=0)
+    by_name = {check["name"]: check for check in result["checks"]}
+    failed = by_name.pop("j(J(P)) = P and J(j(L)) = L")
+    assert failed["passed"] is False
+    assert f"but its image {recolored[0]!r} has color" in failed["witness"], failed
+    assert all(check == {"name": check["name"], "passed": True}
+               for check in by_name.values())
+
+
+def test_passing_fundamental_report_has_no_witness():
+    # the poset side's witness is None when the map holds, so the report
+    # keeps its two keys per check
+    result = run_suite("fundamental", seed=0)
+    assert result["passed"]
+    assert all(set(check) == {"name", "passed"} for check in result["checks"])
+
+
 def test_iso_suite_maps_each_vertex_through_phi_once(monkeypatch):
     calls = []
 
@@ -185,10 +215,21 @@ def test_solver_suite_reads_no_ideal():
 
 def test_solver_suite_reads_each_shape_into_its_masks_once():
     # the all-pairs loop and the census pairs play on tableau masks read
-    # once per shape, not twice per solve, 2 C(N, k)^2 + 20 reads
-    result, calls = count_calls([solver._shape_masks], lambda: verify.suite_solver(3, 8))
+    # once per shape, not twice per solve, 2 C(N, k)^2 + 20 reads; the
+    # build of D reads each shape once more, through the same reader
+    _, built = count_calls([domino._shape_masks], lambda: build_d_a(BoxSpec(3, 8)))
+    result, calls = count_calls([domino._shape_masks], lambda: verify.suite_solver(3, 8))
     assert result["passed"]
-    assert calls["_shape_masks"] == comb(8, 3), calls
+    assert calls["_shape_masks"] - built["_shape_masks"] == comb(8, 3), (calls, built)
+
+
+def test_solver_suite_builds_d_once():
+    # the Bareiss oracle takes its shift from the suite's own D instead of
+    # building a second one for its minimum
+    oracle._minimum_census.cache_clear()
+    result, calls = count_calls([build_d_a], lambda: verify.suite_solver(3, 8))
+    assert result["passed"]
+    assert calls["build_d_a"] == 1, calls
 
 
 def test_solver_suite_reports_a_capped_census_pair_as_a_domain_error(monkeypatch, capsys):
