@@ -119,7 +119,7 @@ def d_up_edges(spec, x, system="part"):
 
 def _shape_masks(spec, shape):
     """A checked shape's D-tableau mask (`gamma_pt`) and its preimage's L-tableau mask Q."""
-    k, renumber = spec.k, _move_table(spec.N)[1]
+    k, renumber = spec.k, _move_table(spec.N)[2]
     mask = q = 0
     for j, s in enumerate(shape):
         t = s + k - j
@@ -139,7 +139,7 @@ def build_d_a(spec):
     from .lattice import birkhoff_failure
     vertices = all_partitions(spec)
     masks, qs = zip(*[_shape_masks(spec, sigma) for sigma in vertices])
-    L = _hop_lattice(vertices, masks, qs, _move_table(spec.N)[0])
+    L = _hop_lattice(vertices, masks, qs, _move_table(spec.N))
     failure = birkhoff_failure(L)
     if failure is not None:
         raise AssertionError(failure)
@@ -301,7 +301,7 @@ def beta_diag(spec, l):
     """Diagonal-space delta of the color-l up-move."""
     _check_color(spec.N, l)
     delta = [0] * (spec.N - 1)
-    for i, a in _move_table(spec.N)[2][l - 1]:
+    for i, a in _move_table(spec.N)[3][l - 1]:
         delta[i] = a
     return tuple(delta)
 
@@ -310,14 +310,16 @@ def beta_diag(spec, l):
 def _move_table(N):
     """The Domino move table of `typea._up_edges`, built once per valid N.
 
-    flips[l] holds the bits pi(l) and pi(l+1) of color l's move, renumber[t]
-    = pi^-1(t) is D entry t's bit of Q, and column l of the move matrix lists
-    the nonzero (i, a) of the diagonal move: low colors remove a domino,
-    the middle one the red corner, high colors add one.
+    Color l flips the tableau bits pi(l) and pi(l+1), ends[l] << lows[l]
+    of O(N) small ints (ends 3 or 5), renumber[t] = pi^-1(t) is D entry t's
+    bit of Q, and column l of the move matrix lists the nonzero (i, a) of
+    the diagonal move: low colors remove a domino, the middle one the red
+    corner, high colors add one.
     """
     p, mid = N % 2, N // 2
     columns = [((N - 2 * l - 1 - p, -1), (N - 2 * l - p, -1)) for l in range(1, mid)]
     columns.append(((0, -1),))
     columns += [((2 * l - N - 2 + p, 1), (2 * l - N - 1 + p, 1)) for l in range(mid + 1, N)]
-    flips = (0,) + tuple(1 << x | 1 << y for x, y in _move_pairs(N).values())
-    return flips, (0,) + _pi_pair(N)[1].mapping, tuple(columns)
+    lows, ends = zip((0, 0), *((min(x, y), 1 | 1 << abs(x - y))
+                               for x, y in _move_pairs(N).values()))
+    return lows, ends, (0,) + _pi_pair(N)[1].mapping, tuple(columns)

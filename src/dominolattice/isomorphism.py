@@ -172,7 +172,7 @@ def _determinant(entries):
 def move_matrix(spec):
     n = spec.N
     entries = [[0] * (n - 1) for _ in range(n - 1)]
-    for l, column in enumerate(_move_table(n)[2]):     # column l + 1 is beta_{l+1}
+    for l, column in enumerate(_move_table(n)[3]):     # column l + 1 is beta_{l+1}
         for i, a in column:
             entries[i][l] = a
     m = MoveMatrix(tuple(map(tuple, entries)), m_diag(spec))
@@ -193,7 +193,7 @@ def _apply_p(spec, diag):
     nonzero entries, so each d_l adds to at most two entries of m.
     """
     out = list(move_matrix(spec).shift)
-    for d, column in zip(diag, _move_table(spec.N)[2]):
+    for d, column in zip(diag, _move_table(spec.N)[3]):
         if d:
             for i, a in column:
                 out[i] += a * d

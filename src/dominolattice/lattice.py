@@ -79,11 +79,10 @@ class CoverDigraph:
         A pair (i, j) is not a cover when another upper cover of i lies
         below j, and then no rank rises by exactly 1 along every pair.  So
         when each connected component has such a rank (`_ranks_from`), all
-        are covers, none lies on a cycle, and `_topo` lists the vertices
-        by falling rank.  Only otherwise does Kahn's pass order them or
-        name a cycle, and `_reject_non_covers` build the up-sets.  The
-        rank, None when two covers disagree, is kept as `_rank`, and the
-        component count as `_components`.
+        are covers; only otherwise are the up-sets built, by
+        `_reject_non_covers`.  The rank, None when two covers disagree, is
+        kept as `_rank` and the number of connected components as
+        `_components`.
         """
         pairs = sorted(pairs)
         n = len(self.vertices)
@@ -92,15 +91,6 @@ class CoverDigraph:
             up[i].append(j)
             down[j].append(i)
         self._up, self._down = tuple(map(tuple, up)), tuple(map(tuple, down))
-        self._rank, self._components = _ranks_from(up, down)
-        rank = self._rank
-        if rank is not None:
-            top = max(rank, default=0)
-            levels = [[] for _ in range(top - min(rank, default=0) + 1)]
-            for i, r in zip(self._index.values(), rank):    # _index's ints, not new ones
-                levels[top - r].append(i)
-            self._topo = [i for level in levels for i in level]
-            return
         # Kahn order from the maximal elements (the loop visits what it
         # appends); vertices on or below a cycle never enter it.
         outdeg = [len(ws) for ws in up]
@@ -113,7 +103,9 @@ class CoverDigraph:
         if len(order) != n:
             raise self.error("cover relation contains a cycle")
         self._topo = order
-        self._reject_non_covers(pairs)
+        self._rank, self._components = _ranks_from(up, down)
+        if self._rank is None:
+            self._reject_non_covers(pairs)
 
     def _reject_non_covers(self, pairs):
         """Raise at the first pair (i, j), in order, with another upper cover of i below j."""

@@ -137,14 +137,15 @@ def _walk_tables(N):
 
     A color-l move hops one dot of the D tableau: up from pi(l+1) to
     pi(l), down the other way (`_move_pairs`), both flipping the mask's
-    bits flips[l].  A hop table holds the move table's flips and, for a
-    dot hopping from `old` to `old + delta`, three O(N) tuples of small
-    ints indexed by color: shift (old + 1, so that mask >> shift counts
-    the entries above old), mid (the entry between the ends when
+    bits ends[l] << lows[l] (`domino._move_table`).  For a dot hopping
+    from `old` to `old + delta`, a hop table holds the move table's lows
+    and ends and three tuples indexed by color, all of small ints, so that
+    the tables take O(N) memory: shift (old + 1, so that mask >> shift
+    counts the entries above old), mid (the entry between the ends when
     |delta| == 2, else 0, which no D tableau holds) and delta.  The
     labels are the steps (l, UP) and (l, DOWN), shared by every path.
     """
-    flips = _move_table(N)[0]
+    lows, ends = _move_table(N)[:2]
     hops = []
     for up in (True, False):
         rows = [(0, 0, 0)]
@@ -154,7 +155,7 @@ def _walk_tables(N):
             if abs(delta) > 2:
                 raise AssertionError(f"color {l} hops over more than one entry")
             rows.append((old + 1, (old + new) // 2 if abs(delta) == 2 else 0, delta))
-        hops.append((flips, *zip(*rows)))
+        hops.append((lows, ends, *zip(*rows)))
     labels = [tuple((l, d) for l in range(N)) for d in (UP, DOWN)]
     return (*hops, *labels)
 
@@ -165,15 +166,16 @@ def _greedy_leg(hops, labels, mask, q, parts, need, active, verts, steps):
     mask has bit t set for each D-tableau entry t, and parts is the shape
     it encodes, updated in place; q is the L-tableau mask of its preimage,
     so a color-l move is legal at the set bits of (q >> 1) & ~q and flips
-    bits l and l+1 of q and flips[l] of mask.  A down leg passes ~q: a
-    down move is an up move of the complement.  need[l] counts the color-l
-    moves still to make and active has bit l set while need[l] is not 0.
-    The dot keeps its row unless it passes the entry between its ends, a
-    vertical domino that moves two rows by one.  Appends each shape to
-    verts and labels[l] to steps, and returns the final mask and q; the
-    procedure is guaranteed to consume every move, which is asserted.
+    bits l and l+1 of q and ends[l] << lows[l] of mask.  A down leg
+    passes ~q: a down move is an up move of the complement.  need[l]
+    counts the color-l moves still to make and active has bit l set while
+    need[l] is not 0.  The dot keeps its row unless it passes the entry
+    between its ends, a vertical domino that moves two rows by one.
+    Appends each shape to verts and labels[l] to steps, and returns the
+    final mask and q; the procedure is guaranteed to consume every move,
+    which is asserted.
     """
-    flips, shifts, mids, deltas = hops
+    lows, ends, shifts, mids, deltas = hops
     while active:
         legal = (q >> 1) & ~q & active
         if not legal:
@@ -195,7 +197,7 @@ def _greedy_leg(hops, labels, mask, q, parts, need, active, verts, steps):
             parts[row + 1] += step
         else:
             parts[row] += delta
-        mask ^= flips[l]
+        mask ^= ends[l] << lows[l]
         q ^= 3 * low
         verts.append(tuple(parts))
         steps.append(labels[l])

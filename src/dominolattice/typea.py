@@ -30,7 +30,8 @@ entry t: the shape's own on L, its preimage's on D (`domino._shape_masks`).
 The color-l up move swaps the entry l+1 of Q for l, so it is legal at the
 set bits l >= 1 of (Q >> 1) & ~Q, and it flips the color's two tableau
 bits, l and l+1 on L, pi(l) and pi(l+1) on D: the move tables
-`_l_move_table` and `domino._move_table` hold them and the Q renumbering.
+`_l_move_table` and `domino._move_table` hold them, as the mask
+ends[l] << lows[l] of two small ints, and the Q renumbering.
 The partition rules and the diagonal rule are the independent definitions.
 """
 
@@ -420,7 +421,7 @@ def _tableau_mask(entries):
 @lru_cache(maxsize=None)
 def _l_move_table(N):
     """The L move table: color l flips entries l and l+1, Q is the tableau, e_l its diagonal."""
-    return ((0,) + tuple(3 << l for l in range(1, N)), range(N + 1),
+    return (range(N), (0,) + (3,) * (N - 1), range(N + 1),
             tuple(((l - 1, 1),) for l in range(1, N)))
 
 
@@ -428,20 +429,21 @@ def _up_edges(spec, x, system, scheme, moves):
     """The tableau, circle and diagonal up-edge rules of both lattices.
 
     `scheme` ("L" or "D") is the family's circle numbering, tableau order
-    and tableau check.  `moves` = (flips, renumber, columns) is its move
-    table: color l flips the tableau bits flips[l] where the one move rule
-    finds it on Q, bit renumber[t] per entry t, and adds a to diagonal
-    entry i for each (i, a) in columns[l - 1], kept where that is one.
+    and tableau check.  `moves` = (lows, ends, renumber, columns) is its
+    move table: color l flips the tableau bits ends[l] << lows[l] where the
+    one move rule finds it on Q, bit renumber[t] per entry t, and adds a
+    to diagonal entry i for each (i, a) in columns[l - 1], if that is one.
     """
-    flips, renumber, columns = moves
+    lows, ends, renumber, columns = moves
     if system in ("tab", "circ"):
         entries = (validate_circle(spec, x, scheme) if system == "circ"
                    else _validate_tableau_L(spec, x) if scheme == "L"
                    else validate_entries(spec, x))
         mask, q = _tableau_mask(entries), _tableau_mask(renumber[t] for t in entries)
         legal = (q >> 1) & ~q
-        hops = [([t for t in range(1, spec.N + 1) if (mask ^ flips[l]) >> t & 1], l)
-                for l in range(1, spec.N) if legal >> l & 1]
+        hops = [([t for t in range(1, spec.N + 1) if m >> t & 1], l)
+                for l in range(1, spec.N) if legal >> l & 1
+                for m in [mask ^ ends[l] << lows[l]]]
         if system == "circ":
             return [(_circle(spec, t, scheme), l) for t, l in hops]
         return [(tuple(t if scheme == "L" else t[::-1]), l) for t, l in hops]
@@ -523,17 +525,19 @@ def build_l_tab(spec):
     """
     vertices = tuple(combinations(range(1, spec.N + 1), spec.k))
     masks = list(map(_tableau_mask, vertices))
-    return _hop_lattice(vertices, masks, masks, _l_move_table(spec.N)[0])
+    return _hop_lattice(vertices, masks, masks, _l_move_table(spec.N))
 
 
-def _hop_lattice(vertices, masks, qs, flips):
+def _hop_lattice(vertices, masks, qs, moves):
     """The lattice whose covers hop tableau entries by the one move rule.
 
     vertices are distinct labels in sort_key order, masks their distinct
-    tableau masks and qs their masks Q; a legal color l, read inline, leads
-    from mask m to the vertex of mask m ^ flips[l].
+    tableau masks and qs their masks Q; by the move table `moves`, a legal
+    color l, read inline, leads from mask m to the vertex of mask
+    m ^ ends[l] << lows[l].
     """
     from .lattice import _indexed_lattice
+    lows, ends = moves[:2]
     at = {m: i for i, m in enumerate(masks)}
     covers = {}
     for i, m in enumerate(masks):
@@ -543,5 +547,5 @@ def _hop_lattice(vertices, masks, qs, flips):
             low = legal & -legal
             legal ^= low
             l = low.bit_length() - 1
-            covers[i, at[m ^ flips[l]]] = l
+            covers[i, at[m ^ ends[l] << lows[l]]] = l
     return _indexed_lattice(vertices, covers)

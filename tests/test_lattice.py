@@ -154,8 +154,8 @@ class TestCoverDigraph:
             assert calls["CoverDigraph._reject_non_covers"] == fallbacks
 
     def test_topo_puts_every_vertex_after_its_upper_covers(self):
-        # an order with a rank is listed by falling rank, and Kahn's pass
-        # lists the others, such as N5 and its dual
+        # Kahn's pass from the maximal elements, on graded orders and on
+        # ungraded ones such as N5 and its dual
         rng = random.Random(32)
         orders = [build(spec) for spec in DESK_SPECS
                   for build in (build_l_graph, build_d_a, build_l_tab)]

@@ -7,7 +7,7 @@ import pytest
 
 import sys
 
-from dominolattice import solver, verify
+from dominolattice import domino, solver, verify
 from dominolattice.cli import main
 from dominolattice.domino import build_d_a, d_max, d_min, is_legal_domino_move
 from dominolattice.isomorphism import phi_inverse
@@ -336,13 +336,14 @@ class TestClosedFormSolve:
 
 class TestWalkMemory:
     def test_walk_tables_take_linear_memory(self):
-        # bottom -> top of (1, 10 000): the hop tables hold positions, and
-        # the one table of N-bit ints is the move table's flips, one mask per
-        # color (about 8 MB); the walk peaks at about 16 MB, and a table of
-        # N-bit ints per hop column would take about 40 MB
+        # bottom -> top of (1, 10 000), with the per-N tables traced: tables
+        # of positions take about 10 MB; one N-bit flip mask per color
+        # would add about 8 MB, and a table of N-bit ints per hop column
+        # about 40 MB
         spec = BoxSpec(1, 10_000)
         a, b = d_min(spec), d_max(spec)
-        _walk_tables.cache_clear()
+        for table in (_walk_tables, domino._move_table, domino._move_pairs):
+            table.cache_clear()
         tracemalloc.start()
         try:
             sol = solve_domino(spec, a, b)
@@ -350,7 +351,7 @@ class TestWalkMemory:
         finally:
             tracemalloc.stop()
         assert sol.distance == spec.cols
-        assert peak < 20_000_000, peak
+        assert peak < 14_000_000, peak
 
 
 class TestTableauWalkAgainstIdealOracle:
