@@ -23,7 +23,8 @@ _EXPORTS = {
               "canonical_iso_to_filters", "disjoint_sum", "dual",
               "enumerate_order_ideals", "j_lattice", "join_irreducibles",
               "m_lattice", "meet_irreducibles", "recolor"),
-    "typea": ("BoxSpec", "CircleState", "build_l_a", "build_l_tab",
+    "box": ("BoxSpec",),
+    "typea": ("CircleState", "build_l_a", "build_l_tab",
               "build_l_tilde", "build_p_a", "diagonal_to_partition",
               "ideal_to_partition", "partition_join", "partition_meet",
               "partition_rank", "partition_to_diagonal", "partition_to_ideal",

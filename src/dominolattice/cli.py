@@ -3,12 +3,13 @@
 Subcommands: lattice (build/export), convert (coordinates and phi),
 solve (domino game with ASCII playback), verify (named suites).
 Exit codes: 0 success, 1 usage, 2 domain violation, 3 verification failure.
-Parsing needs only the box, the shapes and the coordinate tables.  Each
-subcommand imports what it runs when it runs: the lattice module,
-serialization, phi, the solver, the suites.  A solve loads the solver but
-no lattice, poset or isomorphism module; a convert loads no lattice,
-poset or solver module; a family's JSON export loads no poset or
-serialization module.  The solve and family JSON documents are written
+Parsing needs only the box module.  Each subcommand imports what it runs
+when it runs: the coordinate systems, the lattice builders,
+serialization, phi, the solver, the suites.  A solve loads the solver
+and the box but no coordinate, Domino, lattice, poset or isomorphism
+module; a convert loads no lattice, poset or solver module; a family's
+JSON export loads no poset or serialization module, and family A's no
+Domino module.  The solve and family JSON documents are written
 directly, byte for byte as json.dumps(doc, indent=2, sort_keys=True)
 prints them, so only `verify` loads json; a verify run loads the layers
 of the suites it runs, and a flag its suite does not read is a usage error.
@@ -19,10 +20,8 @@ import re
 import sys
 from operator import itemgetter
 
-from .domino import D_COORDINATES, _gamma_pt, build_d_a
+from .box import BoxSpec, validate_partition
 from .suites import DEFAULTS, SUITE_FLAGS, SUITES
-from .typea import (L_COORDINATES, BoxSpec, CircleState, _partition_to_tableau_L,
-                    _tableau_to_diagonal_L, build_l_graph, validate_partition)
 
 USAGE_ERROR, DOMAIN_ERROR, VERIFY_ERROR = 1, 2, 3
 
@@ -82,6 +81,7 @@ def parse_partition(spec, text):
 
 
 def parse_circle(spec, text, side):
+    from .typea import CircleState
     bits = text.strip()
     if not set(bits) <= {"0", "1"}:
         raise ValueError(f"cannot parse circle bitstring {text!r}")
@@ -114,19 +114,25 @@ _TEXT = {
     "diag": (lambda spec, text, side: parse_ints(text, "()", "diagonal sequence"),
              fmt_diagonal),
 }
-_COORDINATES = {"L": L_COORDINATES, "D": D_COORDINATES}
+
+
+def _coordinates(side):
+    """The coordinate table of side L or D, loaded when a conversion runs."""
+    from .domino import D_COORDINATES
+    from .typea import L_COORDINATES
+    return {"L": L_COORDINATES, "D": D_COORDINATES}[side]
 
 
 def _to_partition(spec, system, side, text):
     if system not in _TEXT:
         raise ValueError(f"unknown coordinate system {system!r}")
     parse, _ = _TEXT[system]
-    return _COORDINATES[side][system][1](spec, parse(spec, text, side))
+    return _coordinates(side)[system][1](spec, parse(spec, text, side))
 
 
 def _from_partition(spec, system, side, parts):
     _, fmt = _TEXT[system]
-    return fmt(_COORDINATES[side][system][0](spec, parts))
+    return fmt(_coordinates(side)[system][0](spec, parts))
 
 
 def render_partition(spec, parts):
@@ -184,7 +190,12 @@ def cmd_lattice(args):
         return 0
     spec = _spec_from(args)
     family = args.family or "A"
-    L = build_l_graph(spec) if family == "A" else build_d_a(spec)
+    if family == "A":
+        from .typea import build_l_graph
+        L = build_l_graph(spec)
+    else:
+        from .domino import _gamma_pt, build_d_a
+        L = build_d_a(spec)
     if args.format == "dot":
         from . import io as serial
         sys.stdout.write(serial.lattice_to_dot(L, name=f"{family}_{spec.k}_{spec.N}"))
@@ -192,6 +203,7 @@ def cmd_lattice(args):
     # The vertices come from the build, which validated them, so their
     # coordinates are read through the unchecked cores; the circle's dots
     # are the family's tableau entries.
+    from .typea import _partition_to_tableau_L, _tableau_to_diagonal_L
     digits = _digits(spec)
     name = {p: _joined(digits, p) for p in L.vertices}
     ranks = L.ranks
@@ -226,7 +238,7 @@ def cmd_convert(args):
         return 0
     system, _, side = args.src.partition(":")
     side = side or "L"
-    if side not in _COORDINATES:
+    if side not in ("L", "D"):
         raise ValueError(f"unknown side {side!r}; use L or D")
     parts = _to_partition(spec, system, side, args.value)
     print(_from_partition(spec, args.dest, side, parts))

@@ -2,11 +2,11 @@
 
 Vertices are k x (N-k) partitions; directed edges are the legal domino
 moves, colored by [N-1].  A color-l up-move is the L move renumbered by
-pi, legal by the one move rule (the typea module's docstring) on the
-masks that `_shape_masks`, the one reader of a shape, makes; with its
-diagonal move beta_l, this move table (`_move_table`) builds the
-digraph, drives the solver and gives the tableau, circle and diagonal
-edges.  The paper's partition branch table `beta_part`, whose offsets
+pi, legal by the one move rule (the box module's docstring) on the
+masks that `box._shape_masks`, the one reader of a shape, makes; with
+its diagonal move beta_l, the D move table (`box._move_table`) builds
+the digraph, drives the solver and gives the tableau, circle and
+diagonal edges.  The paper's partition branch table `beta_part`, whose offsets
 shift by N % 2, is the independent definition they are checked against.
 The board is checkered with the upper-right cell red.  The extremes come
 in closed form, as the images of the empty and the full box under the
@@ -14,12 +14,13 @@ isomorphism, so nothing that needs them builds the digraph, and only
 `build_d_a` imports the lattice module.
 """
 
-from functools import lru_cache
-
-from .records import Record, _set_field, is_int
+# BoxPermutation lives in box, with pi; it is re-exported here.
+from .box import (BoxPermutation, _move_pairs, _move_table, _pi_pair, _shape_masks, pi,
+                  validate_partition)
+from .records import is_int
 from .typea import (_circle, _hop_lattice, _partition_to_diagonal, _up_edges, all_partitions,
                     diagonal_to_partition, is_valid_partition, partition_to_diagonal,
-                    tableau_to_circle, validate_circle, validate_entries, validate_partition)
+                    tableau_to_circle, validate_circle, validate_entries)
 
 
 def is_red(spec, r, c):
@@ -117,17 +118,6 @@ def d_up_edges(spec, x, system="part"):
     return _up_edges(spec, x, system, "D", _move_table(spec.N))
 
 
-def _shape_masks(spec, shape):
-    """A checked shape's D-tableau mask (`gamma_pt`) and its preimage's L-tableau mask Q."""
-    k, renumber = spec.k, _move_table(spec.N)[2]
-    mask = q = 0
-    for j, s in enumerate(shape):
-        t = s + k - j
-        mask |= 1 << t
-        q |= 1 << renumber[t]
-    return mask, q
-
-
 def build_d_a(spec):
     """The Domino Game lattice on all k x (N-k) partitions.
 
@@ -147,49 +137,6 @@ def build_d_a(spec):
 
 
 # -- the extremes, in closed form ------------------------------------------------
-
-
-class BoxPermutation(Record):
-    """Permutation of [N] sending L-scheme cell numbers to D-scheme ones."""
-
-    __slots__ = ("mapping",)
-
-    def __init__(self, mapping):
-        mapping = tuple(mapping)
-        if not (all(map(is_int, mapping))
-                and sorted(mapping) == list(range(1, len(mapping) + 1))):
-            raise ValueError("not a permutation of [N]")
-        _set_field(self, "mapping", mapping)
-
-    def __call__(self, i):
-        """The image of position i, an int (bool excluded) in [1, N]."""
-        n = len(self.mapping)
-        if not (is_int(i) and 1 <= i <= n):
-            raise ValueError(f"position {i!r} outside [1, {n}]")
-        return self.mapping[i - 1]
-
-    def inverse(self):
-        inv = [0] * len(self.mapping)
-        for i, p in enumerate(self.mapping, start=1):
-            inv[p - 1] = i
-        return BoxPermutation(tuple(inv))
-
-
-def pi(N):
-    """The box renumbering permutation, one formula shifted by N % 2."""
-    if not (is_int(N) and N >= 2):
-        raise ValueError(f"need an integer N >= 2, got {N!r}")
-    return _pi_pair(N)[0]
-
-
-@lru_cache(maxsize=None)
-def _pi_pair(N):
-    """pi(N) and its inverse, built and validated once per valid N."""
-    p = N % 2
-    perm = BoxPermutation(tuple(
-        [2 * i - 1 + p for i in range(1, N // 2 + 1)]
-        + [2 * N - 2 * j + 2 - p for j in range(N // 2 + 1, N + 1)]))
-    return perm, perm.inverse()
 
 
 def d_min(spec):
@@ -276,13 +223,6 @@ def dtab_move_pair(N, l):
     return _move_pairs(N)[l]
 
 
-@lru_cache(maxsize=None)
-def _move_pairs(N):
-    """{l: (pi(l), pi(l+1))} for every color, built once per valid N."""
-    p = _pi_pair(N)[0].mapping
-    return {l: (p[l - 1], p[l]) for l in range(1, N)}
-
-
 def beta_circ(spec, l):
     """Circle-space delta of the color-l up-move: one dot hops y -> x.
 
@@ -304,22 +244,3 @@ def beta_diag(spec, l):
     for i, a in _move_table(spec.N)[3][l - 1]:
         delta[i] = a
     return tuple(delta)
-
-
-@lru_cache(maxsize=None)
-def _move_table(N):
-    """The Domino move table of `typea._up_edges`, built once per valid N.
-
-    Color l flips the tableau bits pi(l) and pi(l+1), ends[l] << lows[l]
-    of O(N) small ints (ends 3 or 5), renumber[t] = pi^-1(t) is D entry t's
-    bit of Q, and column l of the move matrix lists the nonzero (i, a) of
-    the diagonal move: low colors remove a domino, the middle one the red
-    corner, high colors add one.
-    """
-    p, mid = N % 2, N // 2
-    columns = [((N - 2 * l - 1 - p, -1), (N - 2 * l - p, -1)) for l in range(1, mid)]
-    columns.append(((0, -1),))
-    columns += [((2 * l - N - 2 + p, 1), (2 * l - N - 1 + p, 1)) for l in range(mid + 1, N)]
-    lows, ends = zip((0, 0), *((min(x, y), 1 | 1 << abs(x - y))
-                               for x, y in _move_pairs(N).values()))
-    return lows, ends, (0,) + _pi_pair(N)[1].mapping, tuple(columns)

@@ -22,13 +22,13 @@ over colors, which is how the solver reads its rise and fall counts:
 The same Q decides which moves are legal: phi preserves colors and
 covers, so a color-l move of D is legal at sigma exactly when the L
 move is legal at the preimage, where it swaps the entry l+1 of Q for l.
-That is the one move rule of every type-A hop (the typea module's
+That is the one move rule of every type-A hop (the box module's
 docstring): as an int mask, the legal up colors of Q are the set bits
 of (Q >> 1) & ~Q, and its legal down colors those of the complement ~Q.
 
 The matrix P of diagonal move-vectors is the paper's route to the same
 counts: `apply_p` transports coordinates by it, in O(N), since each of
-its columns, read from `domino._move_table`, has at most two nonzero
+its columns, read from `box._move_table`, has at most two nonzero
 entries; the oracle `oracle.bareiss_decompose` solves P c = d - m
 exactly, by the inverse of P from one fraction-free (Bareiss) forward
 elimination per box, `_bareiss_forward` below, and integer
@@ -37,15 +37,14 @@ back-substitution over the determinant.  No floating point anywhere.
 
 from functools import lru_cache
 
-# BoxPermutation and pi live in domino, whose closed-form extremes need pi;
-# they are re-exported here, next to phi.
-from .domino import (BoxPermutation, _check_color, _gamma_pt, _gamma_tp, _move_table,
-                     _pi_pair, m_diag, pi)
+# BoxPermutation and pi live in box, with the move tables they give; they
+# are re-exported here, next to phi.
+from .box import BoxPermutation, _move_table, _pi_pair, pi, validate_partition
+from .domino import _check_color, _gamma_pt, _gamma_tp, m_diag
 from .records import Record, _set_field
 from .typea import (CircleState, _partition_to_tableau_L,
                     _tableau_to_diagonal_L, _tableau_to_partition_L,
-                    diagonal_to_partition, validate_diagonal,
-                    validate_partition)
+                    diagonal_to_partition, validate_diagonal)
 
 
 def phi_circ(state):

@@ -9,21 +9,22 @@ the poset's masks (the poset module's docstring): each ideal is read
 once into a mask in (color, index) order, so a greedy step flips the
 lowest set bit among the free extremes, and the census is read off the
 mask of the difference.  The Domino procedure reads each shape once,
-by `domino._shape_masks`, into an int mask of its D tableau (bit t set
+by `box._shape_masks`, into an int mask of its D tableau (bit t set
 for entry t) and one of its preimage's L tableau, Q (bit pi^-1(t)), and
 plays on the masks (`_solve_domino`).  The per-color move counts are one
 running count over the two Q masks, and the walk runs on plain integers,
 with no Counter in it: the moves still to make are count lists indexed
-by color, and by the one move rule (the typea module's docstring) the
+by color, and by the one move rule (the box module's docstring) the
 legal up colors are the set bits of (Q >> 1) & ~Q, the smallest the
 lowest, so a step scans no colors.  A color-l move flips bits l and l+1
-of Q and two bits of the D tableau (`domino._move_table`), changing one
+of Q and two bits of the D tableau (`box._move_table`), changing one
 row of the shape, or two when its dot passes the entry between its
 ends.  The walk never builds the lattice; its slow reference is the
 generic route on the ideals of J(P_A), read through phi,
 `oracle.ideal_greedy_solve`.  The per-color answer of either route is
 a Counter.  Only the generic route imports the poset module, when it
-runs, so a Domino solve loads no lattice code.  Both routes derive their
+runs, and the Domino route reads only the box module, so a Domino solve
+loads no lattice, coordinate or isomorphism code.  Both routes derive their
 counts with their paths, so they record their answers as they are
 (`_trusted_solution`); a GameSolution built by its constructor is
 checked against its path.
@@ -32,9 +33,8 @@ checked against its path.
 from collections import Counter
 from functools import lru_cache
 
-from .domino import _move_pairs, _move_table, _shape_masks
+from .box import _move_pairs, _move_table, _shape_masks, validate_partition
 from .records import DOWN, UP, PathRecord, Record, _set_field
-from .typea import validate_partition
 
 
 def color_census(P, members):
@@ -137,7 +137,7 @@ def _walk_tables(N):
 
     A color-l move hops one dot of the D tableau: up from pi(l+1) to
     pi(l), down the other way (`_move_pairs`), both flipping the mask's
-    bits ends[l] << lows[l] (`domino._move_table`).  For a dot hopping
+    bits ends[l] << lows[l] (`box._move_table`).  For a dot hopping
     from `old` to `old + delta`, a hop table holds the move table's lows
     and ends and three tuples indexed by color, all of small ints, so that
     the tables take O(N) memory: shift (old + 1, so that mask >> shift

@@ -25,42 +25,16 @@ sequence is a diagonal exactly when each step is 0 or 1.  Because phi
 preserves colors, the same count over the preimage's L tableau gives
 the Domino move counts (`isomorphism.move_census`).
 
-There is one move rule.  Q is the int mask of an L tableau, bit t per
-entry t: the shape's own on L, its preimage's on D (`domino._shape_masks`).
-The color-l up move swaps the entry l+1 of Q for l, so it is legal at the
-set bits l >= 1 of (Q >> 1) & ~Q, and it flips the color's two tableau
-bits, l and l+1 on L, pi(l) and pi(l+1) on D: the move tables
-`_l_move_table` and `domino._move_table` hold them, as the mask
-ends[l] << lows[l] of two small ints, and the Q renumbering.
-The partition rules and the diagonal rule are the independent definitions.
+The one move rule, which `_up_edges` and `_hop_lattice` read off either
+family's move table, is stated in the box module's docstring.
 """
 
 from functools import lru_cache
 from itertools import accumulate, combinations
 
+# BoxSpec lives in box, with the shape check; it is re-exported here.
+from .box import BoxSpec, _l_move_table, validate_partition
 from .records import Record, _set_field, is_int
-
-
-class BoxSpec(Record):
-    """Game box parameters: k rows, N-k columns, colors drawn from [N-1]."""
-
-    __slots__ = ("k", "N")
-
-    def __init__(self, k, N):
-        if not (is_int(k) and is_int(N)):
-            raise ValueError("k and N must be integers")
-        if not 1 <= k <= N - 1:
-            raise ValueError(f"need 1 <= k <= N-1, got k={k}, N={N}")
-        _set_field(self, "k", k)
-        _set_field(self, "N", N)
-
-    @property
-    def cols(self):
-        return self.N - self.k
-
-    @property
-    def colors(self):
-        return range(1, self.N)
 
 
 class CircleState(Record):
@@ -123,23 +97,6 @@ def build_l_a(spec):
 
 
 # -- partitions -----------------------------------------------------------------
-
-
-def validate_partition(spec, parts):
-    parts = tuple(parts)
-    k = spec.k
-    if len(parts) != k:
-        raise ValueError(f"expected {k} parts, got {len(parts)}")
-    prev = cols = spec.N - k
-    for i, p in enumerate(parts):
-        if type(p) is not int and not is_int(p):   # exact ints skip the call
-            raise ValueError(f"part {i + 1} is not an integer")
-        if p < 0 or p > cols:
-            raise ValueError(f"part {i + 1} out of range [0, {cols}]: {p}")
-        if p > prev:
-            raise ValueError(f"parts must be weakly decreasing at position {i + 1}")
-        prev = p
-    return parts
 
 
 def is_valid_partition(spec, parts):
@@ -416,13 +373,6 @@ L_COORDINATES = {
 def _tableau_mask(entries):
     """The int mask of distinct tableau entries: bit t set for each entry t."""
     return sum(1 << t for t in entries)
-
-
-@lru_cache(maxsize=None)
-def _l_move_table(N):
-    """The L move table: color l flips entries l and l+1, Q is the tableau, e_l its diagonal."""
-    return (range(N), (0,) + (3,) * (N - 1), range(N + 1),
-            tuple(((l - 1, 1),) for l in range(1, N)))
 
 
 def _up_edges(spec, x, system, scheme, moves):

@@ -6,21 +6,17 @@ broke also carries a "witness" message.  The pytest acceptance module
 covers the same ground; these suites make it scriptable.  An isomorphism
 check is `lattice.iso_failure`, on cover indices, whose message is the
 witness; `oracle.check_constructed_iso` is its reference in the tests.  A
-suite imports the poset, oracle and solver modules it calls when it runs,
-so that a `verify` process loads only the layers of the suites it runs.
+suite imports the coordinate, Domino, isomorphism, poset, oracle and
+solver modules it calls when it runs, so that a `verify` process loads
+only the box, the lattice module and the layers of the suites it runs.
 """
 
 import random
 from collections import Counter
 from math import comb
 
-from .lattice import ColoredLattice, birkhoff_failure, iso_failure, product
-from .typea import (L_COORDINATES, BoxSpec, _partition_to_diagonal, all_partitions,
-                    build_l_a, build_l_graph, build_l_tab, build_l_tilde,
-                    ideal_to_partition, l_up_edges)
-from .domino import (D_COORDINATES, _shape_masks, build_d_a, d_up_edges,
-                     is_legal_domino_move)
-from .isomorphism import _apply_p, _phi, _phi_inverse, decompose, move_matrix
+from .box import BoxSpec, _shape_masks
+from .lattice import ColoredLattice, LatticeError, birkhoff_failure, iso_failure, product
 from .suites import DEFAULTS, SUITE_FLAGS, SUITES
 
 
@@ -99,6 +95,9 @@ def _native_up_edges(spec, coordinates, up_edges, sigma):
 
 def suite_coordinates(k, N):
     """Conversion square and edge agreement for one box."""
+    from .domino import D_COORDINATES
+    from .typea import (L_COORDINATES, all_partitions, build_l_a, build_l_graph,
+                        ideal_to_partition, l_up_edges)
     spec = BoxSpec(k, N)
     checks = []
     parts = all_partitions(spec)
@@ -130,6 +129,9 @@ def suite_iso(k, N):
     once and serves as the image's too; an image that is not a shape
     matches no diagonal.
     """
+    from .domino import build_d_a
+    from .isomorphism import _apply_p, _phi, _phi_inverse, move_matrix
+    from .typea import _partition_to_diagonal, build_l_graph
     spec = BoxSpec(k, N)
     L = build_l_graph(spec)
     D = build_d_a(spec)
@@ -159,19 +161,25 @@ def suite_solver(k, N, seed=0):
     off the shapes.  The Domino solves call the unchecked core on D's
     shapes, each read once into its two tableau masks, and each returned
     path is checked against D, whose minimum gives the Bareiss solve its
-    shift.  A census pair with more shortest paths than the enumeration's
-    cap is a ValueError that names the pair and the cap.
+    shift; the first illegal path is the witness, with its pair and the
+    step that `PathRecord.validate` rejects.  A census pair with more
+    shortest paths than the enumeration's cap is a ValueError that names
+    the pair and the cap.
     """
+    from .domino import build_d_a
+    from .isomorphism import decompose
     from .oracle import (PathCapExceeded, _bareiss_decompose, bfs_all_pairs, cell_census,
                          enumerate_shortest_paths)
     from .solver import _solve_domino
+    from .typea import _partition_to_diagonal, build_l_graph
     spec = BoxSpec(k, N)
     L = build_l_graph(spec)
     D = build_d_a(spec)
     distL = bfs_all_pairs(L)
     distD = bfs_all_pairs(D)
     masks = {a: _shape_masks(spec, a) for a in D.vertices}
-    okL = okD = okPath = True
+    okL = okD = True
+    badPath = None
     for a, ma in masks.items():
         for b, mb in masks.items():
             okL &= sum(abs(x - y) for x, y in zip(a, b)) == distL[(a, b)]
@@ -179,13 +187,13 @@ def suite_solver(k, N, seed=0):
             okD &= gd.distance == distD[(a, b)]
             try:
                 gd.path.validate(D)
-            except Exception:
-                okPath = False
+            except LatticeError as exc:
+                badPath = badPath or f"path {a} -> {b}: {exc}"
     diags = [_partition_to_diagonal(spec, a) for a in D.vertices]
     shift = cell_census(spec, D.minimum)
     checks = [("ideal-counting distance equals BFS on L", okL),
               ("multiset distance equals BFS on D", okD),
-              ("returned domino paths are legal colored edges", okPath),
+              ("returned domino paths are legal colored edges", badPath is None, badPath),
               ("census move counts equal the Bareiss solve of P c = d - m",
                all(decompose(spec, d) == _bareiss_decompose(spec, d, shift) for d in diags))]
     rng = random.Random(seed)
@@ -226,6 +234,8 @@ def suite_structure(k, N):
     The builders keep no lattice, so each is built, certified and dropped
     before the next is built: the suite holds one lattice at a time.
     """
+    from .domino import build_d_a
+    from .typea import build_l_graph, build_l_tab, build_l_tilde
     spec = BoxSpec(k, N)
     builders = [("L_A", build_l_graph), ("D_A", build_d_a)]
     if _small_product(spec):
@@ -240,6 +250,8 @@ def suite_structure(k, N):
 
 def suite_transport(k, N):
     """Move-vector coherence across coordinatizations; geometric legality."""
+    from .domino import D_COORDINATES, d_up_edges, is_legal_domino_move
+    from .typea import all_partitions
     spec = BoxSpec(k, N)
     okEdges = okGeom = True
     for sigma in all_partitions(spec):

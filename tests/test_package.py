@@ -23,7 +23,8 @@ EXPORTS = {
               "canonical_iso_to_filters", "disjoint_sum", "dual",
               "enumerate_order_ideals", "j_lattice", "join_irreducibles", "m_lattice",
               "meet_irreducibles", "recolor"],
-    "typea": ["BoxSpec", "CircleState", "build_l_a", "build_l_tab", "build_l_tilde",
+    "box": ["BoxSpec"],
+    "typea": ["CircleState", "build_l_a", "build_l_tab", "build_l_tilde",
               "build_p_a", "diagonal_to_partition", "ideal_to_partition",
               "partition_join", "partition_meet", "partition_rank",
               "partition_to_diagonal", "partition_to_ideal", "partition_to_tableau_L",
@@ -43,37 +44,45 @@ EXPORTS = {
 }
 NAMES = [name for names in EXPORTS.values() for name in names]
 
-# Names a module imports only to export them: `isomorphism` re-exports the
-# permutation that `domino` defines.
-RE_EXPORTS = {("isomorphism", "BoxPermutation"), ("isomorphism", "pi")}
+# Names a module imports only to export them: `typea` re-exports the box,
+# and `domino` and `isomorphism` the permutation, that `box` defines.
+RE_EXPORTS = {("typea", "BoxSpec"), ("domino", "BoxPermutation"),
+              ("isomorphism", "BoxPermutation"), ("isomorphism", "pi")}
 
 # Modules a solve or convert never runs, so its process must not load them.
 NOT_ON_THE_SOLVE_PATH = ("dominolattice.verify", "dominolattice.oracle",
                          "dominolattice.io", "fractions", "dataclasses", "inspect")
 
 # What each command runs (it must load that module) and the package modules
-# it does not run, beyond NOT_ON_THE_SOLVE_PATH: a solve walks tableaux and
-# builds no lattice, a convert maps coordinates or applies phi, a family
-# export builds a lattice from its edge rule and writes JSON itself.
+# it does not run, beyond NOT_ON_THE_SOLVE_PATH: a solve walks tableau masks
+# with the box's move table and builds no lattice, a convert maps
+# coordinates or applies phi, a family export builds a lattice from its
+# edge rule and writes JSON itself, and family A's builds no Domino lattice.
 LATTICE_LAYERS = ("dominolattice.lattice", "dominolattice.poset")
 COMMAND_IMPORTS = {
-    "solve": ("dominolattice.solver", LATTICE_LAYERS + ("dominolattice.isomorphism",)),
+    "solve": ("dominolattice.solver", LATTICE_LAYERS + ("dominolattice.isomorphism",
+                                                        "dominolattice.typea",
+                                                        "dominolattice.domino")),
     "convert": ("dominolattice.isomorphism", LATTICE_LAYERS + ("dominolattice.solver",)),
     "lattice": ("dominolattice.lattice", ("dominolattice.poset", "dominolattice.isomorphism",
-                                          "dominolattice.solver")),
+                                          "dominolattice.solver", "dominolattice.domino")),
 }
 
 # What each verify suite runs (it must load that module) and the layers
 # it does not call: the structure certificate reads only the lattice
-# module, phi's check the oracle's isomorphism test, the fundamental
-# theorems the poset builders and the oracle's random posets, and the
-# solver suite the Domino solver, reading L's distances off the shapes.
+# module and the builders, phi's check the oracle's isomorphism test, the
+# fundamental theorems the poset builders and the oracle's random posets,
+# and the solver suite the Domino solver, reading L's distances off the
+# shapes.
 SUITE_IMPORTS = {
     "structure": ("dominolattice.lattice", ("dominolattice.oracle", "dominolattice.poset",
-                                            "dominolattice.solver", "fractions")),
+                                            "dominolattice.solver", "dominolattice.isomorphism",
+                                            "fractions")),
     "iso": ("dominolattice.lattice", ("dominolattice.oracle", "dominolattice.poset",
                                       "dominolattice.solver", "fractions")),
-    "fundamental": ("dominolattice.poset", ("dominolattice.solver", "fractions")),
+    "fundamental": ("dominolattice.poset", ("dominolattice.solver", "dominolattice.typea",
+                                            "dominolattice.domino", "dominolattice.isomorphism",
+                                            "fractions")),
     "solver": ("dominolattice.solver", ("dominolattice.poset",)),
 }
 
@@ -168,6 +177,14 @@ class TestImportBudget:
         unused = set(LATTICE_LAYERS) | {"dominolattice.isomorphism", "dominolattice.solver"}
         assert loaded.isdisjoint(unused), sorted(loaded & unused)
 
+    def test_a_library_solve_loads_only_the_box_records_and_solver(self):
+        done = run_python("-c", "import sys; from dominolattice import BoxSpec, solve_domino; "
+                          "solve_domino(BoxSpec(3, 7), (4, 2, 1), (0, 0, 0)); "
+                          "print(sorted(m for m in sys.modules if m.startswith('dominolattice')))")
+        assert done.returncode == 0, done.stderr
+        assert ast.literal_eval(done.stdout) == [
+            "dominolattice", "dominolattice.box", "dominolattice.records", "dominolattice.solver"]
+
     def test_bare_import_loads_no_submodule(self):
         done = run_python("-c", "import sys, dominolattice; "
                           "print(sorted(m for m in sys.modules if m.startswith('dominolattice')))")
@@ -212,6 +229,20 @@ class TestImports:
 
 
 class TestLayering:
+    def test_the_box_imports_only_the_records_from_the_package(self):
+        # a solve compiles the box, so the box compiles nothing else of the package
+        with open(os.path.join(SRC, "dominolattice", "box.py")) as source:
+            tree = ast.parse(source.read())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                imported.add(node.module if node.level == 0 else "." * node.level
+                             + (node.module or ""))
+            elif isinstance(node, ast.Import):
+                imported |= {a.name for a in node.names}
+        package = {m for m in imported if m.startswith(".") or m.startswith("dominolattice")}
+        assert package == {".records"}, sorted(imported)
+
     def test_only_verify_imports_the_oracles(self):
         # no production module may lean on the slow references it is checked by
         package = os.path.join(SRC, "dominolattice")

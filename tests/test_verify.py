@@ -4,13 +4,14 @@ from math import comb
 
 import pytest
 
-from dominolattice import domino, lattice, oracle, poset, verify
+from dominolattice import box, domino, isomorphism, lattice, oracle, poset, solver, typea, verify
 from dominolattice.cli import main
 from dominolattice.domino import build_d_a
 from dominolattice.isomorphism import (_bareiss_forward, _determinant, _phi,
                                        move_matrix)
 from dominolattice.lattice import ColoredLattice, CoverDigraph, product
 from dominolattice.poset import join_irreducibles, meet_irreducibles
+from dominolattice.records import PathRecord
 from dominolattice.suites import DEFAULTS, SUITE_FLAGS
 from dominolattice.typea import (BoxSpec, _partition_to_ideal, build_l_graph, build_l_tab,
                                  build_l_tilde, validate_diagonal, validate_entries,
@@ -24,6 +25,8 @@ from conftest import count_calls
 def test_every_suite_passes_on_the_main_example(suite):
     result = run_suite(suite, k=2, N=6, seed=3)
     assert result["passed"], result["checks"]
+    # a passing check carries no witness, so its entry keeps its two keys
+    assert all(set(check) == {"name", "passed"} for check in result["checks"])
 
 
 def test_reports_carry_named_checks():
@@ -85,8 +88,9 @@ def test_structure_suite_holds_one_lattice_at_a_time(monkeypatch):
             return L
         return build_and_record
 
-    for name in ("build_l_graph", "build_d_a", "build_l_tilde", "build_l_tab"):
-        monkeypatch.setattr(verify, name, recording(getattr(verify, name)))
+    for home, name in ((typea, "build_l_graph"), (domino, "build_d_a"),
+                       (typea, "build_l_tilde"), (typea, "build_l_tab")):
+        monkeypatch.setattr(home, name, recording(getattr(home, name)))
     assert verify.suite_structure(3, 7)["passed"]
     assert [name for name, _ in built] == ["build_l_graph", "build_d_a",
                                            "build_l_tilde", "build_l_tab"]
@@ -102,7 +106,7 @@ def test_failing_structure_check_names_its_witness(monkeypatch):
     D = build_d_a(BoxSpec(3, 7))
     (a, b, c), *rest = D.edges
     mutant = ColoredLattice(D.vertices, [(a, b, c + 1)] + rest)
-    monkeypatch.setattr(verify, "build_d_a", lambda spec: mutant)
+    monkeypatch.setattr(domino, "build_d_a", lambda spec: mutant)
     result = run_suite("structure", k=3, N=7)
     assert result["passed"] is False
     by_name = {check["name"]: check for check in result["checks"]}
@@ -117,7 +121,7 @@ def test_failing_iso_check_names_its_witness(monkeypatch):
     spec = BoxSpec(3, 7)
     u, v = build_l_graph(spec).vertices[3:5]
     swap = {u: v, v: u}
-    monkeypatch.setattr(verify, "_phi", lambda spec, p: _phi(spec, swap.get(p, p)))
+    monkeypatch.setattr(isomorphism, "_phi", lambda spec, p: _phi(spec, swap.get(p, p)))
     result = run_suite("iso", k=3, N=7)
     assert result["passed"] is False
     failed = result["checks"][0]
@@ -177,7 +181,7 @@ def test_iso_suite_maps_each_vertex_through_phi_once(monkeypatch):
         calls.append(sigma)
         return _phi(spec, sigma)
 
-    monkeypatch.setattr(verify, "_phi", counting_phi)
+    monkeypatch.setattr(isomorphism, "_phi", counting_phi)
     result = run_suite("iso", k=3, N=7)
     assert result["passed"]
     assert sorted(calls) == sorted(build_l_graph(BoxSpec(3, 7)).vertices)
@@ -217,8 +221,8 @@ def test_solver_suite_reads_each_shape_into_its_masks_once():
     # the all-pairs loop and the census pairs play on tableau masks read
     # once per shape, not twice per solve, 2 C(N, k)^2 + 20 reads; the
     # build of D reads each shape once more, through the same reader
-    _, built = count_calls([domino._shape_masks], lambda: build_d_a(BoxSpec(3, 8)))
-    result, calls = count_calls([domino._shape_masks], lambda: verify.suite_solver(3, 8))
+    _, built = count_calls([box._shape_masks], lambda: build_d_a(BoxSpec(3, 8)))
+    result, calls = count_calls([box._shape_masks], lambda: verify.suite_solver(3, 8))
     assert result["passed"]
     assert calls["_shape_masks"] - built["_shape_masks"] == comb(8, 3), (calls, built)
 
@@ -230,6 +234,49 @@ def test_solver_suite_builds_d_once():
     result, calls = count_calls([build_d_a], lambda: verify.suite_solver(3, 8))
     assert result["passed"]
     assert calls["build_d_a"] == 1, calls
+
+
+def _mangle_first_path(monkeypatch, mangle):
+    """Patch the Domino core so the first nonempty path it returns has mangled steps.
+
+    Returns the list that receives that path's pair.
+    """
+    solve, pair = solver._solve_domino, []
+
+    def mangled(spec, a, b, ma, mb, via):
+        sol = solve(spec, a, b, ma, mb, via)
+        if sol.path.steps and pair in ([], [(a, b)]):
+            pair[:] = [(a, b)]
+            path = PathRecord(sol.path.vertices, mangle(sol.path.steps))
+            return solver._trusted_solution(sol.distance, sol.per_color, path, sol.waypoint)
+        return sol
+
+    monkeypatch.setattr(solver, "_solve_domino", mangled)
+    return pair
+
+
+def test_illegal_solver_path_names_its_pair_and_step(monkeypatch):
+    # the first step of one path takes the next color, which its edge
+    # does not have; the witness names the pair and validate's message
+    pair = _mangle_first_path(monkeypatch,
+                              lambda steps: ((steps[0][0] + 1, steps[0][1]),) + steps[1:])
+    result = run_suite("solver", k=3, N=7)
+    (a, b), = pair
+    by_name = {check["name"]: check for check in result["checks"]}
+    failed = by_name.pop("returned domino paths are legal colored edges")
+    assert result["passed"] is False and failed["passed"] is False
+    assert failed["witness"].startswith(f"path {a} -> {b}: step {a!r} -> "), failed
+    assert failed["witness"].endswith("is not an edge"), failed
+    assert all(check == {"name": check["name"], "passed": True}
+               for check in by_name.values())
+
+
+def test_solver_path_check_lets_other_errors_through(monkeypatch):
+    # only an illegal step, a LatticeError, is a failed check; a walk that
+    # breaks the path record is a fault of the suite, not a verdict
+    _mangle_first_path(monkeypatch, lambda steps: (None,) * len(steps))
+    with pytest.raises(TypeError):
+        run_suite("solver", k=3, N=7)
 
 
 def test_solver_suite_reports_a_capped_census_pair_as_a_domain_error(monkeypatch, capsys):
