@@ -23,7 +23,7 @@ _EXPORTS = {
               "canonical_iso_to_filters", "disjoint_sum", "dual",
               "enumerate_order_ideals", "j_lattice", "join_irreducibles",
               "m_lattice", "meet_irreducibles", "recolor"),
-    "box": ("BoxSpec",),
+    "box": ("BoxPermutation", "BoxSpec", "pi"),
     "typea": ("CircleState", "build_l_a", "build_l_tab",
               "build_l_tilde", "build_p_a", "diagonal_to_partition",
               "ideal_to_partition", "partition_join", "partition_meet",
@@ -33,9 +33,8 @@ _EXPORTS = {
     "domino": ("beta_circ", "beta_diag", "beta_part", "build_d_a", "d_max", "d_min",
                "gamma_ct", "gamma_pt", "gamma_tc", "gamma_tp",
                "is_legal_domino_move", "is_red", "m_diag"),
-    "isomorphism": ("BoxPermutation", "MoveMatrix", "apply_p", "decompose",
-                    "move_census", "move_matrix", "phi", "phi_circ", "phi_inverse",
-                    "pi"),
+    "isomorphism": ("MoveMatrix", "apply_p", "decompose", "move_census",
+                    "move_matrix", "phi", "phi_circ", "phi_inverse"),
     "solver": ("GameSolution", "color_census", "solve_distributive", "solve_domino"),
     "oracle": ("PathCapExceeded", "bareiss_decompose", "bfs_all_pairs",
                "check_constructed_iso", "check_lattice_laws", "enumerate_shortest_paths",

@@ -26,7 +26,7 @@ from .typea import (_circle, _hop_lattice, _partition_to_diagonal, _up_edges, al
 def is_red(spec, r, c):
     """Checkerboard predicate anchored red at the upper-right cell (1, N-k)."""
     if not (is_int(r) and is_int(c) and 1 <= r <= spec.k and 1 <= c <= spec.cols):
-        raise ValueError(f"cell ({r}, {c}) is outside the {spec.k}x{spec.cols} board")
+        raise ValueError(f"cell ({r!r}, {c!r}) is outside the {spec.k}x{spec.cols} board")
     return (r + c) % 2 == (1 + spec.cols) % 2
 
 
@@ -218,8 +218,8 @@ def dtab_move_pair(N, l):
     The pair is (pi(l), pi(l+1)): the color-l move of the L lattice swaps
     the entries l and l+1, and phi renumbers them through pi.
     """
+    pi(N)                   # rejects an N that is not an int >= 2, before l is read
     _check_color(N, l)
-    pi(N)                   # rejects an N that is not an int
     return _move_pairs(N)[l]
 
 

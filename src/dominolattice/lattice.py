@@ -50,11 +50,14 @@ class CoverDigraph:
     A cover (i, j) means j covers i.  `_up[i]` and `_down[i]` list the
     indices covering and covered by i, in index order.  `_upsets[i]` and
     `_downsets[i]` are the inclusive up-set and down-set of i as bitmasks,
-    built when first read.  Subclasses set `error` to the exception class
-    they raise.
+    built when first read.  `_color` maps each cover (i, j) to its color,
+    or to None in a poset, whose vertices carry the colors, as `colors`
+    {label: color}; `colors` is None where the covers carry them.
+    Subclasses set `error` to the exception class they raise.
     """
 
     error = ValueError
+    colors = None
 
     def __init__(self, vertices):
         self._number(tuple(sorted(set(vertices), key=sort_key)))
@@ -73,8 +76,8 @@ class CoverDigraph:
             raise self.error(f"reflexive cover at {a!r}")
         return i, j
 
-    def _link(self, pairs):
-        """Store the covers, given as index pairs; reject cycles and non-covers.
+    def _link(self, covers):
+        """Store the covers, {(i, j): color}, as `_color`; reject cycles and non-covers.
 
         A pair (i, j) is not a cover when another upper cover of i lies
         below j, and then no rank rises by exactly 1 along every pair.  So
@@ -84,7 +87,8 @@ class CoverDigraph:
         kept as `_rank` and the number of connected components as
         `_components`.
         """
-        pairs = sorted(pairs)
+        self._color = covers
+        pairs = sorted(covers)
         n = len(self.vertices)
         up, down = [[] for _ in range(n)], [[] for _ in range(n)]
         for i, j in pairs:
@@ -124,6 +128,12 @@ class CoverDigraph:
     @cached_property
     def _downsets(self):
         return _closure(reversed(self._topo), self._down, _self_bit)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.vertices == other.vertices and self._color == other._color
+                and self.colors == other.colors)
 
     def __len__(self):
         return len(self.vertices)
@@ -228,7 +238,6 @@ class ColoredLattice(CoverDigraph):
                 raise LatticeError(f"edge color must be an integer, got {c!r}")
             if color.setdefault(pair, c) != c:
                 raise LatticeError(f"conflicting colors on edge ({a!r}, {b!r})")
-        self._color = color
         self._link(color)
 
     # -- derived structure ---------------------------------------------------
@@ -261,11 +270,6 @@ class ColoredLattice(CoverDigraph):
     @cached_property
     def _up_lookup(self):
         return {m: i for i, m in enumerate(self._upsets)}
-
-    def __eq__(self, other):
-        if not isinstance(other, ColoredLattice):
-            return NotImplemented
-        return self.vertices == other.vertices and self.edges == other.edges
 
     def __repr__(self):
         return f"ColoredLattice({len(self.vertices)} vertices, {len(self._color)} edges)"
@@ -379,7 +383,6 @@ def _indexed_lattice(vertices, covers):
     """
     L = ColoredLattice.__new__(ColoredLattice)
     L._number(vertices)
-    L._color = covers
     L._link(covers)
     return L
 
@@ -493,15 +496,18 @@ def _upper_covers(elements):
 def iso_failure(G, H, f):
     """Why the explicit map f is not a color-preserving isomorphism G -> H, or None.
 
-    f, a dict or a callable, is read once at each vertex of G, and the map
-    is checked on vertex indices: it must be a bijection onto H's vertices,
-    and G's covers, mapped through it, must be H's covers with their
-    colors.  The message names the first vertex of G, in vertex order,
-    where the map fails, or else the first cover.  Its definitional
-    reference is `oracle.check_constructed_iso`.
+    G and H are both lattices or both vertex-colored posets.  f, a dict or
+    a callable, is read once at each vertex of G, and the map is checked
+    on vertex indices: it must be a bijection onto H's vertices that keeps
+    a poset's vertex colors, and G's covers, mapped through it, must be
+    H's covers with their colors (None in a poset); a bijection mapping
+    covers onto covers is an order isomorphism.  The message names the
+    first vertex of G, in vertex order, where the map fails, or else the
+    first cover.  Its definitional reference is `oracle.check_constructed_iso`.
     """
     g = f.__getitem__ if isinstance(f, dict) else f
     gv, hv, at = G.vertices, H.vertices, H._index
+    gc, hc = G.colors, H.colors
     image, hit = [], [None] * len(hv)
     for n, v in enumerate(gv):
         w = g(v)
@@ -512,22 +518,24 @@ def iso_failure(G, H, f):
             return f"{gv[hit[i]]!r} and {v!r} both map to {w!r}"
         hit[i] = n
         image.append(i)
+        if gc is not None and gc[v] != hc[w]:
+            return f"{v!r} has color {gc[v]}, but its image {w!r} has color {hc[w]}"
     if len(gv) != len(hv):
         return f"no vertex maps to {hv[hit.index(None)]!r}"
-    hc = H._color
+    covers = H._color
     mapped = {(image[i], image[j]): c for (i, j), c in G._color.items()}
-    if mapped == hc:
+    if mapped == covers:
         return None
     for (i, j), c in sorted(G._color.items()):
         a, b = image[i], image[j]
-        d = hc.get((a, b))
-        if d != c:
-            cover = f"cover ({gv[i]!r}, {gv[j]!r})"
-            if d is None:
-                return f"{cover} maps to ({hv[a]!r}, {hv[b]!r}), which is not a cover"
-            return (f"{cover} has color {c}, but its image "
-                    f"({hv[a]!r}, {hv[b]!r}) has color {d}")
-    a, b = min(hc.keys() - mapped.keys())
+        if (a, b) in covers and covers[a, b] == c:
+            continue
+        cover = f"cover ({gv[i]!r}, {gv[j]!r})"
+        if (a, b) not in covers:
+            return f"{cover} maps to ({hv[a]!r}, {hv[b]!r}), which is not a cover"
+        return (f"{cover} has color {c}, but its image "
+                f"({hv[a]!r}, {hv[b]!r}) has color {covers[a, b]}")
+    a, b = min(covers.keys() - mapped.keys())
     return (f"({gv[hit[a]]!r}, {gv[hit[b]]!r}) is not a cover, "
             f"but its image ({hv[a]!r}, {hv[b]!r}) is")
 

@@ -96,15 +96,23 @@ def enumerate_shortest_paths(L, s, t, cap=100_000):
 
 
 def check_constructed_iso(G, H, f):
-    """Is the explicit map f a color-preserving digraph isomorphism G -> H?"""
+    """Is the explicit map f a color-preserving digraph isomorphism G -> H?
+
+    G and H are both lattices, whose colored edges must map onto each
+    other, or both vertex-colored posets (`colors` not None), whose
+    vertex colors must be kept and whose covers must map onto each other.
+    """
     g = f.__getitem__ if isinstance(f, dict) else f
     images = {v: g(v) for v in G.vertices}
     if len(set(images.values())) != len(G.vertices):
         return False
     if set(images.values()) != set(H.vertices):
         return False
-    g_edges = {(images[a], images[b], c) for a, b, c in G.edges}
-    return g_edges == set(H.edges)
+    if G.colors is None:
+        g_edges = {(images[a], images[b], c) for a, b, c in G.edges}
+        return g_edges == set(H.edges)
+    return (all(G.colors[v] == H.colors[w] for v, w in images.items())
+            and {(images[a], images[b]) for a, b in G.covers} == H.covers)
 
 
 def induced_covers(L, members):

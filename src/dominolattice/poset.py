@@ -16,7 +16,7 @@ from collections import Counter
 from functools import cached_property
 
 from .lattice import (CoverDigraph, LatticeError, _indexed_lattice, _upper_covers,
-                      birkhoff_failure, is_int, sort_key)
+                      birkhoff_failure, is_int)
 
 
 class PosetError(ValueError):
@@ -24,15 +24,18 @@ class PosetError(ValueError):
 
 
 class VertexColoredPoset(CoverDigraph):
-    """Finite poset given by covers, every vertex carrying a positive color."""
+    """Finite poset given by covers, every vertex carrying a positive color.
+
+    The covers are kept in the core's index map, each mapped to None; the
+    colors are the vertices' own.
+    """
 
     error = PosetError
 
     def __init__(self, vertices, covers, colors):
         super().__init__(vertices)
-        pairs = {self._pair(a, b) for a, b in covers}
+        pairs = dict.fromkeys(self._pair(a, b) for a, b in covers)
         vs = self.vertices
-        self.covers = frozenset((vs[i], vs[j]) for i, j in pairs)
         for v in vs:
             if v not in colors:
                 raise PosetError(f"vertex {v!r} has no color")
@@ -42,14 +45,14 @@ class VertexColoredPoset(CoverDigraph):
         self.colors = {v: colors[v] for v in vs}
         self._link(pairs)
 
-    def __eq__(self, other):
-        if not isinstance(other, VertexColoredPoset):
-            return NotImplemented
-        return (self.vertices == other.vertices and self.covers == other.covers
-                and self.colors == other.colors)
+    @cached_property
+    def covers(self):
+        """The covers as a frozenset of (lower, upper) label pairs."""
+        vs = self.vertices
+        return frozenset((vs[i], vs[j]) for i, j in self._color)
 
     def __repr__(self):
-        return f"VertexColoredPoset({len(self.vertices)} vertices, {len(self.covers)} covers)"
+        return f"VertexColoredPoset({len(self.vertices)} vertices, {len(self._color)} covers)"
 
     @cached_property
     def _by_color(self):
@@ -369,33 +372,3 @@ def join_to_meet_irreducible(L, u):
     if L.le(u, m):
         raise LatticeError(f"no unique maximal element avoids {u!r}")
     return m
-
-
-def poset_iso_failure(P, Q, f):
-    """Why the explicit map f is not a color- and order-preserving bijection P -> Q, or None.
-
-    A bijection mapping covers onto covers is an order isomorphism.  Like
-    `lattice.iso_failure`, it names the first vertex or else cover where f fails.
-    """
-    g = f.__getitem__ if isinstance(f, dict) else f
-    image, hit = {}, {}
-    for v in P.vertices:
-        w = image[v] = g(v)
-        if w not in Q:
-            return f"{v!r} maps to {w!r}, which is not a vertex of the target"
-        if w in hit:
-            return f"{hit[w]!r} and {v!r} both map to {w!r}"
-        hit[w] = v
-        if P.colors[v] != Q.colors[w]:
-            return f"{v!r} has color {P.colors[v]}, but its image {w!r} has color {Q.colors[w]}"
-    if len(hit) != len(Q):
-        return f"no vertex maps to {next(w for w in Q.vertices if w not in hit)!r}"
-    mapped = {(image[a], image[b]): (a, b) for a, b in P.covers}
-    lost = [mapped[c] for c in mapped.keys() - Q.covers]
-    if lost:
-        a, b = min(lost, key=sort_key)      # sort_key order is vertex order
-        return f"cover ({a!r}, {b!r}) maps to ({image[a]!r}, {image[b]!r}), which is not a cover"
-    if Q.covers != mapped.keys():
-        a, b = min(Q.covers - mapped.keys(), key=sort_key)
-        return f"({hit[a]!r}, {hit[b]!r}) is not a cover, but its image ({a!r}, {b!r}) is"
-    return None

@@ -4,11 +4,12 @@ Each suite returns a report dict with a boolean "passed" plus per-check
 entries, so failures say what broke; a failing check that knows where it
 broke also carries a "witness" message.  The pytest acceptance module
 covers the same ground; these suites make it scriptable.  An isomorphism
-check is `lattice.iso_failure`, on cover indices, whose message is the
-witness; `oracle.check_constructed_iso` is its reference in the tests.  A
-suite imports the coordinate, Domino, isomorphism, poset, oracle and
-solver modules it calls when it runs, so that a `verify` process loads
-only the box, the lattice module and the layers of the suites it runs.
+check, of lattices or of posets, is `lattice.iso_failure`, on cover
+indices, whose message is the witness; `oracle.check_constructed_iso` is
+its reference in the tests.  A suite imports the coordinate, Domino,
+isomorphism, poset, oracle and solver modules it calls when it runs, so
+that a `verify` process loads only the box, the lattice module and the
+layers of the suites it runs.
 """
 
 import random
@@ -42,8 +43,8 @@ def suite_fundamental(seed=0):
     from .oracle import random_colored_poset
     from .poset import (canonical_iso_to_filters, canonical_iso_to_ideals,
                         disjoint_sum, dual, j_lattice, join_irreducibles, m_lattice,
-                        meet_irreducibles, poset_iso_failure, principal_filter,
-                        principal_ideal, recolor)
+                        meet_irreducibles, principal_filter, principal_ideal,
+                        recolor)
     rng = random.Random(seed)
     theorems = (("j(J(P)) = P and J(j(L)) = L", j_lattice, join_irreducibles,
                  principal_ideal, canonical_iso_to_ideals),
@@ -56,7 +57,7 @@ def suite_fundamental(seed=0):
             L = build(P)
             irr = irreducibles(L)
             broke[t] = (broke[t]
-                        or poset_iso_failure(P, irr, {v: principal(P, v) for v in P.vertices})
+                        or iso_failure(P, irr, {v: principal(P, v) for v in P.vertices})
                         or iso_failure(L, build(irr), {x: canonical(L, x) for x in L.vertices}))
     checks = [(theorem[0], failure is None, failure)
               for theorem, failure in zip(theorems, broke)]

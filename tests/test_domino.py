@@ -107,6 +107,12 @@ class TestBoard:
         with pytest.raises(ValueError, match="outside"):
             is_red(BOX24, True, 4)
 
+    def test_a_string_cell_is_named_by_its_repr(self):
+        # str would print '1' as 1 and name a cell that is on the board
+        with pytest.raises(ValueError) as raised:
+            is_red(BoxSpec(2, 5), "1", 1)
+        assert str(raised.value) == "cell ('1', 1) is outside the 2x3 board"
+
 
 class TestBetaPart:
     def test_add_horizontal_pair(self):
@@ -321,6 +327,12 @@ class TestMoveVectors:
     def test_move_pair_ranges(self):
         with pytest.raises(ValueError):
             dtab_move_pair(6, 6)
+
+    @pytest.mark.parametrize("N", ["x", True, 1])
+    def test_move_pair_checks_n_before_the_color(self, N):
+        with pytest.raises(ValueError) as raised:
+            dtab_move_pair(N, 1)
+        assert str(raised.value) == f"need an integer N >= 2, got {N!r}"
 
     def test_move_pair_matches_the_printed_table(self):
         for N in range(2, 61):

@@ -23,7 +23,7 @@ EXPORTS = {
               "canonical_iso_to_filters", "disjoint_sum", "dual",
               "enumerate_order_ideals", "j_lattice", "join_irreducibles", "m_lattice",
               "meet_irreducibles", "recolor"],
-    "box": ["BoxSpec"],
+    "box": ["BoxPermutation", "BoxSpec", "pi"],
     "typea": ["CircleState", "build_l_a", "build_l_tab", "build_l_tilde",
               "build_p_a", "diagonal_to_partition", "ideal_to_partition",
               "partition_join", "partition_meet", "partition_rank",
@@ -32,9 +32,8 @@ EXPORTS = {
     "domino": ["beta_circ", "beta_diag", "beta_part", "build_d_a", "d_max", "d_min",
                "gamma_ct", "gamma_pt", "gamma_tc", "gamma_tp", "is_legal_domino_move",
                "is_red", "m_diag"],
-    "isomorphism": ["BoxPermutation", "MoveMatrix", "apply_p", "decompose",
-                    "move_census", "move_matrix", "phi", "phi_circ", "phi_inverse",
-                    "pi"],
+    "isomorphism": ["MoveMatrix", "apply_p", "decompose", "move_census",
+                    "move_matrix", "phi", "phi_circ", "phi_inverse"],
     "solver": ["GameSolution", "color_census", "solve_distributive", "solve_domino"],
     "oracle": ["PathCapExceeded", "bareiss_decompose", "bfs_all_pairs",
                "check_constructed_iso", "check_lattice_laws", "enumerate_shortest_paths",
@@ -184,6 +183,14 @@ class TestImportBudget:
         assert done.returncode == 0, done.stderr
         assert ast.literal_eval(done.stdout) == [
             "dominolattice", "dominolattice.box", "dominolattice.records", "dominolattice.solver"]
+
+    def test_the_permutation_loads_only_the_box_and_records(self):
+        # pi and BoxPermutation live in the box, not behind phi
+        done = run_python("-c", "import sys; from dominolattice import pi, BoxPermutation; pi(7); "
+                          "print(sorted(m for m in sys.modules if m.startswith('dominolattice')))")
+        assert done.returncode == 0, done.stderr
+        assert ast.literal_eval(done.stdout) == [
+            "dominolattice", "dominolattice.box", "dominolattice.records"]
 
     def test_bare_import_loads_no_submodule(self):
         done = run_python("-c", "import sys, dominolattice; "

@@ -2,21 +2,21 @@ import random
 
 import pytest
 
-from dominolattice.lattice import ColoredLattice, product
+from dominolattice.lattice import ColoredLattice, iso_failure, product
 from dominolattice.poset import (PosetError, VertexColoredPoset,
                                  canonical_iso_to_filters,
                                  canonical_iso_to_ideals,
                                  disjoint_sum, dual, enumerate_order_ideals,
                                  is_order_ideal, j_lattice, join_irreducibles,
                                  join_to_meet_irreducible, m_lattice,
-                                 meet_irreducibles, poset_iso_failure,
+                                 meet_irreducibles,
                                  principal_filter, principal_ideal, recolor)
 from dominolattice.domino import build_d_a
 from dominolattice.lattice import CoverDigraph
 from dominolattice.typea import BoxSpec, build_l_a, build_l_graph, build_p_a
 from dominolattice.oracle import check_constructed_iso, induced_covers, random_colored_poset
 
-from conftest import DESK_SPECS, count_calls
+from conftest import DESK_SPECS, count_calls, iso_verdict
 
 
 def chain(colors):
@@ -197,14 +197,14 @@ class TestPosetIso:
         P = chain([1, 2, 1])
         Q = VertexColoredPoset(P.vertices, [("c0", "c1"), ("c0", "c2")], P.colors)
         same = {v: v for v in P.vertices}
-        assert poset_iso_failure(P, P, same) is None and poset_iso_failure(Q, Q, same) is None
-        assert poset_iso_failure(P, Q, same) == (
+        assert iso_failure(P, P, same) is None and iso_failure(Q, Q, same) is None
+        assert iso_failure(P, Q, same) == (
             "cover ('c1', 'c2') maps to ('c1', 'c2'), which is not a cover")
-        assert poset_iso_failure(Q, P, same) == (
+        assert iso_failure(Q, P, same) == (
             "cover ('c0', 'c2') maps to ('c0', 'c2'), which is not a cover")
         # c1 < c2 is missing from the source's covers, not added to them
         R = VertexColoredPoset(P.vertices, [("c0", "c1")], P.colors)
-        assert poset_iso_failure(R, P, same) == (
+        assert iso_failure(R, P, same) == (
             "('c1', 'c2') is not a cover, but its image ('c1', 'c2') is")
 
     @pytest.mark.parametrize("f, message", [
@@ -216,11 +216,47 @@ class TestPosetIso:
     ], ids=["outside", "two-to-one", "recolored"])
     def test_the_witness_names_the_first_vertex_where_the_map_fails(self, f, message):
         P = chain([1, 2, 1])
-        assert poset_iso_failure(P, P, f) == message
+        assert iso_failure(P, P, f) == message
 
     def test_the_witness_names_a_vertex_that_no_vertex_maps_to(self):
         P, Q = antichain([1, 1]), antichain([1, 1, 1])
-        assert poset_iso_failure(P, Q, {"a0": "a0", "a1": "a1"}) == "no vertex maps to 'a2'"
+        assert iso_failure(P, Q, {"a0": "a0", "a1": "a1"}) == "no vertex maps to 'a2'"
+
+    def test_a_color_failure_before_a_two_to_one_vertex_is_the_witness(self):
+        # c1 is recolored, and c2 maps to c1's image too: c1 comes first
+        P = chain([1, 2, 1])
+        f = {"c0": "c0", "c1": "c2", "c2": "c2"}
+        assert not iso_verdict(P, P, f)
+        assert iso_failure(P, P, f) == "'c1' has color 2, but its image 'c2' has color 1"
+
+    def test_agrees_with_the_oracle_on_random_posets_and_maps(self):
+        # iso_verdict checks iso_failure against check_constructed_iso, which
+        # reads only the public vertices, colors and covers
+        rng = random.Random(44)
+        verdicts = {"identity": set(), "within colors": set(), "dual": set(),
+                    "recolored": set()}
+        for _ in range(150):
+            P = random_colored_poset(rng, 7, 3)
+            same = {v: v for v in P.vertices}
+            verdicts["identity"].add(iso_verdict(P, P, same))
+            # a color-preserving bijection, which is an order isomorphism or not
+            classes = {}
+            for v in P.vertices:
+                classes.setdefault(P.colors[v], []).append(v)
+            shuffled = {}
+            for members in classes.values():
+                shuffled.update(zip(members, rng.sample(members, len(members))))
+            verdicts["within colors"].add(iso_verdict(P, P, shuffled))
+            # the same vertices and colors with every cover reversed
+            verdicts["dual"].add(iso_verdict(P, dual(P), same))
+            sigma = {c: rng.randint(1, 3) for c in range(1, 4)}
+            verdicts["recolored"].add(iso_verdict(P, recolor(P, sigma), same))
+            # any map into another random poset, two-to-one and outside it included
+            Q = random_colored_poset(rng, 7, 3)
+            targets = list(Q.vertices) + ["outside"]
+            iso_verdict(P, Q, {v: rng.choice(targets) for v in P.vertices})
+        assert verdicts == {"identity": {True}, "within colors": {True, False},
+                            "dual": {True, False}, "recolored": {True, False}}
 
 
 class TestIrreducibles:
@@ -241,7 +277,7 @@ class TestIrreducibles:
         assert len(P) == 8
         grid = build_p_a(spec)
         f = {v: principal_ideal(grid, v) for v in grid.vertices}
-        assert poset_iso_failure(grid, P, f) is None
+        assert iso_failure(grid, P, f) is None
 
     def test_l23_meet_irreducibles_count(self):
         assert len(meet_irreducibles(build_l_a(BoxSpec(2, 5)))) == 6
@@ -298,7 +334,7 @@ class TestIrreducibles:
         J = join_irreducibles(L)
         M = meet_irreducibles(L)
         f = {u: join_to_meet_irreducible(L, u) for u in J.vertices}
-        assert poset_iso_failure(J, M, f) is None
+        assert iso_failure(J, M, f) is None
 
 
 class TestRoundTrips:
@@ -307,14 +343,14 @@ class TestRoundTrips:
         for _ in range(50):
             P = random_colored_poset(rng, 8, 4)
             L = j_lattice(P)
-            assert poset_iso_failure(P, join_irreducibles(L),
-                                     {v: principal_ideal(P, v) for v in P.vertices}) is None
+            assert iso_failure(P, join_irreducibles(L),
+                               {v: principal_ideal(P, v) for v in P.vertices}) is None
             assert check_constructed_iso(
                 L, j_lattice(join_irreducibles(L)),
                 {x: canonical_iso_to_ideals(L, x) for x in L.vertices})
             M = m_lattice(P)
-            assert poset_iso_failure(P, meet_irreducibles(M),
-                                     {v: principal_filter(P, v) for v in P.vertices}) is None
+            assert iso_failure(P, meet_irreducibles(M),
+                               {v: principal_filter(P, v) for v in P.vertices}) is None
             assert check_constructed_iso(
                 M, m_lattice(meet_irreducibles(M)),
                 {x: canonical_iso_to_filters(M, x) for x in M.vertices})

@@ -5,8 +5,9 @@ from math import comb
 import pytest
 
 from dominolattice.domino import BoxPermutation
+from dominolattice.lattice import iso_failure
 from dominolattice.oracle import cell_census, check_constructed_iso, is_diamond_colored
-from dominolattice.poset import join_irreducibles, poset_iso_failure, principal_ideal
+from dominolattice.poset import join_irreducibles, principal_ideal
 from dominolattice.typea import (BoxSpec, CircleState, all_partitions,
                                  build_l_a, build_l_graph,
                                  build_l_tab, build_l_tilde, build_p_a,
@@ -365,7 +366,7 @@ class TestChainProduct:
         for v in grid.vertices:
             ideal = principal_ideal(grid, v)
             f[v] = partition_to_tableau_L(spec, ideal_to_partition(spec, ideal))
-        assert poset_iso_failure(grid, jt, f) is None
+        assert iso_failure(grid, jt, f) is None
 
     def test_l_tab_isomorphic_to_l_a(self):
         spec = BOX24
