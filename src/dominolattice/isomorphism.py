@@ -191,7 +191,7 @@ def _apply_p(spec, diag):
     Each column of P, read from the Domino move table, has at most two
     nonzero entries, so each d_l adds to at most two entries of m.
     """
-    out = list(move_matrix(spec).shift)
+    out = list(m_diag(spec))
     for d, column in zip(diag, _move_table(spec.N)[3]):
         if d:
             for i, a in column:

@@ -142,11 +142,14 @@ class CoverDigraph:
         return v in self._index
 
     def index(self, v):
-        """Position of v in the canonical vertex order; an unknown v raises, naming it."""
-        i = self._index.get(v)
-        if i is None:
-            raise self.error(f"{v!r} is not a vertex")
-        return i
+        """Position of v in the canonical vertex order; an unknown v raises, naming it.
+
+        So does an unhashable v, which can be no vertex.
+        """
+        try:
+            return self._index[v]
+        except (KeyError, TypeError):
+            raise self.error(f"{v!r} is not a vertex") from None
 
     def le(self, x, y):
         i, j = self.index(x), self.index(y)

@@ -5,11 +5,11 @@ from them keeps those frozensets as vertex labels, so the canonical
 isomorphisms of the fundamental theorem are ordinary dictionaries.
 
 Underneath, the ideal layer works on int masks (Birkhoff's rings of
-sets), one bit per vertex, the vertices numbered in (color, index)
-order: the order-ideal check, the breadth-first search of J(P) and the
-greedy legs of the generic solver.  A mask is an ideal when every
-member's lower covers, as a mask, lie inside it.  Frozensets are made
-only for the vertices a caller receives.
+sets) in the order core's own numbering, bit b for `vertices[b]`: the
+order-ideal check, the breadth-first search of J(P) and the greedy legs
+of the generic solver.  A mask is an ideal when every member's down-set
+(`_downsets`, which holds the member's own bit) lies inside it.
+Frozensets are made only for the vertices a caller receives.
 """
 
 from collections import Counter
@@ -55,28 +55,13 @@ class VertexColoredPoset(CoverDigraph):
         return f"VertexColoredPoset({len(self.vertices)} vertices, {len(self._color)} covers)"
 
     @cached_property
-    def _by_color(self):
-        """The vertices renumbered in (color, index) order, for the ideal masks.
-
-        Bit b of a mask stands for the b-th vertex in that order, so a
-        mask's lowest set bit is its smallest-color member, ties to the
-        lowest index.  Returns the vertices, their colors, the position
-        of each vertex, and the lower and the upper covers of each as
-        masks, all in this numbering.
-        """
-        vs, colors = self.vertices, self.colors
-        order = sorted(range(len(vs)), key=lambda i: (colors[vs[i]], i))
-        pos = [0] * len(vs)
-        for b, i in enumerate(order):
-            pos[i] = b
-
-        def renumbered(adj):
-            return tuple(sum(1 << pos[j] for j in adj[i]) for i in order)
-
-        labels = tuple(vs[i] for i in order)
-        return (labels, tuple(colors[v] for v in labels),
-                {v: b for b, v in enumerate(labels)},
-                renumbered(self._down), renumbered(self._up))
+    def _color_masks(self):
+        """(color, mask of the vertices of that color) pairs, in ascending color order."""
+        masks = {}
+        for b, v in enumerate(self.vertices):
+            c = self.colors[v]
+            masks[c] = masks.get(c, 0) | 1 << b
+        return tuple(sorted(masks.items()))
 
     def strict_up(self, v):
         return self._strictly_within(v, self._upsets)
@@ -114,23 +99,22 @@ class VertexColoredPoset(CoverDigraph):
 
 
 def _ideal_mask(P, members):
-    """The mask of members in P's (color, index) numbering, if they form an ideal.
+    """The mask of members, bit b for `P.vertices[b]`, if they form an ideal.
 
-    None when a member is not a vertex of P, or when a member's lower
-    covers, as a mask, do not lie inside the members' mask; the
-    numbering is `VertexColoredPoset._by_color`.
+    None when a member is not a vertex of P, or when a member's down-set
+    (`_downsets`) does not lie inside the members' mask.
     """
-    _, _, where, lower, _ = P._by_color
+    index, downsets = P._index, P._downsets
     mask = 0
     for v in members:
-        b = where.get(v)
+        b = index.get(v)
         if b is None:
             return None
         mask |= 1 << b
     rest = mask
     while rest:
         low = rest & -rest
-        if lower[low.bit_length() - 1] & ~mask:
+        if downsets[low.bit_length() - 1] & ~mask:
             return None
         rest ^= low
     return mask
@@ -139,9 +123,9 @@ def _ideal_mask(P, members):
 def is_order_ideal(P, members):
     """True when members are vertices of P closed under going down.
 
-    One AND per member, in `_ideal_mask`: its lower covers' mask must
-    lie inside the members' mask.  A member that is not a vertex of P
-    gives False.
+    One AND per member, in `_ideal_mask`: its down-set's mask must lie
+    inside the members' mask.  A member that is not a vertex of P gives
+    False.
     """
     return _ideal_mask(P, members) is not None
 
@@ -150,46 +134,48 @@ def _greedy_flips(P, start, target):
     """The vertices a greedy leg between two ideal masks flips, in order.
 
     The masks, one inside the other, are as in `_ideal_mask`.  Going up
-    it adjoins a minimal element of target - current, one whose lower
-    covers are all in current; going down it removes a maximal element
-    of current - target, one with no upper cover in current.  Each step
-    flips the lowest such bit: smallest color first, then the lowest
-    index.  Returns (vertex, color) for each flip.
+    it adjoins a b of target - current whose down-set meets the
+    complement of current only in b; going down it removes a b of
+    current - target whose up-set meets current only in b.  Each step
+    flips such a b of the smallest color, then the lowest index
+    (`_color_masks`).  Returns (vertex, color) for each flip.
     """
-    labels, hues, _, lower, upper = P._by_color
     up = not (start & ~target)
-    blocking = lower if up else upper
+    closures = P._downsets if up else P._upsets
     current, flips = start, []
     rest = start ^ target
     while rest:
         free = ~current if up else current
-        scan = rest
-        while True:
-            if not scan:
-                raise AssertionError("no greedy step between the two ideals")
-            low = scan & -scan
-            b = low.bit_length() - 1
-            if not blocking[b] & free:
-                break
-            scan ^= low
+        low, c = _greedy_step(P, rest, free, closures)
         current ^= low
         rest ^= low
-        flips.append((labels[b], hues[b]))
+        flips.append((P.vertices[low.bit_length() - 1], c))
     return flips
 
 
-def _color_census(P, mask):
-    """Counter of the colors of the members of a mask, in one pass over its bits.
+def _greedy_step(P, rest, free, closures):
+    """(bit, color) of the first b of rest, by color then index, whose closure meets free in b."""
+    for c, hue in P._color_masks:
+        scan = rest & hue
+        while scan:
+            low = scan & -scan
+            if closures[low.bit_length() - 1] & free == low:
+                return low, c
+            scan ^= low
+    raise AssertionError("no greedy step between the two ideals")
 
-    The bits run in (color, index) order, so the colors enter ascending.
-    The Counter is made without `Counter.__init__`, which only runs
-    update(None).
+
+def _color_census(P, mask):
+    """Counter of the colors of the members of a mask, one popcount per color.
+
+    The colors enter ascending.  The Counter is made without
+    `Counter.__init__`, which only runs update(None).
     """
-    hues, census = P._by_color[1], Counter.__new__(Counter)
-    while mask:
-        low = mask & -mask
-        census[hues[low.bit_length() - 1]] += 1
-        mask ^= low
+    census = Counter.__new__(Counter)
+    for c, hue in P._color_masks:
+        n = (mask & hue).bit_count()
+        if n:
+            census[c] = n
     return census
 
 
@@ -197,11 +183,11 @@ def _ideal_covers(P):
     """The order ideals of P and the covers (x, b) of J(P) between them.
 
     One breadth-first search on ideal masks from the empty ideal walks
-    each cover once: x | 1 << b covers x when vertex b is outside x and
-    its lower covers are all inside.  Returns {mask: frozenset} over the
+    each cover once: x | 1 << b covers x when vertex b's down-set meets
+    the complement of x only in b.  Returns {mask: frozenset} over the
     ideals, in the order the search meets them, and the covers.
     """
-    vs, _, _, lower, _ = P._by_color
+    vs, downsets = P.vertices, P._downsets
     full = (1 << len(vs)) - 1
     ideals = [0]
     labels = {0: frozenset()}
@@ -212,7 +198,7 @@ def _ideal_covers(P):
             low = rest & -rest
             rest ^= low
             b = low.bit_length() - 1
-            if not lower[b] & ~x:
+            if downsets[b] & ~x == low:
                 covers.append((x, b))
                 y = x | low
                 if y not in labels:
@@ -239,11 +225,11 @@ def _in_label_order(P, labels):
 
 def _mask_lattice(P, labels, covers):
     """The lattice on the labels of the ideal masks, covers colored by vertex."""
-    hues = P._by_color[1]
+    vs, colors = P.vertices, P.colors
     order = _in_label_order(P, labels)
     at = {x: i for i, x in enumerate(order)}
     return _indexed_lattice(tuple(map(labels.__getitem__, order)),
-                            {(at[x], at[x | 1 << b]): hues[b] for x, b in covers})
+                            {(at[x], at[x | 1 << b]): colors[vs[b]] for x, b in covers})
 
 
 def j_lattice(P):

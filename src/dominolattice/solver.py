@@ -6,12 +6,13 @@ the Domino-specific procedure.  Both play by one greedy rule, smallest
 color first: through the join both legs climb, and through the meet the
 play descends from the start, then climbs.  The generic route runs on
 the poset's masks (the poset module's docstring): each ideal is read
-once into a mask in (color, index) order, so a greedy step flips the
-lowest set bit among the free extremes, and the census is read off the
-mask of the difference.  The Domino procedure reads each shape once,
-by `box._shape_masks`, into an int mask of its D tableau (bit t set
-for entry t) and one of its preimage's L tableau, Q (bit pi^-1(t)), and
-plays on the masks (`_solve_domino`).  The per-color move counts are one
+once into a mask in the poset's vertex numbering, a greedy step flips
+a free extreme of the smallest color, then the lowest index, and the
+census is one popcount per color of the mask of the difference.  The
+Domino procedure reads each shape once, by `box._shape_masks`, into an
+int mask of its D tableau (bit t set for entry t) and one of its
+preimage's L tableau, Q (bit pi^-1(t)), and plays on the masks
+(`_solve_domino`).  The per-color move counts are one
 running count over the two Q masks, and the walk runs on plain integers,
 with no Counter in it: the moves still to make are count lists indexed
 by color, and by the one move rule (the box module's docstring) the
@@ -97,9 +98,10 @@ def solve_distributive(P, s, t, via="join"):
 
     Through the join both legs climb; through the meet the play descends
     from s to the meet, then climbs to t.  The ideals are read once into
-    masks in P's (color, index) numbering, and the legs, the census of
-    the difference s ^ t and the waypoint's mask are computed on them;
-    frozensets are made only for the path's vertices and the waypoint.
+    masks in P's vertex numbering, bit b for `P.vertices[b]`, and the
+    legs, the census of the difference s ^ t and the waypoint's mask are
+    computed on them; frozensets are made only for the path's vertices
+    and the waypoint.
     """
     from .poset import _color_census, _greedy_flips, _ideal_mask
     s, t = frozenset(s), frozenset(t)

@@ -30,7 +30,7 @@ family's move table, is stated in the box module's docstring.
 """
 
 from functools import lru_cache
-from itertools import accumulate, combinations
+from itertools import accumulate, combinations, combinations_with_replacement
 
 # BoxSpec lives in box, with the shape check; it is re-exported here.
 from .box import BoxSpec, _l_move_table, validate_partition
@@ -109,21 +109,13 @@ def is_valid_partition(spec, parts):
 
 @lru_cache(maxsize=None)
 def all_partitions(spec):
-    """Every k x (N-k) partition, in lexicographic order, the order fill makes.
+    """Every k x (N-k) partition, in lexicographic order.
 
     That is sort_key order, in which the lattice builders hand them over.
+    The partitions are the combinations with replacement of cols, ..., 0,
+    which itertools makes in reverse lexicographic order.
     """
-    out = []
-
-    def fill(prefix, bound):
-        if len(prefix) == spec.k:
-            out.append(tuple(prefix))
-            return
-        for p in range(bound + 1):
-            fill(prefix + [p], p)
-
-    fill([], spec.cols)
-    return tuple(out)
+    return tuple(combinations_with_replacement(range(spec.cols, -1, -1), spec.k))[::-1]
 
 
 @lru_cache(maxsize=None)
@@ -142,11 +134,16 @@ def ideal_to_partition(spec, ideal):
     """
     if isinstance(ideal, str):
         raise ValueError("an ideal is a set of cell ids such as '1,1', not a str")
-    ideal = frozenset(ideal)
+    # read once, so that an iterator can be searched for an unhashable member
+    members = ideal if isinstance(ideal, frozenset) else list(ideal)
+    outside = []
+    try:
+        ideal = frozenset(members)
+    except TypeError:           # an unhashable member, which is no cell
+        ideal, outside = frozenset(), [v for v in members if not _hashable(v)]
     cells = _box_cells(spec)
     counts = [0] * spec.k
     weight = 0
-    outside = []
     for v in ideal:
         rc = cells.get(v)
         if rc is None:
@@ -168,6 +165,14 @@ def ideal_to_partition(spec, ideal):
         bad = vertex_id(r + 1, counts[r - 1] + 1)
     raise ValueError(f"not an order ideal of the {spec.k}x{spec.cols} grid: cell {bad} "
                      f"lies outside the box or past a missing cell")
+
+
+def _hashable(v):
+    try:
+        hash(v)
+    except TypeError:
+        return False
+    return True
 
 
 def partition_to_ideal(spec, parts):

@@ -278,6 +278,17 @@ class TestApplyP:
             assert apply_p(BOX24, partition_to_diagonal(BOX24, p)) \
                 == partition_to_diagonal(BOX24, phi(BOX24, p))
 
+    def test_reads_the_shift_without_eliminating_the_move_matrix(self):
+        # the shift is the Domino minimum's diagonal; the (N-1)^2 matrix
+        # and its determinant are not needed to transport one vector
+        spec = BoxSpec(100, 200)
+        move_matrix.cache_clear()
+        isomorphism._determinant.cache_clear()
+        out, calls = count_calls([isomorphism._bareiss_forward],
+                                 lambda: apply_p(spec, (0,) * 199))
+        assert out == m_diag(spec)
+        assert calls["_bareiss_forward"] == 0
+
 
 class TestSparseTransport:
     """apply_p and its unchecked core against the dense product P d + m."""

@@ -398,6 +398,17 @@ class TestUnknownVertex:
         assert str(exc.value) == "(9, 9) is not a vertex"
 
     @pytest.mark.parametrize("query", [
+        lambda L: L.index([3, 3]),
+        lambda L: L.up_neighbors([3, 3]),
+        lambda L: L.le([3, 3], L.minimum),
+    ], ids=["index", "up_neighbors", "le"])
+    def test_an_unhashable_vertex_raises_the_order_error(self, query):
+        # the index lookup raised a bare TypeError, naming no vertex
+        with pytest.raises(LatticeError) as exc:
+            query(build_l_graph(BoxSpec(2, 5)))
+        assert str(exc.value) == "[3, 3] is not a vertex"
+
+    @pytest.mark.parametrize("query", [
         lambda P: P.index("9,9"),
         lambda P: P.le("9,9", "1,1"),
         lambda P: P.strict_up("9,9"),

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from dominolattice.lattice import ColoredLattice, iso_failure, product
-from dominolattice.poset import (PosetError, VertexColoredPoset,
+from dominolattice.poset import (PosetError, VertexColoredPoset, _ideal_mask,
                                  canonical_iso_to_filters,
                                  canonical_iso_to_ideals,
                                  disjoint_sum, dual, enumerate_order_ideals,
@@ -113,6 +113,17 @@ class TestIdeals:
                     seen[want] += 1
                     seen["foreign"] += "foreign" in members
         assert min(seen.values()) > 0
+
+    def test_an_ideal_mask_numbers_the_vertices_as_the_core_does(self):
+        # bit b of a mask is P.vertices[b], so a principal ideal's mask is
+        # the core's down-set of its vertex
+        rng = random.Random(52)
+        for _ in range(50):
+            P = random_colored_poset(rng, 7, 4)
+            for x in enumerate_order_ideals(P):
+                assert _ideal_mask(P, x) == sum(1 << P.index(v) for v in x)
+            for i, v in enumerate(P.vertices):
+                assert _ideal_mask(P, principal_ideal(P, v)) == P._downsets[i]
 
     def test_minimal_and_maximal_of_match_the_definition(self):
         # every subset of 50 random posets, alone and with a foreign vertex

@@ -179,6 +179,14 @@ class TestPartitionConversions:
         with pytest.raises(ValueError, match=re.escape(f"cell {named} lies outside")):
             ideal_to_partition(BOX24, cells)
 
+    @pytest.mark.parametrize("cells,named", [
+        ([["1,1"]], "['1,1']"), (["1,1", ("1,2", [])], "('1,2', [])")])
+    def test_an_unhashable_member_is_named_as_no_cell(self, cells, named):
+        # frozenset() of the members raised a bare TypeError
+        for members in (cells, iter(cells)):
+            with pytest.raises(ValueError, match=re.escape(f"cell {named} lies outside")):
+                ideal_to_partition(BoxSpec(2, 5), members)
+
     @pytest.mark.parametrize("text", ["1,1", "", "1,1 2,1"])
     def test_a_string_is_not_a_set_of_cell_ids(self, text):
         with pytest.raises(ValueError, match="an ideal is a set of cell ids"):
